@@ -66,6 +66,41 @@ def test_non_unimodular_cone_is_reported(fan_data):
     assert not report.ok
 
 
+def _mutated(fan, rays=None, cones=None):
+    return Fan(fan.lattice, fan.rays if rays is None else rays,
+               fan.cones if cones is None else cones, fan.sigma)
+
+
+def test_fan_with_a_gap_is_rejected(fan_data):
+    fan, _f, _inv, _charts = fan_data
+    assert not verify_smooth_subdivision(_mutated(fan, cones=fan.cones[:-1])).ok
+
+
+def test_fan_with_an_overlap_is_rejected(fan_data):
+    fan, _f, _inv, _charts = fan_data
+    cones = list(fan.cones) + [fan.cones[0]]
+    assert not verify_smooth_subdivision(_mutated(fan, cones=cones)).ok
+
+
+def test_fan_with_a_ray_outside_sigma_is_rejected(fan_data):
+    fan, _f, _inv, _charts = fan_data
+    rays = list(fan.rays)
+    assert rays[3] == (1, 0, 0, 0)
+    rays[3] = (-1, 0, 0, 0)
+    assert not verify_smooth_subdivision(_mutated(fan, rays=rays)).ok
+
+
+def test_fan_with_a_same_side_facet_is_rejected(fan_data):
+    fan, _f, _inv, _charts = fan_data
+    # cone 38 is {1, 2, 4, 5}; swapping its apex for ray 13 puts it on the
+    # same side of facet {1, 2, 5} as cone 26, whose apex is ray 11
+    assert fan.cones[37] == (0, 1, 3, 4) and fan.cones[25] == (0, 1, 4, 10)
+    cones = list(fan.cones)
+    cones[37] = (0, 1, 4, fan.ray_index((11, -4, -2, -5)))
+    report = verify_smooth_subdivision(_mutated(fan, cones=cones))
+    assert not report.ok
+
+
 def test_chart_polynomials(fan_data):
     fan, _f, inv, charts = fan_data
     assert str(charts[0].poly) == "y1^2*y4 + y2^5*y3^3*y4^4 + y2*y3*y4^2 + 1"
