@@ -11,7 +11,6 @@ from fractions import Fraction
 from .cohomology import TwistSum
 from .pfaffian import SkewPolyMatrix
 from .polynomial import PolyRing
-from .simplicial import load_triangulation
 from .toric import AmbientLattice, Fan
 
 
@@ -178,7 +177,3 @@ def parse_complexes_file(text):
     for name, terms in resolutions.items():
         out[name] = [terms[i] for i in sorted(terms)]
     return out
-
-
-def read_triangulation(path):
-    return load_triangulation(path.read_text())

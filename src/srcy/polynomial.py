@@ -90,20 +90,10 @@ class Poly:
             raise ValueError("not a constant polynomial")
         return sum(self.terms.values(), Fraction(0))
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     def total_degree(self):
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, names):
-        """Maximal combined exponent of the given variables."""
-        idx = [self.ring.index[n] for n in names]
-        if not self.terms:
-            return -1
-        return max(sum(e[i] for i in idx) for e in self.terms)
 
     def monomials(self):
         """Terms as (exponent tuple, coefficient) pairs in sorted order."""

@@ -31,11 +31,6 @@ class VerificationReport:
         self.checks.append(CheckRecord(check_id, expected, computed, status, provenance))
         return status
 
-    def record(self, check_id, ok, detail, provenance):
-        self.checks.append(
-            CheckRecord(check_id, True, bool(ok) if not detail else detail, PASS if ok else FAIL, provenance)
-        )
-
     @property
     def ok(self):
         return all(c.status != FAIL for c in self.checks)

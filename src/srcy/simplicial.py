@@ -9,7 +9,7 @@ triangulation file format.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 
 class SimplicialComplex:
@@ -363,15 +363,3 @@ def _is_2sphere(c):
     return all(
         sum(1 for t in c.facets if e <= t) == 2 for e in c.faces_of_dim(1)
     )
-
-
-def random_relabeling(complex_, rng):
-    """The complex with vertices permuted by a random bijection (test helper)."""
-    perm = list(complex_.vertices)
-    rng.shuffle(perm)
-    return complex_.relabel(dict(zip(complex_.vertices, perm)))
-
-
-def all_vertex_permutations(vertices):
-    for p in permutations(vertices):
-        yield dict(zip(vertices, p))

@@ -15,9 +15,6 @@ class MonomialIdealPresentation:
     generators: tuple  # sorted tuple of sorted vertex tuples
     vertices: tuple
 
-    def generator_sets(self):
-        return [frozenset(g) for g in self.generators]
-
 
 def minimal_nonfaces(k):
     """Inclusion-minimal subsets of the vertex set that are not faces.

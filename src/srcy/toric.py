@@ -119,7 +119,17 @@ class FanReport:
 
 
 def verify_smooth_subdivision(fan):
-    """Fan axioms, unimodularity and coverage of sigma by facet pairing."""
+    """Check that the fan's cones form a smooth triangulation of sigma.
+
+    Every ray must lie in sigma and every cone must be simplicial, full
+    dimensional and unimodular.  Such cones triangulate sigma exactly
+    when three local conditions hold (De Loera, Rambau & Santos,
+    *Triangulations*, Springer 2010, ch. 4): every facet lies in two
+    cones, or in one cone if it is on the boundary of sigma; the two cones
+    at an interior facet lie on opposite sides of it; and an interior
+    point is covered exactly once.  The last is tested at an interior
+    point of every cone.
+    """
     problems = []
     for r in fan.rays:
         if not fan.in_sigma(r):
@@ -137,65 +147,20 @@ def verify_smooth_subdivision(fan):
             continue
         inverses[c] = _integer_inverse(rays)
 
-    if not problems:
-        for c1, c2 in combinations(range(len(fan.cones)), 2):
-            if not _pair_is_common_face(fan, inverses, c1, c2):
-                problems.append("cones %d and %d do not meet in a common face" % (c1 + 1, c2 + 1))
-
-    problems.extend(_facet_pairing_problems(fan))
+    problems.extend(_facet_pairing_problems(fan, inverses))
     problems.extend(_sample_coverage_problems(fan, inverses))
     return FanReport(not problems, len(fan.rays), len(fan.cones), problems)
 
 
-def _pair_is_common_face(fan, inverses, c1, c2):
-    """Intersection of two unimodular cones equals the cone on shared rays.
-
-    The intersection is cut out by the eight facet inequalities; every
-    extremal ray solves three independent active constraints, so the
-    signed 3x3 minors of constraint triples enumerate all candidates.
-    """
-    shared = {fan.rays[i] for i in set(fan.cones[c1]) & set(fan.cones[c2])}
-    rows = [list(r) for r in inverses[c1]] + [list(r) for r in inverses[c2]]
-    found = set()
-    for triple in combinations(range(len(rows)), 3):
-        m = [rows[t] for t in triple]
-        d = _cross4(m)
-        if d is None:
-            continue
-        for cand in (d, tuple(-x for x in d)):
-            if cand in found:
-                continue
-            if all(sum(r[i] * cand[i] for i in range(4)) >= 0 for r in rows):
-                found.add(cand)
-    found = {la.primitive(v) for v in found}
-    return found == shared
-
-
-def _cross4(rows):
-    """Primitive kernel direction of three integer rows in Z^4, or None."""
-    out = []
-    for skip in range(4):
-        cols = [c for c in range(4) if c != skip]
-        m = [[rows[i][c] for c in cols] for i in range(3)]
-        d = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-        out.append(d if skip % 2 == 0 else -d)
-    if all(x == 0 for x in out):
-        return None
-    return la.primitive(out)
-
-
-def _facet_pairing_problems(fan):
+def _facet_pairing_problems(fan, inverses):
     problems = []
-    counts = {}
-    for cone in fan.cones:
+    cones_at = {}
+    for c, cone in enumerate(fan.cones):
         for facet in combinations(sorted(cone), 3):
-            counts[facet] = counts.get(facet, 0) + 1
+            cones_at.setdefault(facet, []).append(c)
     functionals = fan.sigma_facet_functionals()
-    for facet, count in sorted(counts.items()):
+    for facet, cones in sorted(cones_at.items()):
+        count = len(cones)
         rays = [fan.rays[i] for i in facet]
         on_boundary = any(
             all(sum(w[i] * r[i] for i in range(4)) == 0 for r in rays) for w in functionals
@@ -204,6 +169,15 @@ def _facet_pairing_problems(fan):
             problems.append("boundary facet %s shared by %d cones" % (facet, count))
         if not on_boundary and count != 2:
             problems.append("interior facet %s shared by %d cones" % (facet, count))
+        elif not on_boundary and all(c in inverses for c in cones):
+            # the row of a's inverse dual to a's apex is positive on a's side
+            a, b = cones
+            row = inverses[a][next(k for k, i in enumerate(fan.cones[a]) if i not in facet)]
+            (apex,) = set(fan.cones[b]) - set(facet)
+            if sum(x * y for x, y in zip(row, fan.rays[apex])) >= 0:
+                problems.append(
+                    "cones %d and %d lie on one side of facet %s" % (a + 1, b + 1, facet)
+                )
     return problems
 
 

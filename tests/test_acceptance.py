@@ -9,6 +9,7 @@ integer/polynomial equality.
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from srcy.cohomology import h_twist, hodge_pipeline_ci
 from srcy.deformation import t1_degree_zero_basis, t1_link_table_crosscheck
 from srcy.families import check_first_order_lift
 from srcy.fileio import geometry_and_params
+from srcy.intlinalg import det
 from srcy.pfaffian import (
     SkewPolyMatrix,
     check_quasihomogeneous,
@@ -47,6 +49,9 @@ from srcy.toric import (
     verify_smooth_subdivision,
 )
 from srcy.verify import run_all
+
+# The exact stdout of `srcy run-all --format json` for the bundled fixtures.
+GOLDEN_REPORT = Path(__file__).parent / "data" / "run_all.json"
 
 
 def check(name, expected, computed):
@@ -99,24 +104,6 @@ def test_pfaffian_square_is_determinant():
     ring = PolyRing(["x"])
     rng = random.Random(99)
 
-    def det(matrix):
-        rows = [
-            [matrix.entry(i, j).constant_value() for j in range(1, matrix.dim + 1)]
-            for i in range(1, matrix.dim + 1)
-        ]
-
-        def rec(rs):
-            if not rs:
-                return Fraction(1)
-            total = Fraction(0)
-            for j, lead in enumerate(rs[0]):
-                if lead:
-                    minor = [[r[c] for c in range(len(rs)) if c != j] for r in rs[1:]]
-                    total += (-1) ** j * lead * rec(minor)
-            return total
-
-        return rec(rows)
-
     count = 0
     for dim in (2, 4, 6, 8):
         for _ in range(26):
@@ -126,7 +113,9 @@ def test_pfaffian_square_is_determinant():
                 for j in range(i + 1, dim + 1)
             }
             m = SkewPolyMatrix(ring, dim, upper)
-            assert pfaffian(m).constant_value() ** 2 == det(m)
+            rows = [[m.entry(i, j).constant_value() for j in range(1, dim + 1)]
+                    for i in range(1, dim + 1)]
+            assert pfaffian(m).constant_value() ** 2 == det(rows)
             count += 1
     check("pfaffian squared equals determinant (matrices checked)", 104, count)
 
@@ -324,3 +313,4 @@ def test_full_report_passes():
     check("full verification report has no failures", [], failures)
     check("ingested component rows are marked", 4,
           sum(1 for c in report.checks if c.status == "ingested"))
+    assert emit(report, "json") + b"\n" == GOLDEN_REPORT.read_bytes()

@@ -5,6 +5,7 @@ import pytest
 
 from srcy import fixtures
 from srcy.fileio import geometry_and_params
+from srcy.intlinalg import det
 from srcy.pfaffian import (
     SkewPolyMatrix,
     evaluate_jacobian,
@@ -29,23 +30,10 @@ def _const_skew(entries):
 
 
 def _det(matrix):
-    rows = [
+    return det([
         [matrix.entry(i, j).constant_value() for j in range(1, matrix.dim + 1)]
         for i in range(1, matrix.dim + 1)
-    ]
-
-    def rec(rs):
-        if not rs:
-            return Fraction(1)
-        total = Fraction(0)
-        for j, lead in enumerate(rs[0]):
-            if lead == 0:
-                continue
-            minor = [[row[c] for c in range(len(rs)) if c != j] for row in rs[1:]]
-            total += (-1) ** j * lead * rec(minor)
-        return total
-
-    return rec(rows)
+    ])
 
 
 def _random_skew(rng, dim):

@@ -1,7 +1,5 @@
 """Randomized invariants, following the shapes the rest of the suite pins."""
 
-from fractions import Fraction
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,22 +21,10 @@ def skew_matrices(draw, dims=(2, 4, 6)):
 
 
 def _det(matrix):
-    rows = [
+    return det([
         [matrix.entry(i, j).constant_value() for j in range(1, matrix.dim + 1)]
         for i in range(1, matrix.dim + 1)
-    ]
-
-    def rec(rs):
-        if not rs:
-            return Fraction(1)
-        total = Fraction(0)
-        for j, lead in enumerate(rs[0]):
-            if lead:
-                minor = [[r[c] for c in range(len(rs)) if c != j] for r in rs[1:]]
-                total += (-1) ** j * lead * rec(minor)
-        return total
-
-    return rec(rows)
+    ])
 
 
 @settings(max_examples=60, deadline=None)

@@ -99,6 +99,7 @@ def test_fan_with_a_same_side_facet_is_rejected(fan_data):
     cones[37] = (0, 1, 4, fan.ray_index((11, -4, -2, -5)))
     report = verify_smooth_subdivision(_mutated(fan, cones=cones))
     assert not report.ok
+    assert "cones 26 and 38 lie on one side of facet (0, 1, 4)" in report.problems
 
 
 def test_chart_polynomials(fan_data):
