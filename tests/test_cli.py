@@ -27,7 +27,14 @@ def test_t1_command(capsys):
 
 def test_aut_and_orbits(capsys):
     code, out = run_cli(capsys, "aut", _data("triangulations/p7_3.tri"))
-    assert code == 0 and json.loads(out)["order"] == 48
+    assert code == 0
+    assert out == (
+        '{"order":48,"generators":[[1,2,3,5,4,6,7],[1,2,3,6,7,4,5],'
+        '[1,3,2,4,5,6,7],[2,1,3,4,5,6,7]]}\n'
+    )
+    code, out = run_cli(capsys, "aut", _data("triangulations/p7_5.tri"))
+    assert code == 0
+    assert out == '{"order":14,"generators":[[1,7,6,5,4,3,2],[2,1,7,6,5,4,3]]}\n'
     code, out = run_cli(capsys, "orbits", _data("triangulations/p7_4.tri"))
     payload = json.loads(out)
     assert payload["orbit_count"] == 20

@@ -147,3 +147,17 @@ def test_isomorphism_finds_maps():
     relabel = {v: 10 + v for v in a.vertices}
     assert a.is_isomorphic(a.relabel(relabel))
     assert not a.is_isomorphic(suspension_of_ngon(5))
+    # same f-vector (1, 8, 18, 12) and degrees (3,3,4,4,5,5,6,6), not isomorphic
+    a = SimplicialComplex(map(_digits, "035 036 057 067 124 127 136 137 146 246 267 357".split()))
+    b = SimplicialComplex(map(_digits, "012 016 027 056 057 126 234 236 247 346 456 457".split()))
+    assert tuple(a.f_vector()) == tuple(b.f_vector()) == (1, 8, 18, 12)
+    assert a.degree_multiset() == b.degree_multiset()
+    assert not a.is_isomorphic(b) and not b.is_isomorphic(a)
+    shift = {v: (3 * v + 1) % 8 for v in range(8)}
+    for k in (a, b):
+        assert k.is_isomorphic(k.relabel(shift))
+        assert k.relabel(shift).is_isomorphic(k)
+
+
+def _digits(word):
+    return [int(c) for c in word]

@@ -1,6 +1,8 @@
+from itertools import combinations, permutations
 from math import factorial
 
 from srcy.deformation import first_order_family, t1_degree_zero_basis
+from srcy.simplicial import SimplicialComplex, join, ngon
 from srcy.symmetry import (
     act_on_element,
     automorphism_group,
@@ -20,6 +22,46 @@ def test_automorphism_orders(complexes):
         group = automorphism_group(k)
         assert group.order == AUT_ORDERS[name]
         assert factorial(len(k.vertices)) % group.order == 0
+
+
+def _brute_force_automorphisms(k):
+    """Reference: the facet-preserving members of S_n, in lexicographic order."""
+    verts = k.vertices
+    out = []
+    for image in permutations(verts):
+        perm = dict(zip(verts, image))
+        if {frozenset(perm[v] for v in f) for f in k.facets} == k.facets:
+            out.append(perm)
+    return out
+
+
+def _cyclic_polytope_4_boundary(n):
+    """Boundary of the cyclic 4-polytope C(n, 4), by Gale's evenness condition."""
+    facets = []
+    for s in combinations(range(n), 4):
+        gaps = [v for v in range(n) if v not in s]
+        if all(sum(1 for v in s if i < v < j) % 2 == 0 for i, j in combinations(gaps, 2)):
+            facets.append(s)
+    return SimplicialComplex(facets)
+
+
+def test_automorphisms_match_brute_force(complexes):
+    """The search returns exactly the S_n filter's elements, in its order.
+
+    The boundary of C(8, 4) is neighborly: all 8! bijections preserve its
+    edge graph and only 16 preserve its facets.  The 4-gon * 4-gon join is
+    the boundary of the cross-polytope, with 384 automorphisms.
+    """
+    cases = dict(complexes)
+    cases["cyclic_8_4"] = _cyclic_polytope_4_boundary(8)
+    cases["join_4_4"] = join(ngon(4), ngon(4, labels=[4, 5, 6, 7]))
+    assert len(cases["cyclic_8_4"].faces_of_dim(1)) == 28
+    orders = {}
+    for name, k in cases.items():
+        reference = _brute_force_automorphisms(k)
+        assert automorphism_group(k).elements == reference, name
+        orders[name] = len(reference)
+    assert orders["cyclic_8_4"] == 16 and orders["join_4_4"] == 384
 
 
 def test_p7_1_group_structure(complexes):
