@@ -14,6 +14,7 @@ from .deformation import t1_degree_zero_basis
 from .fileio import (
     geometry_and_params,
     parse_complexes_file,
+    parse_component_table,
     parse_fan_file,
     parse_matrix_file,
     parse_monomial_file,
@@ -48,8 +49,17 @@ def _print_json(data):
     sys.stdout.write(json.dumps(data, separators=(",", ":")) + "\n")
 
 
+class InputError(Exception):
+    """An unreadable or malformed input file; `main` prints it and exits 2."""
+
+
 def _load_complex(path):
-    return load_triangulation(Path(path).read_text())
+    try:
+        return load_triangulation(Path(path).read_text())
+    except OSError as exc:
+        raise InputError("%s: %s" % (path, exc.strerror)) from None
+    except ValueError as exc:
+        raise InputError("%s: %s" % (path, exc)) from None
 
 
 def cmd_t1(args):
@@ -148,7 +158,7 @@ def cmd_toric(args):
         })
         return 0
     if args.toric_cmd == "euler":
-        rows = [tuple(r) for r in _parse_component_rows(Path(args.components).read_text())]
+        rows = [tuple(r) for r in parse_component_table(Path(args.components).read_text())]
         structure = derive_component_structure(fan, charts)
         comps = match_component_table(fan, charts, structure, rows)
         cx = intersection_complex(fan, charts, comps)
@@ -164,12 +174,6 @@ def cmd_toric(args):
         })
         return 0
     raise SystemExit("unknown toric subcommand")
-
-
-def _parse_component_rows(text):
-    from .fileio import parse_component_table
-
-    return parse_component_table(text)
 
 
 def cmd_cohom(args):
@@ -249,8 +253,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    result = args.fn(args)
-    return result or 0
+    try:
+        return args.fn(args) or 0
+    except InputError as exc:
+        sys.stderr.write("%s\n" % exc)
+        return 2
 
 
 if __name__ == "__main__":

@@ -67,12 +67,13 @@ class SimplicialComplex:
     def euler_characteristic(self):
         return self.f_vector().euler_characteristic()
 
-    def vertex_degree(self, v):
-        """Number of edges at v."""
-        return sum(1 for f in self.faces_of_dim(1) if v in f)
+    def vertex_degrees(self):
+        """Number of edges at each vertex, as a dict."""
+        edges = self.faces_of_dim(1)
+        return {v: sum(v in e for e in edges) for v in self.vertices}
 
     def degree_multiset(self):
-        return tuple(sorted(self.vertex_degree(v) for v in self.vertices))
+        return tuple(sorted(self.vertex_degrees().values()))
 
     def is_connected(self):
         if not self.vertices:
@@ -118,41 +119,43 @@ class SimplicialComplex:
 
     # -- isomorphism ---------------------------------------------------------
 
-    def find_isomorphism(self, other):
-        """A vertex bijection carrying facets to facets, or None.
+    def isomorphisms(self, other):
+        """Yield every vertex bijection (a dict) carrying facets to facets.
 
-        Backtracking over degree-compatible assignments; the complexes in
-        this package never exceed 8 vertices.
+        Backtracking over degree-compatible maps.  Mapping v to w keeps a
+        partial map only if each set of mapped vertices that holds v and is
+        no larger than a facet is a face exactly when its image is a face.
         """
-        if len(self.vertices) != len(other.vertices):
-            return None
-        if sorted(map(len, self.facets)) != sorted(map(len, other.facets)):
-            return None
-        if self.degree_multiset() != other.degree_multiset():
-            return None
-        mine = sorted(self.vertices, key=lambda v: (self.vertex_degree(v), v))
-        deg_o = {v: other.vertex_degree(v) for v in other.vertices}
+        deg_s, deg_o = self.vertex_degrees(), other.vertex_degrees()
+        if (len(self.vertices) != len(other.vertices)
+                or sorted(map(len, self.facets)) != sorted(map(len, other.facets))
+                or sorted(deg_s.values()) != sorted(deg_o.values())):
+            return
+        mine = sorted(self.vertices, key=lambda v: (deg_s[v], v))
+        width = max(map(len, self.facets))
+        faces_s, faces_o, mapping = self.faces(), other.faces(), {}
 
-        target_facets = other.facets
-
-        def extend(i, mapping, used):
+        def extend(i):
             if i == len(mine):
-                image = {frozenset(mapping[v] for v in f) for f in self.facets}
-                return dict(mapping) if image == target_facets else None
+                if {frozenset(map(mapping.get, f)) for f in self.facets} == other.facets:
+                    yield dict(mapping)
+                return
             v = mine[i]
             for w in other.vertices:
-                if w in used or deg_o[w] != self.vertex_degree(v):
+                if w in mapping.values() or deg_o[w] != deg_s[v]:
                     continue
                 mapping[v] = w
-                used.add(w)
-                found = extend(i + 1, mapping, used)
-                if found:
-                    return found
+                if all((frozenset(s) in faces_s) == (frozenset(map(mapping.get, s)) in faces_o)
+                       for k in range(min(i, width - 1) + 1)
+                       for s in (c + (v,) for c in combinations(mine[:i], k))):
+                    yield from extend(i + 1)
                 del mapping[v]
-                used.discard(w)
-            return None
 
-        return extend(0, {}, set())
+        yield from extend(0)
+
+    def find_isomorphism(self, other):
+        """The first bijection `isomorphisms` yields, or None."""
+        return next(self.isomorphisms(other), None)
 
     def is_isomorphic(self, other):
         return self.find_isomorphism(other) is not None
@@ -290,8 +293,8 @@ OTHER = LinkType("other")
 def classify_link(link):
     """Classify a complex of dimension <= 2 against the small standard types.
 
-    Each candidate with matching vertex count is checked by brute-force
-    isomorphism, so the answer is relabeling-invariant by construction.
+    Each candidate with matching vertex count is checked by the exact
+    isomorphism search, so the answer is relabeling-invariant by construction.
     """
     d = link.dim()
     nv = len(link.vertices)

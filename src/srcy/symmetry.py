@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .deformation import FirstOrderFamily, T1BasisElement
-from .polynomial import PolyRing
+from .polynomial import Poly, PolyRing
 
 
 @dataclass
 class PermutationGroup:
-    """Explicit list of vertex permutations (dicts label -> label)."""
+    """Explicit list of group elements (dicts label -> label)."""
 
     vertices: tuple
     elements: list
@@ -26,18 +25,13 @@ class PermutationGroup:
 
 
 def automorphism_group(k):
-    """All vertex permutations preserving the facet set.
+    """All vertex bijections preserving the facet set.
 
-    Brute force over the symmetric group; the fixture complexes have at
-    most 8 vertices.  Generators are a greedily chosen minimal subset.
+    The isomorphisms from k to itself, in lexicographic order of their
+    one-line images.  Generators are a greedily chosen minimal subset.
     """
     verts = k.vertices
-    facets = k.facets
-    elements = []
-    for image in permutations(verts):
-        perm = dict(zip(verts, image))
-        if {frozenset(perm[v] for v in f) for f in facets} == facets:
-            elements.append(perm)
+    elements = sorted(k.isomorphisms(k), key=lambda p: tuple(p[v] for v in verts))
     generators = _greedy_generators(verts, elements)
     return PermutationGroup(verts, elements, generators)
 
@@ -191,11 +185,6 @@ def invariant_specialize(family, partition, assignment):
             key = tuple(exps)
             terms[key] = terms.get(key, 0) + c
         poly_terms = {e: c for e, c in terms.items() if c}
-        gens.append(ring.zero() + _poly(ring, poly_terms))
+        gens.append(ring.zero() + Poly(ring, poly_terms))
     return FirstOrderFamily(ring, gens, family.basis, new_params)
 
-
-def _poly(ring, terms):
-    from .polynomial import Poly
-
-    return Poly(ring, terms)

@@ -41,6 +41,20 @@ def test_aut_and_orbits(capsys):
     assert sum(payload["orbit_sizes"]) == 67
 
 
+def test_bad_triangulation_exits_cleanly(capsys, tmp_path):
+    missing = tmp_path / "missing.tri"
+    bad = tmp_path / "bad.tri"
+    bad.write_text("0 1 2\n0 1 x\n")
+    for cmd in ("aut", "orbits", "t1", "sr"):
+        assert main([cmd, str(missing)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "%s: No such file or directory\n" % missing)
+        assert main([cmd, str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "%s: line 2: facets must be whitespace-separated integers\n" % bad
+
+
 def test_sr_command(capsys):
     code, out = run_cli(capsys, "sr", _data("triangulations/p7_1.tri"))
     payload = json.loads(out)
