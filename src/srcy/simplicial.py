@@ -145,9 +145,10 @@ class SimplicialComplex:
                 if w in mapping.values() or deg_o[w] != deg_s[v]:
                     continue
                 mapping[v] = w
-                if all((frozenset(s) in faces_s) == (frozenset(map(mapping.get, s)) in faces_o)
-                       for k in range(min(i, width - 1) + 1)
-                       for s in (c + (v,) for c in combinations(mine[:i], k))):
+                if all((frozenset((v, *c)) in faces_s)
+                       == (frozenset(map(mapping.get, (v, *c))) in faces_o)
+                       for k in range(1, min(i, width - 1) + 1)
+                       for c in combinations(mine[:i], k)):
                     yield from extend(i + 1)
                 del mapping[v]
 
