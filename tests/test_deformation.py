@@ -1,9 +1,14 @@
+import gc
 import random
+import weakref
+from itertools import combinations
 
 import pytest
 
 from srcy.deformation import (
+    LINK_CONTRIBUTIONS,
     admissible_b,
+    admissible_pairs,
     degree_zero_multiplicity,
     first_order_family,
     perturbation,
@@ -11,7 +16,15 @@ from srcy.deformation import (
     t1_link_table_crosscheck,
     variable_ring,
 )
-from srcy.simplicial import boundary_simplex, ngon, suspension_of_ngon
+from srcy.simplicial import (
+    SimplicialComplex,
+    boundary_simplex,
+    classify_link,
+    is_combinatorial_3sphere_candidate,
+    join,
+    ngon,
+    suspension_of_ngon,
+)
 from srcy.sr_ideal import minimal_nonfaces
 
 T1_DIMS = {"delta4": 105, "p7_1": 92, "p7_2": 79, "p7_3": 79, "p7_4": 67, "p7_5": 56}
@@ -151,3 +164,65 @@ def test_first_order_family_structure(complexes):
             if not coeff.is_zero():
                 assert coeff.total_degree() == len(g)
         assert poly.truncate_above(fam.params, 2) == poly
+
+
+def _reference_crosscheck(k):
+    """(face, tag, expected, enumerated) by the direct subset loop per face link."""
+    rows = []
+    for f in sorted(k.faces(), key=lambda f: (len(f), tuple(sorted(f)))):
+        link = k.link(f)
+        if not f or link.dim() > 2 or link.facets == frozenset({frozenset()}):
+            continue
+        tag = classify_link(link)
+        enumerated = sum(
+            admissible_b(link, set(b))
+            for r in range(2, len(link.vertices) + 1)
+            for b in combinations(link.vertices, r)
+        )
+        rows.append((tuple(sorted(f)), tag, LINK_CONTRIBUTIONS[tag.tag](tag.n), enumerated))
+    return rows
+
+
+def test_crosscheck_matches_direct_subset_loop(complexes):
+    joined = join(ngon(3), ngon(4, [3, 4, 5, 6]))
+    for k in [*complexes.values(), joined]:
+        rows = [(r.face, r.link_type, r.expected, r.enumerated)
+                for r in t1_link_table_crosscheck(k)]
+        assert rows == _reference_crosscheck(k)
+
+
+def test_admissible_pairs_follow_a_relabeling(complexes):
+    k = complexes["p7_3"]
+    perm = list(k.vertices)
+    random.Random(11).shuffle(perm)
+    mapping = dict(zip(k.vertices, perm))
+    relabeled = k.relabel(mapping)
+    moved = {(tuple(sorted(mapping[v] for v in a)), frozenset(mapping[v] for v in b))
+             for a, b in admissible_pairs(k)}
+    assert set(admissible_pairs(relabeled)) == moved
+    assert len(admissible_pairs(relabeled)) == len(moved)
+
+
+def test_admissible_pairs_do_not_keep_the_complex_alive(complexes):
+    k = SimplicialComplex(complexes["p7_5"].facets)
+    ref = weakref.ref(k)
+    assert admissible_pairs(k)
+    del k
+    gc.collect()
+    assert ref() is None
+
+
+def _torus_suspension():
+    """Suspension of the 7-vertex torus, apexes 7 and 8: not a 3-sphere."""
+    torus = [frozenset({i, (i + 1) % 7, (i + 3) % 7}) for i in range(7)]
+    torus += [frozenset({i, (i + 2) % 7, (i + 3) % 7}) for i in range(7)]
+    return join(SimplicialComplex([{7}, {8}]), SimplicialComplex(torus))
+
+
+def test_torus_suspension_is_rejected():
+    k = _torus_suspension()
+    failures = is_combinatorial_3sphere_candidate(k).failures
+    assert "link of vertex 7 is not a 2-sphere" in failures
+    assert "link of vertex 8 is not a 2-sphere" in failures
+    with pytest.raises(ValueError, match=r"link of \[7\] does not classify"):
+        t1_link_table_crosscheck(k)

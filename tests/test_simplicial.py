@@ -109,6 +109,12 @@ def test_classification_distinguishes_six_vertex_spheres():
     assert classify_link(SimplicialComplex([{1, 2}, {2, 3}])) == OTHER
 
 
+def test_disconnected_cycles_are_not_an_ngon():
+    two_triangles = SimplicialComplex([{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}])
+    assert set(two_triangles.degree_multiset()) == {2}
+    assert classify_link(two_triangles) == OTHER
+
+
 def test_classify_link_relabeling_invariant(complexes):
     rng = random.Random(7)
     samples = []
