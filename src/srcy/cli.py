@@ -53,9 +53,10 @@ class InputError(Exception):
     """An unreadable or malformed input file; `main` prints it and exits 2."""
 
 
-def _load_complex(path):
+def _load(path, parse):
+    """`parse` applied to the file's text; a bad or missing file is an InputError."""
     try:
-        return load_triangulation(Path(path).read_text())
+        return parse(Path(path).read_text())
     except OSError as exc:
         raise InputError("%s: %s" % (path, exc.strerror)) from None
     except ValueError as exc:
@@ -63,7 +64,7 @@ def _load_complex(path):
 
 
 def cmd_t1(args):
-    k = _load_complex(args.triangulation)
+    k = _load(args.triangulation, load_triangulation)
     basis = t1_degree_zero_basis(k)
     _print_json({
         "dimension": len(basis),
@@ -75,7 +76,7 @@ def cmd_t1(args):
 
 
 def cmd_aut(args):
-    k = _load_complex(args.triangulation)
+    k = _load(args.triangulation, load_triangulation)
     group = automorphism_group(k)
     _print_json({
         "order": group.order,
@@ -84,7 +85,7 @@ def cmd_aut(args):
 
 
 def cmd_orbits(args):
-    k = _load_complex(args.triangulation)
+    k = _load(args.triangulation, load_triangulation)
     group = automorphism_group(k)
     basis = t1_degree_zero_basis(k)
     part = orbits_on_t1(group, basis)
@@ -97,11 +98,11 @@ def cmd_orbits(args):
 
 
 def cmd_sr(args):
-    _print_json(sr_report(_load_complex(args.triangulation)))
+    _print_json(sr_report(_load(args.triangulation, load_triangulation)))
 
 
 def cmd_pfaffian(args):
-    matrix, _ring = parse_matrix_file(Path(args.matrix).read_text())
+    matrix, _ring = _load(args.matrix, parse_matrix_file)
     if matrix.dim % 2 == 0:
         _print_json({"pfaffian": str(pfaffian(matrix))})
     else:
@@ -109,8 +110,8 @@ def cmd_pfaffian(args):
 
 
 def cmd_verify_family(args):
-    matrix, ring = parse_matrix_file(Path(args.matrix).read_text())
-    vector, _ring2 = parse_vector_file(Path(args.vector).read_text())
+    matrix, ring = _load(args.matrix, parse_matrix_file)
+    vector, _ring2 = _load(args.vector, parse_vector_file)
     _geo, params = geometry_and_params(ring.names)
     vector = [v.rename(ring) for v in vector]
     ok = verify_first_order(matrix, vector, params)
@@ -119,7 +120,7 @@ def cmd_verify_family(args):
 
 
 def cmd_torus_group(args):
-    gens, ring = parse_vector_file(Path(args.generators).read_text())
+    gens, ring = _load(args.generators, parse_vector_file)
     geo, _params = geometry_and_params(ring.names)
     h = diagonal_stabilizer(gens, geo)
     if isinstance(h, InfiniteStabilizer):
@@ -134,13 +135,13 @@ def cmd_torus_group(args):
 
 
 def cmd_toric(args):
-    fan = parse_fan_file(Path(args.fan).read_text())
+    fan = _load(args.fan, parse_fan_file)
     if args.toric_cmd == "verify":
         rep = verify_smooth_subdivision(fan)
         _print_json({"rays": rep.n_rays, "cones": rep.n_cones, "ok": rep.ok,
                      "problems": rep.problems})
         return 0 if rep.ok else 1
-    fmono, invmono = parse_monomial_file(Path(args.fpoly).read_text())
+    fmono, invmono = _load(args.fpoly, parse_monomial_file)
     charts = all_charts(fan, invmono)
     if args.toric_cmd == "crepancy":
         crep = crepancy_check(fan, fmono)
@@ -158,7 +159,7 @@ def cmd_toric(args):
         })
         return 0
     if args.toric_cmd == "euler":
-        rows = [tuple(r) for r in parse_component_table(Path(args.components).read_text())]
+        rows = [tuple(r) for r in _load(args.components, parse_component_table)]
         structure = derive_component_structure(fan, charts)
         comps = match_component_table(fan, charts, structure, rows)
         cx = intersection_complex(fan, charts, comps)
@@ -177,7 +178,7 @@ def cmd_toric(args):
 
 
 def cmd_cohom(args):
-    res = parse_complexes_file(Path(args.complexes).read_text())
+    res = _load(args.complexes, parse_complexes_file)
     out = hodge_pipeline_ci(res["structure_sheaf"], res["ideal_square"])
     _print_json({"h11": out.h11, "h12": out.h12, "intermediates": out.intermediates})
 

@@ -8,6 +8,8 @@ distributing |b| among the vertices of `a` with positive weights.
 
 from __future__ import annotations
 
+import weakref
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -18,6 +20,7 @@ from .simplicial import (
     SimplicialComplex,
     classify_link,
     is_combinatorial_3sphere_candidate,
+    is_sphere,
 )
 
 # Admissible-b counts for the standard small links, before the degree-zero
@@ -72,15 +75,15 @@ def admissible_b(link, b):
     target_dim = link.dim() - len(b) + 1
     bsubsets_proper = _proper_subsets(b)
     if not link.has_face(b):
-        if not _is_sphere(lprime, target_dim):
+        if not is_sphere(lprime, target_dim):
             return False
         joined = {f | g for f in lprime.faces() for g in bsubsets_proper}
         return joined == set(link.faces())
     if not _is_ball(lprime, target_dim):
         return False
     joined = {f | g for f in lprime.faces() for g in bsubsets_proper}
-    bdry = _ball_boundary(lprime, target_dim)
-    ball_part = {f | g for f in bdry for g in _all_subsets(b)}
+    bsubsets = bsubsets_proper | {b}
+    ball_part = {f | g for f in _ball_boundary(lprime, target_dim) for g in bsubsets}
     return joined | ball_part == set(link.faces())
 
 
@@ -94,37 +97,6 @@ def _proper_subsets(b):
     for k in range(len(b)):
         out.update(frozenset(c) for c in combinations(b, k))
     return out
-
-
-def _all_subsets(b):
-    b = tuple(sorted(b))
-    out = set()
-    for k in range(len(b) + 1):
-        out.update(frozenset(c) for c in combinations(b, k))
-    return out
-
-
-def _is_sphere(c, d):
-    """Sphere test for d <= 2 via Euler characteristic and manifold checks."""
-    if d == -1:
-        return c.facets == frozenset({frozenset()})
-    if c.facets == frozenset({frozenset()}):
-        return False
-    if c.dim() != d or not c.is_pure():
-        return False
-    if d == 0:
-        return len(c.vertices) == 2
-    if d == 1:
-        return c.is_connected() and c.euler_characteristic() == 0 and all(
-            deg == 2 for deg in c.degree_multiset()
-        )
-    if d == 2:
-        return (
-            c.is_connected()
-            and c.euler_characteristic() == 2
-            and all(sum(1 for t in c.facets if e <= t) == 2 for e in c.faces_of_dim(1))
-        )
-    raise ValueError("sphere test implemented for dimension <= 2 only")
 
 
 def _is_ball(c, d):
@@ -155,7 +127,7 @@ def _is_ball(c, d):
         if not boundary_edges:
             return False
         rim = SimplicialComplex(boundary_edges)
-        return _is_sphere(rim, 1)
+        return is_sphere(rim, 1)
     raise ValueError("ball test implemented for dimension <= 2 only")
 
 
@@ -191,8 +163,17 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+_PAIRS = weakref.WeakKeyDictionary()
+
+
 def admissible_pairs(k):
-    """All (face a, subset b) with an admissible join decomposition."""
+    """All (face a, subset b) with an admissible join decomposition.
+
+    Enumerated once per complex; the tuple is kept only while k is alive.
+    """
+    pairs = _PAIRS.get(k)
+    if pairs is not None:
+        return pairs
     pairs = []
     for f in sorted(k.faces(), key=lambda f: (len(f), tuple(sorted(f)))):
         if not f:
@@ -203,6 +184,7 @@ def admissible_pairs(k):
             for b in combinations(lverts, size):
                 if admissible_b(link, frozenset(b)):
                     pairs.append((tuple(sorted(f)), frozenset(b)))
+    _PAIRS[k] = pairs = tuple(pairs)
     return pairs
 
 
@@ -238,6 +220,7 @@ def t1_link_table_crosscheck(k):
     Covers faces whose links have dimension <= 2; the counts here are
     before degree-zero multiplicity.
     """
+    enumerated = Counter(a for a, _b in admissible_pairs(k))
     rows = []
     for f in sorted(k.faces(), key=lambda f: (len(f), tuple(sorted(f)))):
         if not f:
@@ -248,14 +231,9 @@ def t1_link_table_crosscheck(k):
         tag = classify_link(link)
         if tag == OTHER:
             raise ValueError("link of %s does not classify" % sorted(f))
+        face = tuple(sorted(f))
         expected = LINK_CONTRIBUTIONS[tag.tag](tag.n)
-        enumerated = sum(
-            1
-            for size in range(2, len(link.vertices) + 1)
-            for b in combinations(link.vertices, size)
-            if admissible_b(link, frozenset(b))
-        )
-        rows.append(CrosscheckRow(tuple(sorted(f)), tag, expected, enumerated))
+        rows.append(CrosscheckRow(face, tag, expected, enumerated[face]))
     return rows
 
 
@@ -265,6 +243,14 @@ def t1_link_table_crosscheck(k):
 def variable_ring(k, extra=()):
     """Ring with one x-variable per vertex (external labels) plus extras."""
     return PolyRing(["x%d" % v for v in k.vertices] + list(extra))
+
+
+def generator_monomial(ring, p):
+    """The monomial x_p = prod of x_v over the vertices v of p."""
+    exps = [0] * ring.nvars
+    for v in p:
+        exps[ring.index["x%d" % v]] = 1
+    return ring.monomial(exps)
 
 
 def perturbation(elem, generators, ring, vertices):
@@ -297,11 +283,6 @@ class FirstOrderFamily:
     basis: list  # T1BasisElement per parameter
     params: list  # parameter names, aligned with basis
 
-    def at_zero(self):
-        """Generators with every parameter set to 0."""
-        zeros = {p: 0 for p in self.params}
-        return [g.substitute(zeros) for g in self.generators]
-
 
 def first_order_family(k, check=True):
     """One parameter per basis element; generators x_p + sum_i t_i phi_i(x_p)."""
@@ -310,13 +291,8 @@ def first_order_family(k, check=True):
     basis = t1_degree_zero_basis(k, check=check)
     params = ["t%d" % (i + 1) for i in range(len(basis))]
     ring = variable_ring(k, extra=params)
-    gens = [g for g in minimal_nonfaces(k).generators]
-    polys = []
-    for p in gens:
-        exps = [0] * ring.nvars
-        for v in p:
-            exps[ring.index["x%d" % v]] = 1
-        polys.append(ring.monomial(exps))
+    gens = minimal_nonfaces(k).generators
+    polys = [generator_monomial(ring, p) for p in gens]
     for i, elem in enumerate(basis):
         images = perturbation(elem, gens, ring, k.vertices)
         t = ring.var(params[i])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .deformation import perturbation, t1_degree_zero_basis
+from .deformation import generator_monomial, perturbation, t1_degree_zero_basis
 from .pfaffian import first_order_pfaffians
 from .sr_ideal import minimal_nonfaces
 
@@ -39,12 +39,7 @@ def check_first_order_lift(k, matrix, params):
         return LiftCheck(False, problems=["generator count mismatch"])
 
     base = [p.substitute({t: 0 for t in params}) for p in f1]
-    monomials = []
-    for p in gens:
-        exps = [0] * ring.nvars
-        for v in p:
-            exps[ring.index["x%d" % v]] = 1
-        monomials.append(ring.monomial(exps))
+    monomials = [generator_monomial(ring, p) for p in gens]
 
     sign = None
     order = []  # position in `gens` for each pfaffian slot

@@ -117,6 +117,20 @@ def parse_fan_file(text):
             cones.append(tuple(int(tok) - 1 for tok in line.split()))
         else:
             raise ValueError("data before any section header: %r" % line)
+    for name, block in (("lattice", lattice_rows), ("rays", rays), ("sigma", sigma),
+                        ("cones", cones)):
+        if not block:
+            raise ValueError("empty %s block" % name)
+    rank = len(lattice_rows)
+    for name, rows in (("lattice row", lattice_rows), ("ray", rays)):
+        for n, row in enumerate(rows, 1):
+            if len(row) != rank:
+                raise ValueError("%s %d has %d entries, not %d" % (name, n, len(row), rank))
+    if len(sigma) != rank:
+        raise ValueError("sigma lists %d rays, not %d" % (len(sigma), rank))
+    for i in sigma + [i for cone in cones for i in cone]:
+        if not 0 <= i < len(rays):
+            raise ValueError("ray index %d out of range 1..%d" % (i + 1, len(rays)))
     lattice = AmbientLattice(lattice_rows)
     return Fan(lattice, rays, cones, sigma)
 

@@ -40,40 +40,6 @@ def rank(rows):
     return r
 
 
-def solve(rows, rhs):
-    """Solve A x = b exactly; returns one solution or None if inconsistent."""
-    m = mat_fractions(rows)
-    b = [Fraction(x) for x in rhs]
-    nr, nc = len(m), len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        b[r], b[piv] = b[piv], b[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        b[r] *= inv
-        for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * p for a, p in zip(m[i], m[r])]
-                b[i] -= f * b[r]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if b[i] != 0:
-            return None
-    x = [Fraction(0)] * nc
-    for i, c in enumerate(pivots):
-        x[c] = b[i]
-    return x
-
-
 def inverse(rows):
     n = len(rows)
     m = mat_fractions(rows)
@@ -111,39 +77,6 @@ def det(rows):
                 f = m[i][c] * inv
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return result * sign
-
-
-def nullspace(rows):
-    """Basis of the rational kernel of A (list of column vectors)."""
-    m = mat_fractions(rows)
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -m[i][fc]
-        basis.append(v)
-    return basis
 
 
 # -- integer normal forms ----------------------------------------------------

@@ -28,19 +28,6 @@ class SkewPolyMatrix:
             if p and not p.is_zero():
                 self.upper[(i, j)] = p
 
-    @classmethod
-    def from_rows(cls, ring, rows):
-        d = len(rows)
-        upper = {}
-        for i in range(d):
-            if rows[i][i] and not rows[i][i].is_zero():
-                raise ValueError("nonzero diagonal entry at %d" % (i + 1))
-            for j in range(i + 1, d):
-                if rows[i][j] + rows[j][i] != ring.zero():
-                    raise ValueError("rows are not skew-symmetric at (%d,%d)" % (i + 1, j + 1))
-                upper[(i + 1, j + 1)] = rows[i][j]
-        return cls(ring, d, upper)
-
     def entry(self, i, j):
         if i == j:
             return self.ring.zero()

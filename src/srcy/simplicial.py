@@ -304,11 +304,7 @@ def classify_link(link):
             return TWO_POINTS
         return OTHER
     if d == 1:
-        if link.is_pure() and link.is_connected() and all(
-            deg == 2 for deg in link.degree_multiset()
-        ):
-            return LinkType("ngon", nv)
-        return OTHER
+        return LinkType("ngon", nv) if is_sphere(link, 1) else OTHER
     if d == 2:
         if nv == 4 and link.is_isomorphic(boundary_simplex(3)):
             return BOUNDARY_TETRAHEDRON
@@ -353,17 +349,31 @@ def is_combinatorial_3sphere_candidate(k):
     if k.euler_characteristic() != 0:
         failures.append("Euler characteristic %d != 0" % k.euler_characteristic())
     for v in k.vertices:
-        lk = k.link({v})
-        if not _is_2sphere(lk):
+        if not is_sphere(k.link({v}), 2):
             failures.append("link of vertex %s is not a 2-sphere" % v)
     return SphereReport(not failures, failures)
 
 
-def _is_2sphere(c):
-    if c.dim() != 2 or not c.is_pure() or not c.is_connected():
+def is_sphere(c, d):
+    """Whether c triangulates the d-sphere, for d <= 2.
+
+    The void complex is the (-1)-sphere; otherwise c must be pure of
+    dimension d: two points for d = 0, a connected cycle for d = 1, and a
+    connected surface with Euler characteristic 2 whose edges each lie in
+    two triangles for d = 2.
+    """
+    if d == -1:
+        return c.facets == frozenset({frozenset()})
+    if c.dim() != d or not c.is_pure():
         return False
-    if c.euler_characteristic() != 2:
-        return False
-    return all(
-        sum(1 for t in c.facets if e <= t) == 2 for e in c.faces_of_dim(1)
-    )
+    if d == 0:
+        return len(c.vertices) == 2
+    if d == 1:
+        return c.is_connected() and set(c.degree_multiset()) == {2}
+    if d == 2:
+        return (
+            c.is_connected()
+            and c.euler_characteristic() == 2
+            and all(sum(1 for t in c.facets if e <= t) == 2 for e in c.faces_of_dim(1))
+        )
+    raise ValueError("sphere test implemented for dimension <= 2 only")

@@ -48,16 +48,6 @@ class AmbientLattice:
         )
 
 
-@dataclass(frozen=True)
-class Cone:
-    rays: tuple  # tuples of ints in the working basis
-
-    def __post_init__(self):
-        for r in self.rays:
-            if la.primitive(r) != tuple(r):
-                raise ValueError("ray %s is not primitive" % (r,))
-
-
 class Fan:
     def __init__(self, lattice, rays, cones, sigma):
         self.lattice = lattice

@@ -15,7 +15,12 @@ from fractions import Fraction
 
 from . import fixtures
 from .cohomology import h_twist, hodge_pipeline_ci
-from .deformation import first_order_family, t1_degree_zero_basis, t1_link_table_crosscheck
+from .deformation import (
+    first_order_family,
+    generator_monomial,
+    t1_degree_zero_basis,
+    t1_link_table_crosscheck,
+)
 from .families import check_first_order_lift
 from .fileio import geometry_and_params
 from .intlinalg import det
@@ -188,12 +193,7 @@ def _check_pfaffians(report, complexes, base):
         }
         base_matrix = SkewPolyMatrix(ring, matrix.dim, base_entries)
         gens = minimal_nonfaces(complexes[name]).generators
-        mono = []
-        for p in gens:
-            exps = [0] * ring.nvars
-            for v in p:
-                exps[ring.index["x%d" % v]] = 1
-            mono.append(ring.monomial(exps))
+        mono = [generator_monomial(ring, p) for p in gens]
         f = principal_pfaffians(base_matrix)
         report.add("pfaffian.base_generators.%s" % name, sorted(str(m) for m in mono),
                    sorted(str(p) for p in f), "syzygy matrix at parameter zero")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +54,24 @@ def test_bad_triangulation_exits_cleanly(capsys, tmp_path):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "%s: line 2: facets must be whitespace-separated integers\n" % bad
+
+
+def test_bad_fan_exits_cleanly(capsys, tmp_path):
+    missing = tmp_path / "missing.fan"
+    truncated = tmp_path / "truncated.fan"
+    truncated.write_bytes(Path(_data("toric/subdivision.fan")).read_bytes()[:300])
+    assert main(["toric", "verify", str(missing)]) == 2
+    assert capsys.readouterr() == ("", "%s: No such file or directory\n" % missing)
+    assert main(["toric", "verify", str(truncated)]) == 2
+    assert capsys.readouterr() == ("", "%s: empty sigma block\n" % truncated)
+
+
+def test_missing_input_files_exit_cleanly(capsys, tmp_path):
+    missing = tmp_path / "missing"
+    for argv in (["pfaffian", missing], ["verify-family", missing, missing],
+                 ["torus-group", missing], ["cohom", "hodge", missing]):
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr() == ("", "%s: No such file or directory\n" % missing)
 
 
 def test_sr_command(capsys):

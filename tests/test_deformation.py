@@ -152,7 +152,7 @@ def test_first_order_family_structure(complexes):
     k = complexes["p7_5"]
     fam = first_order_family(k)
     assert len(fam.params) == 56
-    base = fam.at_zero()
+    base = [g.substitute({t: 0 for t in fam.params}) for g in fam.generators]
     gens = minimal_nonfaces(k).generators
     assert len(base) == len(gens)
     for poly, g in zip(base, gens):
@@ -203,8 +203,28 @@ def test_admissible_pairs_follow_a_relabeling(complexes):
     assert len(admissible_pairs(relabeled)) == len(moved)
 
 
+def test_one_enumeration_per_complex(complexes, monkeypatch):
+    import srcy.deformation as deformation
+
+    # fresh labels, so no equal complex elsewhere in the session shares its memo entry
+    k = complexes["p7_4"].relabel({v: v + 100 for v in complexes["p7_4"].vertices})
+    sizes = [len(k.link(f).vertices) for f in k.faces() if f]
+    one_enumeration = sum(2 ** n - n - 1 for n in sizes)  # subsets b with |b| >= 2
+    calls = []
+
+    def counted(link, b):
+        calls.append(b)
+        return admissible_b(link, b)
+
+    monkeypatch.setattr(deformation, "admissible_b", counted)
+    t1_degree_zero_basis(k)
+    t1_link_table_crosscheck(k)
+    first_order_family(k)
+    assert len(calls) == one_enumeration
+
+
 def test_admissible_pairs_do_not_keep_the_complex_alive(complexes):
-    k = SimplicialComplex(complexes["p7_5"].facets)
+    k = complexes["p7_5"].relabel({v: v + 100 for v in complexes["p7_5"].vertices})
     ref = weakref.ref(k)
     assert admissible_pairs(k)
     del k

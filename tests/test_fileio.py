@@ -48,9 +48,37 @@ def test_vector_file():
     assert str(vec[1]) == "x1*x2"
 
 
+UNIT_FAN = """lattice
+1 0 0
+0 1 0
+0 0 1
+rays
+1 0 0
+0 1 0
+0 0 1
+sigma
+1 2 3
+cones
+1 2 3
+"""
+
+
 def test_fan_file_errors():
+    assert parse_fan_file(UNIT_FAN).cones == [(0, 1, 2)]
     with pytest.raises(ValueError):
         parse_fan_file("1 2 3\n")
+    for old, new, reason in (
+        ("cones\n1 2 3\n", "cones\n", "empty cones block"),
+        ("rays\n1 0 0\n0 1 0\n0 0 1\n", "rays\n", "empty rays block"),
+        ("rays\n1 0 0\n0 1 0", "rays\n1 0 0\n0 1", "ray 2 has 2 entries, not 3"),
+        ("lattice\n1 0 0", "lattice\n1 0 0 0", "lattice row 1 has 4 entries, not 3"),
+        ("sigma\n1 2 3", "sigma\n1 2", "sigma lists 2 rays, not 3"),
+        ("sigma\n1 2 3", "sigma\n1 2 4", "ray index 4 out of range 1..3"),
+        ("cones\n1 2 3", "cones\n0 1 2", "ray index 0 out of range 1..3"),
+    ):
+        assert old in UNIT_FAN
+        with pytest.raises(ValueError, match=reason):
+            parse_fan_file(UNIT_FAN.replace(old, new))
 
 
 def test_component_table():

@@ -7,12 +7,9 @@ from srcy.intlinalg import (
     kernel_basis_of_functional,
     mat_int_mul,
     mat_vec_int,
-    nullspace,
     primitive,
     quotient_projection,
-    rank,
     smith_normal_form,
-    solve,
 )
 
 
@@ -73,16 +70,6 @@ def test_kernel_of_functional():
     # saturated: content of the kernel lattice is 1
     d, _u, _v = smith_normal_form([list(b) for b in basis])
     assert [d[i][i] for i in range(2)] == [1, 1]
-
-
-def test_solve_and_nullspace():
-    a = [[1, 2, 3], [2, 4, 6]]
-    x = solve(a, [6, 12])
-    assert x is not None
-    assert all(sum(r[i] * x[i] for i in range(3)) == b for r, b in zip(a, [6, 12]))
-    assert solve(a, [1, 0]) is None
-    ker = nullspace(a)
-    assert len(ker) == 2 and rank(a) == 1
 
 
 def test_hnf_rows_canonicalizes():

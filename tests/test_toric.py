@@ -41,12 +41,11 @@ def test_fan_shape_and_validity(fan_data):
     assert report.ok, report.problems
 
 
-def test_cone_rays_must_be_primitive():
-    from srcy.toric import Cone
-
-    Cone(((1, 0, 0, 0), (13, -5, -3, -6)))
-    with pytest.raises(ValueError):
-        Cone(((2, 0, 0, 0),))
+def test_fan_rays_must_be_primitive(fan_data):
+    fan, _f, _inv, _charts = fan_data
+    rays = [(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    with pytest.raises(ValueError, match="not primitive"):
+        Fan(fan.lattice, rays, [(0, 1, 2, 3)], (0, 1, 2, 3))
 
 
 def test_unit_cone_is_unimodular(fan_data):
