@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from srcy.pfaffian import (
     verify_first_order,
 )
 from srcy.polynomial import PolyRing
+from srcy.verify import run_all
 
 RING = PolyRing(["a"])
 
@@ -126,6 +128,25 @@ def test_verify_first_order_and_negative_control():
     corrupted[(1, 5)] = corrupted[(1, 5)] + ring.var("x2") * ring.var("t1")
     bad = SkewPolyMatrix(ring, matrix.dim, corrupted)
     assert not verify_first_order(bad, f1, params)
+
+
+def test_sign_slip_fails_the_pfaffian_section(monkeypatch):
+    """A Pfaffian that loses every second sign breaks M.f = 0 and the report."""
+    module = sys.modules["srcy.pfaffian"]
+    original = module.pfaffian
+    calls = []
+
+    def slipped(m, normalize=None):
+        calls.append(m.dim)
+        p = original(m, normalize=normalize)
+        return -p if len(calls) % 2 == 0 else p
+
+    monkeypatch.setattr(module, "pfaffian", slipped)
+    report = run_all(only=["pfaffian"])
+    assert not report.ok
+    [failure] = report.failures()
+    assert failure.id == "pfaffian.completed"
+    assert failure.computed.startswith("SyzygySignError")
 
 
 def test_specialized_matrices_match_printed_generators():
