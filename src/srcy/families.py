@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .deformation import generator_monomial, perturbation, t1_degree_zero_basis
-from .pfaffian import first_order_pfaffians
 from .sr_ideal import minimal_nonfaces
 
 
@@ -24,19 +23,19 @@ class LiftCheck:
     problems: list = field(default_factory=list)
 
 
-def check_first_order_lift(k, matrix, params):
-    """Match a parameterized syzygy matrix against the deformation basis.
+def check_first_order_lift(k, f1, params):
+    """Match a lift's truncated principal Pfaffians against the deformation basis.
 
-    Verifies that the truncated principal Pfaffians are (up to one global
-    sign) the Stanley-Reisner generators plus, for each parameter, the
-    perturbation of exactly one degree-zero basis element, bijectively.
+    `f1` is `first_order_pfaffians(matrix, params)`.  Verifies that it is
+    (up to one global sign) the Stanley-Reisner generators plus, for each
+    parameter, the perturbation of exactly one degree-zero basis element,
+    bijectively.
     """
     problems = []
-    ring = matrix.ring
     gens = minimal_nonfaces(k).generators
-    f1 = first_order_pfaffians(matrix, params)
     if len(f1) != len(gens):
         return LiftCheck(False, problems=["generator count mismatch"])
+    ring = f1[0].ring
 
     base = [p.substitute({t: 0 for t in params}) for p in f1]
     monomials = [generator_monomial(ring, p) for p in gens]

@@ -44,6 +44,24 @@ def geometry_and_params(names):
     return geometry, params
 
 
+def _entry(line, ring, size, count):
+    """The `count` indices and the polynomial of an `entry i [j] : poly` line."""
+    if ring is None or size is None:
+        raise ValueError("entry before the size and vars headers: %r" % line)
+    head, colon, poly_text = line.partition(":")
+    tokens = head.split()[1:]
+    if not colon or len(tokens) != count:
+        form = "entry %s : poly" % " ".join("ij"[:count])
+        raise ValueError("expected %r, got %r" % (form, line))
+    try:
+        indices = [int(tok) for tok in tokens]
+    except ValueError:
+        raise ValueError("entry indices must be integers: %r" % line) from None
+    if not all(1 <= i <= size for i in indices):
+        raise ValueError("entry index out of range 1..%d: %r" % (size, line))
+    return indices, ring.parse(poly_text)
+
+
 def parse_matrix_file(text):
     """Skew matrix file: `dim d`, `vars ...`, then `entry i j : poly` lines."""
     dim = None
@@ -55,14 +73,10 @@ def parse_matrix_file(text):
         elif line.startswith("vars "):
             ring = PolyRing(expand_var_names(line.split()[1:]))
         elif line.startswith("entry "):
-            head, poly_text = line.split(":", 1)
-            parts = head.split()
-            i, j = int(parts[1]), int(parts[2])
-            if ring is None:
-                raise ValueError("entry before vars header")
-            if not 1 <= i < j <= dim:
+            (i, j), poly = _entry(line, ring, dim, 2)
+            if i >= j:
                 raise ValueError("entry (%d,%d) must have 1 <= i < j <= dim" % (i, j))
-            entries[(i, j)] = ring.parse(poly_text)
+            entries[(i, j)] = poly
         else:
             raise ValueError("unrecognized matrix-file line: %r" % line)
     if dim is None or ring is None:
@@ -81,9 +95,8 @@ def parse_vector_file(text):
         elif line.startswith("vars "):
             ring = PolyRing(expand_var_names(line.split()[1:]))
         elif line.startswith("entry "):
-            head, poly_text = line.split(":", 1)
-            i = int(head.split()[1])
-            entries[i] = ring.parse(poly_text)
+            (i,), poly = _entry(line, ring, length, 1)
+            entries[i] = poly
         else:
             raise ValueError("unrecognized vector-file line: %r" % line)
     if length is None or ring is None:

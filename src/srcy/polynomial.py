@@ -185,26 +185,22 @@ class Poly:
         return Poly(self.ring, terms)
 
     def substitute(self, values):
-        """Substitute variables by Fractions or Polys of the same ring.
+        """Substitute rational constants for variables, in one pass over the terms.
 
-        Variables absent from `values` are left untouched.
+        Variables absent from `values` are left untouched; names outside the
+        ring are ignored.
         """
-        result = self.ring.zero()
+        subs = [(i, Fraction(values[n])) for i, n in enumerate(self.ring.names) if n in values]
+        terms = {}
         for e, c in self.terms.items():
-            term = self.ring.const(c)
-            for i, p in enumerate(e):
-                if p == 0:
-                    continue
-                name = self.ring.names[i]
-                if name in values:
-                    v = values[name]
-                    if not isinstance(v, Poly):
-                        v = self.ring.const(v)
-                    term = term * v ** p
-                else:
-                    term = term * self.ring.var(name) ** p
-            result = result + term
-        return result
+            ee = list(e)
+            for i, v in subs:
+                if ee[i]:
+                    c *= v ** ee[i]
+                    ee[i] = 0
+            key = tuple(ee)
+            terms[key] = terms.get(key, Fraction(0)) + c
+        return Poly(self.ring, {e: c for e, c in terms.items() if c})
 
     def evaluate(self, point):
         """Evaluate at a full assignment name -> Fraction."""
@@ -413,5 +409,7 @@ def _parse_atom(ring, toks):
     if isinstance(t, Fraction):
         return ring.const(t)
     if isinstance(t, tuple) and t[0] == "name":
+        if t[1] not in ring.index:
+            raise ValueError("unknown variable %r in polynomial" % t[1])
         return ring.var(t[1])
     raise ValueError("unexpected token %r in polynomial" % (t,))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .deformation import FirstOrderFamily, T1BasisElement
-from .polynomial import Poly, PolyRing
+from .polynomial import PolyRing
 
 
 @dataclass
@@ -158,33 +158,14 @@ def invariant_specialize(family, partition, assignment):
             new_params.append(name)
     xnames = [n for n in family.ring.names if n not in family.params]
     ring = PolyRing(xnames + new_params)
-    subs = {}
+    dropped, kept = {}, {}
     for block_id, block in enumerate(partition.blocks):
         name = assignment.get(block_id)
         for i in block:
-            subs[family.params[i]] = name
-    gens = []
-    for poly in family.generators:
-        terms = {}
-        for e, c in poly.terms.items():
-            exps = [0] * ring.nvars
-            for i, p in enumerate(e):
-                if p == 0:
-                    continue
-                old = family.ring.names[i]
-                if old in subs:
-                    new = subs[old]
-                    if new is None:
-                        exps = None
-                        break
-                    exps[ring.index[new]] += p
-                else:
-                    exps[ring.index[old]] += p
-            if exps is None:
-                continue
-            key = tuple(exps)
-            terms[key] = terms.get(key, 0) + c
-        poly_terms = {e: c for e, c in terms.items() if c}
-        gens.append(ring.zero() + Poly(ring, poly_terms))
+            if name is None:
+                dropped[family.params[i]] = 0
+            else:
+                kept[family.params[i]] = name
+    gens = [p.substitute(dropped).rename(ring, kept) for p in family.generators]
     return FirstOrderFamily(ring, gens, family.basis, new_params)
 

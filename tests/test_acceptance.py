@@ -143,7 +143,7 @@ def test_base_and_first_order_syzygies(complexes):
         check("first-order syzygy mod t^2 %s" % name, True,
               verify_first_order(matrix, f1, params))
         check("lift matches the deformation basis %s" % name, True,
-              check_first_order_lift(complexes[name], matrix, params).ok)
+              check_first_order_lift(complexes[name], f1, params).ok)
 
 
 def test_specialized_pfaffian_generators():

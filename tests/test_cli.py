@@ -74,6 +74,20 @@ def test_missing_input_files_exit_cleanly(capsys, tmp_path):
         assert capsys.readouterr() == ("", "%s: No such file or directory\n" % missing)
 
 
+def test_bad_matrix_and_vector_exit_cleanly(capsys, tmp_path):
+    mat = tmp_path / "short.mat"
+    mat.write_text("dim 2\nvars x1\nentry 1 : x1\n")
+    gens = tmp_path / "early.gens"
+    gens.write_text("len 1\nentry 1 : x1\nvars x1\n")
+    for argv, err in (
+        (["pfaffian", mat], "%s: expected 'entry i j : poly', got 'entry 1 : x1'\n" % mat),
+        (["torus-group", gens],
+         "%s: entry before the size and vars headers: 'entry 1 : x1'\n" % gens),
+    ):
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr() == ("", err)
+
+
 def test_sr_command(capsys):
     code, out = run_cli(capsys, "sr", _data("triangulations/p7_1.tri"))
     payload = json.loads(out)

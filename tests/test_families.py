@@ -11,7 +11,8 @@ def test_all_lifts_match_their_bases(complexes):
     for name in ("p7_1", "p7_2", "p7_3", "p7_4", "p7_5"):
         matrix, ring = fixtures.family_matrix(name)
         _geo, params = geometry_and_params(ring.names)
-        result = check_first_order_lift(complexes[name], matrix, params)
+        result = check_first_order_lift(
+            complexes[name], first_order_pfaffians(matrix, params), params)
         assert result.ok, result.problems
         assert result.sign == 1
         assert len(result.matched) == len(params)
@@ -23,7 +24,7 @@ def test_lift_check_rejects_corruption(complexes):
     upper = dict(matrix.upper)
     upper[(2, 3)] = upper[(2, 3)] + ring.parse("t18*x5")
     bad = SkewPolyMatrix(ring, matrix.dim, upper)
-    result = check_first_order_lift(complexes["p7_4"], bad, params)
+    result = check_first_order_lift(complexes["p7_4"], first_order_pfaffians(bad, params), params)
     assert not result.ok
 
 
@@ -53,7 +54,7 @@ def test_degree14_orbit_specialization_via_appendix(complexes):
 
     full, ring = fixtures.family_matrix("p7_5")
     _geo, params = geometry_and_params(ring.names)
-    lift = check_first_order_lift(k, full, params)
+    lift = check_first_order_lift(k, first_order_pfaffians(full, params), params)
     keep = {t for t, idx in lift.matched.items() if idx in set(part.blocks[block])}
     sring = PolyRing([n for n in ring.names if n.startswith("x")] + ["s"])
     entries = {

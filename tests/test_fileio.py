@@ -48,6 +48,25 @@ def test_vector_file():
     assert str(vec[1]) == "x1*x2"
 
 
+@pytest.mark.parametrize("parse, text, reason", [
+    (parse_matrix_file, "dim 2\nvars x1\nentry 1 : x1\n", "expected 'entry i j : poly'"),
+    (parse_matrix_file, "dim 2\nvars x1\nentry 1 2 x1\n", "expected 'entry i j : poly'"),
+    (parse_matrix_file, "dim 2\nvars x1\nentry 1 b : x1\n", "indices must be integers"),
+    (parse_matrix_file, "dim 2\nentry 1 2 : x1\nvars x1\n", "entry before the size and vars"),
+    (parse_matrix_file, "vars x1\nentry 1 2 : x1\ndim 2\n", "entry before the size and vars"),
+    (parse_matrix_file, "dim 2\nvars x1\nentry 1 3 : x1\n", "out of range 1..2"),
+    (parse_matrix_file, "dim 2\nvars x1\nentry 1 2 : y\n", "unknown variable 'y'"),
+    (parse_vector_file, "len 1\nvars x1\nentry 1 1 : x1\n", "expected 'entry i : poly'"),
+    (parse_vector_file, "len 1\nvars x1\nentry one : x1\n", "indices must be integers"),
+    (parse_vector_file, "len 1\nentry 1 : x1\nvars x1\n", "entry before the size and vars"),
+    (parse_vector_file, "len 1\nvars x1\nentry 2 : x1\n", "out of range 1..1"),
+    (parse_vector_file, "len 1\nvars x1\nentry 0 : x1\n", "out of range 1..1"),
+])
+def test_entry_line_errors(parse, text, reason):
+    with pytest.raises(ValueError, match=reason):
+        parse(text)
+
+
 UNIT_FAN = """lattice
 1 0 0
 0 1 0

@@ -149,6 +149,20 @@ def test_sign_slip_fails_the_pfaffian_section(monkeypatch):
     assert failure.computed.startswith("SyzygySignError")
 
 
+def test_one_syzygy_residual_per_pfaffian_vector(monkeypatch):
+    """M.f = 0 is multiplied out once per principal_pfaffians call, nowhere else."""
+    original = SkewPolyMatrix.mul_vector
+    calls = []
+
+    def counted(self, vec, normalize=None):
+        calls.append(self.dim)
+        return original(self, vec, normalize=normalize)
+
+    monkeypatch.setattr(SkewPolyMatrix, "mul_vector", counted)
+    assert run_all(only=["pfaffian"]).ok
+    assert len(calls) == 13
+
+
 def test_specialized_matrices_match_printed_generators():
     for name, sign in (("degree13", 1), ("degree14", -1)):
         matrix, _ring = fixtures.family_matrix("%s_oneparam" % name)

@@ -37,6 +37,12 @@ def test_substitute_and_evaluate(ring):
     p = ring.parse("x^2*t + y")
     q = p.substitute({"t": 0})
     assert q == ring.var("y")
+    r = ring.parse("x^2*t + 3*x^2 - y*t^2 + y")
+    assert r.substitute({"t": Fraction(-1, 2), "z": 5}) == ring.parse("5/2*x^2 + 3/4*y")
+    assert r.substitute({"t": -3}) == ring.parse("-8*y")
+    assert r.substitute({"x": 0, "t": 1}).is_zero()
+    with pytest.raises(TypeError):
+        p.substitute({"t": ring.var("x")})
     assert p.evaluate({"x": 2, "y": 3, "t": Fraction(1, 2)}) == Fraction(5)
 
 
