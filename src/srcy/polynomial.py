@@ -153,6 +153,11 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def mul(self, other, trunc=None):
+        """Product; with trunc=(names, bound), only terms of degree < bound in names."""
+        product = self * other
+        return product.truncate_above(*trunc) if trunc else product
+
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from srcy.polynomial import PolyRing
+from srcy.polynomial import Poly, PolyRing
 
 
 @pytest.fixture
@@ -82,3 +84,80 @@ def test_weighted_checks():
     assert check_quasihomogeneous(p, w)
     assert check_quasihomogeneous(ring.zero(), w)
     assert not check_quasihomogeneous(p + ring.var("u"), w)
+
+
+# -- products ------------------------------------------------------------------
+
+
+def _reference_product(a, b):
+    """The exponent-tuple loop `Poly.__mul__` ran before the packed kernel."""
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = terms.get(e, Fraction(0)) + c1 * c2
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+    return Poly(a.ring, terms)
+
+
+PRODUCT_RINGS = (PolyRing([]), PolyRing(["x"]), PolyRing(["x", "y", "t"]),
+                 PolyRing(["x1", "x2", "t1", "t2", "t3"]))
+EXPONENTS = st.one_of(st.integers(0, 2), st.sampled_from([255, 256, 65535, 2 ** 32 - 1]))
+COEFFICIENTS = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4))
+
+
+def _polys(ring):
+    terms = st.lists(st.tuples(st.tuples(*[EXPONENTS] * ring.nvars), COEFFICIENTS), max_size=5)
+    return terms.map(lambda ts: sum((ring.monomial(e, c) for e, c in ts), ring.zero()))
+
+
+@st.composite
+def product_cases(draw):
+    ring = draw(st.sampled_from(PRODUCT_RINGS))
+    names = draw(st.lists(st.sampled_from(ring.names), unique=True) if ring.names else st.just([]))
+    return draw(_polys(ring)), draw(_polys(ring)), names, draw(st.sampled_from([0, 1, 2]))
+
+
+def _check_product(a, b, names, bound):
+    ref = _reference_product(a, b)
+    product = a * b
+    assert product == ref
+    assert list(product.terms) == list(ref.terms)
+    assert all(type(c) is Fraction for c in product.terms.values())
+    assert a.mul(b, (names, bound)) == ref.truncate_above(names, bound)
+
+
+_XYT = PRODUCT_RINGS[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_cases())
+@example((_XYT.parse("x + t"), _XYT.parse("x - t"), ["t"], 2))  # cross terms cancel
+@example((_XYT.parse("x + 1/2*y"), _XYT.parse("2*x - y"), [], 1))  # mixed coefficients, no parameter
+@example((_XYT.zero(), _XYT.parse("t"), ["t"], 2))
+@example((_XYT.parse("t*x + y"), _XYT.parse("t^2 + t + 3"), ["t"], 0))
+@example((PRODUCT_RINGS[0].const(Fraction(2, 3)), PRODUCT_RINGS[0].const(3), [], 1))
+def test_product_matches_the_tuple_loop(case):
+    _check_product(*case)
+
+
+@pytest.mark.parametrize("top", [255, 65535, 2 ** 32 - 1])
+def test_product_exponent_does_not_carry_into_the_next_variable(top):
+    ring = PolyRing(["x", "y"])
+    x, y = ring.var("x"), ring.var("y")
+    high = ring.monomial((top, 0))
+    assert (high * x).terms == {(top + 1, 0): Fraction(1)}
+    assert (x * high).terms == {(top + 1, 0): Fraction(1)}
+    assert high.mul(x + y, (["y"], 1)).terms == {(top + 1, 0): Fraction(1)}
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_power_matches_repeated_multiplication(ring, k):
+    base = ring.parse("x + y + 1/2")
+    expected = ring.one()
+    for _ in range(k):
+        expected = expected * base
+    assert base ** k == expected
