@@ -52,21 +52,23 @@ class SkewPolyMatrix:
             upper[(a, b)] = p * c if i in (a, b) else p
         return SkewPolyMatrix(self.ring, self.dim, upper)
 
-    def mul_vector(self, vec, normalize=None):
+    def mul_vector(self, vec, trunc=None):
+        """M . vec, each product truncated by `trunc` as in `Poly.mul`."""
         out = []
         for i in range(1, self.dim + 1):
             s = self.ring.zero()
             for j in range(1, self.dim + 1):
-                s = s + self.entry(i, j) * vec[j - 1]
-            out.append(normalize(s) if normalize else s)
+                s = s + self.entry(i, j).mul(vec[j - 1], trunc)
+            out.append(s)
         return out
 
 
-def pfaffian(m, normalize=None):
+def pfaffian(m, trunc=None):
     """Pfaffian by recursive first-row expansion; 0 when the size is odd.
 
-    `normalize` is applied after every partial sum, which lets callers
-    truncate parameter degrees during the computation.
+    With trunc=(names, bound), every product drops the terms of degree
+    >= bound in `names` before they are formed (`Poly.mul`), so the result
+    is the Pfaffian truncated at that degree.
     """
     if m.dim % 2 == 1:
         return m.ring.zero()
@@ -86,10 +88,8 @@ def pfaffian(m, normalize=None):
             if e.is_zero():
                 continue
             sub = rec(tuple(x for x in rest if x != j))
-            term = e * sub
+            term = e.mul(sub, trunc)
             total = total + term if pos % 2 == 0 else total - term
-            if normalize:
-                total = normalize(total)
         cache[key] = total
         return total
 
@@ -100,19 +100,20 @@ class SyzygySignError(RuntimeError):
     pass
 
 
-def principal_pfaffians(m, normalize=None):
+def principal_pfaffians(m, trunc=None):
     """Vector f with f_i = (-1)^i Pf(M with row/column i removed), M.f = 0.
 
     The identity M . f = 0 is checked symbolically; a failure means the
-    sign convention has been broken somewhere upstream.
+    sign convention has been broken somewhere upstream.  `trunc` truncates
+    the Pfaffians and the residual as in `pfaffian`.
     """
     if m.dim % 2 == 0:
         raise ValueError("principal Pfaffians are taken for odd size")
     f = []
     for i in range(1, m.dim + 1):
-        p = pfaffian(m.delete(i), normalize=normalize)
+        p = pfaffian(m.delete(i), trunc)
         f.append(-p if i % 2 == 1 else p)
-    residual = m.mul_vector(f, normalize=normalize)
+    residual = m.mul_vector(f, trunc)
     if any(not r.is_zero() for r in residual):
         raise SyzygySignError("principal Pfaffians do not satisfy M.f = 0")
     return f
@@ -120,15 +121,13 @@ def principal_pfaffians(m, normalize=None):
 
 def verify_first_order(m1, f1, params):
     """Whether M1 . f1 vanishes modulo quadratic terms in the parameters."""
-    trunc = lambda p: p.truncate_above(params, 2)
-    residual = m1.mul_vector([trunc(p) for p in f1], normalize=trunc)
+    residual = m1.mul_vector(f1, (params, 2))
     return all(r.is_zero() for r in residual)
 
 
 def first_order_pfaffians(m1, params):
     """Principal Pfaffians of M1 with parameter degree >= 2 discarded."""
-    trunc = lambda p: p.truncate_above(params, 2)
-    return principal_pfaffians(m1, normalize=trunc)
+    return principal_pfaffians(m1, (params, 2))
 
 
 # -- point evaluation -----------------------------------------------------------

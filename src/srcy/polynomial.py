@@ -3,11 +3,25 @@
 Terms are stored as a dict mapping exponent tuples to nonzero Fractions.
 All arithmetic is exact; there is no floating point anywhere in this
 package.
+
+Every product goes through one kernel, `Poly.mul`: it packs each exponent
+tuple into one int key whose fields cannot carry into each other, multiplies
+integer numerators over a common denominator, and, given a truncation
+(names, bound), never forms a term pair whose degree in `names` reaches the
+bound.  The Pfaffians of first-order families use that truncation to drop
+the terms quadratic in the deformation parameters before they are built.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from itertools import compress
+from math import lcm
+
+
+# struct codes for the packed exponent fields, with their widths in bits
+_FIELDS = (("B", 8), ("H", 16), ("I", 32), ("Q", 64))
 
 
 class PolyRing:
@@ -120,11 +134,12 @@ class Poly:
         other = self._coerce(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
+            s = terms.get(e)
+            s = c if s is None else s + c
             if s:
                 terms[e] = s
             else:
-                terms.pop(e, None)
+                del terms[e]
         return Poly(self.ring, terms)
 
     __radd__ = __add__
@@ -139,24 +154,66 @@ class Poly:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return Poly(self.ring, terms)
+        return self.mul(other)
 
     __rmul__ = __mul__
 
     def mul(self, other, trunc=None):
-        """Product; with trunc=(names, bound), only terms of degree < bound in names."""
-        product = self * other
-        return product.truncate_above(*trunc) if trunc else product
+        """Product; with trunc=(names, bound), only the terms of degree < bound in names.
+
+        Each factor's exponent tuples are packed once into int keys, one
+        little-endian field per variable, wide enough for the largest
+        exponent of self plus the largest of other, so adding two keys adds
+        the exponents without a carry; a sum past 64 bits is a ValueError.
+        Each factor's coefficients are scaled to ints over the lcm of their
+        denominators, so the pairs multiply as ints and a Fraction is built
+        once per surviving term.  A term pair whose degrees in `names` sum to
+        `bound` or more is never formed, and only surviving keys are unpacked.
+        """
+        other = self._coerce(other)
+        ring = self.ring
+        if not self.terms or not other.terms:
+            return ring.zero()
+        names, bound = trunc or ((), 1)
+        params = {ring.index[n] for n in names}
+        mask = [i in params for i in range(max(params, default=-1) + 1)]
+        top = max(map(max, self.terms)) + max(map(max, other.terms)) if ring.nvars else 0
+        for code, bits in _FIELDS:
+            if top >> bits == 0:
+                break
+        else:
+            raise ValueError("exponent %d does not fit a 64-bit field" % top)
+        layout = struct.Struct("<%d%s" % (ring.nvars, code))
+
+        def packed(terms):
+            """The common denominator, and (degree in names, key, numerator) per kept term."""
+            den = lcm(*[c.denominator for c in terms.values()])
+            kept = []
+            for e, c in terms.items():
+                d = sum(compress(e, mask))
+                if d < bound:
+                    key = int.from_bytes(layout.pack(*e), "little")
+                    kept.append((d, key, c.numerator * (den // c.denominator)))
+            return den, kept
+
+        den_a, left = packed(self.terms)
+        den_b, right = packed(other.terms)
+        room = {}  # bound - degree of a left term -> the right terms of lower degree
+        acc = {}
+        for d1, k1, c1 in left:
+            r = bound - d1
+            if r not in room:
+                room[r] = [(k, c) for d, k, c in right if d < r]
+            for k2, c2 in room[r]:
+                k = k1 + k2
+                s = acc.get(k, 0) + c1 * c2
+                if s:
+                    acc[k] = s
+                else:
+                    del acc[k]
+        den = den_a * den_b
+        return Poly(ring, {layout.unpack(k.to_bytes(layout.size, "little")): Fraction(c, den)
+                           for k, c in acc.items()})
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -166,8 +223,9 @@ class Poly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     # -- structure -------------------------------------------------------
@@ -417,4 +475,6 @@ def _parse_atom(ring, toks):
         if t[1] not in ring.index:
             raise ValueError("unknown variable %r in polynomial" % t[1])
         return ring.var(t[1])
+    if t is None:
+        raise ValueError("unexpected end of polynomial")
     raise ValueError("unexpected token %r in polynomial" % (t,))

@@ -136,9 +136,9 @@ def test_sign_slip_fails_the_pfaffian_section(monkeypatch):
     original = module.pfaffian
     calls = []
 
-    def slipped(m, normalize=None):
+    def slipped(m, trunc=None):
         calls.append(m.dim)
-        p = original(m, normalize=normalize)
+        p = original(m, trunc=trunc)
         return -p if len(calls) % 2 == 0 else p
 
     monkeypatch.setattr(module, "pfaffian", slipped)
@@ -154,9 +154,9 @@ def test_one_syzygy_residual_per_pfaffian_vector(monkeypatch):
     original = SkewPolyMatrix.mul_vector
     calls = []
 
-    def counted(self, vec, normalize=None):
+    def counted(self, vec, trunc=None):
         calls.append(self.dim)
-        return original(self, vec, normalize=normalize)
+        return original(self, vec, trunc=trunc)
 
     monkeypatch.setattr(SkewPolyMatrix, "mul_vector", counted)
     assert run_all(only=["pfaffian"]).ok

@@ -22,6 +22,12 @@ def test_parse_rejects_implicit_multiplication(ring):
         ring.parse("2 x")
 
 
+@pytest.mark.parametrize("text", ["x +", "", "2*", "(x - y) *", "-"])
+def test_parse_names_the_end_of_input(ring, text):
+    with pytest.raises(ValueError, match="^unexpected end of polynomial$"):
+        ring.parse(text)
+
+
 def test_arithmetic(ring):
     x, y = ring.var("x"), ring.var("y")
     assert (x + y) * (x - y) == x ** 2 - y ** 2
@@ -154,10 +160,24 @@ def test_product_exponent_does_not_carry_into_the_next_variable(top):
     assert high.mul(x + y, (["y"], 1)).terms == {(top + 1, 0): Fraction(1)}
 
 
+def test_product_exponent_past_64_bits_is_an_error():
+    ring = PolyRing(["x", "y"])
+    half = ring.monomial((2 ** 63, 0))
+    with pytest.raises(ValueError, match="64-bit"):
+        half * half
+    with pytest.raises(ValueError, match="64-bit"):
+        ring.parse("x^18446744073709551616")
+
+
 @pytest.mark.parametrize("k", range(6))
-def test_power_matches_repeated_multiplication(ring, k):
+def test_power_matches_repeated_multiplication(ring, k, monkeypatch):
     base = ring.parse("x + y + 1/2")
     expected = ring.one()
     for _ in range(k):
         expected = expected * base
+    products = []
+    original = Poly.mul
+    monkeypatch.setattr(Poly, "mul", lambda a, b, trunc=None: products.append(1) or original(a, b, trunc))
     assert base ** k == expected
+    # one squaring per bit after the lowest, one product per set bit
+    assert len(products) == max(k.bit_length() - 1, 0) + bin(k).count("1")
