@@ -218,15 +218,15 @@ class Poly:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = self.ring.one()
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
             if k:
                 base = base * base
-        return result
+        return self.ring.one() if result is None else result
 
     # -- structure -------------------------------------------------------
 
@@ -433,7 +433,9 @@ def _parse_expr(ring, toks):
     if toks.peek() in ("+", "-"):
         if toks.take() == "-":
             sign = -1
-    result = _parse_term(ring, toks) * sign
+    result = _parse_term(ring, toks)
+    if sign < 0:
+        result = -result
     while toks.peek() in ("+", "-"):
         op = toks.take()
         term = _parse_term(ring, toks)

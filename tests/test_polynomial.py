@@ -179,5 +179,5 @@ def test_power_matches_repeated_multiplication(ring, k, monkeypatch):
     original = Poly.mul
     monkeypatch.setattr(Poly, "mul", lambda a, b, trunc=None: products.append(1) or original(a, b, trunc))
     assert base ** k == expected
-    # one squaring per bit after the lowest, one product per set bit
-    assert len(products) == max(k.bit_length() - 1, 0) + bin(k).count("1")
+    # one squaring per bit after the lowest, one product per set bit after the first
+    assert len(products) == max(k.bit_length() + bin(k).count("1") - 2, 0)
