@@ -98,5 +98,5 @@ def _canon(poly):
         return None
     if poly.is_zero():
         return None
-    items = tuple(sorted(poly.terms.items()))
+    items = tuple(sorted(poly.items()))
     return items

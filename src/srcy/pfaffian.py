@@ -174,7 +174,7 @@ class QuasiWeights:
 def check_quasihomogeneous(f, weights):
     """True iff every monomial of f has weighted degree exactly 1."""
     wmap = dict(zip(weights.names, weights.weights))
-    for e, _c in f.terms.items():
+    for e, _c in f.items():
         total = Fraction(0)
         for i, p in enumerate(e):
             if p:

@@ -109,9 +109,13 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
+    def items(self):
+        """Yield the terms as (exponent tuple, Fraction) pairs in storage order."""
+        yield from self.terms.items()
+
     def monomials(self):
         """Terms as (exponent tuple, coefficient) pairs in sorted order."""
-        return sorted(self.terms.items(), reverse=True)
+        return sorted(self.items(), reverse=True)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

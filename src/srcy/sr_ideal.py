@@ -63,7 +63,7 @@ def sr_report(k):
     pres = minimal_nonfaces(k)
     num = hilbert_numerator(k)
     coeffs = [0] * (num.total_degree() + 1)
-    for e, c in num.terms.items():
+    for e, c in num.items():
         coeffs[e[0]] = int(c)
     return {
         "generators": [[str(v) for v in g] for g in pres.generators],

@@ -353,8 +353,9 @@ def method1_component(fan, charts, ray_id, cone_id=None):
         if fbar.is_zero() or fbar.is_constant():
             continue
         h = fbar.strip_monomial_content()
-        mono = [(e, co) for e, co in h.monomials() if any(e)]
-        if len(h.terms) == 2 and len(mono) == 1:
+        terms = h.monomials()
+        mono = [(e, co) for e, co in terms if any(e)]
+        if len(terms) == 2 and len(mono) == 1:
             chosen = (c, mono[0][0])
             break
     if chosen is None:
@@ -793,8 +794,9 @@ def derive_component_structure(fan, charts):
             if h.is_constant():
                 continue
             horizontal = True
-            nonconst = [(e, co) for e, co in h.monomials() if any(e)]
-            if len(h.terms) == 2 and len(nonconst) == 1:
+            terms = h.monomials()
+            nonconst = [(e, co) for e, co in terms if any(e)]
+            if len(terms) == 2 and len(nonconst) == 1:
                 g = 0
                 for e in nonconst[0][0]:
                     g = gcd(g, e)

@@ -36,7 +36,7 @@ class InfiniteStabilizer:
 
 def geometry_exponents(poly, geometry_vars):
     idx = [poly.ring.index[v] for v in geometry_vars]
-    return sorted({tuple(e[i] for i in idx) for e in poly.terms})
+    return sorted({tuple(e[i] for i in idx) for e, _c in poly.items()})
 
 
 def exponent_differences(gens, geometry_vars):

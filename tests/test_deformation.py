@@ -156,7 +156,7 @@ def test_first_order_family_structure(complexes):
     gens = minimal_nonfaces(k).generators
     assert len(base) == len(gens)
     for poly, g in zip(base, gens):
-        assert len(poly.terms) == 1
+        assert len(list(poly.items())) == 1
     # every parameter appears linearly and preserves x-degree
     for poly, g in zip(fam.generators, gens):
         for t in fam.params:

@@ -38,7 +38,7 @@ def test_arithmetic(ring):
 def test_no_zero_terms_stored(ring):
     x = ring.var("x")
     p = x + (-1) * x
-    assert p.terms == {}
+    assert list(p.items()) == []
 
 
 def test_substitute_and_evaluate(ring):
@@ -98,8 +98,8 @@ def test_weighted_checks():
 def _reference_product(a, b):
     """The exponent-tuple loop `Poly.__mul__` ran before the packed kernel."""
     terms = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
             e = tuple(x + y for x, y in zip(e1, e2))
             s = terms.get(e, Fraction(0)) + c1 * c2
             if s:
@@ -131,8 +131,8 @@ def _check_product(a, b, names, bound):
     ref = _reference_product(a, b)
     product = a * b
     assert product == ref
-    assert list(product.terms) == list(ref.terms)
-    assert all(type(c) is Fraction for c in product.terms.values())
+    assert list(product.items()) == list(ref.items())
+    assert all(type(c) is Fraction for _e, c in product.items())
     assert a.mul(b, (names, bound)) == ref.truncate_above(names, bound)
 
 
@@ -155,9 +155,9 @@ def test_product_exponent_does_not_carry_into_the_next_variable(top):
     ring = PolyRing(["x", "y"])
     x, y = ring.var("x"), ring.var("y")
     high = ring.monomial((top, 0))
-    assert (high * x).terms == {(top + 1, 0): Fraction(1)}
-    assert (x * high).terms == {(top + 1, 0): Fraction(1)}
-    assert high.mul(x + y, (["y"], 1)).terms == {(top + 1, 0): Fraction(1)}
+    assert list((high * x).items()) == [((top + 1, 0), Fraction(1))]
+    assert list((x * high).items()) == [((top + 1, 0), Fraction(1))]
+    assert list(high.mul(x + y, (["y"], 1)).items()) == [((top + 1, 0), Fraction(1))]
 
 
 def test_product_exponent_past_64_bits_is_an_error():
