@@ -96,7 +96,7 @@ def test_weighted_checks():
 
 
 def _reference_product(a, b):
-    """The exponent-tuple loop `Poly.__mul__` ran before the packed kernel."""
+    """The exponent-tuple loop `Poly.__mul__` ran before the packed kernel, as a tuple dict."""
     terms = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
@@ -106,7 +106,23 @@ def _reference_product(a, b):
                 terms[e] = s
             else:
                 terms.pop(e, None)
-    return Poly(a.ring, terms)
+    return terms
+
+
+def _reference_sum(a, b, sign=1):
+    """The exponent-tuple loop of `Poly.__add__` (sign 1) and `__sub__` (sign -1), as a tuple dict."""
+    terms = dict(a.items())
+    for e, c in b.items():
+        s = terms.get(e, Fraction(0)) + sign * c
+        if s:
+            terms[e] = s
+        else:
+            del terms[e]
+    return terms
+
+
+def _from_terms(ring, terms):
+    return sum((ring.monomial(e, c) for e, c in terms.items()), ring.zero())
 
 
 PRODUCT_RINGS = (PolyRing([]), PolyRing(["x"]), PolyRing(["x", "y", "t"]),
@@ -127,13 +143,19 @@ def product_cases(draw):
     return draw(_polys(ring)), draw(_polys(ring)), names, draw(st.sampled_from([0, 1, 2]))
 
 
+def _check_same_terms(poly, terms):
+    """Same terms in the same order, every coefficient a Fraction, and equal to a rebuilt copy."""
+    assert list(poly.items()) == list(terms.items())
+    assert all(type(c) is Fraction for _e, c in poly.items())
+    assert poly == _from_terms(poly.ring, terms)
+
+
 def _check_product(a, b, names, bound):
     ref = _reference_product(a, b)
-    product = a * b
-    assert product == ref
-    assert list(product.items()) == list(ref.items())
-    assert all(type(c) is Fraction for _e, c in product.items())
-    assert a.mul(b, (names, bound)) == ref.truncate_above(names, bound)
+    _check_same_terms(a * b, ref)
+    idx = [a.ring.index[n] for n in names]
+    kept = {e: c for e, c in ref.items() if sum(e[i] for i in idx) < bound}
+    _check_same_terms(a.mul(b, (names, bound)), kept)
 
 
 _XYT = PRODUCT_RINGS[2]
@@ -158,6 +180,56 @@ def test_product_exponent_does_not_carry_into_the_next_variable(top):
     assert list((high * x).items()) == [((top + 1, 0), Fraction(1))]
     assert list((x * high).items()) == [((top + 1, 0), Fraction(1))]
     assert list(high.mul(x + y, (["y"], 1)).items()) == [((top + 1, 0), Fraction(1))]
+
+
+# -- sums ------------------------------------------------------------------------
+
+
+@st.composite
+def sum_cases(draw):
+    ring = draw(st.sampled_from(PRODUCT_RINGS))
+    return draw(_polys(ring)), draw(_polys(ring))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sum_cases())
+@example((_XYT.parse("x + 1/3"), _XYT.parse("x + 1/3")))  # everything cancels in a - b
+@example((_XYT.parse("1/2*x - y"), _XYT.parse("1/2*x + y^300")))  # mixed widths, one cancellation
+@example((_XYT.zero(), _XYT.parse("-2/3*t")))
+def test_sums_match_the_tuple_loop(case):
+    a, b = case
+    _check_same_terms(a + b, _reference_sum(a, b))
+    _check_same_terms(a - b, _reference_sum(a, b, -1))
+    _check_same_terms(-a, {e: -c for e, c in a.items()})
+
+
+def test_coefficients_are_kept_in_lowest_terms(ring):
+    x, y = ring.var("x"), ring.var("y")
+    assert (ring.parse("1/2*x + 1/3*y") * 6) == 3 * x + 2 * y
+    assert str(ring.parse("1/2*x + 1/3*y") * 6) == "3*x + 2*y"
+    half = ring.parse("1/2*x")
+    assert half + half == x
+    assert list((half + half).items()) == [((1, 0, 0), Fraction(1))]
+    third = x + Fraction(1, 3)
+    assert third - third == ring.zero()
+    assert (third - third).is_zero()
+    assert ring.parse("2/4*x") == ring.parse("1/2*x")
+
+
+@pytest.mark.parametrize("top", [300, 40000, 2 ** 31 + 5, 2 ** 40])
+def test_polynomials_of_different_exponent_sizes_mix(top):
+    ring = PolyRing(["x", "y"])
+    x, y = ring.var("x"), ring.var("y")
+    high = ring.monomial((top, 0))
+    assert (high + y) - high == y
+    assert list(((high + y) - high).items()) == [((0, 1), Fraction(1))]
+    assert y == (high + y) - high
+    assert (high + y) - y == high
+    expected = [((top + 1, 0), Fraction(1, 2)), ((top, 1), Fraction(1, 2))]
+    assert list((high * ring.parse("1/2*x + 1/2*y")).items()) == expected
+    assert list((ring.parse("1/2*x + 1/2*y") * high).items()) == [expected[0], expected[1]]
+    assert high * (x + y) - high * x == high * y
+    assert str((high + x) * (x - y)) == "x^%d - x^%d*y + x^2 - x*y" % (top + 1, top)
 
 
 def test_product_exponent_past_64_bits_is_an_error():
