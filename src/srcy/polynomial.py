@@ -1,39 +1,84 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Terms are stored as a dict mapping exponent tuples to nonzero Fractions.
+A polynomial is stored packed: each term's exponent tuple is one int key,
+with a little-endian bit field per variable, and each coefficient is an int
+numerator over one positive denominator shared by the whole polynomial.
 All arithmetic is exact; there is no floating point anywhere in this
 package.
 
-Every product goes through one kernel, `Poly.mul`: it packs each exponent
-tuple into one int key whose fields cannot carry into each other, multiplies
-integer numerators over a common denominator, and, given a truncation
-(names, bound), never forms a term pair whose degree in `names` reaches the
-bound.  The Pfaffians of first-order families use that truncation to drop
-the terms quadratic in the deformation parameters before they are built.
+Products, sums and negation work on the keys and numerators alone: adding
+two keys multiplies the monomials, because a field holds at most half its
+width and so never carries into the next.  Fractions are built only where
+a caller reads the terms (`Poly.items`, printing, evaluation and the
+structural helpers).  `Poly.mul` is the one product loop; given a
+truncation (names, bound) it never forms a term pair whose degree in
+`names` reaches the bound.  The Pfaffians of first-order families use that
+truncation to drop the terms quadratic in the deformation parameters
+before they are built.
 """
 
 from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from itertools import compress
-from math import lcm
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
 
 
-# struct codes for the packed exponent fields, with their widths in bits
-_FIELDS = (("B", 8), ("H", 16), ("I", 32), ("Q", 64))
+# field widths in bits, narrowest first, with the struct code of one field;
+# a 128-bit field is a 64-bit value and 8 zero bytes, since no exponent may
+# reach 2**64
+_WIDTHS = ((16, "H"), (32, "I"), (64, "Q"), (128, "Q8x"))
+
+
+class _Format:
+    """The packed keys of one ring at one field width.
+
+    A stored exponent is below `limit`, which is at most half the field, so
+    the sum of two stored keys adds their exponents without a carry, and a
+    sum that reaches `limit` in some field shows in `key & over`.  `wider`
+    is the next width, or None.
+    """
+
+    __slots__ = ("bits", "limit", "layout", "over", "wider")
+
+    def __init__(self, nvars, bits, code, wider):
+        self.bits = bits
+        self.limit = 1 << min(bits - 1, 64)
+        self.layout = struct.Struct("<" + code * nvars)
+        high = ((1 << bits) - self.limit).to_bytes(bits // 8, "little")
+        self.over = int.from_bytes(high * nvars, "little")
+        self.wider = wider
+
+    def mask(self, nvars, indices):
+        """The key with every bit a stored exponent can use set in the fields at `indices`."""
+        exps = [0] * nvars
+        for i in indices:
+            exps[i] = self.limit - 1
+        return self.pack(exps)
+
+    def pack(self, exps):
+        return int.from_bytes(self.layout.pack(*exps), "little")
+
+    def unpack(self, key):
+        return self.layout.unpack(key.to_bytes(self.layout.size, "little"))
 
 
 class PolyRing:
     """A polynomial ring over Q with a fixed tuple of named variables."""
 
-    __slots__ = ("names", "index")
+    __slots__ = ("names", "index", "narrow")
 
     def __init__(self, names):
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names: %r" % (self.names,))
         self.index = {n: i for i, n in enumerate(self.names)}
+        fmt = None
+        for bits, code in reversed(_WIDTHS):
+            fmt = _Format(len(self.names), bits, code, fmt)
+        self.narrow = fmt
 
     @property
     def nvars(self):
@@ -49,7 +94,7 @@ class PolyRing:
         return "PolyRing(%s)" % ", ".join(self.names)
 
     def zero(self):
-        return Poly(self, {})
+        return Poly(self, self.narrow, {}, 1)
 
     def one(self):
         return self.const(1)
@@ -58,14 +103,12 @@ class PolyRing:
         c = Fraction(c)
         if c == 0:
             return self.zero()
-        return Poly(self, {(0,) * self.nvars: c})
+        return Poly(self, self.narrow, {0: c.numerator}, c.denominator)
 
     def var(self, name):
         if name not in self.index:
             raise KeyError("unknown variable %r" % name)
-        exps = [0] * self.nvars
-        exps[self.index[name]] = 1
-        return Poly(self, {tuple(exps): Fraction(1)})
+        return Poly(self, self.narrow, {1 << (self.index[name] * self.narrow.bits): 1}, 1)
 
     def monomial(self, exps, coeff=1):
         exps = tuple(int(e) for e in exps)
@@ -76,42 +119,90 @@ class PolyRing:
         coeff = Fraction(coeff)
         if coeff == 0:
             return self.zero()
-        return Poly(self, {exps: coeff})
+        return _from_terms(self, {exps: coeff})
 
     def parse(self, text):
         return _parse(self, text)
 
 
+def _from_terms(ring, terms):
+    """The Poly with the exponent tuple -> nonzero Fraction `terms`, in their order."""
+    top = max((max(e, default=0) for e in terms), default=0)
+    fmt = ring.narrow
+    while top >= fmt.limit:
+        fmt = fmt.wider
+        if fmt is None:
+            raise ValueError("exponent %d does not fit a 64-bit field" % top)
+    den = lcm(*[c.denominator for c in terms.values()])
+    return Poly(ring, fmt, {fmt.pack(e): c.numerator * (den // c.denominator)
+                            for e, c in terms.items()}, den)
+
+
+def _repack(nums, old, new):
+    """`nums` with its keys moved from format `old` to the wider `new`."""
+    unpack, pack = old.unpack, new.pack
+    return {pack(unpack(k)): c for k, c in nums.items()}
+
+
+def _reduced(ring, fmt, nums, den):
+    """The Poly nums/den, with den divided out of the numerators as far as it goes."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: c // g for k, c in nums.items()}
+    return Poly(ring, fmt, nums, den)
+
+
+def _common(a, b):
+    """The key format of the wider of a and b, and both numerator dicts in it."""
+    if a.fmt.bits == b.fmt.bits:
+        return a.fmt, a.nums, b.nums
+    if a.fmt.bits > b.fmt.bits:
+        return a.fmt, a.nums, _repack(b.nums, b.fmt, a.fmt)
+    return b.fmt, _repack(a.nums, a.fmt, b.fmt), b.nums
+
+
 class Poly:
-    """An element of a PolyRing; immutable by convention."""
+    """An element of a PolyRing; immutable by convention.
 
-    __slots__ = ("ring", "terms")
+    `nums` maps packed exponent keys, in the layout `fmt`, to nonzero int
+    numerators, and the coefficient of a term is its numerator over the
+    positive int `den`.  The form is canonical: gcd(den, *numerators) == 1,
+    and the zero polynomial has den 1.  Two equal polynomials may hold their
+    keys at different field widths.
+    """
 
-    def __init__(self, ring, terms):
+    __slots__ = ("ring", "fmt", "nums", "den")
+
+    def __init__(self, ring, fmt, nums, den):
         self.ring = ring
-        self.terms = terms  # exponent tuple -> nonzero Fraction
+        self.fmt = fmt
+        self.nums = nums
+        self.den = den
+
+    def items(self):
+        """Yield the terms as (exponent tuple, Fraction) pairs in storage order."""
+        unpack, den = self.fmt.unpack, self.den
+        for k, c in self.nums.items():
+            yield unpack(k), Fraction(c, den)
 
     # -- basic queries ---------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def is_constant(self):
-        return all(not any(e) for e in self.terms)
+        return not any(self.nums)
 
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return sum(self.terms.values(), Fraction(0))
+        return Fraction(self.nums.get(0, 0), self.den)
 
     def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def items(self):
-        """Yield the terms as (exponent tuple, Fraction) pairs in storage order."""
-        yield from self.terms.items()
+        unpack = self.fmt.unpack
+        return max((sum(unpack(k)) for k in self.nums), default=-1)
 
     def monomials(self):
         """Terms as (exponent tuple, coefficient) pairs in sorted order."""
@@ -120,10 +211,15 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
-        return isinstance(other, Poly) and self.ring == other.ring and self.terms == other.terms
+        if not isinstance(other, Poly) or self.ring != other.ring:
+            return False
+        if self.den != other.den or len(self.nums) != len(other.nums):
+            return False
+        _fmt, a, b = _common(self, other)
+        return a == b
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -134,25 +230,33 @@ class Poly:
             return other
         return self.ring.const(other)
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other, over the lcm of the two denominators."""
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            s = c if s is None else s + c
+        fmt, a, b = _common(self, other)
+        den = lcm(self.den, other.den)
+        scale = den // self.den
+        nums = dict(a) if scale == 1 else {k: c * scale for k, c in a.items()}
+        scale = sign * (den // other.den)
+        get = nums.get
+        for k, c in b.items():
+            s = get(k, 0) + c * scale
             if s:
-                terms[e] = s
+                nums[k] = s
             else:
-                del terms[e]
-        return Poly(self.ring, terms)
+                del nums[k]
+        return _reduced(self.ring, fmt, nums, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
+        return Poly(self.ring, self.fmt, {k: -c for k, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -165,59 +269,45 @@ class Poly:
     def mul(self, other, trunc=None):
         """Product; with trunc=(names, bound), only the terms of degree < bound in names.
 
-        Each factor's exponent tuples are packed once into int keys, one
-        little-endian field per variable, wide enough for the largest
-        exponent of self plus the largest of other, so adding two keys adds
-        the exponents without a carry; a sum past 64 bits is a ValueError.
-        Each factor's coefficients are scaled to ints over the lcm of their
-        denominators, so the pairs multiply as ints and a Fraction is built
-        once per surviving term.  A term pair whose degrees in `names` sum to
-        `bound` or more is never formed, and only surviving keys are unpacked.
+        Keys add and numerators multiply as ints; the denominators multiply
+        once.  A term pair whose degrees in `names` sum to `bound` or more is
+        never formed.  A product exponent that reaches its field's limit moves
+        the result to the next field width; one past 64 bits is a ValueError.
         """
         other = self._coerce(other)
         ring = self.ring
-        if not self.terms or not other.terms:
+        if not self.nums or not other.nums:
             return ring.zero()
+        fmt, a, b = _common(self, other)
         names, bound = trunc or ((), 1)
-        params = {ring.index[n] for n in names}
-        mask = [i in params for i in range(max(params, default=-1) + 1)]
-        top = max(map(max, self.terms)) + max(map(max, other.terms)) if ring.nvars else 0
-        for code, bits in _FIELDS:
-            if top >> bits == 0:
-                break
+        if names:
+            mask, unpack = fmt.mask(ring.nvars, (ring.index[n] for n in names)), fmt.unpack
+            left = [(d, k, c) for k, c in a.items() if (d := sum(unpack(k & mask))) < bound]
+            right = [(d, k, c) for k, c in b.items() if (d := sum(unpack(k & mask))) < bound]
+        elif bound > 0:
+            left = [(0, k, c) for k, c in a.items()]
+            right = [(0, k, c) for k, c in b.items()]
         else:
-            raise ValueError("exponent %d does not fit a 64-bit field" % top)
-        layout = struct.Struct("<%d%s" % (ring.nvars, code))
-
-        def packed(terms):
-            """The common denominator, and (degree in names, key, numerator) per kept term."""
-            den = lcm(*[c.denominator for c in terms.values()])
-            kept = []
-            for e, c in terms.items():
-                d = sum(compress(e, mask))
-                if d < bound:
-                    key = int.from_bytes(layout.pack(*e), "little")
-                    kept.append((d, key, c.numerator * (den // c.denominator)))
-            return den, kept
-
-        den_a, left = packed(self.terms)
-        den_b, right = packed(other.terms)
+            left = right = []
         room = {}  # bound - degree of a left term -> the right terms of lower degree
         acc = {}
+        get = acc.get
         for d1, k1, c1 in left:
             r = bound - d1
             if r not in room:
                 room[r] = [(k, c) for d, k, c in right if d < r]
             for k2, c2 in room[r]:
                 k = k1 + k2
-                s = acc.get(k, 0) + c1 * c2
+                s = get(k, 0) + c1 * c2
                 if s:
                     acc[k] = s
                 else:
                     del acc[k]
-        den = den_a * den_b
-        return Poly(ring, {layout.unpack(k.to_bytes(layout.size, "little")): Fraction(c, den)
-                           for k, c in acc.items()})
+        if reduce(or_, acc, 0) & fmt.over:
+            if fmt.wider is None:
+                raise ValueError("a product exponent does not fit a 64-bit field")
+            acc, fmt = _repack(acc, fmt, fmt.wider), fmt.wider
+        return _reduced(ring, fmt, acc, self.den * other.den)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -236,20 +326,17 @@ class Poly:
 
     def truncate_above(self, names, bound):
         """Drop every term whose combined degree in `names` is >= bound."""
-        idx = [self.ring.index[n] for n in names]
-        terms = {e: c for e, c in self.terms.items() if sum(e[i] for i in idx) < bound}
-        return Poly(self.ring, terms)
+        fmt = self.fmt
+        mask, unpack = fmt.mask(self.ring.nvars, (self.ring.index[n] for n in names)), fmt.unpack
+        nums = {k: c for k, c in self.nums.items() if sum(unpack(k & mask)) < bound}
+        return _reduced(self.ring, fmt, nums, self.den)
 
     def coefficient_of(self, name, power):
         """Coefficient polynomial of name**power (the variable removed)."""
-        i = self.ring.index[name]
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == power:
-                ee = list(e)
-                ee[i] = 0
-                terms[tuple(ee)] = c
-        return Poly(self.ring, terms)
+        shift, field = self.ring.index[name] * self.fmt.bits, self.fmt.limit - 1
+        drop = power << shift
+        nums = {k - drop: c for k, c in self.nums.items() if (k >> shift) & field == power}
+        return _reduced(self.ring, self.fmt, nums, self.den)
 
     def substitute(self, values):
         """Substitute rational constants for variables, in one pass over the terms.
@@ -259,7 +346,7 @@ class Poly:
         """
         subs = [(i, Fraction(values[n])) for i, n in enumerate(self.ring.names) if n in values]
         terms = {}
-        for e, c in self.terms.items():
+        for e, c in self.items():
             ee = list(e)
             for i, v in subs:
                 if ee[i]:
@@ -267,12 +354,12 @@ class Poly:
                     ee[i] = 0
             key = tuple(ee)
             terms[key] = terms.get(key, Fraction(0)) + c
-        return Poly(self.ring, {e: c for e, c in terms.items() if c})
+        return _from_terms(self.ring, {e: c for e, c in terms.items() if c})
 
     def evaluate(self, point):
         """Evaluate at a full assignment name -> Fraction."""
         total = Fraction(0)
-        for e, c in self.terms.items():
+        for e, c in self.items():
             val = c
             for i, p in enumerate(e):
                 if p:
@@ -281,38 +368,32 @@ class Poly:
         return total
 
     def derivative(self, name):
-        i = self.ring.index[name]
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ee = list(e)
-            ee[i] -= 1
-            terms[tuple(ee)] = c * e[i]
-        return Poly(self.ring, terms)
+        shift, field = self.ring.index[name] * self.fmt.bits, self.fmt.limit - 1
+        nums = {}
+        for k, c in self.nums.items():
+            p = (k >> shift) & field
+            if p:
+                nums[k - (1 << shift)] = c * p
+        return _reduced(self.ring, self.fmt, nums, self.den)
 
     def content_exponents(self):
         """Componentwise minimum of all exponent vectors (the monomial gcd)."""
-        if not self.terms:
+        if not self.nums:
             raise ValueError("zero polynomial has no content")
-        its = iter(self.terms)
-        m = list(next(its))
-        for e in its:
-            m = [min(a, b) for a, b in zip(m, e)]
-        return tuple(m)
+        return tuple(map(min, zip(*map(self.fmt.unpack, self.nums))))
 
     def strip_monomial_content(self):
         """Divide out the monomial gcd of all terms."""
         m = self.content_exponents()
         if not any(m):
             return self
-        terms = {tuple(a - b for a, b in zip(e, m)): c for e, c in self.terms.items()}
-        return Poly(self.ring, terms)
+        drop = self.fmt.pack(m)
+        return Poly(self.ring, self.fmt, {k - drop: c for k, c in self.nums.items()}, self.den)
 
     def rename(self, ring, mapping=None):
         """Reinterpret in another ring; mapping gives old name -> new name."""
         terms = {}
-        for e, c in self.terms.items():
+        for e, c in self.items():
             ee = [0] * ring.nvars
             for i, p in enumerate(e):
                 if p == 0:
@@ -323,12 +404,12 @@ class Poly:
                 ee[ring.index[name]] += p
             key = tuple(ee)
             terms[key] = terms.get(key, Fraction(0)) + c
-        return Poly(ring, {e: c for e, c in terms.items() if c})
+        return _from_terms(ring, {e: c for e, c in terms.items() if c})
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for e, c in self.monomials():

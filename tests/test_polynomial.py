@@ -110,7 +110,7 @@ def _reference_product(a, b):
 
 
 def _reference_sum(a, b, sign=1):
-    """The exponent-tuple loop of `Poly.__add__` (sign 1) and `__sub__` (sign -1), as a tuple dict."""
+    """The tuple loop of `Poly.__add__` (sign 1) or `__sub__` (sign -1), as a tuple dict."""
     terms = dict(a.items())
     for e, c in b.items():
         s = terms.get(e, Fraction(0)) + sign * c
@@ -230,6 +230,11 @@ def test_polynomials_of_different_exponent_sizes_mix(top):
     assert list((ring.parse("1/2*x + 1/2*y") * high).items()) == [expected[0], expected[1]]
     assert high * (x + y) - high * x == high * y
     assert str((high + x) * (x - y)) == "x^%d - x^%d*y + x^2 - x*y" % (top + 1, top)
+    assert (high * y + y).coefficient_of("y", 1) == high + 1
+    assert (high * y).total_degree() == top + 1
+    assert (high * y + x * high).strip_monomial_content() == x + y
+    assert high.derivative("x") == top * ring.monomial((top - 1, 0))
+    assert (high * y).truncate_above(["y"], 1).is_zero()
 
 
 def test_product_exponent_past_64_bits_is_an_error():
