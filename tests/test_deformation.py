@@ -61,6 +61,18 @@ def test_admissible_b_counts_on_two_spheres():
     assert count(suspension_of_ngon(6)) == 1
 
 
+@pytest.mark.parametrize("facets, b", [
+    # the cone over a 4-cycle from 5, and from 6 all but one triangle: b is not a face
+    ([(5, 1, 2), (5, 2, 3), (5, 3, 4), (5, 4, 1), (6, 1, 2), (6, 2, 3), (6, 3, 4)], {5, 6}),
+    # a tetrahedron boundary without the triangle 234: b is a face
+    ([(1, 3, 4), (1, 2, 3), (1, 2, 4)], {1, 2}),
+])
+def test_facets_meeting_b_in_all_but_one_vertex_are_not_enough(facets, b):
+    link = SimplicialComplex([frozenset(f) for f in facets])
+    assert all(len(f & b) >= len(b) - 1 for f in link.facets)
+    assert not admissible_b(link, b)
+
+
 def test_admissible_b_validates_input():
     e4 = ngon(4, [1, 2, 3, 4])
     with pytest.raises(ValueError):
