@@ -63,13 +63,17 @@ def admissible_b(link, b):
     With L' the full subcomplex on the complementary vertices, demands
     link = L' * boundary(b) with |L'| a sphere when b is not a face, and
     link = (L' * boundary(b)) union (boundary(L') * closure(b)) with |L'|
-    a ball when b is a face.
+    a ball when b is a face.  Every facet of such a link is H union (b minus
+    one vertex) or H' union b, so a facet holding fewer than |b| - 1
+    vertices of b rejects b before L' is built.
     """
     b = frozenset(b)
     if len(b) < 2:
         raise ValueError("b must have at least two vertices")
     if not b <= set(link.vertices):
         raise ValueError("b must lie in the link's vertex set")
+    if any(len(f & b) < len(b) - 1 for f in link.facets):
+        return False
     rest = [v for v in link.vertices if v not in b]
     lprime = link.full_subcomplex(rest) if rest else _void_complex()
     target_dim = link.dim() - len(b) + 1
