@@ -35,39 +35,50 @@ def fixture_dir(override=None):
     return Path(__file__).parent / "data"
 
 
-def _read(base, rel):
+def _load(base, rel, parse):
+    """`parse` applied to the fixture file `rel` under `base`.
+
+    A missing file, or one the parser rejects with a ValueError, raises
+    FixtureError naming the path.
+    """
     path = Path(base) / rel
     if not path.exists():
         raise FixtureError("missing fixture file %s" % path)
-    return path.read_text()
+    try:
+        return parse(path.read_text())
+    except ValueError as exc:
+        raise FixtureError("%s: %s" % (path, exc)) from exc
 
 
 def triangulation(name, base=None):
-    return load_triangulation(_read(fixture_dir(base), "triangulations/%s.tri" % name))
+    return _load(fixture_dir(base), "triangulations/%s.tri" % name, load_triangulation)
 
 
 def family_matrix(name, base=None):
-    return parse_matrix_file(_read(fixture_dir(base), "families/%s.mat" % name))
+    return _load(fixture_dir(base), "families/%s.mat" % name, parse_matrix_file)
 
 
 def generator_vector(name, base=None):
-    return parse_vector_file(_read(fixture_dir(base), "families/%s.gens" % name))
+    return _load(fixture_dir(base), "families/%s.gens" % name, parse_vector_file)
 
 
 def subdivision_fan(base=None):
-    return parse_fan_file(_read(fixture_dir(base), "toric/subdivision.fan"))
+    return _load(fixture_dir(base), "toric/subdivision.fan", parse_fan_file)
 
 
 def hypersurface_monomials(base=None):
-    return parse_monomial_file(_read(fixture_dir(base), "toric/hypersurface.fpoly"))
+    return _load(fixture_dir(base), "toric/hypersurface.fpoly", parse_monomial_file)
 
 
 def component_table(base=None):
-    return parse_component_table(_read(fixture_dir(base), "toric/components.tbl"))
+    return _load(fixture_dir(base), "toric/components.tbl", parse_component_table)
 
 
 def scroll_polytope(base=None):
-    text = _read(fixture_dir(base), "toric/scroll_polytope.txt")
+    return _load(fixture_dir(base), "toric/scroll_polytope.txt", _parse_points)
+
+
+def _parse_points(text):
     points = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -77,4 +88,4 @@ def scroll_polytope(base=None):
 
 
 def ci_complexes(base=None):
-    return parse_complexes_file(_read(fixture_dir(base), "cohomology/ci_degree12.complexes"))
+    return _load(fixture_dir(base), "cohomology/ci_degree12.complexes", parse_complexes_file)

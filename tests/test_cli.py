@@ -175,6 +175,25 @@ def test_run_all_detects_corruption(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("rel, section", [
+    ("families/p7_1.mat", "pfaffian"),
+    ("triangulations/p7_2.tri", "milnor"),
+    ("toric/scroll_polytope.txt", "toric"),
+])
+def test_run_all_malformed_fixture_exits_2(tmp_path, capsys, rel, section):
+    import shutil
+
+    shutil.copytree(fixtures.fixture_dir(), tmp_path / "data")
+    path = tmp_path / "data" / rel
+    path.write_text(path.read_text() + "3 x\n")
+    code = main(["run-all", "--fixtures", str(tmp_path / "data"), "--only", section])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("fixture error: %s: " % path)
+    assert "Traceback" not in captured.err
+
+
 def test_emit_formats():
     empty = VerificationReport()
     assert emit(empty, "json") == b'{"version":1,"checks":[]}'
