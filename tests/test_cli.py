@@ -194,6 +194,22 @@ def test_run_all_malformed_fixture_exits_2(tmp_path, capsys, rel, section):
     assert "Traceback" not in captured.err
 
 
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+
+    import srcy
+
+    src = str(Path(srcy.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-m", "srcy", "run-all", "--only", "milnor"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("result: ok\n")
+
+
 def test_emit_formats():
     empty = VerificationReport()
     assert emit(empty, "json") == b'{"version":1,"checks":[]}'
