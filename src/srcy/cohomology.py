@@ -28,23 +28,23 @@ def chi_twist(n, d):
 class TwistSum:
     """Direct sum of line bundles sum_i O(d_i)^{m_i} on P^n."""
 
-    terms: tuple  # ((d, multiplicity), ...)
+    twists: tuple  # ((d, multiplicity), ...)
     n: int
 
     def h(self, p):
-        return sum(m * h_twist(self.n, d, p) for d, m in self.terms)
+        return sum(m * h_twist(self.n, d, p) for d, m in self.twists)
 
     def chi(self):
-        return sum(m * chi_twist(self.n, d) for d, m in self.terms)
+        return sum(m * chi_twist(self.n, d) for d, m in self.twists)
 
     def twist(self, k):
-        return TwistSum(tuple((d + k, m) for d, m in self.terms), self.n)
+        return TwistSum(tuple((d + k, m) for d, m in self.twists), self.n)
 
     def table(self, name):
         return CohTable(name, self.n, [self.h(p) for p in range(self.n + 1)])
 
     def __str__(self):
-        return " + ".join("(%d)^%d" % (d, m) for d, m in self.terms)
+        return " + ".join("(%d)^%d" % (d, m) for d, m in self.twists)
 
 
 def resolve_shift(resolution, p):

@@ -118,5 +118,5 @@ def test_complexes_file():
     term 1: (-2)^2 + (-3)^1
     """
     res = parse_complexes_file(text)
-    assert [t.terms for t in res["demo"]] == [((0, 1),), ((-2, 2), (-3, 1))]
+    assert [t.twists for t in res["demo"]] == [((0, 1),), ((-2, 2), (-3, 1))]
     assert res["demo"][0].n == 6
