@@ -26,10 +26,10 @@ from math import gcd, lcm
 from operator import or_
 
 
-# field widths in bits, narrowest first, with the struct code of one field;
-# a 128-bit field is a 64-bit value and 8 zero bytes, since no exponent may
-# reach 2**64
-_WIDTHS = ((16, "H"), (32, "I"), (64, "Q"), (128, "Q8x"))
+# field widths in bits, narrowest first, with the struct code of one field:
+# 16 bits hold every exponent the bundled data produces; a 128-bit field is a
+# 64-bit value and 8 zero bytes, since no exponent may reach 2**64
+_WIDTHS = ((16, "H"), (128, "Q8x"))
 
 
 class _Format:
