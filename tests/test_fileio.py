@@ -94,6 +94,7 @@ def test_fan_file_errors():
         ("sigma\n1 2 3", "sigma\n1 2", "sigma lists 2 rays, not 3"),
         ("sigma\n1 2 3", "sigma\n1 2 4", "ray index 4 out of range 1..3"),
         ("cones\n1 2 3", "cones\n0 1 2", "ray index 0 out of range 1..3"),
+        ("0 0 1\nrays", "1 1 0\nrays", "lattice basis matrix is singular"),
     ):
         assert old in UNIT_FAN
         with pytest.raises(ValueError, match=reason):

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from srcy.intlinalg import (
     complete_to_basis,
     det,
@@ -10,6 +12,7 @@ from srcy.intlinalg import (
     primitive,
     quotient_projection,
     smith_normal_form,
+    unimodular_inverse,
 )
 
 
@@ -76,3 +79,40 @@ def test_hnf_rows_canonicalizes():
     rows = hnf_rows([[2, 4, 0], [1, 1, 1]])
     rows2 = hnf_rows([[1, 1, 1], [3, 5, 1], [2, 4, 0]])
     assert rows == rows2
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _elementary_product(rng, n):
+    """A product of random row additions, swaps and negations: unimodular."""
+    a = _identity(n)
+    for _ in range(12):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        kind = rng.choice(("add", "swap", "negate"))
+        if kind == "add" and i != j:
+            f = rng.randint(-3, 3)
+            a[i] = [x + f * y for x, y in zip(a[i], a[j])]
+        elif kind == "swap":
+            a[i], a[j] = a[j], a[i]
+        else:
+            a[i] = [-x for x in a[i]]
+    return a
+
+
+def test_unimodular_inverse(fan_data):
+    fan = fan_data[0]
+    matrices = [[[r[i] for r in fan.cone_rays(c)] for i in range(4)]
+                for c in range(len(fan.cones))]
+    assert len(matrices) == 53
+    rng = random.Random(5)
+    matrices += [_elementary_product(rng, rng.randint(1, 5)) for _ in range(40)]
+    for a in matrices:
+        inv = unimodular_inverse(a)
+        assert all(type(x) is int for row in inv for x in row)
+        assert mat_int_mul(a, inv) == mat_int_mul(inv, a) == _identity(len(a))
+    with pytest.raises(ValueError, match="not unimodular"):
+        unimodular_inverse([[2, 1], [0, 1]])
+    with pytest.raises(ValueError):
+        unimodular_inverse([[1, 2], [2, 4]])

@@ -57,12 +57,24 @@ def test_unit_cone_is_unimodular(fan_data):
 
 def test_non_unimodular_cone_is_reported(fan_data):
     fan, _f, _inv, _charts = fan_data
-    rays = list(fan.rays) + [(1, 1, 0, 0)]
+    # cone 1 is {16, 2, 5, 11}; twice ray 16 plus ray 2 spans an index-2 cone
+    apex, second = fan.cone_rays(0)[:2]
+    rays = list(fan.rays) + [tuple(2 * a + b for a, b in zip(apex, second))]
     cones = list(fan.cones)
     cones[0] = (len(rays) - 1,) + cones[0][1:]
     broken = Fan(fan.lattice, rays, cones, fan.sigma)
     report = verify_smooth_subdivision(broken)
     assert not report.ok
+    assert "cone 1 has determinant -2, not unimodular" in report.problems
+
+
+def test_cone_with_three_rays_is_reported(fan_data):
+    fan, _f, _inv, _charts = fan_data
+    cones = list(fan.cones)
+    cones[0] = cones[0][:3]
+    report = verify_smooth_subdivision(_mutated(fan, cones=cones))
+    assert not report.ok
+    assert "cone 1 is not simplicial of full dimension" in report.problems
 
 
 def _mutated(fan, rays=None, cones=None):
