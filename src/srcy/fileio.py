@@ -11,7 +11,7 @@ from fractions import Fraction
 from .cohomology import TwistSum
 from .pfaffian import SkewPolyMatrix
 from .polynomial import PolyRing
-from .toric import AmbientLattice, Fan
+from .toric import Fan
 
 
 def _lines(text):
@@ -144,8 +144,7 @@ def parse_fan_file(text):
     for i in sigma + [i for cone in cones for i in cone]:
         if not 0 <= i < len(rays):
             raise ValueError("ray index %d out of range 1..%d" % (i + 1, len(rays)))
-    lattice = AmbientLattice(lattice_rows)
-    return Fan(lattice, rays, cones, sigma)
+    return Fan(lattice_rows, rays, cones, sigma)
 
 
 def parse_monomial_file(text):

@@ -168,14 +168,14 @@ def smith_normal_form(rows):
 
 
 def unimodular_inverse(rows):
-    """Inverse of a unimodular integer matrix, as integers."""
-    inv = inverse(rows)
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append([int(x) for x in row])
-    return out
+    """Inverse of a unimodular integer matrix, as integers.
+
+    If the Smith form D = U * A * V is the identity, A^-1 = V * U.
+    """
+    d, u, v = smith_normal_form(rows)
+    if d != [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]:
+        raise ValueError("matrix is not unimodular")
+    return mat_int_mul(v, u)
 
 
 def complete_to_basis(vec):

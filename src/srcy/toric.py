@@ -1,8 +1,8 @@
 """Toric verification for a crepant resolution of a hyperquotient point.
 
 The fan data lives in a working basis of the ambient lattice N (an integer
-refinement of Z^4); conversion to ambient coordinates happens only inside
-pairings.  Chart polynomials of the strict transform, Reid's crepancy
+refinement of Z^4); each ray is converted to ambient coordinates once, for
+the pairings with monomials.  Chart polynomials of the strict transform, Reid's crepancy
 criterion, exceptional-component fans and the intersection complex are all
 computed with exact integer/rational arithmetic.
 """
@@ -22,46 +22,48 @@ from .simplicial import SimplicialComplex
 CHART_RING = PolyRing(["y1", "y2", "y3", "y4"])
 
 
-# -- lattice, cones, fan -------------------------------------------------------
-
-
-class AmbientLattice:
-    """Rank-r lattice with a working basis given in ambient coordinates.
-
-    `basis` is the matrix whose columns express the working basis vectors
-    in ambient coordinates; its inverse determinant is the index of Z^r in
-    the lattice.
-    """
-
-    def __init__(self, basis_rows):
-        self.matrix = [[Fraction(x) for x in row] for row in basis_rows]
-        self.rank = len(self.matrix)
-        d = la.det(self.matrix)
-        if d == 0:
-            raise ValueError("lattice basis matrix is singular")
-        self.index_over_zr = abs(1 / d)
-
-    def to_ambient(self, working_vec):
-        return tuple(
-            sum(self.matrix[i][j] * working_vec[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
+# -- the fan -------------------------------------------------------------------
 
 
 class Fan:
+    """Maximal cones of a fan, in a working basis of the lattice N.
+
+    `lattice` is the square `Fraction` matrix whose columns are the
+    working-basis vectors in ambient coordinates, and `ambient_rays` holds
+    each ray in ambient coordinates.  `inverses` maps each simplicial,
+    full-dimensional, unimodular cone to the integer inverse of its ray
+    matrix, whose rows are the cone's facet functionals; the other cones
+    are left for `verify_smooth_subdivision` to report.
+    """
+
     def __init__(self, lattice, rays, cones, sigma):
-        self.lattice = lattice
+        self.lattice = [[Fraction(x) for x in row] for row in lattice]
+        if la.det(self.lattice) == 0:
+            raise ValueError("lattice basis matrix is singular")
         self.rays = [tuple(int(x) for x in r) for r in rays]
         for r in self.rays:
             if la.primitive(r) != r:
                 raise ValueError("fan ray %s is not primitive" % (r,))
         if len(set(self.rays)) != len(self.rays):
             raise ValueError("repeated ray")
+        self.ambient_rays = [
+            tuple(sum(a * x for a, x in zip(row, r)) for row in self.lattice)
+            for r in self.rays
+        ]
         self.cones = [tuple(c) for c in cones]
         self.sigma = tuple(sigma)  # ray indices spanning the subdivided cone
         self._ray_pos = {r: i for i, r in enumerate(self.rays)}
         sig = [self.rays[i] for i in self.sigma]
         self._sigma_inv = la.inverse(_ray_matrix_columns(sig))
+        self.inverses = {}
+        for c, cone in enumerate(self.cones):
+            if len(cone) == len(self.lattice):
+                try:
+                    self.inverses[c] = la.unimodular_inverse(
+                        _ray_matrix_columns(self.cone_rays(c))
+                    )
+                except ValueError:
+                    pass
 
     def ray_index(self, ray):
         return self._ray_pos[tuple(ray)]
@@ -80,18 +82,10 @@ class Fan:
         coords = la.mat_vec_int(self._sigma_inv, list(vec))
         return all(c >= 0 for c in coords)
 
-    def sigma_facet_functionals(self):
-        return self._sigma_inv
-
 
 def _ray_matrix_columns(rays):
     n = len(rays[0])
     return [[rays[j][i] for j in range(len(rays))] for i in range(n)]
-
-
-def _integer_inverse(rays):
-    cols = _ray_matrix_columns(rays)
-    return la.unimodular_inverse(cols)
 
 
 # -- fan verification ----------------------------------------------------------
@@ -125,30 +119,28 @@ def verify_smooth_subdivision(fan):
         if not fan.in_sigma(r):
             problems.append("ray %s lies outside sigma" % (r,))
 
-    inverses = {}
     for c, cone in enumerate(fan.cones):
-        rays = fan.cone_rays(c)
-        if len(rays) != fan.lattice.rank:
+        if c in fan.inverses:
+            continue
+        if len(cone) != len(fan.lattice):
             problems.append("cone %d is not simplicial of full dimension" % (c + 1))
-            continue
-        d = la.det([[Fraction(x) for x in col] for col in _ray_matrix_columns(rays)])
-        if abs(d) != 1:
+        else:
+            d = la.det(_ray_matrix_columns(fan.cone_rays(c)))
             problems.append("cone %d has determinant %s, not unimodular" % (c + 1, d))
-            continue
-        inverses[c] = _integer_inverse(rays)
 
-    problems.extend(_facet_pairing_problems(fan, inverses))
-    problems.extend(_sample_coverage_problems(fan, inverses))
+    problems.extend(_facet_pairing_problems(fan))
+    problems.extend(_sample_coverage_problems(fan))
     return FanReport(not problems, len(fan.rays), len(fan.cones), problems)
 
 
-def _facet_pairing_problems(fan, inverses):
+def _facet_pairing_problems(fan):
     problems = []
+    inverses = fan.inverses
     cones_at = {}
     for c, cone in enumerate(fan.cones):
         for facet in combinations(sorted(cone), 3):
             cones_at.setdefault(facet, []).append(c)
-    functionals = fan.sigma_facet_functionals()
+    functionals = fan._sigma_inv
     for facet, cones in sorted(cones_at.items()):
         count = len(cones)
         rays = [fan.rays[i] for i in facet]
@@ -171,15 +163,13 @@ def _facet_pairing_problems(fan, inverses):
     return problems
 
 
-def _sample_coverage_problems(fan, inverses):
+def _sample_coverage_problems(fan):
     problems = []
-    for c in range(len(fan.cones)):
-        if c not in inverses:
-            continue
+    for c in fan.inverses:
         point = [sum(r[i] for r in fan.cone_rays(c)) for i in range(4)]
         hits = sum(
             1
-            for other, inv in inverses.items()
+            for inv in fan.inverses.values()
             if all(x >= 0 for x in la.mat_vec_int(inv, point))
         )
         if hits != 1:
@@ -198,12 +188,9 @@ class ChartPolynomial:
 
 def chart_exponents(fan, cone_id, monomial):
     """Pairing of a dual-lattice monomial with each ray of the chart."""
-    out = []
-    for ray in fan.cone_rays(cone_id):
-        amb = fan.lattice.to_ambient(ray)
-        val = sum(Fraction(m) * a for m, a in zip(monomial, amb))
-        out.append(val)
-    return out
+    return [
+        sum(m * a for m, a in zip(monomial, fan.ambient_rays[i])) for i in fan.cones[cone_id]
+    ]
 
 
 def strict_transform(fan, cone_id, invariant_monomials):
@@ -262,11 +249,9 @@ def crepancy_check(fan, f_monomials):
     """
     results = {}
     for rid in fan.interior_ray_ids():
-        amb = fan.lattice.to_ambient(fan.rays[rid])
+        amb = fan.ambient_rays[rid]
         alpha_one = sum(amb)
-        alpha_f = min(
-            sum(Fraction(m) * a for m, a in zip(mono, amb)) for mono in f_monomials
-        )
+        alpha_f = min(sum(m * a for m, a in zip(mono, amb)) for mono in f_monomials)
         results[rid] = alpha_one == alpha_f + 1
     return results
 
@@ -375,8 +360,9 @@ def method1_component(fan, charts, ray_id, cone_id=None):
 
 def _functional_from_chart_exponents(fan, cone_id, exps):
     """Integer working-dual vector pairing to exps against the cone's rays."""
-    cols = _ray_matrix_columns(fan.cone_rays(cone_id))
-    binv = la.unimodular_inverse(cols)
+    binv = fan.inverses.get(cone_id)
+    if binv is None:
+        raise ValueError("cone %d is not unimodular" % (cone_id + 1))
     # mu = exps^T B^{-1}: row vector with mu . ray_j = exps_j
     return [sum(exps[i] * binv[i][j] for i in range(4)) for j in range(4)]
 
@@ -386,7 +372,7 @@ def _extend_projection(fan, ray_id, st):
     u = la.complete_to_basis(list(fan.rays[ray_id]))
     if [u[i] for i in range(1, 4)] != st.projection:
         u = [u[0]] + [list(r) for r in st.projection]
-        if abs(la.det([[Fraction(x) for x in row] for row in u])) != 1:
+        if abs(la.det(u)) != 1:
             raise RuntimeError("projection extension failed")
     return u
 

@@ -114,5 +114,5 @@ def test_unimodular_inverse(fan_data):
         assert mat_int_mul(a, inv) == mat_int_mul(inv, a) == _identity(len(a))
     with pytest.raises(ValueError, match="not unimodular"):
         unimodular_inverse([[2, 1], [0, 1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not unimodular"):
         unimodular_inverse([[1, 2], [2, 4]])

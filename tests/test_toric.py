@@ -3,6 +3,7 @@ import pytest
 from srcy import fixtures
 from srcy.toric import (
     Fan,
+    all_charts,
     chart_restriction,
     classify_toric_surface,
     crepancy_check,
@@ -75,6 +76,35 @@ def test_cone_with_three_rays_is_reported(fan_data):
     report = verify_smooth_subdivision(_mutated(fan, cones=cones))
     assert not report.ok
     assert "cone 1 is not simplicial of full dimension" in report.problems
+
+
+def _recording(calls, fn):
+    def recorded(rows):
+        calls.append(rows)
+        return fn(rows)
+
+    return recorded
+
+
+def test_cone_matrices_are_inverted_once_per_fan(monkeypatch):
+    import srcy.intlinalg as la
+
+    inverted, unimodular = [], []
+    monkeypatch.setattr(la, "inverse", _recording(inverted, la.inverse))
+    monkeypatch.setattr(la, "unimodular_inverse", _recording(unimodular, la.unimodular_inverse))
+    fan = fixtures.subdivision_fan()
+    fmono, invmono = fixtures.hypersurface_monomials()
+    assert verify_smooth_subdivision(fan).ok
+    charts = all_charts(fan, invmono)
+    crepancy_check(fan, fmono)
+    method1_component(fan, charts, fan.ray_index((6, -2, -1, -2)))  # E1
+
+    def columns(rays):
+        return [[r[i] for r in rays] for i in range(4)]
+
+    assert inverted == [columns([fan.rays[i] for i in fan.sigma])]
+    cone_matrices = [columns(fan.cone_rays(c)) for c in range(len(fan.cones))]
+    assert sum(rows in cone_matrices for rows in unimodular) == 53
 
 
 def _mutated(fan, rays=None, cones=None):
