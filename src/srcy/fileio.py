@@ -107,9 +107,9 @@ def parse_vector_file(text):
 def parse_fan_file(text):
     """Fan file with `lattice`, `rays`, `sigma` and `cones` blocks.
 
-    Lattice rows are the working-basis vectors in ambient coordinates
-    (columns of the change-of-basis matrix); sigma and cone rows list
-    1-based ray indices.
+    Lattice rows are the rows of the change-of-basis matrix, whose columns
+    are the working-basis vectors in ambient coordinates; sigma and cone
+    rows list 1-based ray indices.
     """
     section = None
     lattice_rows = []
