@@ -2,9 +2,9 @@
 
 The fan data lives in a working basis of the ambient lattice N (an integer
 refinement of Z^4); each ray is converted to ambient coordinates once, for
-the pairings with monomials.  Chart polynomials of the strict transform, Reid's crepancy
-criterion, exceptional-component fans and the intersection complex are all
-computed with exact integer/rational arithmetic.
+the pairings with monomials.  Chart polynomials of the strict transform,
+Reid's crepancy criterion, exceptional-component fans and the intersection
+complex are all computed with exact integer/rational arithmetic.
 """
 
 from __future__ import annotations
@@ -56,14 +56,12 @@ class Fan:
         sig = [self.rays[i] for i in self.sigma]
         self._sigma_inv = la.inverse(_ray_matrix_columns(sig))
         self.inverses = {}
-        for c, cone in enumerate(self.cones):
-            if len(cone) == len(self.lattice):
-                try:
-                    self.inverses[c] = la.unimodular_inverse(
-                        _ray_matrix_columns(self.cone_rays(c))
-                    )
-                except ValueError:
-                    pass
+        for c in range(len(self.cones)):
+            cols = _ray_matrix_columns(self.cone_rays(c))
+            try:
+                self.inverses[c] = la.unimodular_inverse(cols)
+            except ValueError:
+                pass  # not square, or not unimodular
 
     def ray_index(self, ray):
         return self._ray_pos[tuple(ray)]
@@ -135,7 +133,6 @@ def verify_smooth_subdivision(fan):
 
 def _facet_pairing_problems(fan):
     problems = []
-    inverses = fan.inverses
     cones_at = {}
     for c, cone in enumerate(fan.cones):
         for facet in combinations(sorted(cone), 3):
@@ -151,10 +148,11 @@ def _facet_pairing_problems(fan):
             problems.append("boundary facet %s shared by %d cones" % (facet, count))
         if not on_boundary and count != 2:
             problems.append("interior facet %s shared by %d cones" % (facet, count))
-        elif not on_boundary and all(c in inverses for c in cones):
+        elif not on_boundary and all(c in fan.inverses for c in cones):
             # the row of a's inverse dual to a's apex is positive on a's side
             a, b = cones
-            row = inverses[a][next(k for k, i in enumerate(fan.cones[a]) if i not in facet)]
+            apex_pos = next(k for k, i in enumerate(fan.cones[a]) if i not in facet)
+            row = fan.inverses[a][apex_pos]
             (apex,) = set(fan.cones[b]) - set(facet)
             if sum(x * y for x, y in zip(row, fan.rays[apex])) >= 0:
                 problems.append(
