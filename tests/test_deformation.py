@@ -1,9 +1,12 @@
 import gc
 import random
 import weakref
+from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srcy.deformation import (
     LINK_CONTRIBUTIONS,
@@ -26,6 +29,7 @@ from srcy.simplicial import (
     suspension_of_ngon,
 )
 from srcy.sr_ideal import minimal_nonfaces
+from test_symmetry import _cyclic_polytope_4_boundary
 
 T1_DIMS = {"delta4": 105, "p7_1": 92, "p7_2": 79, "p7_3": 79, "p7_4": 67, "p7_5": 56}
 
@@ -258,3 +262,175 @@ def test_torus_suspension_is_rejected():
     assert "link of vertex 8 is not a 2-sphere" in failures
     with pytest.raises(ValueError, match=r"link of \[7\] does not classify"):
         t1_link_table_crosscheck(k)
+
+
+# -- the face-set criterion, kept as the reference for admissible_b -------------
+
+
+def _reference_admissible_b(link, b):
+    """admissible_b by comparing every face of L' * boundary(b) (and the ball part)."""
+    b = frozenset(b)
+    if any(len(f & b) < len(b) - 1 for f in link.facets):
+        return False
+    rest = [v for v in link.vertices if v not in b]
+    lprime = link.full_subcomplex(rest) if rest else SimplicialComplex([])
+    target_dim = link.dim() - len(b) + 1
+    bsubsets_proper = _proper_subsets(b)
+    if not link.has_face(b):
+        if not _reference_is_sphere(lprime, target_dim):
+            return False
+        joined = {f | g for f in lprime.faces() for g in bsubsets_proper}
+        return joined == set(link.faces())
+    if not _is_ball(lprime, target_dim):
+        return False
+    joined = {f | g for f in lprime.faces() for g in bsubsets_proper}
+    bsubsets = bsubsets_proper | {b}
+    ball_part = {f | g for f in _ball_boundary(lprime, target_dim) for g in bsubsets}
+    return joined | ball_part == set(link.faces())
+
+
+def _proper_subsets(b):
+    b = tuple(sorted(b))
+    return {frozenset(c) for k in range(len(b)) for c in combinations(b, k)}
+
+
+def _degrees(c):
+    return sorted(c.vertex_degrees().values())
+
+
+def _reference_is_sphere(c, d):
+    if d == -1:
+        return c.facets == frozenset({frozenset()})
+    if c.dim() != d or not c.is_pure():
+        return False
+    if d == 0:
+        return len(c.vertices) == 2
+    if d == 1:
+        return c.is_connected() and set(_degrees(c)) == {2}
+    if d == 2:
+        return (
+            c.is_connected()
+            and c.euler_characteristic() == 2
+            and all(sum(1 for t in c.facets if e <= t) == 2 for e in c.faces_of_dim(1))
+        )
+    raise ValueError("sphere test implemented for dimension <= 2 only")
+
+
+def _is_ball(c, d):
+    if c.facets == frozenset({frozenset()}):
+        return False
+    if c.dim() != d or not c.is_pure():
+        return False
+    if d == 0:
+        return len(c.vertices) == 1
+    if d == 1:
+        degs = _degrees(c)
+        return (
+            c.is_connected()
+            and c.euler_characteristic() == 1
+            and max(degs) <= 2
+            and degs.count(1) == 2
+        )
+    if d == 2:
+        if not c.is_connected() or c.euler_characteristic() != 1:
+            return False
+        boundary_edges = []
+        for e in c.faces_of_dim(1):
+            count = sum(1 for t in c.facets if e <= t)
+            if count > 2 or count == 0:
+                return False
+            if count == 1:
+                boundary_edges.append(e)
+        if not boundary_edges:
+            return False
+        return _reference_is_sphere(SimplicialComplex(boundary_edges), 1)
+    raise ValueError("ball test implemented for dimension <= 2 only")
+
+
+def _ball_boundary(c, d):
+    """Faces of the boundary subcomplex of a d-ball (d <= 2)."""
+    if d == 0:
+        return {frozenset()}
+    ridges = [r for r in c.faces_of_dim(d - 1) if sum(1 for f in c.facets if r <= f) == 1]
+    if not ridges:
+        return {frozenset()}
+    return set(SimplicialComplex(ridges).faces())
+
+
+def _candidates(link):
+    for size in range(2, len(link.vertices) + 1):
+        for b in combinations(link.vertices, size):
+            yield frozenset(b)
+
+
+def test_admissible_b_matches_face_set_reference(complexes):
+    extra = [_cyclic_polytope_4_boundary(8), join(ngon(3), ngon(4, [3, 4, 5, 6]))]
+    for k in [*complexes.values(), *extra]:
+        for f in k.faces():
+            if not f:
+                continue
+            link = k.link(f)
+            for b in _candidates(link):
+                assert admissible_b(link, b) == _reference_admissible_b(link, b), (f, b)
+
+
+@st.composite
+def small_complexes(draw):
+    """Complexes of dimension <= 2 on at most six vertices, pure or not.
+
+    Besides arbitrary ones, draws L' * boundary(b) and the ball variant
+    for a random L' on four vertices and b = {4, 5}, so that admissible
+    candidates on both branches occur.
+    """
+    def faces(top, size):
+        return draw(st.lists(st.frozensets(st.integers(0, top), min_size=1, max_size=size),
+                             min_size=1, max_size=10))
+
+    kind = draw(st.sampled_from(["any", "join", "ball"]))
+    if kind == "any":
+        return SimplicialComplex.from_faces(faces(5, 3))
+    lprime = SimplicialComplex.from_faces(faces(3, 2)).facets
+    b = frozenset({4, 5})
+    if kind == "join":
+        return SimplicialComplex([h | {v} for h in lprime for v in b])
+    return _ball_variant(lprime, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_complexes())
+def test_admissible_b_matches_face_set_reference_on_random_complexes(link):
+    for b in _candidates(link):
+        assert admissible_b(link, b) == _reference_admissible_b(link, b), b
+
+
+def _ball_variant(lprime_facets, b):
+    """(L' * boundary(b)) with every ridge of L' in exactly one facet joined to b."""
+    lprime = SimplicialComplex(lprime_facets)
+    ridges = Counter(f - {v} for f in lprime.facets for v in f)
+    facets = [h | (b - {v}) for h in lprime.facets for v in b]
+    facets += [r | b for r, n in ridges.items() if n == 1]
+    return SimplicialComplex.from_faces(facets)
+
+
+@pytest.mark.parametrize("lprime, ball", [
+    ([(0, 1), (1, 2)], True),  # a path
+    ([(0, 1, 2)], True),  # a triangle
+    ([(0, 1), (0, 2), (0, 3)], False),  # a Y-shaped tree: vertex 0 in three edges
+    ([(0, 1, 2), (0, 3, 4)], False),  # two triangles at a vertex: the rim is a figure eight
+    ([(0, 1, 2), (0, 1, 3), (0, 1, 4)], False),  # three triangles on one edge
+])
+def test_face_branch_needs_a_ball(lprime, ball):
+    b = frozenset({8, 9})
+    link = _ball_variant([frozenset(f) for f in lprime], b)
+    assert link.has_face(b)
+    assert all(len(f & b) >= len(b) - 1 for f in link.facets)
+    assert link.full_subcomplex(v for v in link.vertices if v not in b).facets == {
+        frozenset(f) for f in lprime}
+    assert admissible_b(link, b) == _reference_admissible_b(link, b) == ball
+
+
+def test_admissible_b_raises_beyond_dimension_two():
+    with pytest.raises(ValueError):
+        admissible_b(boundary_simplex(5), {0, 1})  # b a face, L' a 3-simplex
+    with pytest.raises(ValueError):
+        admissible_b(join(SimplicialComplex([{8}, {9}]), boundary_simplex(4)), {8, 9})
