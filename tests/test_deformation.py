@@ -248,11 +248,14 @@ def test_admissible_pairs_do_not_keep_the_complex_alive(complexes):
     assert ref() is None
 
 
+# the 7-vertex torus
+TORUS = [frozenset({i, (i + 1) % 7, (i + 3) % 7}) for i in range(7)]
+TORUS += [frozenset({i, (i + 2) % 7, (i + 3) % 7}) for i in range(7)]
+
+
 def _torus_suspension():
     """Suspension of the 7-vertex torus, apexes 7 and 8: not a 3-sphere."""
-    torus = [frozenset({i, (i + 1) % 7, (i + 3) % 7}) for i in range(7)]
-    torus += [frozenset({i, (i + 2) % 7, (i + 3) % 7}) for i in range(7)]
-    return join(SimplicialComplex([{7}, {8}]), SimplicialComplex(torus))
+    return join(SimplicialComplex([{7}, {8}]), SimplicialComplex(TORUS))
 
 
 def test_torus_suspension_is_rejected():
@@ -418,6 +421,8 @@ def _ball_variant(lprime_facets, b):
     ([(0, 1), (0, 2), (0, 3)], False),  # a Y-shaped tree: vertex 0 in three edges
     ([(0, 1, 2), (0, 3, 4)], False),  # two triangles at a vertex: the rim is a figure eight
     ([(0, 1, 2), (0, 1, 3), (0, 1, 4)], False),  # three triangles on one edge
+    ([(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)], False),  # a path beside a triangle: chi = 1
+    (TORUS[1:], False),  # a torus less a triangle: the rim is a circle, but chi = -1
 ])
 def test_face_branch_needs_a_ball(lprime, ball):
     b = frozenset({8, 9})
@@ -427,6 +432,13 @@ def test_face_branch_needs_a_ball(lprime, ball):
     assert link.full_subcomplex(v for v in link.vertices if v not in b).facets == {
         frozenset(f) for f in lprime}
     assert admissible_b(link, b) == _reference_admissible_b(link, b) == ball
+
+
+def test_face_branch_needs_one_point_when_b_is_a_facet():
+    b = frozenset({8, 9})
+    two_points = SimplicialComplex([{0, 8}, {0, 9}, {1, 8}, {1, 9}, b])  # L' a 0-sphere
+    assert not admissible_b(two_points, b) and not _reference_admissible_b(two_points, b)
+    assert admissible_b(ngon(3, [0, 8, 9]), b)
 
 
 def test_admissible_b_raises_beyond_dimension_two():
