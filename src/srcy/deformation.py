@@ -21,6 +21,7 @@ from .simplicial import (
     classify_link,
     is_combinatorial_3sphere_candidate,
     is_sphere,
+    ridge_counts,
 )
 
 # Admissible-b counts for the standard small links, before the degree-zero
@@ -63,9 +64,11 @@ def admissible_b(link, b):
     With L' the full subcomplex on the complementary vertices, demands
     link = L' * boundary(b) with |L'| a sphere when b is not a face, and
     link = (L' * boundary(b)) union (boundary(L') * closure(b)) with |L'|
-    a ball when b is a face.  Every facet of such a link is H union (b minus
-    one vertex) or H' union b, so a facet holding fewer than |b| - 1
-    vertices of b rejects b before L' is built.
+    a ball when b is a face.  Both sides are pure of the link's
+    dimension, so they agree exactly when their facets do: the sets
+    H union (b minus one vertex) for H a facet of L', and R union b for R
+    a facet of the rim of the ball.  A facet of the link holding fewer
+    than |b| - 1 vertices of b therefore rejects b before L' is built.
     """
     b = frozenset(b)
     if len(b) < 2:
@@ -74,75 +77,41 @@ def admissible_b(link, b):
         raise ValueError("b must lie in the link's vertex set")
     if any(len(f & b) < len(b) - 1 for f in link.facets):
         return False
-    rest = [v for v in link.vertices if v not in b]
-    lprime = link.full_subcomplex(rest) if rest else _void_complex()
+    lprime = link.full_subcomplex(v for v in link.vertices if v not in b)
     target_dim = link.dim() - len(b) + 1
-    bsubsets_proper = _proper_subsets(b)
-    if not link.has_face(b):
-        if not is_sphere(lprime, target_dim):
-            return False
-        joined = {f | g for f in lprime.faces() for g in bsubsets_proper}
-        return joined == set(link.faces())
-    if not _is_ball(lprime, target_dim):
+    if link.has_face(b):
+        rim = _ball_rim(lprime, target_dim)
+    else:
+        rim = [] if is_sphere(lprime, target_dim) else None
+    if rim is None:
         return False
-    joined = {f | g for f in lprime.faces() for g in bsubsets_proper}
-    bsubsets = bsubsets_proper | {b}
-    ball_part = {f | g for f in _ball_boundary(lprime, target_dim) for g in bsubsets}
-    return joined | ball_part == set(link.faces())
+    joined = {h | (b - {v}) for h in lprime.facets for v in b}
+    return joined | {r | b for r in rim} == link.facets
 
 
-def _void_complex():
-    return SimplicialComplex([frozenset()])
+def _ball_rim(c, d):
+    """Facets of the boundary of c when c triangulates the d-ball, else None.
 
-
-def _proper_subsets(b):
-    b = tuple(sorted(b))
-    out = set()
-    for k in range(len(b)):
-        out.update(frozenset(c) for c in combinations(b, k))
-    return out
-
-
-def _is_ball(c, d):
-    if c.facets == frozenset({frozenset()}):
-        return False
+    For d <= 2: c is pure of dimension d and connected, with Euler
+    characteristic 1, and its ridges lie in at most two facets; those in
+    exactly one form a (d-1)-sphere.  The 0-ball's rim is the void complex.
+    """
     if c.dim() != d or not c.is_pure():
-        return False
+        return None
     if d == 0:
-        return len(c.vertices) == 1
-    if d == 1:
-        degs = c.degree_multiset()
-        return (
-            c.is_connected()
-            and c.euler_characteristic() == 1
-            and max(degs) <= 2
-            and degs.count(1) == 2
-        )
-    if d == 2:
-        if not c.is_connected() or c.euler_characteristic() != 1:
-            return False
-        boundary_edges = []
-        for e in c.faces_of_dim(1):
-            count = sum(1 for t in c.facets if e <= t)
-            if count > 2 or count == 0:
-                return False
-            if count == 1:
-                boundary_edges.append(e)
-        if not boundary_edges:
-            return False
-        rim = SimplicialComplex(boundary_edges)
-        return is_sphere(rim, 1)
-    raise ValueError("ball test implemented for dimension <= 2 only")
-
-
-def _ball_boundary(c, d):
-    """Faces of the boundary subcomplex of a d-ball (d <= 2)."""
-    if d == 0:
-        return {frozenset()}
-    ridges = [r for r in c.faces_of_dim(d - 1) if sum(1 for f in c.facets if r <= f) == 1]
-    if not ridges:
-        return {frozenset()}
-    return set(SimplicialComplex(ridges).faces())
+        return [frozenset()] if len(c.vertices) == 1 else None
+    if d > 2:
+        raise ValueError("ball test implemented for dimension <= 2 only")
+    counts = ridge_counts(c)
+    rim = [r for r, n in counts.items() if n == 1]
+    if (
+        max(counts.values()) <= 2
+        and is_sphere(SimplicialComplex(rim), d - 1)
+        and c.is_connected()
+        and c.euler_characteristic() == 1
+    ):
+        return rim
+    return None
 
 
 # -- enumeration ---------------------------------------------------------------

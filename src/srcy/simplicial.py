@@ -8,6 +8,7 @@ triangulation file format.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -71,9 +72,6 @@ class SimplicialComplex:
         """Number of edges at each vertex, as a dict."""
         edges = self.faces_of_dim(1)
         return {v: sum(v in e for e in edges) for v in self.vertices}
-
-    def degree_multiset(self):
-        return tuple(sorted(self.vertex_degrees().values()))
 
     def is_connected(self):
         if not self.vertices:
@@ -342,8 +340,7 @@ def is_combinatorial_3sphere_candidate(k):
     if k.dim() != 3 or not k.is_pure():
         failures.append("complex is not pure of dimension 3")
         return SphereReport(False, failures)
-    for t in k.faces_of_dim(2):
-        count = sum(1 for f in k.facets if t <= f)
+    for t, count in ridge_counts(k).items():
         if count != 2:
             failures.append("triangle %s lies in %d facets" % (sorted(t), count))
     if k.euler_characteristic() != 0:
@@ -354,13 +351,18 @@ def is_combinatorial_3sphere_candidate(k):
     return SphereReport(not failures, failures)
 
 
+def ridge_counts(c):
+    """How many facets hold each ridge (facet minus one vertex), in one pass."""
+    return Counter(f - {v} for f in c.facets for v in f)
+
+
 def is_sphere(c, d):
     """Whether c triangulates the d-sphere, for d <= 2.
 
     The void complex is the (-1)-sphere; otherwise c must be pure of
-    dimension d: two points for d = 0, a connected cycle for d = 1, and a
-    connected surface with Euler characteristic 2 whose edges each lie in
-    two triangles for d = 2.
+    dimension d: two points for d = 0, and for d = 1, 2 a connected
+    complex whose ridges each lie in two facets, with Euler
+    characteristic 2 when d = 2.
     """
     if d == -1:
         return c.facets == frozenset({frozenset()})
@@ -368,12 +370,10 @@ def is_sphere(c, d):
         return False
     if d == 0:
         return len(c.vertices) == 2
-    if d == 1:
-        return c.is_connected() and set(c.degree_multiset()) == {2}
-    if d == 2:
-        return (
-            c.is_connected()
-            and c.euler_characteristic() == 2
-            and all(sum(1 for t in c.facets if e <= t) == 2 for e in c.faces_of_dim(1))
-        )
-    raise ValueError("sphere test implemented for dimension <= 2 only")
+    if d > 2:
+        raise ValueError("sphere test implemented for dimension <= 2 only")
+    return (
+        set(ridge_counts(c).values()) == {2}
+        and c.is_connected()
+        and (d == 1 or c.euler_characteristic() == 2)
+    )

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -14,6 +15,7 @@ from srcy.simplicial import (
     join,
     load_triangulation,
     ngon,
+    ridge_counts,
     suspension_of_ngon,
 )
 
@@ -109,9 +111,21 @@ def test_classification_distinguishes_six_vertex_spheres():
     assert classify_link(SimplicialComplex([{1, 2}, {2, 3}])) == OTHER
 
 
+def test_ridge_counts():
+    y_tree = SimplicialComplex([{0, 1}, {0, 2}, {0, 3}])
+    assert ridge_counts(y_tree) == {frozenset({0}): 3, frozenset({1}): 1,
+                                    frozenset({2}): 1, frozenset({3}): 1}
+    assert ridge_counts(boundary_simplex(3)) == {
+        frozenset(e): 2 for e in combinations(range(4), 2)}
+    # not pure: the edge 23 contributes its two vertices as ridges
+    assert ridge_counts(SimplicialComplex([{0, 1, 2}, {2, 3}])) == {
+        frozenset({0, 1}): 1, frozenset({0, 2}): 1, frozenset({1, 2}): 1,
+        frozenset({2}): 1, frozenset({3}): 1}
+
+
 def test_disconnected_cycles_are_not_an_ngon():
     two_triangles = SimplicialComplex([{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}])
-    assert set(two_triangles.degree_multiset()) == {2}
+    assert set(two_triangles.vertex_degrees().values()) == {2}
     assert classify_link(two_triangles) == OTHER
 
 
@@ -157,7 +171,7 @@ def test_isomorphism_finds_maps():
     a = SimplicialComplex(map(_digits, "035 036 057 067 124 127 136 137 146 246 267 357".split()))
     b = SimplicialComplex(map(_digits, "012 016 027 056 057 126 234 236 247 346 456 457".split()))
     assert tuple(a.f_vector()) == tuple(b.f_vector()) == (1, 8, 18, 12)
-    assert a.degree_multiset() == b.degree_multiset()
+    assert sorted(a.vertex_degrees().values()) == sorted(b.vertex_degrees().values())
     assert not a.is_isomorphic(b) and not b.is_isomorphic(a)
     shift = {v: (3 * v + 1) % 8 for v in range(8)}
     for k in (a, b):
