@@ -179,6 +179,9 @@ def cmd_toric(args):
 
 def cmd_cohom(args):
     res = _load(args.complexes, parse_complexes_file)
+    for name in ("structure_sheaf", "ideal_square"):
+        if name not in res:
+            raise InputError("%s: no %s resolution" % (args.complexes, name))
     out = hodge_pipeline_ci(res["structure_sheaf"], res["ideal_square"])
     _print_json({"h11": out.h11, "h12": out.h12, "intermediates": out.intermediates})
 

@@ -187,7 +187,11 @@ def parse_complexes_file(text):
             current = line.split()[1]
             resolutions[current] = {}
         elif line.startswith("term "):
-            head, body = line.split(":", 1)
+            if ambient is None or current is None:
+                raise ValueError("term before the ambient and resolution headers: %r" % line)
+            head, colon, body = line.partition(":")
+            if not colon or len(head.split()) != 2:
+                raise ValueError("expected 'term i: twists', got %r" % line)
             index = int(head.split()[1])
             terms = []
             for chunk in body.split("+"):
@@ -201,5 +205,7 @@ def parse_complexes_file(text):
             raise ValueError("unrecognized complexes-file line: %r" % line)
     out = {}
     for name, terms in resolutions.items():
+        if sorted(terms) != list(range(len(terms))) or not terms:
+            raise ValueError("resolution %s needs terms 0..k, has %s" % (name, sorted(terms)))
         out[name] = [terms[i] for i in sorted(terms)]
     return out

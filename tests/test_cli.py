@@ -88,6 +88,36 @@ def test_bad_matrix_and_vector_exit_cleanly(capsys, tmp_path):
         assert capsys.readouterr() == ("", err)
 
 
+def _malformed(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+def _exits_2(capsys, argv, err):
+    """The command exits 2 with nothing on stdout and `err` on stderr."""
+    assert main([str(a) for a in argv]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+CI_TEXT = Path(_data("cohomology/ci_degree12.complexes")).read_text()
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("ambient 6\nterm 0: (0)^1\n",
+     "term before the ambient and resolution headers: 'term 0: (0)^1'"),
+    (CI_TEXT.replace("ambient 6", ""),
+     "term before the ambient and resolution headers: 'term 0: (0)^1'"),
+    ("ambient 6\nresolution structure_sheaf\nterm 1: (0)^1\n",
+     "resolution structure_sheaf needs terms 0..k, has [1]"),
+    (CI_TEXT.replace("resolution structure_sheaf", "resolution sheaf"),
+     "no structure_sheaf resolution"),
+])
+def test_malformed_complexes_file_exits_2(capsys, tmp_path, text, reason):
+    path = _malformed(tmp_path, "bad.complexes", text)
+    _exits_2(capsys, ["cohom", "hodge", path], "%s: %s\n" % (path, reason))
+
+
 def test_sr_command(capsys):
     code, out = run_cli(capsys, "sr", _data("triangulations/p7_1.tri"))
     payload = json.loads(out)
