@@ -34,6 +34,7 @@ from .symmetry import automorphism_group, orbits_on_t1
 from .torusgroup import InfiniteStabilizer, diagonal_stabilizer
 from .toric import (
     all_charts,
+    cone_problems,
     crepancy_check,
     derive_component_structure,
     divisor_meets_strict_transform,
@@ -141,8 +142,18 @@ def cmd_toric(args):
         _print_json({"rays": rep.n_rays, "cones": rep.n_cones, "ok": rep.ok,
                      "problems": rep.problems})
         return 0 if rep.ok else 1
+    bad_cones = cone_problems(fan)
+    if bad_cones:
+        raise InputError("%s: %s" % (args.fan, "; ".join(bad_cones)))
     fmono, invmono = _load(args.fpoly, parse_monomial_file)
-    charts = all_charts(fan, invmono)
+    for m in fmono + invmono:
+        if len(m) != len(fan.lattice):
+            raise InputError("%s: monomial %s has %d entries, not %d"
+                             % (args.fpoly, " ".join(map(str, m)), len(m), len(fan.lattice)))
+    try:
+        charts = all_charts(fan, invmono)
+    except ValueError as exc:
+        raise InputError("%s: %s" % (args.fpoly, exc)) from None
     if args.toric_cmd == "crepancy":
         crep = crepancy_check(fan, fmono)
         _print_json({
@@ -158,23 +169,24 @@ def cmd_toric(args):
             "meeting_rays": [list(fan.rays[r]) for r, v in sorted(meets.items()) if v],
         })
         return 0
-    if args.toric_cmd == "euler":
-        rows = [tuple(r) for r in _load(args.components, parse_component_table)]
-        structure = derive_component_structure(fan, charts)
+    rows = _load(args.components, parse_component_table)
+    structure = derive_component_structure(fan, charts)
+    try:
         comps = match_component_table(fan, charts, structure, rows)
-        cx = intersection_complex(fan, charts, comps)
-        chi = euler_exceptional([c.chi for c in comps], cx)
-        _print_json({
-            "components": [
-                {"label": c.label, "chi": c.chi, "provenance": c.chi_provenance}
-                for c in comps
-            ],
-            "edges": len(cx.faces_of_dim(1)),
-            "triangles": len(cx.faces_of_dim(2)),
-            "chi_exceptional": chi,
-        })
-        return 0
-    raise SystemExit("unknown toric subcommand")
+    except ValueError as exc:
+        raise InputError("%s: %s" % (args.components, exc)) from None
+    cx = intersection_complex(fan, charts, comps)
+    chi = euler_exceptional([c.chi for c in comps], cx)
+    _print_json({
+        "components": [
+            {"label": c.label, "chi": c.chi, "provenance": c.chi_provenance}
+            for c in comps
+        ],
+        "edges": len(cx.faces_of_dim(1)),
+        "triangles": len(cx.faces_of_dim(2)),
+        "chi_exceptional": chi,
+    })
+    return 0
 
 
 def cmd_cohom(args):
@@ -231,10 +243,12 @@ def build_parser():
     p.set_defaults(fn=cmd_torus_group)
 
     p = sub.add_parser("toric")
-    p.add_argument("toric_cmd", choices=["verify", "crepancy", "charts", "euler"])
-    p.add_argument("fan")
-    p.add_argument("fpoly", nargs="?")
-    p.add_argument("components", nargs="?")
+    toric = p.add_subparsers(dest="toric_cmd", required=True)
+    for name, files in (("verify", ["fan"]), ("crepancy", ["fan", "fpoly"]),
+                        ("charts", ["fan", "fpoly"]), ("euler", ["fan", "fpoly", "components"])):
+        q = toric.add_parser(name)
+        for f in files:
+            q.add_argument(f)
     p.set_defaults(fn=cmd_toric)
 
     p = sub.add_parser("cohom")

@@ -11,7 +11,7 @@ from fractions import Fraction
 from .cohomology import TwistSum
 from .pfaffian import SkewPolyMatrix
 from .polynomial import PolyRing
-from .toric import Fan
+from .toric import Fan, SurfaceType
 
 
 def _lines(text):
@@ -165,7 +165,11 @@ def parse_component_table(text):
     """Rows `label ray type chi`, ray comma-separated in the working basis."""
     rows = []
     for line in _lines(text):
-        label, ray_text, type_tag, chi = line.split()
+        fields = line.split()
+        if len(fields) != 4:
+            raise ValueError("expected 'label ray type chi', got %r" % line)
+        label, ray_text, type_tag, chi = fields
+        SurfaceType.parse(type_tag)
         ray = tuple(int(tok) for tok in ray_text.split(","))
         rows.append((label, ray, type_tag, int(chi)))
     return rows

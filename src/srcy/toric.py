@@ -117,6 +117,15 @@ def verify_smooth_subdivision(fan):
         if not fan.in_sigma(r):
             problems.append("ray %s lies outside sigma" % (r,))
 
+    problems.extend(cone_problems(fan))
+    problems.extend(_facet_pairing_problems(fan))
+    problems.extend(_sample_coverage_problems(fan))
+    return FanReport(not problems, len(fan.rays), len(fan.cones), problems)
+
+
+def cone_problems(fan):
+    """Why each cone missing from `fan.inverses` is not smooth, in cone order."""
+    problems = []
     for c, cone in enumerate(fan.cones):
         if c in fan.inverses:
             continue
@@ -125,10 +134,7 @@ def verify_smooth_subdivision(fan):
         else:
             d = la.det(_ray_matrix_columns(fan.cone_rays(c)))
             problems.append("cone %d has determinant %s, not unimodular" % (c + 1, d))
-
-    problems.extend(_facet_pairing_problems(fan))
-    problems.extend(_sample_coverage_problems(fan))
-    return FanReport(not problems, len(fan.rays), len(fan.cones), problems)
+    return problems
 
 
 def _facet_pairing_problems(fan):
@@ -822,6 +828,8 @@ def match_component_table(fan, charts, structure, rows):
     taken = set()
     out = []
     for label, ray, type_tag, chi in rows:
+        if tuple(ray) not in fan.rays:
+            raise ValueError("row %s: %s is not a ray of the fan" % (label, ",".join(map(str, ray))))
         ray_id = fan.ray_index(ray)
         surface = SurfaceType.parse(type_tag)
         if surface.chi() != chi:

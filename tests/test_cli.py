@@ -118,6 +118,55 @@ def test_malformed_complexes_file_exits_2(capsys, tmp_path, text, reason):
     _exits_2(capsys, ["cohom", "hodge", path], "%s: %s\n" % (path, reason))
 
 
+def _toric_copy(tmp_path, name, old, new):
+    path = tmp_path / name
+    text = Path(_data("toric/" + name)).read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    return path
+
+
+def test_fan_with_a_cut_cone_exits_2(capsys, tmp_path):
+    fan = _toric_copy(tmp_path, "subdivision.fan", "16 2 5 11", "16 2 5")
+    fpoly, table = _data("toric/hypersurface.fpoly"), _data("toric/components.tbl")
+    err = "%s: cone 1 is not simplicial of full dimension\n" % fan
+    _exits_2(capsys, ["toric", "crepancy", fan, fpoly], err)
+    _exits_2(capsys, ["toric", "charts", fan, fpoly], err)
+    _exits_2(capsys, ["toric", "euler", fan, fpoly, table], err)
+
+
+@pytest.mark.parametrize("argv", [["charts"], ["euler", _data("toric/hypersurface.fpoly")],
+                                  ["crepancy"]])
+def test_toric_without_its_files_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["toric", argv[0], _data("toric/subdivision.fan"), *argv[1:]])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "the following arguments are required" in err
+
+
+@pytest.mark.parametrize("old, new, reason", [
+    ("E1 6,-2,-1,-2 P2 3", "E1 6,-2,-1,-2 P9 3", "unrecognized surface tag 'P9'"),
+    ("E1 6,-2,-1,-2 P2 3", "E1 9,9,9,9 P2 3", "row E1: 9,9,9,9 is not a ray of the fan"),
+    ("E1 6,-2,-1,-2 P2 3", "E1 6,-2,-1,-2 P2",
+     "expected 'label ray type chi', got 'E1 6,-2,-1,-2 P2'"),
+])
+def test_bad_component_table_row_exits_2(capsys, tmp_path, old, new, reason):
+    table = _toric_copy(tmp_path, "components.tbl", old, new)
+    _exits_2(capsys, ["toric", "euler", _data("toric/subdivision.fan"),
+                      _data("toric/hypersurface.fpoly"), table], "%s: %s\n" % (table, reason))
+
+
+@pytest.mark.parametrize("new, reason", [
+    ("1 2 3", "monomial 1 2 3 has 3 entries, not 4"),
+    ("1 0 0 0", "monomial (1, 0, 0, 0) has non-integral chart exponent 3/13 in cone 1"),
+])
+def test_bad_invariant_monomial_exits_2(capsys, tmp_path, new, reason):
+    fpoly = _toric_copy(tmp_path, "hypersurface.fpoly", "2 0 8 0", new)
+    _exits_2(capsys, ["toric", "charts", _data("toric/subdivision.fan"), fpoly],
+             "%s: %s\n" % (fpoly, reason))
+
+
 def test_sr_command(capsys):
     code, out = run_cli(capsys, "sr", _data("triangulations/p7_1.tri"))
     payload = json.loads(out)
