@@ -51,7 +51,7 @@ def _print_json(data):
 
 
 class InputError(Exception):
-    """An unreadable or malformed input file; `main` prints it and exits 2."""
+    """An unreadable or malformed input; `main` prints it and exits 2."""
 
 
 def _load(path, parse):
@@ -198,9 +198,23 @@ def cmd_cohom(args):
     _print_json({"h11": out.h11, "h12": out.h12, "intermediates": out.intermediates})
 
 
+def _weight(text):
+    """A quasi-homogeneous weight: a fraction strictly between 0 and 1."""
+    try:
+        w = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("invalid weight %r" % text) from None
+    if not 0 < w < 1:
+        raise argparse.ArgumentTypeError("weight %s is not strictly between 0 and 1" % text)
+    return w
+
+
 def cmd_milnor(args):
-    weights = quasi_weights([Fraction(w) for w in args.weights])
-    _print_json({"milnor": milnor_quasihomogeneous(weights)})
+    try:
+        mu = milnor_quasihomogeneous(quasi_weights(args.weights))
+    except ValueError as exc:
+        raise InputError("srcy milnor: %s" % exc) from None
+    _print_json({"milnor": mu})
 
 
 def cmd_run_all(args):
@@ -257,7 +271,7 @@ def build_parser():
     p.set_defaults(fn=cmd_cohom)
 
     p = sub.add_parser("milnor")
-    p.add_argument("weights", nargs="+")
+    p.add_argument("weights", nargs="+", type=_weight)
     p.set_defaults(fn=cmd_milnor)
 
     p = sub.add_parser("run-all")

@@ -222,6 +222,24 @@ def test_cohom_and_milnor(capsys):
     assert json.loads(out)["milnor"] == 12
 
 
+@pytest.mark.parametrize("weights, reason", [
+    (["abc"], "invalid weight 'abc'"),
+    (["1/0"], "invalid weight '1/0'"),
+    (["2", "1/3"], "weight 2 is not strictly between 0 and 1"),
+])
+def test_milnor_bad_weights_are_a_usage_error(capsys, weights, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(["milnor", *weights])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("error: argument weights: %s\n" % reason)
+
+
+def test_milnor_non_integral_number_exits_2(capsys):
+    _exits_2(capsys, ["milnor", "1/2", "2/5"],
+             "srcy milnor: weights do not give an integral Milnor number: 3/2\n")
+
+
 def test_run_all_sections_and_exit_codes(capsys):
     code, out = run_cli(capsys, "run-all", "--only", "milnor", "--format", "json")
     assert code == 0
