@@ -194,9 +194,10 @@ def parse_complexes_file(text):
             if ambient is None or current is None:
                 raise ValueError("term before the ambient and resolution headers: %r" % line)
             head, colon, body = line.partition(":")
-            if not colon or len(head.split()) != 2:
+            tokens = head.split()
+            if not colon or len(tokens) != 2:
                 raise ValueError("expected 'term i: twists', got %r" % line)
-            index = int(head.split()[1])
+            index = int(tokens[1])
             terms = []
             for chunk in body.split("+"):
                 chunk = chunk.strip()
@@ -209,7 +210,7 @@ def parse_complexes_file(text):
             raise ValueError("unrecognized complexes-file line: %r" % line)
     out = {}
     for name, terms in resolutions.items():
-        if sorted(terms) != list(range(len(terms))) or not terms:
+        if not terms or sorted(terms) != list(range(len(terms))):
             raise ValueError("resolution %s needs terms 0..k, has %s" % (name, sorted(terms)))
         out[name] = [terms[i] for i in sorted(terms)]
     return out

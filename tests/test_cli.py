@@ -108,6 +108,8 @@ CI_TEXT = Path(_data("cohomology/ci_degree12.complexes")).read_text()
      "term before the ambient and resolution headers: 'term 0: (0)^1'"),
     (CI_TEXT.replace("ambient 6", ""),
      "term before the ambient and resolution headers: 'term 0: (0)^1'"),
+    ("ambient 6\nresolution structure_sheaf\nterm 0 (0)^1\n",
+     "expected 'term i: twists', got 'term 0 (0)^1'"),
     ("ambient 6\nresolution structure_sheaf\nterm 1: (0)^1\n",
      "resolution structure_sheaf needs terms 0..k, has [1]"),
     (CI_TEXT.replace("resolution structure_sheaf", "resolution sheaf"),
