@@ -88,12 +88,6 @@ def test_bad_matrix_and_vector_exit_cleanly(capsys, tmp_path):
         assert capsys.readouterr() == ("", err)
 
 
-def _malformed(tmp_path, name, text):
-    path = tmp_path / name
-    path.write_text(text)
-    return path
-
-
 def _exits_2(capsys, argv, err):
     """The command exits 2 with nothing on stdout and `err` on stderr."""
     assert main([str(a) for a in argv]) == 2
@@ -116,7 +110,8 @@ CI_TEXT = Path(_data("cohomology/ci_degree12.complexes")).read_text()
      "no structure_sheaf resolution"),
 ])
 def test_malformed_complexes_file_exits_2(capsys, tmp_path, text, reason):
-    path = _malformed(tmp_path, "bad.complexes", text)
+    path = tmp_path / "bad.complexes"
+    path.write_text(text)
     _exits_2(capsys, ["cohom", "hodge", path], "%s: %s\n" % (path, reason))
 
 

@@ -248,14 +248,11 @@ def test_admissible_pairs_do_not_keep_the_complex_alive(complexes):
     assert ref() is None
 
 
-# the 7-vertex torus
-TORUS = [frozenset({i, (i + 1) % 7, (i + 3) % 7}) for i in range(7)]
-TORUS += [frozenset({i, (i + 2) % 7, (i + 3) % 7}) for i in range(7)]
-
-
 def _torus_suspension():
     """Suspension of the 7-vertex torus, apexes 7 and 8: not a 3-sphere."""
-    return join(SimplicialComplex([{7}, {8}]), SimplicialComplex(TORUS))
+    torus = [frozenset({i, (i + 1) % 7, (i + 3) % 7}) for i in range(7)]
+    torus += [frozenset({i, (i + 2) % 7, (i + 3) % 7}) for i in range(7)]
+    return join(SimplicialComplex([{7}, {8}]), SimplicialComplex(torus))
 
 
 def test_torus_suspension_is_rejected():
@@ -422,7 +419,8 @@ def _ball_variant(lprime_facets, b):
     ([(0, 1, 2), (0, 3, 4)], False),  # two triangles at a vertex: the rim is a figure eight
     ([(0, 1, 2), (0, 1, 3), (0, 1, 4)], False),  # three triangles on one edge
     ([(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)], False),  # a path beside a triangle: chi = 1
-    (TORUS[1:], False),  # a torus less a triangle: the rim is a circle, but chi = -1
+    # the 7-vertex torus less a triangle: the rim is a circle, but chi = -1
+    (sorted(_torus_suspension().link({7}).facets, key=sorted)[1:], False),
 ])
 def test_face_branch_needs_a_ball(lprime, ball):
     b = frozenset({8, 9})
