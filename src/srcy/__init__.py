@@ -10,8 +10,8 @@ from .simplicial import (
     closure,
     is_combinatorial_3sphere_candidate,
     join,
-    load_triangulation,
 )
+from .fileio import load_triangulation
 from .sr_ideal import degree, hilbert_numerator, minimal_nonfaces
 from .deformation import (
     admissible_b,

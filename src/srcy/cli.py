@@ -6,14 +6,15 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
-from . import fixtures
 from .cohomology import hodge_pipeline_ci
 from .deformation import t1_degree_zero_basis
 from .fileio import (
+    InputError,
     geometry_and_params,
-    parse_complexes_file,
+    load,
+    load_triangulation,
+    parse_ci_complexes,
     parse_component_table,
     parse_fan_file,
     parse_matrix_file,
@@ -28,7 +29,6 @@ from .pfaffian import (
     verify_first_order,
 )
 from .report import emit
-from .simplicial import load_triangulation
 from .sr_ideal import sr_report
 from .symmetry import automorphism_group, orbits_on_t1
 from .torusgroup import InfiniteStabilizer, diagonal_stabilizer
@@ -50,22 +50,16 @@ def _print_json(data):
     sys.stdout.write(json.dumps(data, separators=(",", ":")) + "\n")
 
 
-class InputError(Exception):
-    """An unreadable or malformed input; `main` prints it and exits 2."""
-
-
-def _load(path, parse):
-    """`parse` applied to the file's text; a bad or missing file is an InputError."""
+def _from(path, fn, *args):
+    """`fn(*args)` on data read from `path`; its ValueError is an InputError there."""
     try:
-        return parse(Path(path).read_text())
-    except OSError as exc:
-        raise InputError("%s: %s" % (path, exc.strerror)) from None
+        return fn(*args)
     except ValueError as exc:
-        raise InputError("%s: %s" % (path, exc)) from None
+        raise InputError(str(exc), path) from None
 
 
 def cmd_t1(args):
-    k = _load(args.triangulation, load_triangulation)
+    k = load(args.triangulation, load_triangulation)
     basis = t1_degree_zero_basis(k)
     _print_json({
         "dimension": len(basis),
@@ -77,7 +71,7 @@ def cmd_t1(args):
 
 
 def cmd_aut(args):
-    k = _load(args.triangulation, load_triangulation)
+    k = load(args.triangulation, load_triangulation)
     group = automorphism_group(k)
     _print_json({
         "order": group.order,
@@ -86,7 +80,7 @@ def cmd_aut(args):
 
 
 def cmd_orbits(args):
-    k = _load(args.triangulation, load_triangulation)
+    k = load(args.triangulation, load_triangulation)
     group = automorphism_group(k)
     basis = t1_degree_zero_basis(k)
     part = orbits_on_t1(group, basis)
@@ -99,11 +93,11 @@ def cmd_orbits(args):
 
 
 def cmd_sr(args):
-    _print_json(sr_report(_load(args.triangulation, load_triangulation)))
+    _print_json(sr_report(load(args.triangulation, load_triangulation)))
 
 
 def cmd_pfaffian(args):
-    matrix, _ring = _load(args.matrix, parse_matrix_file)
+    matrix, _ring = load(args.matrix, parse_matrix_file)
     if matrix.dim % 2 == 0:
         _print_json({"pfaffian": str(pfaffian(matrix))})
     else:
@@ -111,8 +105,8 @@ def cmd_pfaffian(args):
 
 
 def cmd_verify_family(args):
-    matrix, ring = _load(args.matrix, parse_matrix_file)
-    vector, _ring2 = _load(args.vector, parse_vector_file)
+    matrix, ring = load(args.matrix, parse_matrix_file)
+    vector, _ring2 = load(args.vector, parse_vector_file)
     _geo, params = geometry_and_params(ring.names)
     vector = [v.rename(ring) for v in vector]
     ok = verify_first_order(matrix, vector, params)
@@ -121,7 +115,7 @@ def cmd_verify_family(args):
 
 
 def cmd_torus_group(args):
-    gens, ring = _load(args.generators, parse_vector_file)
+    gens, ring = load(args.generators, parse_vector_file)
     geo, _params = geometry_and_params(ring.names)
     h = diagonal_stabilizer(gens, geo)
     if isinstance(h, InfiniteStabilizer):
@@ -136,7 +130,7 @@ def cmd_torus_group(args):
 
 
 def cmd_toric(args):
-    fan = _load(args.fan, parse_fan_file)
+    fan = load(args.fan, parse_fan_file)
     if args.toric_cmd == "verify":
         rep = verify_smooth_subdivision(fan)
         _print_json({"rays": rep.n_rays, "cones": rep.n_cones, "ok": rep.ok,
@@ -144,16 +138,13 @@ def cmd_toric(args):
         return 0 if rep.ok else 1
     bad_cones = cone_problems(fan)
     if bad_cones:
-        raise InputError("%s: %s" % (args.fan, "; ".join(bad_cones)))
-    fmono, invmono = _load(args.fpoly, parse_monomial_file)
+        raise InputError("; ".join(bad_cones), args.fan)
+    fmono, invmono = load(args.fpoly, parse_monomial_file)
     for m in fmono + invmono:
         if len(m) != len(fan.lattice):
-            raise InputError("%s: monomial %s has %d entries, not %d"
-                             % (args.fpoly, " ".join(map(str, m)), len(m), len(fan.lattice)))
-    try:
-        charts = all_charts(fan, invmono)
-    except ValueError as exc:
-        raise InputError("%s: %s" % (args.fpoly, exc)) from None
+            raise InputError("monomial %s has %d entries, not %d"
+                             % (" ".join(map(str, m)), len(m), len(fan.lattice)), args.fpoly)
+    charts = _from(args.fpoly, all_charts, fan, invmono)
     if args.toric_cmd == "crepancy":
         crep = crepancy_check(fan, fmono)
         _print_json({
@@ -169,12 +160,9 @@ def cmd_toric(args):
             "meeting_rays": [list(fan.rays[r]) for r, v in sorted(meets.items()) if v],
         })
         return 0
-    rows = _load(args.components, parse_component_table)
+    rows = load(args.components, parse_component_table)
     structure = derive_component_structure(fan, charts)
-    try:
-        comps = match_component_table(fan, charts, structure, rows)
-    except ValueError as exc:
-        raise InputError("%s: %s" % (args.components, exc)) from None
+    comps = _from(args.components, match_component_table, fan, charts, structure, rows)
     cx = intersection_complex(fan, charts, comps)
     chi = euler_exceptional([c.chi for c in comps], cx)
     _print_json({
@@ -190,10 +178,7 @@ def cmd_toric(args):
 
 
 def cmd_cohom(args):
-    res = _load(args.complexes, parse_complexes_file)
-    for name in ("structure_sheaf", "ideal_square"):
-        if name not in res:
-            raise InputError("%s: no %s resolution" % (args.complexes, name))
+    res = load(args.complexes, parse_ci_complexes)
     out = hodge_pipeline_ci(res["structure_sheaf"], res["ideal_square"])
     _print_json({"h11": out.h11, "h12": out.h12, "intermediates": out.intermediates})
 
@@ -210,20 +195,13 @@ def _weight(text):
 
 
 def cmd_milnor(args):
-    try:
-        mu = milnor_quasihomogeneous(quasi_weights(args.weights))
-    except ValueError as exc:
-        raise InputError("srcy milnor: %s" % exc) from None
+    mu = _from("srcy milnor", milnor_quasihomogeneous, quasi_weights(args.weights))
     _print_json({"milnor": mu})
 
 
 def cmd_run_all(args):
     only = args.only.split(",") if args.only else None
-    try:
-        report = run_all(base=args.fixtures, only=only)
-    except fixtures.FixtureError as exc:
-        sys.stderr.write("fixture error: %s\n" % exc)
-        return 2
+    report = run_all(base=args.fixtures, only=only)
     sys.stdout.buffer.write(emit(report, args.format))
     if args.format == "json":
         sys.stdout.write("\n")

@@ -1,24 +1,72 @@
-"""Parsers for the on-disk fixture formats.
+"""Reading srcy's input files: one error type, one loader, one line reader.
 
-All files are UTF-8 text with '#' comments.  Variable headers accept
-range shorthand like `x1..x7`.
+All files are UTF-8 text with '#' comments; variable headers accept range
+shorthand like `x1..x7`.  Every parser reads through `_lines` and raises
+`InputError`, with the line number for a bad line; `load` adds the path.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 from .cohomology import TwistSum
 from .pfaffian import SkewPolyMatrix
 from .polynomial import PolyRing
+from .simplicial import SimplicialComplex
 from .toric import Fan, SurfaceType
 
 
+class InputError(ValueError):
+    """A file srcy cannot use: the reason, and the path and line if known."""
+
+    def __init__(self, reason, path=None, line=None):
+        super().__init__(reason)
+        self.reason = reason
+        self.path = path
+        self.line = line
+
+    def __str__(self):
+        line = None if self.line is None else "line %d" % self.line
+        return ": ".join(str(p) for p in (self.path, line, self.reason) if p is not None)
+
+
+def load(path, parse):
+    """`parse` applied to the text of `path`; a read or parse failure is an InputError."""
+    try:
+        return parse(Path(path).read_text())
+    except OSError as exc:
+        raise InputError(exc.strerror, path) from None
+    except InputError as exc:
+        exc.path = path
+        raise
+    except ValueError as exc:
+        raise InputError(str(exc), path) from None
+
+
 def _lines(text):
-    for raw in text.splitlines():
+    """(number, text) of each line, '#' comments stripped and blank lines skipped."""
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield line
+            yield n, line
+
+
+@contextmanager
+def _at(line):
+    """Report a ValueError raised in the block as an InputError at `line`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InputError(str(exc), line=line) from None
+
+
+def _ints(line, what):
+    try:
+        return tuple(int(tok) for tok in line.split())
+    except ValueError:
+        raise ValueError("%s must be whitespace-separated integers" % what) from None
 
 
 def expand_var_names(tokens):
@@ -54,54 +102,46 @@ def _entry(line, ring, size, count):
         form = "entry %s : poly" % " ".join("ij"[:count])
         raise ValueError("expected %r, got %r" % (form, line))
     try:
-        indices = [int(tok) for tok in tokens]
+        indices = tuple(int(tok) for tok in tokens)
     except ValueError:
         raise ValueError("entry indices must be integers: %r" % line) from None
     if not all(1 <= i <= size for i in indices):
         raise ValueError("entry index out of range 1..%d: %r" % (size, line))
+    if count == 2 and indices[0] >= indices[1]:
+        raise ValueError("entry (%d,%d) must have 1 <= i < j <= dim" % indices)
     return indices, ring.parse(poly_text)
+
+
+def _entry_file(text, kind, size_word, count):
+    """(size, ring, {indices: poly}) of a file of size, `vars` and `entry` lines."""
+    size = ring = None
+    entries = {}
+    for n, line in _lines(text):
+        with _at(n):
+            if line.startswith(size_word + " "):
+                size = int(line.split()[1])
+            elif line.startswith("vars "):
+                ring = PolyRing(expand_var_names(line.split()[1:]))
+            elif line.startswith("entry "):
+                indices, poly = _entry(line, ring, size, count)
+                entries[indices] = poly
+            else:
+                raise ValueError("unrecognized %s-file line: %r" % (kind, line))
+    if size is None or ring is None:
+        raise InputError("%s file needs %s and vars headers" % (kind, size_word))
+    return size, ring, entries
 
 
 def parse_matrix_file(text):
     """Skew matrix file: `dim d`, `vars ...`, then `entry i j : poly` lines."""
-    dim = None
-    ring = None
-    entries = {}
-    for line in _lines(text):
-        if line.startswith("dim "):
-            dim = int(line.split()[1])
-        elif line.startswith("vars "):
-            ring = PolyRing(expand_var_names(line.split()[1:]))
-        elif line.startswith("entry "):
-            (i, j), poly = _entry(line, ring, dim, 2)
-            if i >= j:
-                raise ValueError("entry (%d,%d) must have 1 <= i < j <= dim" % (i, j))
-            entries[(i, j)] = poly
-        else:
-            raise ValueError("unrecognized matrix-file line: %r" % line)
-    if dim is None or ring is None:
-        raise ValueError("matrix file needs dim and vars headers")
+    dim, ring, entries = _entry_file(text, "matrix", "dim", 2)
     return SkewPolyMatrix(ring, dim, entries), ring
 
 
 def parse_vector_file(text):
     """Generator vector file: `len k`, `vars ...`, then `entry i : poly`."""
-    length = None
-    ring = None
-    entries = {}
-    for line in _lines(text):
-        if line.startswith("len "):
-            length = int(line.split()[1])
-        elif line.startswith("vars "):
-            ring = PolyRing(expand_var_names(line.split()[1:]))
-        elif line.startswith("entry "):
-            (i,), poly = _entry(line, ring, length, 1)
-            entries[i] = poly
-        else:
-            raise ValueError("unrecognized vector-file line: %r" % line)
-    if length is None or ring is None:
-        raise ValueError("vector file needs len and vars headers")
-    return [entries.get(i, ring.zero()) for i in range(1, length + 1)], ring
+    length, ring, entries = _entry_file(text, "vector", "len", 1)
+    return [entries.get((i,), ring.zero()) for i in range(1, length + 1)], ring
 
 
 def parse_fan_file(text):
@@ -112,66 +152,69 @@ def parse_fan_file(text):
     rows list 1-based ray indices.
     """
     section = None
-    lattice_rows = []
-    rays = []
-    sigma = []
-    cones = []
-    for line in _lines(text):
-        if line in ("lattice", "rays", "sigma", "cones"):
+    blocks = {"lattice": [], "rays": [], "sigma": [], "cones": []}  # (line, row) pairs
+    for n, line in _lines(text):
+        if line in blocks:
             section = line
             continue
-        if section == "lattice":
-            lattice_rows.append([Fraction(tok) for tok in line.split()])
-        elif section == "rays":
-            rays.append(tuple(int(tok) for tok in line.split()))
-        elif section == "sigma":
-            sigma.extend(int(tok) - 1 for tok in line.split())
-        elif section == "cones":
-            cones.append(tuple(int(tok) - 1 for tok in line.split()))
-        else:
-            raise ValueError("data before any section header: %r" % line)
-    for name, block in (("lattice", lattice_rows), ("rays", rays), ("sigma", sigma),
-                        ("cones", cones)):
+        with _at(n):
+            if section == "lattice":
+                row = [Fraction(tok) for tok in line.split()]
+            elif section == "rays":
+                row = _ints(line, "rays")
+            elif section in ("sigma", "cones"):
+                row = tuple(i - 1 for i in _ints(line, "ray indices"))
+            else:
+                raise ValueError("data before any section header: %r" % line)
+            blocks[section].append((n, row))
+    for name, block in blocks.items():
         if not block:
-            raise ValueError("empty %s block" % name)
-    rank = len(lattice_rows)
-    for name, rows in (("lattice row", lattice_rows), ("ray", rays)):
-        for n, row in enumerate(rows, 1):
+            raise InputError("empty %s block" % name)
+    rank = len(blocks["lattice"])
+    for name, what in (("lattice", "lattice row"), ("rays", "ray")):
+        for n, row in blocks[name]:
             if len(row) != rank:
-                raise ValueError("%s %d has %d entries, not %d" % (name, n, len(row), rank))
+                raise InputError("%s has %d entries, not %d" % (what, len(row), rank), line=n)
+    lattice_rows, rays, cones = ([row for _n, row in blocks[name]]
+                                 for name in ("lattice", "rays", "cones"))
+    sigma = [i for _n, row in blocks["sigma"] for i in row]
     if len(sigma) != rank:
-        raise ValueError("sigma lists %d rays, not %d" % (len(sigma), rank))
-    for i in sigma + [i for cone in cones for i in cone]:
-        if not 0 <= i < len(rays):
-            raise ValueError("ray index %d out of range 1..%d" % (i + 1, len(rays)))
-    return Fan(lattice_rows, rays, cones, sigma)
+        raise InputError("sigma lists %d rays, not %d" % (len(sigma), rank))
+    for n, row in blocks["sigma"] + blocks["cones"]:
+        for i in row:
+            if not 0 <= i < len(rays):
+                raise InputError("ray index %d out of range 1..%d" % (i + 1, len(rays)), line=n)
+    with _at(None):
+        return Fan(lattice_rows, rays, cones, sigma)
 
 
 def parse_monomial_file(text):
     """`monomials` and `invariant_monomials` blocks of exponent rows."""
     section = None
     out = {"monomials": [], "invariant_monomials": []}
-    for line in _lines(text):
+    for n, line in _lines(text):
         if line in out:
             section = line
             continue
-        if section is None:
-            raise ValueError("data before any section header: %r" % line)
-        out[section].append(tuple(int(tok) for tok in line.split()))
+        with _at(n):
+            if section is None:
+                raise ValueError("data before any section header: %r" % line)
+            out[section].append(_ints(line, "exponents"))
     return out["monomials"], out["invariant_monomials"]
 
 
 def parse_component_table(text):
     """Rows `label ray type chi`, ray comma-separated in the working basis."""
     rows = []
-    for line in _lines(text):
-        fields = line.split()
-        if len(fields) != 4:
-            raise ValueError("expected 'label ray type chi', got %r" % line)
-        label, ray_text, type_tag, chi = fields
-        SurfaceType.parse(type_tag)
-        ray = tuple(int(tok) for tok in ray_text.split(","))
-        rows.append((label, ray, type_tag, int(chi)))
+    for n, line in _lines(text):
+        with _at(n):
+            fields = line.split()
+            if len(fields) != 4:
+                raise ValueError("expected 'label ray type chi', got %r" % line)
+            label, ray_text, type_tag, chi = fields
+            SurfaceType.parse(type_tag)
+            ray = tuple(int(tok) for tok in ray_text.split(","))
+            rows.append((label, ray, type_tag, int(chi)))
     return rows
 
 
@@ -182,35 +225,77 @@ def parse_complexes_file(text):
     of the resolution nearest the resolved sheaf.
     """
     ambient = None
-    resolutions = {}
-    current = None
-    for line in _lines(text):
-        if line.startswith("ambient "):
-            ambient = int(line.split()[1])
-        elif line.startswith("resolution "):
-            current = line.split()[1]
-            resolutions[current] = {}
-        elif line.startswith("term "):
-            if ambient is None or current is None:
-                raise ValueError("term before the ambient and resolution headers: %r" % line)
-            head, colon, body = line.partition(":")
-            tokens = head.split()
-            if not colon or len(tokens) != 2:
-                raise ValueError("expected 'term i: twists', got %r" % line)
-            index = int(tokens[1])
-            terms = []
-            for chunk in body.split("+"):
-                chunk = chunk.strip()
-                if not chunk.startswith("(") or ")^" not in chunk:
-                    raise ValueError("malformed twist term %r" % chunk)
-                d_text, m_text = chunk[1:].split(")^")
-                terms.append((int(d_text), int(m_text)))
-            resolutions[current][index] = TwistSum(tuple(terms), ambient)
-        else:
-            raise ValueError("unrecognized complexes-file line: %r" % line)
+    resolutions = {}  # name -> (header line, {index: TwistSum})
+    terms = None
+    for n, line in _lines(text):
+        with _at(n):
+            if line.startswith("ambient "):
+                ambient = int(line.split()[1])
+            elif line.startswith("resolution "):
+                terms = {}
+                resolutions[line.split()[1]] = (n, terms)
+            elif line.startswith("term "):
+                if ambient is None or terms is None:
+                    raise ValueError("term before the ambient and resolution headers: %r" % line)
+                head, colon, body = line.partition(":")
+                tokens = head.split()
+                if not colon or len(tokens) != 2:
+                    raise ValueError("expected 'term i: twists', got %r" % line)
+                index = int(tokens[1])
+                twists = []
+                for chunk in body.split("+"):
+                    chunk = chunk.strip()
+                    if not chunk.startswith("(") or ")^" not in chunk:
+                        raise ValueError("malformed twist term %r" % chunk)
+                    d_text, m_text = chunk[1:].split(")^")
+                    twists.append((int(d_text), int(m_text)))
+                terms[index] = TwistSum(tuple(twists), ambient)
+            else:
+                raise ValueError("unrecognized complexes-file line: %r" % line)
     out = {}
-    for name, terms in resolutions.items():
+    for name, (n, terms) in resolutions.items():
         if not terms or sorted(terms) != list(range(len(terms))):
-            raise ValueError("resolution %s needs terms 0..k, has %s" % (name, sorted(terms)))
+            raise InputError("resolution %s needs terms 0..k, has %s" % (name, sorted(terms)),
+                             line=n)
         out[name] = [terms[i] for i in sorted(terms)]
     return out
+
+
+def parse_ci_complexes(text):
+    """A complexes file holding both resolutions `hodge_pipeline_ci` chases."""
+    res = parse_complexes_file(text)
+    for name in ("structure_sheaf", "ideal_square"):
+        if name not in res:
+            raise InputError("no %s resolution" % name)
+    return res
+
+
+def load_triangulation(text):
+    """Facet-list file: one facet per line of distinct non-negative vertex labels."""
+    facets = {}  # facet -> line
+    for n, line in _lines(text):
+        with _at(n):
+            labels = _ints(line, "facets")
+            if len(set(labels)) != len(labels):
+                raise ValueError("repeated vertex in facet")
+            if any(v < 0 for v in labels):
+                raise ValueError("negative vertex label")
+            f = frozenset(labels)
+            if f in facets:
+                raise ValueError("duplicate facet %s" % sorted(f))
+            facets[f] = n
+    if not facets:
+        raise InputError("empty triangulation file")
+    for f, n in facets.items():
+        if any(f < g for g in facets):
+            raise InputError("facet %s is contained in another facet" % sorted(f), line=n)
+    return SimplicialComplex(facets)
+
+
+def parse_point_file(text):
+    """One lattice point per line, as whitespace-separated integers."""
+    points = []
+    for n, line in _lines(text):
+        with _at(n):
+            points.append(_ints(line, "points"))
+    return points

@@ -1,7 +1,9 @@
 """Locating and loading the bundled fixture data.
 
 The default directory ships inside the package; SRCY_FIXTURES overrides
-it (same layout: triangulations/, families/, toric/, cohomology/).
+it (same layout: triangulations/, families/, toric/, cohomology/).  Every
+fixture is read through `fileio.load`, so a missing or malformed one
+raises the same `InputError` as a file named on the command line.
 """
 
 from __future__ import annotations
@@ -10,20 +12,18 @@ import os
 from pathlib import Path
 
 from .fileio import (
-    parse_complexes_file,
+    load,
+    load_triangulation,
+    parse_ci_complexes,
     parse_component_table,
     parse_fan_file,
     parse_matrix_file,
     parse_monomial_file,
+    parse_point_file,
     parse_vector_file,
 )
-from .simplicial import load_triangulation
 
 TRIANGULATIONS = ["delta4", "p7_1", "p7_2", "p7_3", "p7_4", "p7_5"]
-
-
-class FixtureError(RuntimeError):
-    pass
 
 
 def fixture_dir(override=None):
@@ -35,57 +35,33 @@ def fixture_dir(override=None):
     return Path(__file__).parent / "data"
 
 
-def _load(base, rel, parse):
-    """`parse` applied to the fixture file `rel` under `base`.
-
-    A missing file, or one the parser rejects with a ValueError, raises
-    FixtureError naming the path.
-    """
-    path = Path(base) / rel
-    if not path.exists():
-        raise FixtureError("missing fixture file %s" % path)
-    try:
-        return parse(path.read_text())
-    except ValueError as exc:
-        raise FixtureError("%s: %s" % (path, exc)) from exc
-
-
 def triangulation(name, base=None):
-    return _load(fixture_dir(base), "triangulations/%s.tri" % name, load_triangulation)
+    return load(fixture_dir(base) / ("triangulations/%s.tri" % name), load_triangulation)
 
 
 def family_matrix(name, base=None):
-    return _load(fixture_dir(base), "families/%s.mat" % name, parse_matrix_file)
+    return load(fixture_dir(base) / ("families/%s.mat" % name), parse_matrix_file)
 
 
 def generator_vector(name, base=None):
-    return _load(fixture_dir(base), "families/%s.gens" % name, parse_vector_file)
+    return load(fixture_dir(base) / ("families/%s.gens" % name), parse_vector_file)
 
 
 def subdivision_fan(base=None):
-    return _load(fixture_dir(base), "toric/subdivision.fan", parse_fan_file)
+    return load(fixture_dir(base) / "toric/subdivision.fan", parse_fan_file)
 
 
 def hypersurface_monomials(base=None):
-    return _load(fixture_dir(base), "toric/hypersurface.fpoly", parse_monomial_file)
+    return load(fixture_dir(base) / "toric/hypersurface.fpoly", parse_monomial_file)
 
 
 def component_table(base=None):
-    return _load(fixture_dir(base), "toric/components.tbl", parse_component_table)
+    return load(fixture_dir(base) / "toric/components.tbl", parse_component_table)
 
 
 def scroll_polytope(base=None):
-    return _load(fixture_dir(base), "toric/scroll_polytope.txt", _parse_points)
-
-
-def _parse_points(text):
-    points = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            points.append(tuple(int(t) for t in line.split()))
-    return points
+    return load(fixture_dir(base) / "toric/scroll_polytope.txt", parse_point_file)
 
 
 def ci_complexes(base=None):
-    return _load(fixture_dir(base), "cohomology/ci_degree12.complexes", parse_complexes_file)
+    return load(fixture_dir(base) / "cohomology/ci_degree12.complexes", parse_ci_complexes)

@@ -205,35 +205,6 @@ def join(*complexes):
     return out
 
 
-def load_triangulation(text):
-    """Parse a facet-list file: one facet per line, '#' starts a comment."""
-    facets = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            labels = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise ValueError("line %d: facets must be whitespace-separated integers" % lineno)
-        if len(set(labels)) != len(labels):
-            raise ValueError("line %d: repeated vertex in facet" % lineno)
-        if any(v < 0 for v in labels):
-            raise ValueError("line %d: negative vertex label" % lineno)
-        facets.append(frozenset(labels))
-    if not facets:
-        raise ValueError("empty triangulation file")
-    seen = set()
-    for f in facets:
-        if f in seen:
-            raise ValueError("duplicate facet %s" % sorted(f))
-        seen.add(f)
-    for f in facets:
-        if any(f < g for g in facets):
-            raise ValueError("facet %s is contained in another facet" % sorted(f))
-    return SimplicialComplex(facets)
-
-
 # -- reference complexes and link classification ------------------------------
 
 

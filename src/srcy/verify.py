@@ -22,7 +22,7 @@ from .deformation import (
     t1_link_table_crosscheck,
 )
 from .families import check_first_order_lift
-from .fileio import geometry_and_params
+from .fileio import InputError, geometry_and_params
 from .intlinalg import det
 from .pfaffian import (
     SkewPolyMatrix,
@@ -100,7 +100,7 @@ def run_all(base=None, only=None):
             continue
         try:
             runner()
-        except fixtures.FixtureError:
+        except InputError:
             raise
         except Exception as exc:  # fault isolation between sections
             report.add("%s.completed" % section, True,

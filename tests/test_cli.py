@@ -80,9 +80,10 @@ def test_bad_matrix_and_vector_exit_cleanly(capsys, tmp_path):
     gens = tmp_path / "early.gens"
     gens.write_text("len 1\nentry 1 : x1\nvars x1\n")
     for argv, err in (
-        (["pfaffian", mat], "%s: expected 'entry i j : poly', got 'entry 1 : x1'\n" % mat),
+        (["pfaffian", mat],
+         "%s: line 3: expected 'entry i j : poly', got 'entry 1 : x1'\n" % mat),
         (["torus-group", gens],
-         "%s: entry before the size and vars headers: 'entry 1 : x1'\n" % gens),
+         "%s: line 2: entry before the size and vars headers: 'entry 1 : x1'\n" % gens),
     ):
         assert main([str(a) for a in argv]) == 2
         assert capsys.readouterr() == ("", err)
@@ -94,25 +95,31 @@ def _exits_2(capsys, argv, err):
     assert capsys.readouterr() == ("", err)
 
 
+def _where(path, line):
+    """The `<path>` or `<path>: line <n>` that starts an input error."""
+    return str(path) if line is None else "%s: line %d" % (path, line)
+
+
 CI_TEXT = Path(_data("cohomology/ci_degree12.complexes")).read_text()
 
 
-@pytest.mark.parametrize("text, reason", [
+@pytest.mark.parametrize("text, reason, line", [
     ("ambient 6\nterm 0: (0)^1\n",
-     "term before the ambient and resolution headers: 'term 0: (0)^1'"),
+     "term before the ambient and resolution headers: 'term 0: (0)^1'", 2),
     (CI_TEXT.replace("ambient 6", ""),
-     "term before the ambient and resolution headers: 'term 0: (0)^1'"),
+     "term before the ambient and resolution headers: 'term 0: (0)^1'", 8),
     ("ambient 6\nresolution structure_sheaf\nterm 0 (0)^1\n",
-     "expected 'term i: twists', got 'term 0 (0)^1'"),
+     "expected 'term i: twists', got 'term 0 (0)^1'", 3),
     ("ambient 6\nresolution structure_sheaf\nterm 1: (0)^1\n",
-     "resolution structure_sheaf needs terms 0..k, has [1]"),
+     "resolution structure_sheaf needs terms 0..k, has [1]", 2),
     (CI_TEXT.replace("resolution structure_sheaf", "resolution sheaf"),
-     "no structure_sheaf resolution"),
+     "no structure_sheaf resolution", None),
 ])
-def test_malformed_complexes_file_exits_2(capsys, tmp_path, text, reason):
+def test_malformed_complexes_file_exits_2(capsys, tmp_path, text, reason, line):
     path = tmp_path / "bad.complexes"
     path.write_text(text)
-    _exits_2(capsys, ["cohom", "hodge", path], "%s: %s\n" % (path, reason))
+    assert text != CI_TEXT
+    _exits_2(capsys, ["cohom", "hodge", path], "%s: %s\n" % (_where(path, line), reason))
 
 
 def _toric_copy(tmp_path, name, old, new):
@@ -142,16 +149,18 @@ def test_toric_without_its_files_is_a_usage_error(capsys, argv):
     assert out == "" and "the following arguments are required" in err
 
 
-@pytest.mark.parametrize("old, new, reason", [
-    ("E1 6,-2,-1,-2 P2 3", "E1 6,-2,-1,-2 P9 3", "unrecognized surface tag 'P9'"),
-    ("E1 6,-2,-1,-2 P2 3", "E1 9,9,9,9 P2 3", "row E1: 9,9,9,9 is not a ray of the fan"),
+@pytest.mark.parametrize("old, new, reason, line", [
+    ("E1 6,-2,-1,-2 P2 3", "E1 6,-2,-1,-2 P9 3", "unrecognized surface tag 'P9'", 2),
+    ("E1 6,-2,-1,-2 P2 3", "E1 9,9,9,9 P2 3", "row E1: 9,9,9,9 is not a ray of the fan", None),
     ("E1 6,-2,-1,-2 P2 3", "E1 6,-2,-1,-2 P2",
-     "expected 'label ray type chi', got 'E1 6,-2,-1,-2 P2'"),
+     "expected 'label ray type chi', got 'E1 6,-2,-1,-2 P2'", 2),
+    ("E1 6,-2,-1,-2 P2 3", "E1 6,-2,x,-2 P2 3", "invalid literal for int() with base 10: 'x'", 2),
 ])
-def test_bad_component_table_row_exits_2(capsys, tmp_path, old, new, reason):
+def test_bad_component_table_row_exits_2(capsys, tmp_path, old, new, reason, line):
     table = _toric_copy(tmp_path, "components.tbl", old, new)
     _exits_2(capsys, ["toric", "euler", _data("toric/subdivision.fan"),
-                      _data("toric/hypersurface.fpoly"), table], "%s: %s\n" % (table, reason))
+                      _data("toric/hypersurface.fpoly"), table],
+             "%s: %s\n" % (_where(table, line), reason))
 
 
 @pytest.mark.parametrize("new, reason", [
@@ -279,13 +288,25 @@ def test_run_all_malformed_fixture_exits_2(tmp_path, capsys, rel, section):
 
     shutil.copytree(fixtures.fixture_dir(), tmp_path / "data")
     path = tmp_path / "data" / rel
-    path.write_text(path.read_text() + "3 x\n")
-    code = main(["run-all", "--fixtures", str(tmp_path / "data"), "--only", section])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("fixture error: %s: " % path)
-    assert "Traceback" not in captured.err
+    text = path.read_text() + "3 x\n"
+    path.write_text(text)
+    reason = {
+        "families/p7_1.mat": "unrecognized matrix-file line: '3 x'",
+        "triangulations/p7_2.tri": "facets must be whitespace-separated integers",
+        "toric/scroll_polytope.txt": "points must be whitespace-separated integers",
+    }[rel]
+    _exits_2(capsys, ["run-all", "--fixtures", tmp_path / "data", "--only", section],
+             "%s: line %d: %s\n" % (path, len(text.splitlines()), reason))
+
+
+def test_run_all_cohom_fixture_without_structure_sheaf_exits_2(tmp_path, capsys):
+    import shutil
+
+    shutil.copytree(fixtures.fixture_dir(), tmp_path / "data")
+    path = tmp_path / "data" / "cohomology" / "ci_degree12.complexes"
+    path.write_text(CI_TEXT.replace("resolution structure_sheaf", "resolution sheaf"))
+    _exits_2(capsys, ["run-all", "--fixtures", tmp_path / "data", "--only", "cohom"],
+             "%s: no structure_sheaf resolution\n" % path)
 
 
 def test_python_dash_m_runs_the_cli():

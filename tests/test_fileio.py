@@ -1,13 +1,18 @@
 import pytest
 
 from srcy.fileio import (
+    InputError,
     expand_var_names,
     geometry_and_params,
+    load,
+    load_triangulation,
+    parse_ci_complexes,
     parse_complexes_file,
     parse_component_table,
     parse_fan_file,
     parse_matrix_file,
     parse_monomial_file,
+    parse_point_file,
     parse_vector_file,
 )
 
@@ -84,21 +89,24 @@ cones
 
 def test_fan_file_errors():
     assert parse_fan_file(UNIT_FAN).cones == [(0, 1, 2)]
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="line 1: data before any section header"):
         parse_fan_file("1 2 3\n")
     for old, new, reason in (
         ("cones\n1 2 3\n", "cones\n", "empty cones block"),
         ("rays\n1 0 0\n0 1 0\n0 0 1\n", "rays\n", "empty rays block"),
-        ("rays\n1 0 0\n0 1 0", "rays\n1 0 0\n0 1", "ray 2 has 2 entries, not 3"),
-        ("lattice\n1 0 0", "lattice\n1 0 0 0", "lattice row 1 has 4 entries, not 3"),
+        ("rays\n1 0 0\n0 1 0", "rays\n1 0 0\n0 1", "line 7: ray has 2 entries, not 3"),
+        ("lattice\n1 0 0", "lattice\n1 0 0 0", "line 2: lattice row has 4 entries, not 3"),
         ("sigma\n1 2 3", "sigma\n1 2", "sigma lists 2 rays, not 3"),
-        ("sigma\n1 2 3", "sigma\n1 2 4", "ray index 4 out of range 1..3"),
-        ("cones\n1 2 3", "cones\n0 1 2", "ray index 0 out of range 1..3"),
+        ("sigma\n1 2 3", "sigma\n1 2 4", "line 10: ray index 4 out of range 1..3"),
+        ("cones\n1 2 3", "cones\n0 1 2", "line 12: ray index 0 out of range 1..3"),
+        ("cones\n1 2 3", "cones\n1 x 3", "line 12: ray indices must be whitespace-separated"
+         " integers"),
         ("0 0 1\nrays", "1 1 0\nrays", "lattice basis matrix is singular"),
     ):
         assert old in UNIT_FAN
-        with pytest.raises(ValueError, match=reason):
+        with pytest.raises(InputError) as exc:
             parse_fan_file(UNIT_FAN.replace(old, new))
+        assert str(exc.value) == reason
 
 
 def test_component_table():
@@ -121,3 +129,60 @@ def test_complexes_file():
     res = parse_complexes_file(text)
     assert [t.twists for t in res["demo"]] == [((0, 1),), ((-2, 2), (-3, 1))]
     assert res["demo"][0].n == 6
+
+
+def test_input_error_names_what_it_knows():
+    assert str(InputError("bad")) == "bad"
+    assert str(InputError("bad", line=3)) == "line 3: bad"
+    assert str(InputError("bad", "f.mat")) == "f.mat: bad"
+    assert str(InputError("bad", "f.mat", 3)) == "f.mat: line 3: bad"
+    assert isinstance(InputError("bad"), ValueError)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_matrix_file, "# m\ndim 2\nvars x1\n\nentry 1 2 : x1 +\n",
+     "line 5: unexpected end of polynomial"),
+    (parse_matrix_file, "dim 2\n", "matrix file needs dim and vars headers"),
+    (parse_vector_file, "len 1\nvars x1..t2\n", "line 2: range 'x1..t2' mixes prefixes"),
+    (parse_vector_file, "len 1\nvars x1 x1\n", "line 2: duplicate variable names: ('x1', 'x1')"),
+    (parse_monomial_file, "monomials\n1 0\n1 a\n",
+     "line 3: exponents must be whitespace-separated integers"),
+    (parse_monomial_file, "\n1 0\n", "line 2: data before any section header: '1 0'"),
+    (parse_component_table, "# t\nE1 1,0,0,0 P2 x\n",
+     "line 2: invalid literal for int() with base 10: 'x'"),
+    (parse_complexes_file, "ambient 6\nresolution a\nterm 0: (0)^1 + 3\n",
+     "line 3: malformed twist term '3'"),
+    (parse_complexes_file, "ambient 6\nresolution a\nfoo\n",
+     "line 3: unrecognized complexes-file line: 'foo'"),
+    (parse_ci_complexes, "ambient 6\nresolution structure_sheaf\nterm 0: (0)^1\n"
+     "term 1: (-2)^1\n", "no ideal_square resolution"),
+    (load_triangulation, "0 1 2\n\n0 1 1\n", "line 3: repeated vertex in facet"),
+    (load_triangulation, "0 1 2\n0 -1 2\n", "line 2: negative vertex label"),
+    (load_triangulation, "0 1 2\n2 1 0\n", "line 2: duplicate facet [0, 1, 2]"),
+    (load_triangulation, "0 1\n0 1 2\n", "line 1: facet [0, 1] is contained in another facet"),
+    (load_triangulation, "# only a comment\n", "empty triangulation file"),
+    (parse_point_file, "0 0\n0 x\n", "line 2: points must be whitespace-separated integers"),
+])
+def test_bad_line_names_its_number(parse, text, message):
+    with pytest.raises(InputError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+def test_load_names_the_path(tmp_path):
+    path = tmp_path / "bad.mat"
+    path.write_text("dim 2\nvars x1\nentry 1 2 : y\n")
+    for target, message in (
+        (path, "%s: line 3: unknown variable 'y' in polynomial" % path),
+        (tmp_path / "missing.mat", "%s: No such file or directory" % (tmp_path / "missing.mat")),
+        (tmp_path, "%s: Is a directory" % tmp_path),
+    ):
+        with pytest.raises(InputError) as exc:
+            load(target, parse_matrix_file)
+        assert str(exc.value) == message
+    path.write_bytes(b"dim 2\n\xff\n")
+    with pytest.raises(InputError) as exc:
+        load(path, parse_matrix_file)
+    assert exc.value.path == path and "can't decode byte 0xff" in exc.value.reason
+    path.write_text("0 1\n")
+    assert load(path, load_triangulation).facets == {frozenset({0, 1})}

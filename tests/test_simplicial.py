@@ -13,11 +13,11 @@ from srcy.simplicial import (
     cyclic_polytope_boundary,
     is_combinatorial_3sphere_candidate,
     join,
-    load_triangulation,
     ngon,
     ridge_counts,
     suspension_of_ngon,
 )
+from srcy.fileio import load_triangulation
 
 
 def test_load_rejects_bad_input():

@@ -1,6 +1,7 @@
 import pytest
 
-from srcy.simplicial import SimplicialComplex, load_triangulation
+from srcy.fileio import load_triangulation
+from srcy.simplicial import SimplicialComplex
 from srcy.sr_ideal import degree, hilbert_numerator, minimal_nonfaces, sr_report
 
 EXPECTED_NONFACES = {
