@@ -69,6 +69,18 @@ def _ints(line, what):
         raise ValueError("%s must be whitespace-separated integers" % what) from None
 
 
+def _fraction(tok):
+    """An integer or a fraction p/q."""
+    num, slash, den = tok.partition("/")
+    try:
+        p, q = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError("%r is not an integer or a fraction p/q" % tok) from None
+    if q == 0:
+        raise ValueError("zero denominator in %r" % tok)
+    return Fraction(p, q)
+
+
 def expand_var_names(tokens):
     names = []
     for tok in tokens:
@@ -159,7 +171,7 @@ def parse_fan_file(text):
             continue
         with _at(n):
             if section == "lattice":
-                row = [Fraction(tok) for tok in line.split()]
+                row = [_fraction(tok) for tok in line.split()]
             elif section == "rays":
                 row = _ints(line, "rays")
             elif section in ("sigma", "cones"):

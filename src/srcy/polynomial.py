@@ -480,6 +480,8 @@ class _Tokens:
                         k += 1
                     if k == j + 1:
                         raise ValueError("malformed rational near %r" % text[i:k])
+                    if int(text[j + 1:k]) == 0:
+                        raise ValueError("zero denominator in %r" % text[i:k])
                     self.toks.append(Fraction(int(num), int(text[j + 1:k])))
                     i = k
                 else:

@@ -122,6 +122,20 @@ def test_malformed_complexes_file_exits_2(capsys, tmp_path, text, reason, line):
     _exits_2(capsys, ["cohom", "hodge", path], "%s: %s\n" % (_where(path, line), reason))
 
 
+FAN_TEXT = Path(_data("toric/subdivision.fan")).read_text()
+
+
+@pytest.mark.parametrize("argv, text, reason", [
+    (["pfaffian"], "dim 2\nvars x1\nentry 1 2 : 1/0\n", "line 3: zero denominator in '1/0'"),
+    (["toric", "verify"], FAN_TEXT.replace("1/13 0 0 0", "1/0 0 0 0"),
+     "line 5: zero denominator in '1/0'"),
+])
+def test_bad_input_file_exits_2(capsys, tmp_path, argv, text, reason):
+    path = tmp_path / "input"
+    path.write_text(text)
+    _exits_2(capsys, [*argv, path], "%s: %s\n" % (path, reason))
+
+
 def _toric_copy(tmp_path, name, old, new):
     path = tmp_path / name
     text = Path(_data("toric/" + name)).read_text()

@@ -96,6 +96,8 @@ def test_fan_file_errors():
         ("rays\n1 0 0\n0 1 0\n0 0 1\n", "rays\n", "empty rays block"),
         ("rays\n1 0 0\n0 1 0", "rays\n1 0 0\n0 1", "line 7: ray has 2 entries, not 3"),
         ("lattice\n1 0 0", "lattice\n1 0 0 0", "line 2: lattice row has 4 entries, not 3"),
+        ("lattice\n1 0 0", "lattice\n1/0 0 0", "line 2: zero denominator in '1/0'"),
+        ("lattice\n1 0 0", "lattice\n1.5 0 0", "line 2: '1.5' is not an integer or a fraction p/q"),
         ("sigma\n1 2 3", "sigma\n1 2", "sigma lists 2 rays, not 3"),
         ("sigma\n1 2 3", "sigma\n1 2 4", "line 10: ray index 4 out of range 1..3"),
         ("cones\n1 2 3", "cones\n0 1 2", "line 12: ray index 0 out of range 1..3"),

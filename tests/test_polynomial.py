@@ -28,6 +28,11 @@ def test_parse_names_the_end_of_input(ring, text):
         ring.parse(text)
 
 
+def test_parse_rejects_a_zero_denominator(ring):
+    with pytest.raises(ValueError, match="^zero denominator in '3/00'$"):
+        ring.parse("x + 3/00")
+
+
 def test_arithmetic(ring):
     x, y = ring.var("x"), ring.var("y")
     assert (x + y) * (x - y) == x ** 2 - y ** 2
