@@ -17,6 +17,8 @@ from .polynomial import PolyRing
 from .simplicial import SimplicialComplex
 from .toric import Fan, SurfaceType
 
+FAN_RANK = 4  # the toric pipeline works in a rank-4 lattice only
+
 
 class InputError(ValueError):
     """A file srcy cannot use: the reason, and the path and line if known."""
@@ -67,6 +69,18 @@ def _ints(line, what):
         return tuple(int(tok) for tok in line.split())
     except ValueError:
         raise ValueError("%s must be whitespace-separated integers" % what) from None
+
+
+def _count(line, least=0):
+    """The integer after a `dim`, `len` or `ambient` keyword, at least `least`."""
+    word, value = line.split(None, 1)
+    try:
+        n = int(value)
+    except ValueError:
+        n = None
+    if n is None or n < least:
+        raise ValueError("%s must be an integer >= %d, got %r" % (word, least, value))
+    return n
 
 
 def _fraction(tok):
@@ -131,7 +145,7 @@ def _entry_file(text, kind, size_word, count):
     for n, line in _lines(text):
         with _at(n):
             if line.startswith(size_word + " "):
-                size = int(line.split()[1])
+                size = _count(line)
             elif line.startswith("vars "):
                 ring = PolyRing(expand_var_names(line.split()[1:]))
             elif line.startswith("entry "):
@@ -161,7 +175,7 @@ def parse_fan_file(text):
 
     Lattice rows are the rows of the change-of-basis matrix, whose columns
     are the working-basis vectors in ambient coordinates; sigma and cone
-    rows list 1-based ray indices.
+    rows list 1-based ray indices.  The lattice has rank FAN_RANK.
     """
     section = None
     blocks = {"lattice": [], "rays": [], "sigma": [], "cones": []}  # (line, row) pairs
@@ -182,16 +196,17 @@ def parse_fan_file(text):
     for name, block in blocks.items():
         if not block:
             raise InputError("empty %s block" % name)
-    rank = len(blocks["lattice"])
     for name, what in (("lattice", "lattice row"), ("rays", "ray")):
         for n, row in blocks[name]:
-            if len(row) != rank:
-                raise InputError("%s has %d entries, not %d" % (what, len(row), rank), line=n)
+            if len(row) != FAN_RANK:
+                raise InputError("%s has %d entries, not %d" % (what, len(row), FAN_RANK), line=n)
     lattice_rows, rays, cones = ([row for _n, row in blocks[name]]
                                  for name in ("lattice", "rays", "cones"))
     sigma = [i for _n, row in blocks["sigma"] for i in row]
-    if len(sigma) != rank:
-        raise InputError("sigma lists %d rays, not %d" % (len(sigma), rank))
+    if len(lattice_rows) != FAN_RANK:
+        raise InputError("lattice has %d rows, not %d" % (len(lattice_rows), FAN_RANK))
+    if len(sigma) != FAN_RANK:
+        raise InputError("sigma lists %d rays, not %d" % (len(sigma), FAN_RANK))
     for n, row in blocks["sigma"] + blocks["cones"]:
         for i in row:
             if not 0 <= i < len(rays):
@@ -234,7 +249,10 @@ def parse_complexes_file(text):
     """Resolution descriptions: `ambient n`, `resolution name`, `term i: ...`.
 
     Term lines use `(d)^m + (d)^m` twist-sum notation; term 0 is the end
-    of the resolution nearest the resolved sheaf.
+    of the resolution nearest the resolved sheaf.  The ambient P^n has
+    n >= 4, and the resolutions `hodge_pipeline_ci` chases, when present,
+    have the lengths it needs: `structure_sheaf` at least 2 terms and
+    `ideal_square` 3.
     """
     ambient = None
     resolutions = {}  # name -> (header line, {index: TwistSum})
@@ -242,7 +260,9 @@ def parse_complexes_file(text):
     for n, line in _lines(text):
         with _at(n):
             if line.startswith("ambient "):
-                ambient = int(line.split()[1])
+                if ambient is not None:
+                    raise ValueError("second ambient header")
+                ambient = _count(line, least=4)
             elif line.startswith("resolution "):
                 terms = {}
                 resolutions[line.split()[1]] = (n, terms)
@@ -269,6 +289,10 @@ def parse_complexes_file(text):
         if not terms or sorted(terms) != list(range(len(terms))):
             raise InputError("resolution %s needs terms 0..k, has %s" % (name, sorted(terms)),
                              line=n)
+        if name == "structure_sheaf" and len(terms) < 2:
+            raise InputError("resolution structure_sheaf has 1 term, needs at least 2", line=n)
+        if name == "ideal_square" and len(terms) != 3:
+            raise InputError("resolution ideal_square has %d terms, needs 3" % len(terms), line=n)
         out[name] = [terms[i] for i in sorted(terms)]
     return out
 

@@ -114,6 +114,11 @@ CI_TEXT = Path(_data("cohomology/ci_degree12.complexes")).read_text()
      "resolution structure_sheaf needs terms 0..k, has [1]", 2),
     (CI_TEXT.replace("resolution structure_sheaf", "resolution sheaf"),
      "no structure_sheaf resolution", None),
+    (CI_TEXT.replace("ambient 6", "ambient 3"), "ambient must be an integer >= 4, got '3'", 6),
+    (CI_TEXT.replace("term 1: (-2)^2 + (-3)^1\nterm 2: (-5)^2 + (-4)^1\nterm 3: (-7)^1\n", ""),
+     "resolution structure_sheaf has 1 term, needs at least 2", 7),
+    (CI_TEXT.replace("term 2: (-9)^2 + (-10)^1\n", ""),
+     "resolution ideal_square has 2 terms, needs 3", 12),
 ])
 def test_malformed_complexes_file_exits_2(capsys, tmp_path, text, reason, line):
     path = tmp_path / "bad.complexes"
@@ -129,6 +134,10 @@ FAN_TEXT = Path(_data("toric/subdivision.fan")).read_text()
     (["pfaffian"], "dim 2\nvars x1\nentry 1 2 : 1/0\n", "line 3: zero denominator in '1/0'"),
     (["toric", "verify"], FAN_TEXT.replace("1/13 0 0 0", "1/0 0 0 0"),
      "line 5: zero denominator in '1/0'"),
+    (["toric", "verify"], "lattice\n1 0\n0 1\nrays\n1 0\n0 1\nsigma\n1 2\ncones\n1 2\n",
+     "line 2: lattice row has 2 entries, not 4"),
+    (["pfaffian"], "dim -3\nvars x1\n", "line 1: dim must be an integer >= 0, got '-3'"),
+    (["torus-group"], "len -1\nvars x1\n", "line 1: len must be an integer >= 0, got '-1'"),
 ])
 def test_bad_input_file_exits_2(capsys, tmp_path, argv, text, reason):
     path = tmp_path / "input"

@@ -73,37 +73,40 @@ def test_entry_line_errors(parse, text, reason):
 
 
 UNIT_FAN = """lattice
-1 0 0
-0 1 0
-0 0 1
+1 0 0 0
+0 1 0 0
+0 0 1 0
+0 0 0 1
 rays
-1 0 0
-0 1 0
-0 0 1
+1 0 0 0
+0 1 0 0
+0 0 1 0
+0 0 0 1
 sigma
-1 2 3
+1 2 3 4
 cones
-1 2 3
+1 2 3 4
 """
 
 
 def test_fan_file_errors():
-    assert parse_fan_file(UNIT_FAN).cones == [(0, 1, 2)]
+    assert parse_fan_file(UNIT_FAN).cones == [(0, 1, 2, 3)]
     with pytest.raises(InputError, match="line 1: data before any section header"):
         parse_fan_file("1 2 3\n")
     for old, new, reason in (
-        ("cones\n1 2 3\n", "cones\n", "empty cones block"),
-        ("rays\n1 0 0\n0 1 0\n0 0 1\n", "rays\n", "empty rays block"),
-        ("rays\n1 0 0\n0 1 0", "rays\n1 0 0\n0 1", "line 7: ray has 2 entries, not 3"),
-        ("lattice\n1 0 0", "lattice\n1 0 0 0", "line 2: lattice row has 4 entries, not 3"),
-        ("lattice\n1 0 0", "lattice\n1/0 0 0", "line 2: zero denominator in '1/0'"),
-        ("lattice\n1 0 0", "lattice\n1.5 0 0", "line 2: '1.5' is not an integer or a fraction p/q"),
-        ("sigma\n1 2 3", "sigma\n1 2", "sigma lists 2 rays, not 3"),
-        ("sigma\n1 2 3", "sigma\n1 2 4", "line 10: ray index 4 out of range 1..3"),
-        ("cones\n1 2 3", "cones\n0 1 2", "line 12: ray index 0 out of range 1..3"),
-        ("cones\n1 2 3", "cones\n1 x 3", "line 12: ray indices must be whitespace-separated"
+        ("cones\n1 2 3 4\n", "cones\n", "empty cones block"),
+        ("rays\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n", "rays\n", "empty rays block"),
+        ("rays\n1 0 0 0\n0 1 0 0", "rays\n1 0 0 0\n0 1 0", "line 8: ray has 3 entries, not 4"),
+        ("lattice\n1 0 0 0", "lattice\n1 0 0 0 0", "line 2: lattice row has 5 entries, not 4"),
+        ("lattice\n1 0 0 0\n", "lattice\n", "lattice has 3 rows, not 4"),
+        ("lattice\n1 0 0 0", "lattice\n1/0 0 0 0", "line 2: zero denominator in '1/0'"),
+        ("lattice\n1 0 0 0", "lattice\n1.5 0 0 0", "line 2: '1.5' is not an integer or a fraction p/q"),
+        ("sigma\n1 2 3 4", "sigma\n1 2 3", "sigma lists 3 rays, not 4"),
+        ("sigma\n1 2 3 4", "sigma\n1 2 3 5", "line 12: ray index 5 out of range 1..4"),
+        ("cones\n1 2 3 4", "cones\n0 1 2 3", "line 14: ray index 0 out of range 1..4"),
+        ("cones\n1 2 3 4", "cones\n1 2 x 4", "line 14: ray indices must be whitespace-separated"
          " integers"),
-        ("0 0 1\nrays", "1 1 0\nrays", "lattice basis matrix is singular"),
+        ("0 0 0 1\nrays", "1 1 0 0\nrays", "lattice basis matrix is singular"),
     ):
         assert old in UNIT_FAN
         with pytest.raises(InputError) as exc:
@@ -144,7 +147,9 @@ def test_input_error_names_what_it_knows():
 @pytest.mark.parametrize("parse, text, message", [
     (parse_matrix_file, "# m\ndim 2\nvars x1\n\nentry 1 2 : x1 +\n",
      "line 5: unexpected end of polynomial"),
+    (parse_matrix_file, "dim two\n", "line 1: dim must be an integer >= 0, got 'two'"),
     (parse_matrix_file, "dim 2\n", "matrix file needs dim and vars headers"),
+    (parse_complexes_file, "ambient 6\nambient 6\n", "line 2: second ambient header"),
     (parse_vector_file, "len 1\nvars x1..t2\n", "line 2: range 'x1..t2' mixes prefixes"),
     (parse_vector_file, "len 1\nvars x1 x1\n", "line 2: duplicate variable names: ('x1', 'x1')"),
     (parse_monomial_file, "monomials\n1 0\n1 a\n",
