@@ -60,7 +60,7 @@ def _from(path, fn, *args):
 
 def cmd_t1(args):
     k = load(args.triangulation, load_triangulation)
-    basis = t1_degree_zero_basis(k)
+    basis = _from(args.triangulation, t1_degree_zero_basis, k)
     _print_json({
         "dimension": len(basis),
         "elements": [
@@ -81,8 +81,8 @@ def cmd_aut(args):
 
 def cmd_orbits(args):
     k = load(args.triangulation, load_triangulation)
+    basis = _from(args.triangulation, t1_degree_zero_basis, k)
     group = automorphism_group(k)
-    basis = t1_degree_zero_basis(k)
     part = orbits_on_t1(group, basis)
     _print_json({
         "order": group.order,
@@ -93,7 +93,8 @@ def cmd_orbits(args):
 
 
 def cmd_sr(args):
-    _print_json(sr_report(load(args.triangulation, load_triangulation)))
+    k = load(args.triangulation, load_triangulation)
+    _print_json(_from(args.triangulation, sr_report, k))
 
 
 def cmd_pfaffian(args):
@@ -106,7 +107,13 @@ def cmd_pfaffian(args):
 
 def cmd_verify_family(args):
     matrix, ring = load(args.matrix, parse_matrix_file)
-    vector, _ring2 = load(args.vector, parse_vector_file)
+    vector, vring = load(args.vector, parse_vector_file)
+    if len(vector) != matrix.dim:
+        raise InputError("vector has %d entries, not the matrix's dim %d"
+                         % (len(vector), matrix.dim), args.vector)
+    unknown = [name for name in vring.names if name not in ring.index]
+    if unknown:
+        raise InputError("variable %s is not among the matrix's vars" % unknown[0], args.vector)
     _geo, params = geometry_and_params(ring.names)
     vector = [v.rename(ring) for v in vector]
     ok = verify_first_order(matrix, vector, params)
@@ -117,7 +124,7 @@ def cmd_verify_family(args):
 def cmd_torus_group(args):
     gens, ring = load(args.generators, parse_vector_file)
     geo, _params = geometry_and_params(ring.names)
-    h = diagonal_stabilizer(gens, geo)
+    h = _from(args.generators, diagonal_stabilizer, gens, geo)
     if isinstance(h, InfiniteStabilizer):
         _print_json({"finite": False, "torus_rank": h.torus_rank})
         return 0
@@ -179,7 +186,7 @@ def cmd_toric(args):
 
 def cmd_cohom(args):
     res = load(args.complexes, parse_ci_complexes)
-    out = hodge_pipeline_ci(res["structure_sheaf"], res["ideal_square"])
+    out = _from(args.complexes, hodge_pipeline_ci, res["structure_sheaf"], res["ideal_square"])
     _print_json({"h11": out.h11, "h12": out.h12, "intermediates": out.intermediates})
 
 

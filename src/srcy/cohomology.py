@@ -108,8 +108,8 @@ class CohTable:
         return sum((-1) ** p * e for p, e in enumerate(self.entries))
 
 
-class Contradiction(RuntimeError):
-    pass
+class Contradiction(ValueError):
+    """Exactness forces a negative or a second value: the twist data are inconsistent."""
 
 
 @dataclass

@@ -43,16 +43,19 @@ def exponent_differences(gens, geometry_vars):
     """Differences of each generator's exponent vectors against its least one.
 
     Parameters and any non-geometry variables are ignored: they are
-    treated as scalars of weight zero.
+    treated as scalars of weight zero.  A zero generator, or one that is
+    not homogeneous, raises ValueError naming its 1-based position.
     """
     diffs = []
-    for g in gens:
+    for n, g in enumerate(gens, 1):
         exps = geometry_exponents(g, geometry_vars)
         if not exps:
-            raise ValueError("zero generator")
+            raise ValueError("generator %d is zero" % n)
         ref = exps[0]
         for e in exps[1:]:
             diffs.append(tuple(a - b for a, b in zip(e, ref)))
+            if sum(diffs[-1]) != 0:
+                raise ValueError("generator %d is not homogeneous in the geometry variables" % n)
     return diffs
 
 
@@ -67,10 +70,9 @@ def diagonal_stabilizer(gens, geometry_vars):
     rank.
     """
     n = len(geometry_vars)
+    if n == 0:
+        raise ValueError("no geometry variables (names starting with x)")
     diffs = exponent_differences(gens, geometry_vars)
-    for d in diffs:
-        if sum(d) != 0:
-            raise ValueError("generator is not homogeneous in the geometry variables")
     cols = [d[:-1] for d in diffs]
     if not cols:
         return InfiniteStabilizer(n - 1)

@@ -119,6 +119,7 @@ CI_TEXT = Path(_data("cohomology/ci_degree12.complexes")).read_text()
      "resolution structure_sheaf has 1 term, needs at least 2", 7),
     (CI_TEXT.replace("term 2: (-9)^2 + (-10)^1\n", ""),
      "resolution ideal_square has 2 terms, needs 3", 12),
+    (CI_TEXT + "ambient 7\n", "second ambient header", 16),
 ])
 def test_malformed_complexes_file_exits_2(capsys, tmp_path, text, reason, line):
     path = tmp_path / "bad.complexes"
@@ -128,21 +129,49 @@ def test_malformed_complexes_file_exits_2(capsys, tmp_path, text, reason, line):
 
 
 FAN_TEXT = Path(_data("toric/subdivision.fan")).read_text()
+MAT13 = _data("families/degree13_oneparam.mat")
 
 
 @pytest.mark.parametrize("argv, text, reason", [
     (["pfaffian"], "dim 2\nvars x1\nentry 1 2 : 1/0\n", "line 3: zero denominator in '1/0'"),
+    (["pfaffian"], "dim -3\nvars x1\n", "line 1: dim must be an integer >= 0, got '-3'"),
+    (["torus-group"], "len -1\nvars x1\n", "line 1: len must be an integer >= 0, got '-1'"),
+    (["torus-group"], "len 2\nvars x1 x2\nentry 1 : x1^2 - x2^2\n", "generator 2 is zero"),
+    (["torus-group"], "len 1\nvars x1 x2\nentry 1 : x1^2 + x2\n",
+     "generator 1 is not homogeneous in the geometry variables"),
+    (["verify-family", MAT13], "len 5\nvars x0 s\n", "variable x0 is not among the matrix's vars"),
+    (["verify-family", MAT13], "len 4\nvars x1..x7 s\n",
+     "vector has 4 entries, not the matrix's dim 5"),
+    (["verify-family", MAT13], "len 6\nvars x1..x7 s\n",
+     "vector has 6 entries, not the matrix's dim 5"),
     (["toric", "verify"], FAN_TEXT.replace("1/13 0 0 0", "1/0 0 0 0"),
      "line 5: zero denominator in '1/0'"),
     (["toric", "verify"], "lattice\n1 0\n0 1\nrays\n1 0\n0 1\nsigma\n1 2\ncones\n1 2\n",
      "line 2: lattice row has 2 entries, not 4"),
-    (["pfaffian"], "dim -3\nvars x1\n", "line 1: dim must be an integer >= 0, got '-3'"),
-    (["torus-group"], "len -1\nvars x1\n", "line 1: len must be an integer >= 0, got '-1'"),
+    (["torus-group"], "len 1\nvars t\nentry 1 : t\n",
+     "no geometry variables (names starting with x)"),
+    (["sr"], "0 1 2\n3\n", "degree is defined for pure complexes only"),
+    (["cohom", "hodge"], CI_TEXT.replace("ambient 6", "ambient 5"),
+     "inner term 2 has h^5 = 2; shift lemma does not apply"),
+    (["cohom", "hodge"], CI_TEXT.replace("ambient 6", "ambient 7"),
+     "exact window [('O_X(-1)^8', 4)] has alternating sum 8"),
 ])
 def test_bad_input_file_exits_2(capsys, tmp_path, argv, text, reason):
     path = tmp_path / "input"
     path.write_text(text)
     _exits_2(capsys, [*argv, path], "%s: %s\n" % (path, reason))
+
+
+@pytest.mark.parametrize("cmd", ["t1", "orbits"])
+def test_triangulation_that_is_not_a_3_sphere_exits_2(capsys, tmp_path, cmd):
+    path = tmp_path / "simplex.tri"
+    path.write_text("0 1 2 3\n")
+    failures = ["triangle %s lies in 1 facets" % t
+                for t in ("[1, 2, 3]", "[0, 2, 3]", "[0, 1, 3]", "[0, 1, 2]")]
+    failures.append("Euler characteristic 1 != 0")
+    failures.extend("link of vertex %d is not a 2-sphere" % v for v in range(4))
+    _exits_2(capsys, [cmd, path],
+             "%s: complex fails 3-sphere checks: %s\n" % (path, "; ".join(failures)))
 
 
 def _toric_copy(tmp_path, name, old, new):
