@@ -509,7 +509,10 @@ class _Tokens:
 
 def _parse(ring, text):
     toks = _Tokens(text)
-    poly = _parse_expr(ring, toks)
+    try:
+        poly = _parse_expr(ring, toks)
+    except RecursionError:
+        raise ValueError("polynomial is nested too deeply") from None
     if toks.peek() is not None:
         raise ValueError("trailing input in polynomial: %r" % (toks.peek(),))
     return poly

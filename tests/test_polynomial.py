@@ -33,6 +33,12 @@ def test_parse_rejects_a_zero_denominator(ring):
         ring.parse("x + 3/00")
 
 
+@pytest.mark.parametrize("text", ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"])
+def test_parse_rejects_deep_nesting(ring, text):
+    with pytest.raises(ValueError, match="^polynomial is nested too deeply$"):
+        ring.parse(text)
+
+
 def test_arithmetic(ring):
     x, y = ring.var("x"), ring.var("y")
     assert (x + y) * (x - y) == x ** 2 - y ** 2
