@@ -45,13 +45,6 @@ class SkewPolyMatrix:
         }
         return SkewPolyMatrix(self.ring, len(keep), upper)
 
-    def scale_row_col(self, i, c):
-        """Scale row i and column i simultaneously (keeps skew-symmetry)."""
-        upper = {}
-        for (a, b), p in self.upper.items():
-            upper[(a, b)] = p * c if i in (a, b) else p
-        return SkewPolyMatrix(self.ring, self.dim, upper)
-
     def mul_vector(self, vec, trunc=None):
         """M . vec, each product truncated by `trunc` as in `Poly.mul`."""
         out = []

@@ -102,9 +102,6 @@ class SimplicialComplex:
         vs = frozenset(vertices)
         return SimplicialComplex.from_faces(f & vs for f in self.facets)
 
-    def relabel(self, mapping):
-        return SimplicialComplex({frozenset(mapping[v] for v in f) for f in self.facets})
-
     def __eq__(self, other):
         return isinstance(other, SimplicialComplex) and self.facets == other.facets
 

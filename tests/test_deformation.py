@@ -29,6 +29,7 @@ from srcy.simplicial import (
     suspension_of_ngon,
 )
 from srcy.sr_ideal import minimal_nonfaces
+from test_simplicial import _relabel
 from test_symmetry import _cyclic_polytope_4_boundary
 
 T1_DIMS = {"delta4": 105, "p7_1": 92, "p7_2": 79, "p7_3": 79, "p7_4": 67, "p7_5": 56}
@@ -96,7 +97,7 @@ def test_admissible_b_relabeling_invariant():
             perm = list(link.vertices)
             rng.shuffle(perm)
             mapping = dict(zip(link.vertices, perm))
-            relabeled = link.relabel(mapping)
+            relabeled = _relabel(link, mapping)
             assert admissible_b(relabeled, {mapping[v] for v in b}) == value
 
 
@@ -212,7 +213,7 @@ def test_admissible_pairs_follow_a_relabeling(complexes):
     perm = list(k.vertices)
     random.Random(11).shuffle(perm)
     mapping = dict(zip(k.vertices, perm))
-    relabeled = k.relabel(mapping)
+    relabeled = _relabel(k, mapping)
     moved = {(tuple(sorted(mapping[v] for v in a)), frozenset(mapping[v] for v in b))
              for a, b in admissible_pairs(k)}
     assert set(admissible_pairs(relabeled)) == moved
@@ -223,7 +224,7 @@ def test_one_enumeration_per_complex(complexes, monkeypatch):
     import srcy.deformation as deformation
 
     # fresh labels, so no equal complex elsewhere in the session shares its memo entry
-    k = complexes["p7_4"].relabel({v: v + 100 for v in complexes["p7_4"].vertices})
+    k = _relabel(complexes["p7_4"], {v: v + 100 for v in complexes["p7_4"].vertices})
     sizes = [len(k.link(f).vertices) for f in k.faces() if f]
     one_enumeration = sum(2 ** n - n - 1 for n in sizes)  # subsets b with |b| >= 2
     calls = []
@@ -240,7 +241,7 @@ def test_one_enumeration_per_complex(complexes, monkeypatch):
 
 
 def test_admissible_pairs_do_not_keep_the_complex_alive(complexes):
-    k = complexes["p7_5"].relabel({v: v + 100 for v in complexes["p7_5"].vertices})
+    k = _relabel(complexes["p7_5"], {v: v + 100 for v in complexes["p7_5"].vertices})
     ref = weakref.ref(k)
     assert admissible_pairs(k)
     del k
