@@ -195,6 +195,22 @@ def test_method1_components(fan_data):
         assert sf.factor_count == factors
 
 
+METHOD1_FANS = {
+    (3, -1, 0, -1): ([(1, 0), (0, 1), (-1, 0), (-3, -1), (-2, -1)], 1),
+    (6, -2, -1, -2): ([(1, 0), (0, 1), (-1, -1)], 1),
+    (7, -2, -1, -3): ([(1, 0), (-1, 1), (1, -2), (1, -1)], 1),
+    (9, -3, -2, -4): ([(1, 0), (1, 1), (1, 2), (0, 1), (-1, 0), (-2, -1)], 2),
+    (11, -4, -2, -5): ([(1, 3), (-5, -14), (-1, -3), (0, -1)], 1),
+}
+
+
+def test_method1_rays_are_pinned(fan_data):
+    fan, _f, _inv, charts = fan_data
+    for ray, (rays, factors) in METHOD1_FANS.items():
+        sf = method1_component(fan, charts, fan.ray_index(ray))
+        assert (sf.rays, sf.factor_count) == (rays, factors), ray
+
+
 def test_method1_fans_complete_and_smooth(fan_data):
     fan, _f, _inv, charts = fan_data
     for ray in [(6, -2, -1, -2), (3, -1, 0, -1), (11, -4, -2, -5), (7, -2, -1, -3)]:
