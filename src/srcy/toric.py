@@ -265,28 +265,24 @@ def crepancy_check(fan, f_monomials):
 
 @dataclass
 class StarFan:
+    """Star(rho) projected to the quotient lattice N/Z rho.
+
+    Method 1 does not build it: the dual basis of each star cone is read
+    from the fan's cone inverses (see `method1_component`).
+    """
+
     ray_id: int
-    projection: list  # 3 x 4 integer matrix
     rays: dict  # adjacent ray id -> projected primitive 3-vector
     cones: list  # triples of adjacent ray ids, per maximal cone containing rho
-    cone_ids: list  # the fan cone ids, aligned with `cones`
 
 
 def star(fan, ray_id):
     proj = la.quotient_projection([list(fan.rays[ray_id])])
-    rays = {}
-    cones = []
-    cone_ids = []
-    for c in fan.cones_containing(ray_id):
-        others = [i for i in fan.cones[c] if i != ray_id]
-        for i in others:
-            img = tuple(la.mat_vec_int(proj, list(fan.rays[i])))
-            prev = rays.setdefault(i, img)
-            if prev != img:
-                raise RuntimeError("inconsistent star projection")
-        cones.append(tuple(others))
-        cone_ids.append(c)
-    return StarFan(ray_id, proj, rays, cones, cone_ids)
+    cones = [
+        tuple(i for i in fan.cones[c] if i != ray_id) for c in fan.cones_containing(ray_id)
+    ]
+    rays = {i: tuple(la.mat_vec_int(proj, list(fan.rays[i]))) for cone in cones for i in cone}
+    return StarFan(ray_id, rays, cones)
 
 
 def _cyclic_sort_2d(rays):
@@ -325,68 +321,60 @@ class SurfaceFan:
     complete: bool = True
 
 
-def method1_component(fan, charts, ray_id, cone_id=None):
+def method1_component(fan, charts, ray_id):
     """Closure fan of the torus part of the divisor intersection.
 
     Requires a chart where the restriction, with monomial content removed,
     is a constant plus a single monomial.  The kernel of that monomial's
-    exponent functional embeds a rank-2 lattice into the star lattice; the
-    component's fan is the preimage of Star(rho).  If the exponent
-    functional is imprimitive with content c, the torus part has c
-    conjugate components sharing this fan.
+    exponent functional embeds a rank-2 lattice into the star lattice
+    N/Z rho; the component's fan is the preimage of Star(rho).  The star
+    cones' dual bases come from the fan's cone inverses: in a cone holding
+    rho, the inverse rows of the other rays vanish on rho, so through any
+    lift of N/Z rho into N they are the star cone's facet functionals.  If
+    the exponent functional is imprimitive with content c, the torus part
+    has c conjugate components sharing this fan.
     """
-    candidates = fan.cones_containing(ray_id) if cone_id is None else [cone_id]
-    chosen = None
-    for c in candidates:
-        fbar = chart_restriction(fan, charts, c, [ray_id])
-        if fbar.is_zero() or fbar.is_constant():
-            continue
-        h = fbar.strip_monomial_content()
-        terms = h.monomials()
-        mono = [(e, co) for e, co in terms if any(e)]
-        if len(terms) == 2 and len(mono) == 1:
-            chosen = (c, mono[0][0])
+    cones = fan.cones_containing(ray_id)
+    for chart in cones:
+        exps = _torus_binomial(chart_restriction(fan, charts, chart, [ray_id]))
+        if exps is not None:
             break
-    if chosen is None:
+    else:
         raise ValueError("no chart shows a binomial torus equation for ray %d" % ray_id)
-    c, exps = chosen
-    content = 0
-    for e in exps:
-        content = gcd(content, e)
-    mu = _functional_from_chart_exponents(fan, c, exps)
-    st = star(fan, ray_id)
-    u = _extend_projection(fan, ray_id, st)
-    m_tilde = _push_functional(mu, u)
-    phi = _kernel_columns(m_tilde)
-    rays2d = _check_complete_smooth_2d(_preimage_fan_rays(st, phi))
-    return SurfaceFan(rays2d, len(rays2d), max(content, 1))
-
-
-def _functional_from_chart_exponents(fan, cone_id, exps):
-    """Integer working-dual vector pairing to exps against the cone's rays."""
-    binv = fan.inverses.get(cone_id)
-    if binv is None:
-        raise ValueError("cone %d is not unimodular" % (cone_id + 1))
+    for c in cones:
+        if c not in fan.inverses:
+            raise ValueError("cone %d is not unimodular" % (c + 1))
     # mu = exps^T B^{-1}: row vector with mu . ray_j = exps_j
-    return [sum(exps[i] * binv[i][j] for i in range(4)) for j in range(4)]
-
-
-def _extend_projection(fan, ray_id, st):
-    """Unimodular U with U rho = e1; rows 2..4 realize the star projection."""
-    u = la.complete_to_basis(list(fan.rays[ray_id]))
-    if [u[i] for i in range(1, 4)] != st.projection:
-        u = [u[0]] + [list(r) for r in st.projection]
-        if abs(la.det(u)) != 1:
-            raise RuntimeError("projection extension failed")
-    return u
-
-
-def _push_functional(mu, u):
-    uinv = la.unimodular_inverse(u)
-    pushed = [sum(mu[i] * uinv[i][j] for i in range(4)) for j in range(4)]
+    mu = [sum(e * row[j] for e, row in zip(exps, fan.inverses[chart])) for j in range(4)]
+    uinv = la.unimodular_inverse(la.complete_to_basis(list(fan.rays[ray_id])))
+    pushed = [sum(m * row[j] for m, row in zip(mu, uinv)) for j in range(4)]
     if pushed[0] != 0:
         raise RuntimeError("functional does not vanish on the collapsed ray")
-    return pushed[1:]
+    phi = _kernel_columns(pushed[1:])
+    # lift = uinv [0; phi] carries the rank-2 lattice into N, 4 x 2
+    lift = [[sum(row[k + 1] * phi[k][j] for k in range(3)) for j in range(2)] for row in uinv]
+    rays = set()
+    for c in cones:
+        g = [
+            [sum(x * col[j] for x, col in zip(row, lift)) for j in range(2)]
+            for i, row in zip(fan.cones[c], fan.inverses[c])
+            if i != ray_id
+        ]
+        rays.update(_preimage_cone_rays(g))
+    rays2d = _check_complete_smooth_2d(list(rays))
+    return SurfaceFan(rays2d, len(rays2d), gcd(*exps))
+
+
+def _torus_binomial(fbar):
+    """Exponent e when fbar, its monomial content stripped, is a + b y^e.
+
+    Returns None for every other restriction, the zero one included.
+    """
+    if fbar.is_zero():
+        return None
+    terms = [e for e, _co in fbar.strip_monomial_content().items()]
+    nonconst = [e for e in terms if any(e)]
+    return nonconst[0] if len(terms) == 2 and len(nonconst) == 1 else None
 
 
 def _kernel_columns(functional):
@@ -394,33 +382,20 @@ def _kernel_columns(functional):
     return [[basis[j][i] for j in range(2)] for i in range(3)]  # 3 x 2
 
 
-def _preimage_fan_rays(st, phi):
+def _preimage_cone_rays(g):
+    """Extreme rays of the plane cone {x : g x >= 0}, for g of rank 2.
+
+    The cone is pointed, so each boundary line it meets away from the
+    origin carries one of its extreme rays.
+    """
     rays = set()
-    for cone in st.cones:
-        u = [st.rays[i] for i in cone]
-        w = la.unimodular_inverse(_ray_matrix_columns(u))
-        g = [[sum(w[r][i] * phi[i][c] for i in range(3)) for c in range(2)] for r in range(3)]
-        cands = []
-        for row in g:
-            if row == [0, 0]:
-                continue
-            for d in ((-row[1], row[0]), (row[1], -row[0])):
-                if all(gr[0] * d[0] + gr[1] * d[1] >= 0 for gr in g):
-                    cands.append(la.primitive(d))
-        cands = sorted(set(cands))
-        for d in cands:
-            inside = False
-            for a, b in combinations(cands, 2):
-                for p, q in ((a, b), (b, a)):
-                    if (
-                        p[0] * q[1] - p[1] * q[0] > 0
-                        and p[0] * d[1] - p[1] * d[0] > 0
-                        and d[0] * q[1] - d[1] * q[0] > 0
-                    ):
-                        inside = True
-            if not inside:
-                rays.add(d)
-    return list(rays)
+    for a, b in g:
+        if (a, b) == (0, 0):
+            continue
+        for d in ((-b, a), (b, -a)):
+            if all(p * d[0] + q * d[1] >= 0 for p, q in g):
+                rays.add(la.primitive(d))
+    return rays
 
 
 def orbit_closure_component(fan, ray_id1, ray_id2):
@@ -559,17 +534,15 @@ class PBundleStructure:
     fiber: tuple  # star-lattice direction of the P1 fiber
     base_rays: list
     base_chi: int
-    chart_restrictions: list  # (cone id, restriction polynomial) for inspection
 
 
-def pbundle_structure(fan, charts, ray_id):
+def pbundle_structure(fan, ray_id):
     """Detect a locally trivial P1-bundle structure on Star(rho).
 
     Looks for a direction e with both e and -e among the star's rays such
     that every maximal cone contains exactly one of them and projects to a
     maximal cone of a smooth complete 2d base fan.  Classification of the
-    divisor intersection itself is left to the caller; the chart
-    restrictions are returned for that purpose.
+    divisor intersection itself is left to the caller.
     """
     st = star(fan, ray_id)
     values = set(st.rays.values())
@@ -580,10 +553,7 @@ def pbundle_structure(fan, charts, ray_id):
             base = _project_star_along(st, e)
         except ValueError:
             continue
-        restrictions = [
-            (c, chart_restriction(fan, charts, c, [ray_id])) for c in st.cone_ids
-        ]
-        return PBundleStructure(e, base, len(base), restrictions)
+        return PBundleStructure(e, base, len(base))
     return None
 
 
@@ -658,8 +628,7 @@ def normal_fan(points):
         incident = [i for i, f in enumerate(facets) if v in f[2]]
         if len(incident) >= 3:
             cones.append(tuple(sorted(incident)))
-    vertex_cones = [c for c in cones if len(c) >= 3]
-    return normals, vertex_cones
+    return normals, cones
 
 
 def lattice_points_in_polytope(points):
@@ -780,16 +749,12 @@ def derive_component_structure(fan, charts):
                     if i == pos:
                         raise RuntimeError("restriction divisible by its own coordinate")
                     partners.add(cone[i])
-            h = fbar.strip_monomial_content()
-            if h.is_constant():
+            if fbar.strip_monomial_content().is_constant():
                 continue
             horizontal = True
-            terms = h.monomials()
-            nonconst = [(e, co) for e, co in terms if any(e)]
-            if len(terms) == 2 and len(nonconst) == 1:
-                g = 0
-                for e in nonconst[0][0]:
-                    g = gcd(g, e)
+            exps = _torus_binomial(fbar)
+            if exps is not None:
+                g = gcd(*exps)
                 if factor_count is None:
                     factor_count = g
                 elif factor_count != g:

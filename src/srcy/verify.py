@@ -338,8 +338,8 @@ def _check_toric(report, base):
     sf11 = orbit_closure_component(fan, rid((0, 0, 1, 0)), rid((9, -3, -2, -4)))
     report.add("toric.method3.E10", 6, sf10.chi, "orbit closure fan")
     report.add("toric.method3.E11", 5, sf11.chi, "orbit closure fan")
-    pb7 = pbundle_structure(fan, charts, rid((15, -5, -3, -6)))
-    pb8 = pbundle_structure(fan, charts, rid((12, -4, -2, -5)))
+    pb7 = pbundle_structure(fan, rid((15, -5, -3, -6)))
+    pb8 = pbundle_structure(fan, rid((12, -4, -2, -5)))
     report.add("toric.bundle_base.E7", (5, "Bl1F2"),
                (pb7.base_chi, str(classify_toric_surface(pb7.base_rays))) if pb7 else None,
                "star fibration")

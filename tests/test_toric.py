@@ -97,7 +97,8 @@ def test_cone_matrices_are_inverted_once_per_fan(monkeypatch):
     assert verify_smooth_subdivision(fan).ok
     charts = all_charts(fan, invmono)
     crepancy_check(fan, fmono)
-    method1_component(fan, charts, fan.ray_index((6, -2, -1, -2)))  # E1
+    for ray in METHOD1_FANS:
+        method1_component(fan, charts, fan.ray_index(ray))
 
     def columns(rays):
         return [[r[i] for r in rays] for i in range(4)]
@@ -105,6 +106,8 @@ def test_cone_matrices_are_inverted_once_per_fan(monkeypatch):
     assert inverted == [columns([fan.rays[i] for i in fan.sigma])]
     cone_matrices = [columns(fan.cone_rays(c)) for c in range(len(fan.cones))]
     assert sum(rows in cone_matrices for rows in unimodular) == 53
+    # method 1 reads the star cones' duals from the fan: no 3 x 3 inversions
+    assert all(len(rows) == 4 and all(len(r) == 4 for r in rows) for rows in unimodular)
 
 
 def _mutated(fan, rays=None, cones=None):
@@ -266,14 +269,13 @@ def test_classify_rejects_nonsmooth():
 
 
 def test_pbundle_structures(fan_data):
-    fan, _f, _inv, charts = fan_data
-    pb7 = pbundle_structure(fan, charts, fan.ray_index((15, -5, -3, -6)))
+    fan, _f, _inv, _charts = fan_data
+    pb7 = pbundle_structure(fan, fan.ray_index((15, -5, -3, -6)))
     assert pb7 and pb7.base_chi == 5
     assert str(classify_toric_surface(pb7.base_rays)) == "Bl1F2"
-    assert len(pb7.chart_restrictions) == 10
-    pb8 = pbundle_structure(fan, charts, fan.ray_index((12, -4, -2, -5)))
+    pb8 = pbundle_structure(fan, fan.ray_index((12, -4, -2, -5)))
     assert pb8 and pb8.base_chi == 6
-    pb1 = pbundle_structure(fan, charts, fan.ray_index((6, -2, -1, -2)))
+    pb1 = pbundle_structure(fan, fan.ray_index((6, -2, -1, -2)))
     assert pb1 is None
 
 
