@@ -67,7 +67,8 @@ def diagonal_stabilizer(gens, geometry_vars):
     basis e_i - e_n of the degree-zero sublattice; the group is the
     torsion of the cokernel, computed by Smith normal form.  Returns an
     InfiniteStabilizer record when the difference lattice has deficient
-    rank.
+    rank; with one geometry variable the quotient torus is a point and
+    the group is the trivial one.
     """
     n = len(geometry_vars)
     if n == 0:
@@ -75,7 +76,7 @@ def diagonal_stabilizer(gens, geometry_vars):
     diffs = exponent_differences(gens, geometry_vars)
     cols = [d[:-1] for d in diffs]
     if not cols:
-        return InfiniteStabilizer(n - 1)
+        return InfiniteStabilizer(n - 1) if n > 1 else FiniteAbelianGroup([], [], 1)
     a = [[c[i] for c in cols] for i in range(n - 1)]
     d, u, _v = smith_normal_form(a)
     diag = [d[i][i] for i in range(min(len(d), len(d[0])))]

@@ -254,6 +254,14 @@ def test_torus_group_command(capsys):
     assert payload["order"] == 125 and payload["invariant_factors"] == [5, 5, 5]
 
 
+def test_torus_group_on_one_variable_is_trivial(capsys, tmp_path):
+    path = tmp_path / "one.gens"
+    path.write_text("len 1\nvars x1\nentry 1 : x1^3\n")
+    code, out = run_cli(capsys, "torus-group", str(path))
+    assert code == 0
+    assert out == '{"finite":true,"order":1,"invariant_factors":[],"generators":[]}\n'
+
+
 TORIC_EULER_STDOUT = (
     '{"components":['
     '{"label":"E1","chi":3,"provenance":"derived"},'
