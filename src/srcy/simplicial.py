@@ -13,25 +13,31 @@ from dataclasses import dataclass
 from itertools import combinations
 
 
+def _maximal(faces):
+    """The inclusion-maximal members of a set of frozensets."""
+    return [f for f in faces if not any(f < g for g in faces)]
+
+
 class SimplicialComplex:
 
     def __init__(self, facets):
         fs = {frozenset(f) for f in facets}
-        if not fs:
-            fs = {frozenset()}
-        maximal = {f for f in fs if not any(f < g for g in fs)}
+        maximal = _maximal(fs)
         if len(maximal) != len(fs):
             raise ValueError("facet list contains a face of another facet")
-        self.facets = frozenset(maximal)
-        self.vertices = tuple(sorted(set().union(*self.facets))) if self.facets else ()
-        self._faces = None
+        self._set_facets(maximal)
 
     @classmethod
     def from_faces(cls, faces):
         """Build from an arbitrary face collection (reduces to maximal)."""
-        fs = [frozenset(f) for f in faces]
-        maximal = [f for f in fs if not any(f < g for g in fs)]
-        return cls(maximal if maximal else [frozenset()])
+        k = cls.__new__(cls)
+        k._set_facets(_maximal({frozenset(f) for f in faces}))
+        return k
+
+    def _set_facets(self, maximal):
+        self.facets = frozenset(maximal or [frozenset()])
+        self.vertices = tuple(sorted(set().union(*self.facets)))
+        self._faces = None
 
     # -- face structure ----------------------------------------------------
 

@@ -36,6 +36,15 @@ def test_load_rejects_bad_input():
         load_triangulation("1 1 2\n")
 
 
+def test_facets_must_be_maximal_but_faces_are_reduced():
+    with pytest.raises(ValueError, match="face of another facet"):
+        SimplicialComplex([(0, 1), (0, 1, 2)])
+    k = SimplicialComplex.from_faces([(0, 1), (0, 1, 2), (2, 1, 0), (3,), ()])
+    assert k.facets == {frozenset({0, 1, 2}), frozenset({3})}
+    assert k.vertices == (0, 1, 2, 3)
+    assert SimplicialComplex.from_faces([]) == SimplicialComplex([])
+
+
 def test_single_facet_is_full_simplex():
     k = load_triangulation("0 1 2 3 4\n")
     assert len(k.facets) == 1
