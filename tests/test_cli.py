@@ -232,10 +232,32 @@ def test_sr_command(capsys):
     assert ["4", "6"] in payload["generators"]
 
 
+PFAFFIAN_STDOUT = {
+    "degree13_oneparam": (
+        '{"principal_pfaffians":['
+        '"-x1*x3*s^2 - x1*x4*s^2 - x2*x3*s^2 - x2*x4*s^2 + x5*x7 + x6^2*s",'
+        '"x1^2*x2*s + x1*x2^2*s + x3*x4*x7 - x5^2*x6*s^2",'
+        '"-x1*x7^2*s^2 - x2*x7^2*s^2 + x3*x4*x6 + x5^3*s",'
+        '"x1*x2*x6 - x3*x5^2*s^2 - x4*x5^2*s^2 + x7^3*s",'
+        '"x1*x2*x5 + x3^2*x4*s + x3*x4^2*s - x6*x7^2*s^2"]}\n'
+    ),
+    "degree14_oneparam": (
+        '{"principal_pfaffians":['
+        '"-x1^2*x7*s^2 + x1*x3*x5 + x2*x3*x4*s - x3*x6*x7*s^3 - x5^2*x6*s^2",'
+        '"x1*x2*x7*s + x1*x3*x6 - x1*x4*x5*s^3 - x3^2*x4*s^2 - x5*x6^2*s^2",'
+        '"x1*x4*x6 - x3*x4^2*s^2 + x5*x6*x7*s",'
+        '"-x1*x4*x7*s^3 + x2*x4*x6 + x3*x4*x5*s - x6^2*x7*s^2",'
+        '"x2*x4*x7 - x4^2*x5*s^2 - x6*x7^2*s^2",'
+        '"x1*x6*x7*s + x2*x5*x7 - x3*x4*x7*s^3 - x4*x5^2*s^2",'
+        '"-x1*x7^2*s^2 + x3*x5*x7 + x4*x5*x6*s"]}\n'
+    ),
+}
+
+
 def test_pfaffian_command(capsys):
-    code, out = run_cli(capsys, "pfaffian", _data("families/degree13_oneparam.mat"))
-    payload = json.loads(out)
-    assert len(payload["principal_pfaffians"]) == 5
+    for name, stdout in PFAFFIAN_STDOUT.items():
+        code, out = run_cli(capsys, "pfaffian", _data("families/%s.mat" % name))
+        assert (code, out) == (0, stdout), name
 
 
 def test_verify_family_command(capsys):
