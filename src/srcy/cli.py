@@ -169,7 +169,7 @@ def cmd_toric(args):
         return 0
     rows = load(args.components, parse_component_table)
     structure = derive_component_structure(fan, charts)
-    comps = _from(args.components, match_component_table, fan, charts, structure, rows)
+    comps = _from(args.components, match_component_table, fan, structure, rows)
     cx = intersection_complex(fan, charts, comps)
     chi = euler_exceptional([c.chi for c in comps], cx)
     _print_json({

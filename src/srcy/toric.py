@@ -708,7 +708,11 @@ class Component:
     factor_index: int = 0
     chi: int = None
     surface: SurfaceType = None
-    chi_provenance: str = "derived"
+    closure: SurfaceFan = None  # torus (method 1) or orbit (method 3) closure fan
+
+    @property
+    def chi_provenance(self):
+        return "derived" if self.closure is not None else "ingested"
 
 
 @dataclass
@@ -725,12 +729,12 @@ def derive_component_structure(fan, charts):
     of the restriction identify orbit-closure components on 2-cones, and
     the content-free part identifies the torus-dominant part, which splits
     into conjugate factors when its binomial exponent is imprimitive.
+    Each closure fan is computed once: method 1 on a ray with a binomial
+    chart (shared by conjugate factors; None where method 1 fails or no
+    chart is binomial), method 3 on an orbit pair.
     """
-    meeting = [
-        rid
-        for rid in fan.interior_ray_ids()
-        if divisor_meets_strict_transform(fan, charts, rid)
-    ]
+    meeting = [rid for rid in fan.interior_ray_ids()
+               if divisor_meets_strict_transform(fan, charts, rid)]
     components = []
     seen_pairs = {}
     certified = True
@@ -765,28 +769,34 @@ def derive_component_structure(fan, charts):
             count = factor_count if (factor_count and binomial_everywhere) else 1
             if count > 1 and not binomial_everywhere:
                 certified = False
-            for k in range(count):
-                components.append(
-                    Component("", "torus_factor" if count > 1 else "divisor", (rid,), k)
-                )
+            closure = None
+            if factor_count is not None:
+                try:
+                    closure = method1_component(fan, charts, rid)
+                except ValueError:
+                    pass
+            kind = "torus_factor" if count > 1 else "divisor"
+            components += [Component("", kind, (rid,), k, closure=closure) for k in range(count)]
         for p in sorted(partners):
             key = frozenset((rid, p))
             if key not in seen_pairs:
-                comp = Component("", "orbit_pair", tuple(sorted(key)))
+                pair = tuple(sorted(key))
+                comp = Component("", "orbit_pair", pair, closure=orbit_closure_component(fan, *pair))
                 seen_pairs[key] = comp
                 components.append(comp)
     return ComponentStructure(components, meeting, certified)
 
 
-def match_component_table(fan, charts, structure, rows):
+def match_component_table(fan, structure, rows):
     """Align ingested table rows with the derived component structure.
 
     Rows are (label, ray, type tag, chi).  Divisor and torus-factor rows
     match their ray; an orbit-pair row matches the pair containing its ray
     (pairs of two interior rays before mixed pairs, which is enough to
-    separate the fixtures' rows sharing a ray).  Where a fan-based Euler
-    characteristic is computable it must agree with the ingested one, and
-    every tag's nominal chi must equal the recorded chi.
+    separate the fixtures' rows sharing a ray).  A candidate with a closure
+    fan matches only a row whose chi is that fan's ray count, and one with
+    an incomplete orbit closure raises; every tag's nominal chi must equal
+    the recorded chi.
     """
     interior = set(fan.interior_ray_ids())
     components = list(structure.components)
@@ -800,11 +810,8 @@ def match_component_table(fan, charts, structure, rows):
         if surface.chi() != chi:
             raise ValueError("row %s: tag %s has chi %d, recorded %d"
                              % (label, type_tag, surface.chi(), chi))
-        candidates = []
-        for i, comp in enumerate(components):
-            if i in taken or ray_id not in comp.ray_ids:
-                continue
-            candidates.append(i)
+        candidates = [i for i, comp in enumerate(components)
+                      if i not in taken and ray_id in comp.ray_ids]
         # prefer single-ray components, then pairs of interior rays
         def pref(i):
             comp = components[i]
@@ -812,39 +819,22 @@ def match_component_table(fan, charts, structure, rows):
             return (len(comp.ray_ids), 0 if both_interior else 1, comp.factor_index)
 
         candidates.sort(key=pref)
-        chosen = None
         for i in candidates:
             comp = components[i]
-            derived_chi, derived_surface = component_chi(fan, charts, comp)
-            if derived_chi is not None and derived_chi != chi:
-                continue
-            chosen = i
-            comp.label = label
-            comp.chi = chi
-            comp.surface = surface
-            comp.chi_provenance = "derived" if derived_chi is not None else "ingested"
+            if comp.closure is not None:
+                if not comp.closure.complete:
+                    raise ValueError("orbit closure of %s is not complete" % (comp.ray_ids,))
+                if comp.closure.chi != chi:
+                    continue
+            comp.label, comp.chi, comp.surface = label, chi, surface
             break
-        if chosen is None:
+        else:
             raise ValueError("no derived component matches table row %s" % label)
-        taken.add(chosen)
-        out.append(components[chosen])
+        taken.add(i)
+        out.append(comp)
     if len(taken) != len(components):
         raise ValueError("component table does not cover the derived structure")
     return out
-
-
-def component_chi(fan, charts, comp):
-    """Euler characteristic and surface fan where mechanically available."""
-    if comp.kind == "orbit_pair":
-        sf = orbit_closure_component(fan, *comp.ray_ids)
-        if not sf.complete:
-            raise ValueError("orbit closure of %s is not complete" % (comp.ray_ids,))
-        return sf.chi, classify_toric_surface(sf.rays)
-    try:
-        sf = method1_component(fan, charts, comp.ray_ids[0])
-    except ValueError:
-        return None, None
-    return sf.chi, classify_toric_surface(sf.rays)
 
 
 def components_intersect(fan, charts, comps):

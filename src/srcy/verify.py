@@ -44,16 +44,13 @@ from .toric import (
     classify_toric_surface,
     crepancy_check,
     derive_component_structure,
-    divisor_meets_strict_transform,
     euler_exceptional,
     intersection_complex,
     lattice_points_in_polytope,
     match_component_table,
     mckay_count,
-    method1_component,
     method4_normal_fan_check,
     mirror_euler,
-    orbit_closure_component,
     pbundle_structure,
 )
 
@@ -311,31 +308,35 @@ def _check_toric(report, base):
     report.add("toric.charts_nonconstant", True, nonconstant, "strict transform")
 
     crep = crepancy_check(fan, fmono)
-    meets = {rid: divisor_meets_strict_transform(fan, charts, rid)
-             for rid in fan.interior_ray_ids()}
-    report.add("toric.meeting_rays", 10, sum(meets.values()), "chart restrictions")
-    non_meeting = sorted(fan.rays[r] for r, v in meets.items() if not v)
+    structure = derive_component_structure(fan, charts)
+    meets = set(structure.meeting_rays)
+    report.add("toric.meeting_rays", 10, len(meets), "chart restrictions")
+    non_meeting = sorted(fan.rays[r] for r in fan.interior_ray_ids() if r not in meets)
     report.add("toric.non_meeting_rays", sorted(NON_MEETING_RAYS), non_meeting,
                "chart restrictions")
     report.add("toric.crepant_equals_meeting", True,
-               {r for r, v in crep.items() if v} == {r for r, v in meets.items() if v},
-               "discrepancy pairing per ray")
+               {r for r, v in crep.items() if v} == meets, "discrepancy pairing per ray")
 
     rid = fan.ray_index
+    closures = {c.ray_ids: c.closure for c in structure.components}
+
+    def closure(*rays):
+        return closures[tuple(sorted(rid(r) for r in rays))]
+
     for label, ray, chi, tag in (
         ("E1", (6, -2, -1, -2), 3, "P2"),
         ("E2", (3, -1, 0, -1), 5, "Bl1F2"),
         ("E3", (11, -4, -2, -5), 4, "F5"),
         ("E4", (7, -2, -1, -3), 4, "F2"),
     ):
-        sf = method1_component(fan, charts, rid(ray))
+        sf = closure(ray)
         report.add("toric.method1.%s" % label, (chi, tag),
                    (sf.chi, str(classify_toric_surface(sf.rays))), "torus closure fan")
-    sf56 = method1_component(fan, charts, rid((9, -3, -2, -4)))
+    sf56 = closure((9, -3, -2, -4))
     report.add("toric.factor_pair_chi", (6, 2), (sf56.chi, sf56.factor_count),
                "imprimitive binomial torus")
-    sf10 = orbit_closure_component(fan, rid((1, 0, 0, 0)), rid((9, -3, -2, -4)))
-    sf11 = orbit_closure_component(fan, rid((0, 0, 1, 0)), rid((9, -3, -2, -4)))
+    sf10 = closure((1, 0, 0, 0), (9, -3, -2, -4))
+    sf11 = closure((0, 0, 1, 0), (9, -3, -2, -4))
     report.add("toric.method3.E10", 6, sf10.chi, "orbit closure fan")
     report.add("toric.method3.E11", 5, sf11.chi, "orbit closure fan")
     pb7 = pbundle_structure(fan, rid((15, -5, -3, -6)))
@@ -352,13 +353,12 @@ def _check_toric(report, base):
                method4_normal_fan_check(fan, rid((5, -1, -1, -2)), points),
                "normal fan comparison")
 
-    structure = derive_component_structure(fan, charts)
     report.add("toric.component_count", 12, len(structure.components),
                "chart factorization")
     report.add("toric.factor_disjointness", True,
                structure.factor_disjointness_certified, "binomial smoothness")
     rows = fixtures.component_table(base)
-    comps = match_component_table(fan, charts, structure, rows)
+    comps = match_component_table(fan, structure, rows)
     for comp in comps:
         if comp.chi_provenance == "ingested":
             report.add("toric.chi.%s" % comp.label, comp.chi, comp.chi,

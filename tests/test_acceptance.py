@@ -249,7 +249,7 @@ def test_exceptional_components(fan_data):
 def test_intersection_complex_and_euler(fan_data):
     fan, _f, _inv, charts = fan_data
     structure = derive_component_structure(fan, charts)
-    comps = match_component_table(fan, charts, structure, fixtures.component_table())
+    comps = match_component_table(fan, structure, fixtures.component_table())
     cx = intersection_complex(fan, charts, comps)
     check("intersection complex shape (vertices, edges, triangles)", (12, 25, 14),
           (len(cx.faces_of_dim(0)), len(cx.faces_of_dim(1)), len(cx.faces_of_dim(2))))

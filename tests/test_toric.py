@@ -320,20 +320,68 @@ def test_component_table_matching(fan_data):
     fan, _f, _inv, charts = fan_data
     structure = derive_component_structure(fan, charts)
     rows = fixtures.component_table()
-    comps = match_component_table(fan, charts, structure, rows)
+    comps = match_component_table(fan, structure, rows)
     assert [c.label for c in comps] == ["E%d" % i for i in range(1, 13)]
     assert sum(c.chi for c in comps) == 61
     derived = [c.label for c in comps if c.chi_provenance == "derived"]
     assert derived == ["E1", "E2", "E3", "E4", "E5", "E6", "E10", "E11"]
     bad_rows = [(l, r, t, c + (1 if l == "E3" else 0)) for l, r, t, c in rows]
     with pytest.raises(ValueError):
-        match_component_table(fan, charts, derive_component_structure(fan, charts), bad_rows)
+        match_component_table(fan, derive_component_structure(fan, charts), bad_rows)
+    # a tag whose nominal chi is the row's, but not the closure fan's ray count
+    bad_rows = [(l, r, "Bl1F5", 5) if l == "E3" else (l, r, t, c) for l, r, t, c in rows]
+    with pytest.raises(ValueError, match="no derived component matches table row E3"):
+        match_component_table(fan, derive_component_structure(fan, charts), bad_rows)
+
+
+def test_closure_fans_are_derived_once_per_run(monkeypatch):
+    import srcy.toric as toric
+    import srcy.verify as verify
+    from srcy.verify import run_all
+
+    calls = {"method1_component": [], "orbit_closure_component": []}
+    for name, seen in calls.items():
+        for module in (toric, verify):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _recording_args(seen, getattr(module, name)))
+    assert run_all(only=["toric"]).ok
+    assert len(calls["method1_component"]) == 5  # the five binomial rays
+    assert len(calls["orbit_closure_component"]) == 2  # E10 and E11
+
+
+def _recording_args(calls, fn):
+    def recorded(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return recorded
+
+
+def test_failed_method1_leaves_the_component_ingested(fan_data, monkeypatch):
+    import srcy.toric as toric
+
+    fan, _f, _inv, charts = fan_data
+    e1 = fan.ray_index((6, -2, -1, -2))
+    original = toric.method1_component
+
+    def failing(fan, charts, ray_id):
+        if ray_id == e1:
+            raise ValueError("no closure fan")
+        return original(fan, charts, ray_id)
+
+    monkeypatch.setattr(toric, "method1_component", failing)
+    structure = derive_component_structure(fan, charts)
+    comps = match_component_table(fan, structure, fixtures.component_table())
+    provenance = {c.label: c.chi_provenance for c in comps}
+    assert provenance["E1"] == "ingested"
+    derived = [label for label, p in provenance.items() if p == "derived"]
+    assert derived == ["E2", "E3", "E4", "E5", "E6", "E10", "E11"]
 
 
 def test_intersection_complex_and_euler(fan_data):
     fan, _f, _inv, charts = fan_data
     structure = derive_component_structure(fan, charts)
-    comps = match_component_table(fan, charts, structure, fixtures.component_table())
+    comps = match_component_table(fan, structure, fixtures.component_table())
     cx = intersection_complex(fan, charts, comps)
     assert len(cx.faces_of_dim(0)) == 12
     assert len(cx.faces_of_dim(1)) == 25
