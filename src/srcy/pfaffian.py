@@ -35,16 +35,6 @@ class SkewPolyMatrix:
             return self.upper.get((i, j), self.ring.zero())
         return -self.upper.get((j, i), self.ring.zero())
 
-    def delete(self, *indices):
-        keep = [i for i in range(1, self.dim + 1) if i not in indices]
-        pos = {old: new + 1 for new, old in enumerate(keep)}
-        upper = {
-            (pos[i], pos[j]): p
-            for (i, j), p in self.upper.items()
-            if i in pos and j in pos
-        }
-        return SkewPolyMatrix(self.ring, len(keep), upper)
-
     def mul_vector(self, vec, trunc=None):
         """M . vec, each product truncated by `trunc` as in `Poly.mul`."""
         out = []
@@ -56,6 +46,32 @@ class SkewPolyMatrix:
         return out
 
 
+def _sub_pfaffians(m, trunc):
+    """Pf of the principal submatrix of `m` on an increasing index tuple.
+
+    Expands along the first row of the submatrix; every sub-Pfaffian is
+    memoized on its index tuple, one memo per returned function, so the
+    principal Pfaffians of one matrix share their expansions.
+    """
+    cache = {(): m.ring.one()}
+
+    def rec(indices):
+        if indices in cache:
+            return cache[indices]
+        first, rest = indices[0], indices[1:]
+        total = m.ring.zero()
+        for pos, j in enumerate(rest):
+            e = m.entry(first, j)
+            if e.is_zero():
+                continue
+            term = e.mul(rec(rest[:pos] + rest[pos + 1:]), trunc)
+            total = total + term if pos % 2 == 0 else total - term
+        cache[indices] = total
+        return total
+
+    return rec
+
+
 def pfaffian(m, trunc=None):
     """Pfaffian by recursive first-row expansion; 0 when the size is odd.
 
@@ -65,28 +81,7 @@ def pfaffian(m, trunc=None):
     """
     if m.dim % 2 == 1:
         return m.ring.zero()
-    cache = {}
-
-    def rec(indices):
-        if not indices:
-            return m.ring.one()
-        key = indices
-        if key in cache:
-            return cache[key]
-        first = indices[0]
-        rest = indices[1:]
-        total = m.ring.zero()
-        for pos, j in enumerate(rest):
-            e = m.entry(first, j)
-            if e.is_zero():
-                continue
-            sub = rec(tuple(x for x in rest if x != j))
-            term = e.mul(sub, trunc)
-            total = total + term if pos % 2 == 0 else total - term
-        cache[key] = total
-        return total
-
-    return rec(tuple(range(1, m.dim + 1)))
+    return _sub_pfaffians(m, trunc)(tuple(range(1, m.dim + 1)))
 
 
 class SyzygySignError(RuntimeError):
@@ -102,9 +97,11 @@ def principal_pfaffians(m, trunc=None):
     """
     if m.dim % 2 == 0:
         raise ValueError("principal Pfaffians are taken for odd size")
+    sub = _sub_pfaffians(m, trunc)
+    full = tuple(range(1, m.dim + 1))
     f = []
-    for i in range(1, m.dim + 1):
-        p = pfaffian(m.delete(i), trunc)
+    for i in full:
+        p = sub(full[:i - 1] + full[i:])
         f.append(-p if i % 2 == 1 else p)
     residual = m.mul_vector(f, trunc)
     if any(not r.is_zero() for r in residual):

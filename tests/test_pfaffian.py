@@ -139,15 +139,20 @@ def test_verify_first_order_and_negative_control():
 def test_sign_slip_fails_the_pfaffian_section(monkeypatch):
     """A Pfaffian that loses every second sign breaks M.f = 0 and the report."""
     module = sys.modules["srcy.pfaffian"]
-    original = module.pfaffian
+    original = module._sub_pfaffians
     calls = []
 
-    def slipped(m, trunc=None):
-        calls.append(m.dim)
-        p = original(m, trunc=trunc)
-        return -p if len(calls) % 2 == 0 else p
+    def slipped(m, trunc):
+        sub = original(m, trunc)
 
-    monkeypatch.setattr(module, "pfaffian", slipped)
+        def slipped_sub(indices):
+            calls.append(indices)
+            p = sub(indices)
+            return -p if len(calls) % 2 == 0 else p
+
+        return slipped_sub
+
+    monkeypatch.setattr(module, "_sub_pfaffians", slipped)
     report = run_all(only=["pfaffian"])
     assert not report.ok
     [failure] = report.failures()
