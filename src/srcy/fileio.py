@@ -18,6 +18,7 @@ from .simplicial import SimplicialComplex
 from .toric import Fan, SurfaceType
 
 FAN_RANK = 4  # the toric pipeline works in a rank-4 lattice only
+MAX_SIZE = 1000  # largest dim, len, ambient and x1..xN range; the bundled data stays below 100
 
 
 class InputError(ValueError):
@@ -72,7 +73,7 @@ def _ints(line, what):
 
 
 def _count(line, least=0):
-    """The integer after a `dim`, `len` or `ambient` keyword, at least `least`."""
+    """The integer after a `dim`, `len` or `ambient` keyword, in `least`..MAX_SIZE."""
     word, value = line.split(None, 1)
     try:
         n = int(value)
@@ -80,6 +81,8 @@ def _count(line, least=0):
         n = None
     if n is None or n < least:
         raise ValueError("%s must be an integer >= %d, got %r" % (word, least, value))
+    if n > MAX_SIZE:
+        raise ValueError("%s %d is above the limit %d" % (word, n, MAX_SIZE))
     return n
 
 
@@ -105,6 +108,8 @@ def expand_var_names(tokens):
                 raise ValueError("range %r mixes prefixes" % tok)
             lo = int(start[len(prefix):])
             hi = int(end[len(prefix):])
+            if hi - lo >= MAX_SIZE:
+                raise ValueError("range %r has more than %d names" % (tok, MAX_SIZE))
             names.extend("%s%d" % (prefix, i) for i in range(lo, hi + 1))
         else:
             names.append(tok)

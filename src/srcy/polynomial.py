@@ -31,6 +31,9 @@ from operator import or_
 # 64-bit value and 8 zero bytes, since no exponent may reach 2**64
 _WIDTHS = ((16, "H"), (128, "Q8x"))
 
+# largest exponent the parser multiplies out; the bundled data uses up to 8
+MAX_EXPONENT = 1000
+
 
 class _Format:
     """The packed keys of one ring at one field width.
@@ -548,7 +551,12 @@ def _parse_factor(ring, toks):
         p = toks.take()
         if not isinstance(p, Fraction) or p.denominator != 1 or p < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        return atom ** int(p)
+        # a monomial with coefficient +-1 stays one key (64-bit exponents at most);
+        # every other power grows with the exponent
+        e, unit_monomial = int(p), atom.den == 1 and [abs(c) for c in atom.nums.values()] == [1]
+        if e > MAX_EXPONENT and not unit_monomial:
+            raise ValueError("exponent %d is above the limit %d" % (e, MAX_EXPONENT))
+        return atom ** e
     return atom
 
 

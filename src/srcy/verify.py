@@ -360,12 +360,11 @@ def _check_toric(report, base):
     rows = fixtures.component_table(base)
     comps = match_component_table(fan, structure, rows)
     for comp in comps:
-        if comp.chi_provenance == "ingested":
-            report.add("toric.chi.%s" % comp.label, comp.chi, comp.chi,
-                       "component table", ingested=True)
+        if comp.closure is None:
+            report.add("toric.chi.%s" % comp.label, comp.chi, comp.chi, "component table",
+                       ingested=True)
         else:
-            report.add("toric.chi.%s" % comp.label, comp.chi, comp.chi,
-                       "fan ray count")
+            report.add("toric.chi.%s" % comp.label, comp.chi, comp.closure.chi, "fan ray count")
     report.add("toric.chi_sum", 61, sum(c.chi for c in comps), "component table")
 
     complex_ = intersection_complex(fan, charts, comps)

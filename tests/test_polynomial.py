@@ -33,6 +33,16 @@ def test_parse_rejects_a_zero_denominator(ring):
         ring.parse("x + 3/00")
 
 
+def test_parse_caps_exponents_that_grow_the_result(ring):
+    for text in ("7^1001", "(x + 1)^1001", "(2*x)^1001", "(1/2*x)^1001", "(x*y + y)^1001"):
+        with pytest.raises(ValueError, match="^exponent 1001 is above the limit 1000$"):
+            ring.parse(text)
+    assert ring.parse("7^1000") == ring.const(7 ** 1000)
+    # a unit monomial's power is one packed key at any exponent below 2^64
+    assert ring.parse("(-x*y)^70001") == -ring.monomial((70001, 70001, 0))
+    assert ring.parse("x^4294967295") == ring.monomial((2 ** 32 - 1, 0, 0))
+
+
 @pytest.mark.parametrize("text", ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"])
 def test_parse_rejects_deep_nesting(ring, text):
     with pytest.raises(ValueError, match="^polynomial is nested too deeply$"):
