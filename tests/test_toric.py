@@ -2,6 +2,8 @@ import pytest
 
 from srcy import fixtures
 from srcy.toric import (
+    Component,
+    ComponentStructure,
     Fan,
     all_charts,
     chart_restriction,
@@ -247,10 +249,15 @@ def test_orbit_closures(fan_data):
 
 def test_orbit_closure_on_boundary_pair_is_incomplete(fan_data):
     fan, _f, _inv, _charts = fan_data
-    b = orbit_closure_component(fan, fan.ray_index((0, 1, 0, 0)),
-                                fan.ray_index((0, 0, 1, 0)))
+    b_ids = fan.ray_index((0, 1, 0, 0)), fan.ray_index((0, 0, 1, 0))
+    b = orbit_closure_component(fan, *b_ids)
     assert not b.complete
     assert (1, 0) in b.rays and (0, 1) in b.rays
+    # a table row reaching such a pair is refused: its ray count is no chi
+    pair = Component("", "orbit_pair", tuple(sorted(b_ids)), closure=b)
+    with pytest.raises(ValueError, match="orbit closure of .* is not complete"):
+        match_component_table(fan, ComponentStructure([pair], [], True),
+                              [("B", (0, 1, 0, 0), "P2", 3)])
 
 
 def test_classify_standard_surfaces():
