@@ -312,6 +312,11 @@ class Poly:
             acc, fmt = _repack(acc, fmt, fmt.wider), fmt.wider
         return _reduced(ring, fmt, acc, self.den * other.den)
 
+    @staticmethod
+    def dot(ring, pairs, trunc=None):
+        """The sum of a.mul(b, trunc) over the (a, b) pairs, all Polys of `ring`."""
+        return sum((a.mul(b, trunc) for a, b in pairs), ring.zero())
+
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")

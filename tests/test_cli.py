@@ -265,14 +265,18 @@ def test_pfaffian_command(capsys):
         assert (code, out) == (0, stdout), name
 
 
-def test_verify_family_command(capsys):
-    code, out = run_cli(
-        capsys, "verify-family",
-        _data("families/degree13_oneparam.mat"),
-        _data("families/degree13_expected.gens"),
-    )
-    assert json.loads(out)["first_order_syzygy"] is True
-    assert code == 0
+def test_verify_family_command(capsys, tmp_path):
+    for name in ("degree13", "degree14"):
+        code, out = run_cli(capsys, "verify-family", _data("families/%s_oneparam.mat" % name),
+                            _data("families/%s_expected.gens" % name))
+        assert (code, out) == (0, '{"first_order_syzygy":true}\n'), name
+    # one first-order sign flipped: M1 . f1 no longer vanishes mod s^2
+    text = Path(_data("families/degree13_expected.gens")).read_text()
+    assert text.count("x1*x2*x5 + s*x3") == 1
+    slipped = tmp_path / "slipped.gens"
+    slipped.write_text(text.replace("x1*x2*x5 + s*x3", "x1*x2*x5 - s*x3"))
+    code, out = run_cli(capsys, "verify-family", MAT13, str(slipped))
+    assert (code, out) == (1, '{"first_order_syzygy":false}\n')
 
 
 def test_torus_group_command(capsys):

@@ -203,6 +203,60 @@ def test_product_exponent_does_not_carry_into_the_next_variable(top):
     assert list(high.mul(x + y, (["y"], 1)).items()) == [((top + 1, 0), Fraction(1))]
 
 
+def _reference_dot(pairs, names, bound):
+    """The sum of `_reference_product` over the pairs, each filtered by `trunc`, as a tuple dict."""
+    terms = {}
+    for a, b in pairs:
+        idx = [a.ring.index[n] for n in names]
+        for e, c in _reference_product(a, b).items():
+            if sum(e[i] for i in idx) >= bound:
+                continue
+            s = terms.get(e, Fraction(0)) + c
+            if s:
+                terms[e] = s
+            else:
+                del terms[e]
+    return terms
+
+
+@st.composite
+def dot_cases(draw):
+    ring = draw(st.sampled_from(PRODUCT_RINGS))
+    names = draw(st.lists(st.sampled_from(ring.names), unique=True) if ring.names else st.just([]))
+    pairs = draw(st.lists(st.tuples(_polys(ring), _polys(ring)), max_size=4))
+    if pairs and draw(st.booleans()):  # a pair that cancels an earlier one
+        a, b = draw(st.sampled_from(pairs))
+        pairs.append((b, -a))
+    return ring, pairs, names, draw(st.sampled_from([0, 1, 2]))
+
+
+def _check_same_sum(poly, terms):
+    """The same terms as `terms`, in any order, every coefficient a Fraction."""
+    assert dict(poly.items()) == terms
+    assert all(type(c) is Fraction for _e, c in poly.items())
+    assert poly == _from_terms(poly.ring, terms)
+
+
+_WIDE = _XYT.monomial((2 ** 32 - 1, 0, 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dot_cases())
+@example((_XYT, [], ["t"], 2))  # no pairs
+@example((_XYT, [(_XYT.zero(), _XYT.parse("x")), (_XYT.parse("y"), _XYT.zero())], [], 1))
+@example((_XYT, [(_XYT.parse("x + 1/2"), _XYT.parse("t")), (_XYT.parse("-t"), _XYT.parse("x + 1/2"))],
+          ["t"], 2))  # the sum cancels to zero
+@example((_XYT, [(_XYT.parse("x"), _XYT.parse("y")), (_WIDE, _XYT.parse("1/3*t")),
+                 (_XYT.parse("1/2*y"), _XYT.parse("x"))], ["t"], 1))  # 16- and 128-bit pairs
+@example((_XYT, [(_XYT.parse("1/2*x"), _XYT.parse("1/3*y")), (_XYT.parse("1/4*x*t"), _XYT.parse("y")),
+                 (_XYT.parse("2/3*x"), _XYT.parse("-y"))], ["t"], 2))  # mixed denominators
+@example((_XYT, [(_XYT.parse("t*x + 1/5"), _XYT.parse("t^2 + t + 3"))], ["t"], 0))
+def test_dot_matches_the_sum_of_tuple_products(case):
+    ring, pairs, names, bound = case
+    _check_same_sum(Poly.dot(ring, pairs), _reference_dot(pairs, [], 1))
+    _check_same_sum(Poly.dot(ring, pairs, (names, bound)), _reference_dot(pairs, names, bound))
+
+
 # -- sums ------------------------------------------------------------------------
 
 
@@ -222,6 +276,41 @@ def test_sums_match_the_tuple_loop(case):
     _check_same_terms(a + b, _reference_sum(a, b))
     _check_same_terms(a - b, _reference_sum(a, b, -1))
     _check_same_terms(-a, {e: -c for e, c in a.items()})
+
+
+def _reference_evaluate(poly, point):
+    """The loop `Poly.evaluate` ran before the common denominator: one Fraction power per factor."""
+    total = Fraction(0)
+    for e, c in poly.items():
+        val = c
+        for i, p in enumerate(e):
+            if p:
+                val *= Fraction(point[poly.ring.names[i]]) ** p
+        total += val
+    return total
+
+
+VALUES = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5))
+
+
+@st.composite
+def evaluate_cases(draw):
+    ring = draw(st.sampled_from(PRODUCT_RINGS))
+    exponents = st.one_of(st.integers(0, 3), st.just(300))
+    terms = st.lists(st.tuples(st.tuples(*[exponents] * ring.nvars), COEFFICIENTS), max_size=5)
+    poly = sum((ring.monomial(e, c) for e, c in draw(terms)), ring.zero())
+    return poly, {n: draw(VALUES) for n in ring.names}
+
+
+@settings(max_examples=100, deadline=None)
+@given(evaluate_cases())
+@example((_XYT.parse("x^2*t + 3/2*y - 1/3"), {"x": Fraction(-1, 2), "y": 0, "t": Fraction(2, 3)}))
+@example((_XYT.parse("x^40000*y - 1/7*x^3"), {"x": Fraction(-3, 2), "y": Fraction(1, 3), "t": 5}))
+@example((_XYT.zero(), {"x": 1, "y": 2, "t": 3}))
+def test_evaluate_matches_the_fraction_loop(case):
+    poly, point = case
+    value = poly.evaluate(point)
+    assert type(value) is Fraction and value == _reference_evaluate(poly, point)
 
 
 def test_coefficients_are_kept_in_lowest_terms(ring):
