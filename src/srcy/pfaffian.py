@@ -36,52 +36,44 @@ class SkewPolyMatrix:
         return -self.upper.get((j, i), self.ring.zero())
 
     def mul_vector(self, vec, trunc=None):
-        """M . vec, each product truncated by `trunc` as in `Poly.mul`."""
-        out = []
-        for i in range(1, self.dim + 1):
-            s = self.ring.zero()
-            for j in range(1, self.dim + 1):
-                s = s + self.entry(i, j).mul(vec[j - 1], trunc)
-            out.append(s)
-        return out
+        """M . vec, one `Poly.dot` per row, each product truncated by `trunc` as in `Poly.mul`."""
+        cols = range(1, self.dim + 1)
+        return [Poly.dot(self.ring, [(self.entry(i, j), vec[j - 1]) for j in cols], trunc)
+                for i in cols]
 
 
-def _sub_pfaffians(m, trunc):
-    """Pf of the principal submatrix of `m` on an increasing index tuple.
+def _sub_pfaffian(m, indices, trunc, cache):
+    """Pf of the principal submatrix of `m` on the increasing index tuple `indices`.
 
-    Expands along the first row of the submatrix; every sub-Pfaffian is
-    memoized on its index tuple, one memo per returned function, so the
-    principal Pfaffians of one matrix share their expansions.
+    Expands along the first row of the submatrix in one `Poly.dot` over the
+    (+-entry, sub-Pfaffian) pairs.  `cache` maps each index tuple expanded
+    so far to its Pfaffian and is owned by the caller, so the principal
+    Pfaffians of one matrix share their expansions, and the memo holds no
+    reference cycle: it is freed as soon as the caller drops it.
     """
-    cache = {(): m.ring.one()}
-
-    def rec(indices):
-        if indices in cache:
-            return cache[indices]
-        first, rest = indices[0], indices[1:]
-        total = m.ring.zero()
-        for pos, j in enumerate(rest):
-            e = m.entry(first, j)
-            if e.is_zero():
-                continue
-            term = e.mul(rec(rest[:pos] + rest[pos + 1:]), trunc)
-            total = total + term if pos % 2 == 0 else total - term
-        cache[indices] = total
-        return total
-
-    return rec
+    if indices in cache:
+        return cache[indices]
+    first, rest = indices[0], indices[1:]
+    pairs = []
+    for pos, j in enumerate(rest):
+        e = m.upper.get((first, j))
+        if e is not None:
+            sub = _sub_pfaffian(m, rest[:pos] + rest[pos + 1:], trunc, cache)
+            pairs.append((e if pos % 2 == 0 else -e, sub))
+    total = cache[indices] = Poly.dot(m.ring, pairs, trunc)
+    return total
 
 
 def pfaffian(m, trunc=None):
     """Pfaffian by recursive first-row expansion; 0 when the size is odd.
 
     With trunc=(names, bound), every product drops the terms of degree
-    >= bound in `names` before they are formed (`Poly.mul`), so the result
+    >= bound in `names` before they are formed (`Poly.dot`), so the result
     is the Pfaffian truncated at that degree.
     """
     if m.dim % 2 == 1:
         return m.ring.zero()
-    return _sub_pfaffians(m, trunc)(tuple(range(1, m.dim + 1)))
+    return _sub_pfaffian(m, tuple(range(1, m.dim + 1)), trunc, {(): m.ring.one()})
 
 
 class SyzygySignError(RuntimeError):
@@ -97,11 +89,11 @@ def principal_pfaffians(m, trunc=None):
     """
     if m.dim % 2 == 0:
         raise ValueError("principal Pfaffians are taken for odd size")
-    sub = _sub_pfaffians(m, trunc)
+    cache = {(): m.ring.one()}
     full = tuple(range(1, m.dim + 1))
     f = []
     for i in full:
-        p = sub(full[:i - 1] + full[i:])
+        p = _sub_pfaffian(m, full[:i - 1] + full[i:], trunc, cache)
         f.append(-p if i % 2 == 1 else p)
     residual = m.mul_vector(f, trunc)
     if any(not r.is_zero() for r in residual):

@@ -23,7 +23,7 @@ import struct
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import or_
+from operator import attrgetter, or_
 
 
 # field widths in bits, narrowest first, with the struct code of one field:
@@ -166,6 +166,58 @@ def _common(a, b):
     return b.fmt, _repack(a.nums, a.fmt, b.fmt), b.nums
 
 
+def _nums_at(p, fmt):
+    """The numerators of p with their keys in `fmt`, which is at least as wide as p's."""
+    return p.nums if p.fmt.bits == fmt.bits else _repack(p.nums, p.fmt, fmt)
+
+
+def _truncation(ring, fmt, trunc):
+    """(mask, bound) for `_add_product` from trunc=(names, bound): the key mask of `names`."""
+    names, bound = trunc or ((), 1)
+    if not names:
+        return 0, bound
+    return fmt.mask(ring.nvars, (ring.index[n] for n in names)), bound
+
+
+def _add_product(acc, a, b, scale, unpack, mask, bound):
+    """Add scale * a * b into acc; a, b and acc are numerator dicts over one key format.
+
+    This is the one term-pair loop.  With a nonzero `mask`, a pair whose
+    degrees under the mask sum to `bound` or more is never formed; with no
+    mask, every pair is formed when bound > 0 and none otherwise.
+    """
+    room = {}  # bound - degree of a left term -> the right terms of lower degree
+    if mask:
+        left = [(d, k, c * scale) for k, c in a.items() if (d := sum(unpack(k & mask))) < bound]
+        right = [(d, k, c) for k, c in b.items() if (d := sum(unpack(k & mask))) < bound]
+    elif bound > 0:
+        left = [(0, k, c * scale) for k, c in a.items()]
+        room[bound] = b.items()
+    else:
+        return
+    get = acc.get
+    for d1, k1, c1 in left:
+        r = bound - d1
+        if r not in room:
+            room[r] = [(k, c) for d, k, c in right if d < r]
+        for k2, c2 in room[r]:
+            k = k1 + k2
+            s = get(k, 0) + c1 * c2
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+
+
+def _settled(ring, fmt, acc, den):
+    """The Poly acc/den, moved to the next field width if a key reached its field's limit."""
+    if reduce(or_, acc, 0) & fmt.over:
+        if fmt.wider is None:
+            raise ValueError("a product exponent does not fit a 64-bit field")
+        acc, fmt = _repack(acc, fmt, fmt.wider), fmt.wider
+    return _reduced(ring, fmt, acc, den)
+
+
 class Poly:
     """An element of a PolyRing; immutable by convention.
 
@@ -282,40 +334,28 @@ class Poly:
         if not self.nums or not other.nums:
             return ring.zero()
         fmt, a, b = _common(self, other)
-        names, bound = trunc or ((), 1)
-        if names:
-            mask, unpack = fmt.mask(ring.nvars, (ring.index[n] for n in names)), fmt.unpack
-            left = [(d, k, c) for k, c in a.items() if (d := sum(unpack(k & mask))) < bound]
-            right = [(d, k, c) for k, c in b.items() if (d := sum(unpack(k & mask))) < bound]
-        elif bound > 0:
-            left = [(0, k, c) for k, c in a.items()]
-            right = [(0, k, c) for k, c in b.items()]
-        else:
-            left = right = []
-        room = {}  # bound - degree of a left term -> the right terms of lower degree
         acc = {}
-        get = acc.get
-        for d1, k1, c1 in left:
-            r = bound - d1
-            if r not in room:
-                room[r] = [(k, c) for d, k, c in right if d < r]
-            for k2, c2 in room[r]:
-                k = k1 + k2
-                s = get(k, 0) + c1 * c2
-                if s:
-                    acc[k] = s
-                else:
-                    del acc[k]
-        if reduce(or_, acc, 0) & fmt.over:
-            if fmt.wider is None:
-                raise ValueError("a product exponent does not fit a 64-bit field")
-            acc, fmt = _repack(acc, fmt, fmt.wider), fmt.wider
-        return _reduced(ring, fmt, acc, self.den * other.den)
+        _add_product(acc, a, b, 1, fmt.unpack, *_truncation(ring, fmt, trunc))
+        return _settled(ring, fmt, acc, self.den * other.den)
 
     @staticmethod
     def dot(ring, pairs, trunc=None):
-        """The sum of a.mul(b, trunc) over the (a, b) pairs, all Polys of `ring`."""
-        return sum((a.mul(b, trunc) for a, b in pairs), ring.zero())
+        """The sum of a.mul(b, trunc) over the (a, b) pairs, all Polys of `ring`.
+
+        Every product adds into one dict of numerators over the lcm of the
+        pairs' denominator products, at the widest key format among the
+        factors; no Poly is built per pair, and the result is widened on
+        overflow and reduced once at the end.
+        """
+        pairs = [(a, b) for a, b in pairs if a.nums and b.nums]
+        fmt = max((p.fmt for pair in pairs for p in pair), key=attrgetter("bits"), default=ring.narrow)
+        den = lcm(*[a.den * b.den for a, b in pairs])
+        mask, bound = _truncation(ring, fmt, trunc)
+        acc = {}
+        for a, b in pairs:
+            _add_product(acc, _nums_at(a, fmt), _nums_at(b, fmt), den // (a.den * b.den),
+                         fmt.unpack, mask, bound)
+        return _settled(ring, fmt, acc, den)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 from fractions import Fraction
@@ -139,25 +140,41 @@ def test_verify_first_order_and_negative_control():
 def test_sign_slip_fails_the_pfaffian_section(monkeypatch):
     """A Pfaffian that loses every second sign breaks M.f = 0 and the report."""
     module = sys.modules["srcy.pfaffian"]
-    original = module._sub_pfaffians
+    original = module._sub_pfaffian
     calls = []
+    depth = [0]
 
-    def slipped(m, trunc):
-        sub = original(m, trunc)
+    def slipped(m, indices, trunc, cache):
+        # negate every second sub-Pfaffian handed back to `pfaffian` or
+        # `principal_pfaffians`; the expansion's own recursive calls pass through
+        depth[0] += 1
+        try:
+            p = original(m, indices, trunc, cache)
+        finally:
+            depth[0] -= 1
+        if depth[0]:
+            return p
+        calls.append(indices)
+        return -p if len(calls) % 2 == 0 else p
 
-        def slipped_sub(indices):
-            calls.append(indices)
-            p = sub(indices)
-            return -p if len(calls) % 2 == 0 else p
-
-        return slipped_sub
-
-    monkeypatch.setattr(module, "_sub_pfaffians", slipped)
+    monkeypatch.setattr(module, "_sub_pfaffian", slipped)
     report = run_all(only=["pfaffian"])
     assert not report.ok
     [failure] = report.failures()
     assert failure.id == "pfaffian.completed"
     assert failure.computed.startswith("SyzygySignError")
+
+
+def test_the_pfaffian_memo_needs_no_cycle_collector():
+    """Reference counting frees the sub-Pfaffian memo when principal_pfaffians returns."""
+    matrix, _ring = fixtures.family_matrix("p7_1")
+    gc.collect()
+    gc.disable()
+    try:
+        principal_pfaffians(matrix)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_one_syzygy_residual_per_pfaffian_vector(monkeypatch):
