@@ -220,10 +220,7 @@ def variable_ring(k, extra=()):
 
 def generator_monomial(ring, p):
     """The monomial x_p = prod of x_v over the vertices v of p."""
-    exps = [0] * ring.nvars
-    for v in p:
-        exps[ring.index["x%d" % v]] = 1
-    return ring.monomial(exps)
+    return ring.power_product(dict.fromkeys(("x%d" % v for v in p), 1))
 
 
 def perturbation(elem, generators, ring, vertices):
@@ -240,12 +237,10 @@ def perturbation(elem, generators, ring, vertices):
         if not elem.b <= pset:
             out[tuple(sorted(p))] = None
             continue
-        exps = [0] * ring.nvars
-        for v in pset - elem.b:
-            exps[ring.index["x%d" % v]] += 1
+        powers = dict.fromkeys(("x%d" % v for v in pset - elem.b), 1)
         for v, e in avec.items():
-            exps[ring.index["x%d" % v]] += e
-        out[tuple(sorted(p))] = ring.monomial(exps)
+            powers["x%d" % v] = powers.get("x%d" % v, 0) + e
+        out[tuple(sorted(p))] = ring.power_product(powers)
     return out
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import attrgetter, or_
 
 
@@ -33,6 +33,10 @@ _WIDTHS = ((16, "H"), (128, "Q8x"))
 
 # largest exponent the parser multiplies out; the bundled data uses up to 8
 MAX_EXPONENT = 1000
+
+# most terms a parsed power may have, bounded before it is multiplied out; the
+# bundled data raises only single variables to powers
+MAX_POWER_TERMS = 10000
 
 
 class _Format:
@@ -124,18 +128,34 @@ class PolyRing:
             return self.zero()
         return _from_terms(self, {exps: coeff})
 
+    def power_product(self, powers):
+        """The monomial prod name^e over the name -> exponent mapping `powers`, coefficient 1.
+
+        The key is the sum of each exponent shifted to its variable's field,
+        as in `var`; no exponent vector is built.
+        """
+        if any(e < 0 for e in powers.values()):
+            raise ValueError("negative exponent")
+        fmt, index = _format_for(self, max(powers.values(), default=0)), self.index
+        return Poly(self, fmt, {sum(e << (index[n] * fmt.bits) for n, e in powers.items()): 1}, 1)
+
     def parse(self, text):
         return _parse(self, text)
 
 
-def _from_terms(ring, terms):
-    """The Poly with the exponent tuple -> nonzero Fraction `terms`, in their order."""
-    top = max((max(e, default=0) for e in terms), default=0)
+def _format_for(ring, top):
+    """The narrowest key format of `ring` that stores the exponent `top`."""
     fmt = ring.narrow
     while top >= fmt.limit:
         fmt = fmt.wider
         if fmt is None:
             raise ValueError("exponent %d does not fit a 64-bit field" % top)
+    return fmt
+
+
+def _from_terms(ring, terms):
+    """The Poly with the exponent tuple -> nonzero Fraction `terms`, in their order."""
+    fmt = _format_for(ring, max((max(e, default=0) for e in terms), default=0))
     den = lcm(*[c.denominator for c in terms.values()])
     return Poly(ring, fmt, {fmt.pack(e): c.numerator * (den // c.denominator)
                             for e, c in terms.items()}, den)
@@ -405,15 +425,27 @@ class Poly:
         return _from_terms(self.ring, {e: c for e, c in terms.items() if c})
 
     def evaluate(self, point):
-        """Evaluate at a full assignment name -> Fraction."""
-        total = Fraction(0)
-        for e, c in self.items():
-            val = c
-            for i, p in enumerate(e):
-                if p:
-                    val *= Fraction(point[self.ring.names[i]]) ** p
-            total += val
-        return total
+        """Evaluate at an assignment name -> rational that covers every variable present.
+
+        With v = n/d and top the highest power of v in any term, a term's
+        factor v^p is n^p * d^(top - p) over the common d^top; each variable
+        gets a table of those ints, and one Fraction is built at the end.
+        """
+        exps = [self.fmt.unpack(k) for k in self.nums]
+        den, tables = self.den, []
+        for i, column in enumerate(zip(*exps)):
+            powers = set(column)
+            if any(powers):
+                v, top = Fraction(point[self.ring.names[i]]), max(powers)
+                n, d = v.numerator, v.denominator
+                tables.append((i, {p: n ** p * d ** (top - p) for p in powers}))
+                den *= d ** top
+        total = 0
+        for e, c in zip(exps, self.nums.values()):
+            for i, table in tables:
+                c *= table[e[i]]
+            total += c
+        return Fraction(total, den)
 
     def derivative(self, name):
         shift, field = self.ring.index[name] * self.fmt.bits, self.fmt.limit - 1
@@ -601,6 +633,11 @@ def _parse_factor(ring, toks):
         e, unit_monomial = int(p), atom.den == 1 and [abs(c) for c in atom.nums.values()] == [1]
         if e > MAX_EXPONENT and not unit_monomial:
             raise ValueError("exponent %d is above the limit %d" % (e, MAX_EXPONENT))
+        # a t-term base has at most C(e + t - 1, t - 1) monomials of degree e in its terms
+        t = len(atom.nums)
+        if t > 1 and comb(e + t - 1, t - 1) > MAX_POWER_TERMS:
+            raise ValueError("power %d of a polynomial with %d terms may have %d terms, "
+                             "above the limit %d" % (e, t, comb(e + t - 1, t - 1), MAX_POWER_TERMS))
         return atom ** e
     return atom
 

@@ -160,6 +160,9 @@ MAT13 = _data("families/degree13_oneparam.mat")
     (["pfaffian"], "dim 1001\nvars x1\n", "line 1: dim 1001 is above the limit 1000"),
     (["torus-group"], "len 1001\nvars x1\n", "line 1: len 1001 is above the limit 1000"),
     (["pfaffian"], "dim 2\nvars x1..x1001\n", "line 2: range 'x1..x1001' has more than 1000 names"),
+    (["pfaffian"], "dim 2\nvars x1..x8\nentry 1 2 : (x1+x2+x3+x4+x5+x6+x7+x8)^1000\n",
+     "line 3: power 1000 of a polynomial with 8 terms may have 204032533091695451 terms, "
+     "above the limit 10000"),
 ])
 def test_bad_input_file_exits_2(capsys, tmp_path, argv, text, reason):
     path = tmp_path / "input"

@@ -43,6 +43,15 @@ def test_parse_caps_exponents_that_grow_the_result(ring):
     assert ring.parse("x^4294967295") == ring.monomial((2 ** 32 - 1, 0, 0))
 
 
+def test_parse_caps_the_terms_of_a_power(ring):
+    # a t-term base to the power e has up to C(e + t - 1, t - 1) terms, checked before expanding
+    with pytest.raises(ValueError, match="^power 38 of a polynomial with 4 terms may have 10660 "
+                                         "terms, above the limit 10000$"):
+        ring.parse("x*y + (x + y + t + 1)^38")
+    assert ring.parse("(x + y + t)^2") == ring.parse("x^2 + y^2 + t^2 + 2*x*y + 2*x*t + 2*y*t")
+    assert ring.parse("(x - y)^1000") == (ring.var("x") - ring.var("y")) ** 1000
+
+
 @pytest.mark.parametrize("text", ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"])
 def test_parse_rejects_deep_nesting(ring, text):
     with pytest.raises(ValueError, match="^polynomial is nested too deeply$"):
@@ -345,6 +354,18 @@ def test_polynomials_of_different_exponent_sizes_mix(top):
     assert (high * y + x * high).strip_monomial_content() == x + y
     assert high.derivative("x") == top * ring.monomial((top - 1, 0))
     assert (high * y).truncate_above(["y"], 1).is_zero()
+
+
+def test_power_product_matches_monomial(ring):
+    assert list(ring.power_product({"x": 2, "t": 1}).items()) == [((2, 0, 1), Fraction(1))]
+    assert ring.power_product({"t": 1, "x": 2}) == ring.monomial((2, 0, 1))
+    assert list(ring.power_product({"y": 40000, "x": 0}).items()) == [((0, 40000, 0), Fraction(1))]
+    assert ring.power_product({"y": 40000}) * ring.var("x") == ring.monomial((1, 40000, 0))
+    assert ring.power_product({}) == ring.one()
+    with pytest.raises(ValueError, match="^negative exponent$"):
+        ring.power_product({"x": 1, "y": -1})
+    with pytest.raises(ValueError, match="64-bit"):
+        ring.power_product({"x": 2 ** 64})
 
 
 def test_product_exponent_past_64_bits_is_an_error():
