@@ -4,6 +4,11 @@ Sign conventions: the Pfaffian expands recursively along the first row,
 normalized so Pf([[0, a], [-a, 0]]) = a.  Principal Pfaffians carry the
 alternating sign that makes M . f = 0 hold identically; this is verified
 symbolically whenever they are produced.
+
+Each first-row expansion and each row of M . f is one `Poly.dot`, the
+fused sum of products.  Sub-Pfaffians are memoized in a dict that
+`pfaffian` or `principal_pfaffians` creates and passes down the plain
+recursion, so the memo forms no reference cycle and is freed on return.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ def _sub_pfaffian(m, indices, trunc, cache):
         if e is not None:
             sub = _sub_pfaffian(m, rest[:pos] + rest[pos + 1:], trunc, cache)
             pairs.append((e if pos % 2 == 0 else -e, sub))
-    total = cache[indices] = Poly.dot(m.ring, pairs, trunc)
+    cache[indices] = total = Poly.dot(m.ring, pairs, trunc)
     return total
 
 

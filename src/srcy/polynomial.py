@@ -9,12 +9,15 @@ package.
 Products, sums and negation work on the keys and numerators alone: adding
 two keys multiplies the monomials, because a field holds at most half its
 width and so never carries into the next.  Fractions are built only where
-a caller reads the terms (`Poly.items`, printing, evaluation and the
-structural helpers).  `Poly.mul` is the one product loop; given a
-truncation (names, bound) it never forms a term pair whose degree in
-`names` reaches the bound.  The Pfaffians of first-order families use that
-truncation to drop the terms quadratic in the deformation parameters
-before they are built.
+a caller reads the terms (`Poly.items`, printing and the structural
+helpers; `Poly.evaluate` builds one, over a common denominator).
+`_add_product` is the one term-pair loop: `Poly.mul` runs it for one pair,
+and `Poly.dot`, the sum of products behind the Pfaffian expansion and the
+M.f = 0 residual, runs it once per pair into one dict of numerators that is
+widened and reduced once.  Given a truncation (names, bound) it never forms
+a term pair whose degree in `names` reaches the bound.  The Pfaffians of
+first-order families use that truncation to drop the terms quadratic in
+the deformation parameters before they are built.
 """
 
 from __future__ import annotations
@@ -635,9 +638,9 @@ def _parse_factor(ring, toks):
             raise ValueError("exponent %d is above the limit %d" % (e, MAX_EXPONENT))
         # a t-term base has at most C(e + t - 1, t - 1) monomials of degree e in its terms
         t = len(atom.nums)
-        if t > 1 and comb(e + t - 1, t - 1) > MAX_POWER_TERMS:
+        if t > 1 and (size := comb(e + t - 1, t - 1)) > MAX_POWER_TERMS:
             raise ValueError("power %d of a polynomial with %d terms may have %d terms, "
-                             "above the limit %d" % (e, t, comb(e + t - 1, t - 1), MAX_POWER_TERMS))
+                             "above the limit %d" % (e, t, size, MAX_POWER_TERMS))
         return atom ** e
     return atom
 
