@@ -275,6 +275,15 @@ def test_classify_rejects_nonsmooth():
         classify_toric_surface([(1, 0), (0, 1), (-1, -2)])
 
 
+@pytest.mark.parametrize("rays", [
+    [(1, 0), (1, 0), (0, 1), (-1, -1)],  # P2 with a repeated ray
+    [(2, 0), (0, 1), (-1, -1)],  # P2 with an imprimitive ray
+])
+def test_classify_rejects_repeated_and_imprimitive_rays(rays):
+    with pytest.raises(ValueError):
+        classify_toric_surface(rays)
+
+
 def test_pbundle_structures(fan_data):
     fan, _f, _inv, _charts = fan_data
     pb7 = pbundle_structure(fan, fan.ray_index((15, -5, -3, -6)))
@@ -310,6 +319,21 @@ def test_fan_isomorphism_is_lattice_invariant():
     rays2 = [primitive(mat_vec_int(u, list(r))) for r in rays]
     assert fans_isomorphic_3d(rays, cones, rays2, cones)
     assert not fans_isomorphic_3d(rays, cones, rays, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 1, 2)])
+
+
+OCTAHEDRAL_RAYS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+OCTAHEDRAL_CONES = [(i, j, k) for i in (0, 1) for j in (2, 3) for k in (4, 5)]
+
+
+@pytest.mark.parametrize("e3_image, isomorphic", [
+    ((1, 1, 1), True),  # e3 -> (1, 1, 1) fixing e1, e2 has det 1
+    ((1, 1, 2), False),  # every linear map of the cones onto these has det +-2
+])
+def test_fan_isomorphism_needs_a_unimodular_map(e3_image, isomorphic):
+    neg = tuple(-x for x in e3_image)
+    rays_b = OCTAHEDRAL_RAYS[:4] + [e3_image, neg]
+    assert fans_isomorphic_3d(OCTAHEDRAL_RAYS, OCTAHEDRAL_CONES, rays_b, OCTAHEDRAL_CONES) \
+        is isomorphic
 
 
 def test_component_structure(fan_data):
