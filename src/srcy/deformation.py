@@ -161,12 +161,11 @@ def admissible_pairs(k):
     return pairs
 
 
-def t1_degree_zero_basis(k, check=True):
+def t1_degree_zero_basis(k):
     """Canonically ordered basis of the degree-zero first-order deformations."""
-    if check:
-        report = is_combinatorial_3sphere_candidate(k)
-        if not report.ok:
-            raise ValueError("complex fails 3-sphere checks: %s" % "; ".join(report.failures))
+    report = is_combinatorial_3sphere_candidate(k)
+    if not report.ok:
+        raise ValueError("complex fails 3-sphere checks: %s" % "; ".join(report.failures))
     basis = []
     for support, b in admissible_pairs(k):
         for avec in _compositions(len(b), len(support)):
@@ -252,11 +251,11 @@ class FirstOrderFamily:
     params: list  # parameter names, aligned with basis
 
 
-def first_order_family(k, check=True):
+def first_order_family(k):
     """One parameter per basis element; generators x_p + sum_i t_i phi_i(x_p)."""
     from .sr_ideal import minimal_nonfaces
 
-    basis = t1_degree_zero_basis(k, check=check)
+    basis = t1_degree_zero_basis(k)
     params = ["t%d" % (i + 1) for i in range(len(basis))]
     ring = variable_ring(k, extra=params)
     gens = minimal_nonfaces(k).generators

@@ -4,11 +4,15 @@ The fan data lives in a working basis of the ambient lattice N (an integer
 refinement of Z^4); each ray is converted to ambient coordinates once, for
 the pairings with monomials.  Chart polynomials of the strict transform,
 Reid's crepancy criterion, exceptional-component fans and the intersection
-complex are all computed with exact integer/rational arithmetic.
+complex are all computed with exact integer/rational arithmetic.  Every 2d
+fan, whether the closure of a component (methods 1 and 3) or the base of a
+P1-bundle (method 2), is a `SurfaceFan`: its rays in counterclockwise order
+and whether they form a smooth complete fan.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
@@ -265,13 +269,8 @@ def crepancy_check(fan, f_monomials):
 
 @dataclass
 class StarFan:
-    """Star(rho) projected to the quotient lattice N/Z rho.
+    """Star(rho) projected to the quotient lattice N/Z rho."""
 
-    Method 1 does not build it: the dual basis of each star cone is read
-    from the fan's cone inverses (see `method1_component`).
-    """
-
-    ray_id: int
     rays: dict  # adjacent ray id -> projected primitive 3-vector
     cones: list  # triples of adjacent ray ids, per maximal cone containing rho
 
@@ -282,43 +281,51 @@ def star(fan, ray_id):
         tuple(i for i in fan.cones[c] if i != ray_id) for c in fan.cones_containing(ray_id)
     ]
     rays = {i: tuple(la.mat_vec_int(proj, list(fan.rays[i]))) for cone in cones for i in cone}
-    return StarFan(ray_id, rays, cones)
+    return StarFan(rays, cones)
 
 
-def _cyclic_sort_2d(rays):
-    def half(v):
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    def cmp(a, b):
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cr = a[0] * b[1] - a[1] * b[0]
-        return 0 if cr == 0 else (-1 if cr > 0 else 1)
-
-    return sorted(rays, key=cmp_to_key(cmp))
+def _det2(a, b):
+    return a[0] * b[1] - a[1] * b[0]
 
 
-def _check_complete_smooth_2d(rays, require_complete=True):
-    rays = _cyclic_sort_2d(rays)
-    n = len(rays)
-    complete = n >= 3 and all(
-        rays[i][0] * rays[(i + 1) % n][1] - rays[i][1] * rays[(i + 1) % n][0] == 1
-        for i in range(n)
-    )
-    if require_complete:
-        if not complete:
-            raise ValueError("rays %s do not form a smooth complete fan" % (rays,))
-        return rays
-    return rays, complete
+def _half_plane(v):
+    return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+
+
+def _counterclockwise(a, b):
+    ha, hb = _half_plane(a), _half_plane(b)
+    if ha != hb:
+        return -1 if ha < hb else 1
+    cr = _det2(a, b)
+    return 0 if cr == 0 else (-1 if cr > 0 else 1)
 
 
 @dataclass
 class SurfaceFan:
-    rays: list  # cyclically sorted primitive 2-vectors
-    chi: int
+    """A 2d fan given by its rays, counterclockwise from the positive x-axis.
+
+    `complete` holds when there are at least three rays and every two
+    neighbours, the last and the first included, have determinant 1: the
+    rays then span a smooth complete fan, whose toric surface has Euler
+    number `chi`, the ray count.  `factor_count` is the number of
+    conjugate components sharing the fan (method 1).  Build it with
+    `from_rays`, which neither deduplicates nor takes primitives.
+    """
+
+    rays: list
+    complete: bool
     factor_count: int = 1
-    complete: bool = True
+
+    @classmethod
+    def from_rays(cls, rays, factor_count=1):
+        rays = sorted(rays, key=cmp_to_key(_counterclockwise))
+        n = len(rays)
+        complete = n >= 3 and all(_det2(rays[i - 1], rays[i]) == 1 for i in range(n))
+        return cls(rays, complete, factor_count)
+
+    @property
+    def chi(self):
+        return len(self.rays)
 
 
 def method1_component(fan, charts, ray_id):
@@ -361,8 +368,10 @@ def method1_component(fan, charts, ray_id):
             if i != ray_id
         ]
         rays.update(_preimage_cone_rays(g))
-    rays2d = _check_complete_smooth_2d(list(rays))
-    return SurfaceFan(rays2d, len(rays2d), gcd(*exps))
+    surface = SurfaceFan.from_rays(rays, gcd(*exps))
+    if not surface.complete:
+        raise ValueError("rays %s do not form a smooth complete fan" % (surface.rays,))
+    return surface
 
 
 def _torus_binomial(fbar):
@@ -417,13 +426,14 @@ def orbit_closure_component(fan, ray_id1, ray_id2):
             if i in (ray_id1, ray_id2):
                 continue
             rays.add(tuple(la.mat_vec_int(proj, list(fan.rays[i]))))
-    sorted_rays, complete = _check_complete_smooth_2d(
-        [la.primitive(r) for r in rays], require_complete=False
-    )
-    return SurfaceFan(sorted_rays, len(sorted_rays), complete=complete)
+    return SurfaceFan.from_rays([la.primitive(r) for r in rays])
 
 
 # -- smooth complete toric surfaces ---------------------------------------------
+
+
+# P2, F<n> or Bl<k>P2, Bl<k>F<n>, in ASCII digits without leading zeros
+_SURFACE_TAG = re.compile(r"(?:Bl(?P<k>[1-9][0-9]*))?(?:P2|F(?P<n>0|[1-9][0-9]*))")
 
 
 @dataclass(frozen=True)
@@ -443,43 +453,17 @@ class SurfaceType:
 
     @classmethod
     def parse(cls, text):
-        if text == "P2":
-            return cls("P2")
-        if text.startswith("F"):
-            return cls("F", n=int(text[1:]))
-        if text.startswith("Bl"):
-            rest = text[2:]
-            k = ""
-            while rest and rest[0].isdigit():
-                k += rest[0]
-                rest = rest[1:]
-            if rest == "P2":
-                return cls("BlP2", blowups=int(k))
-            if rest.startswith("F"):
-                return cls("BlF", n=int(rest[1:]), blowups=int(k))
-        raise ValueError("unrecognized surface tag %r" % text)
+        """Read a canonical tag, one that `str` gives back unchanged (k >= 1)."""
+        m = _SURFACE_TAG.fullmatch(text)
+        if m is None:
+            raise ValueError("unrecognized surface tag %r" % text)
+        k, n = m["k"], m["n"]
+        kind = ("Bl" if k else "") + ("P2" if n is None else "F")
+        return cls(kind, n=int(n or 0), blowups=int(k or 0))
 
     def chi(self):
         base = 3 if self.kind in ("P2", "BlP2") else 4
         return base + self.blowups
-
-
-def _self_intersection_coeffs(rays):
-    n = len(rays)
-    out = []
-    for i in range(n):
-        prev, cur, nxt = rays[i - 1], rays[i], rays[(i + 1) % n]
-        s = (prev[0] + nxt[0], prev[1] + nxt[1])
-        if cur[0] != 0:
-            a, rem = divmod(s[0], cur[0])
-            parallel = rem == 0 and a * cur[1] == s[1]
-        else:
-            a, rem = divmod(s[1], cur[1])
-            parallel = rem == 0 and a * cur[0] == s[0]
-        if not parallel:
-            raise ValueError("fan is not smooth at ray %s" % (cur,))
-        out.append(a)
-    return out
 
 
 def classify_toric_surface(rays):
@@ -487,8 +471,14 @@ def classify_toric_surface(rays):
 
     Searches every blow-down order; if the projective plane is reachable
     the tag is Bl_k P2, otherwise Bl_k F_n with the smallest reachable n.
+    On a smooth complete fan v_(i-1) + v_(i+1) = a_i v_i (Fulton,
+    *Introduction to Toric Varieties*, 1993, 2.5), so with neighbours of
+    determinant 1, a_i = det(v_(i-1), v_(i+1)).  Dropping a ray with
+    a_i = 1 leaves a smooth complete fan, so every state reached stays one.
     """
-    rays = _check_complete_smooth_2d(list(rays))
+    surface = SurfaceFan.from_rays(rays)
+    if not surface.complete:
+        raise ValueError("rays %s do not form a smooth complete fan" % (surface.rays,))
     terminals = set()
     seen = set()
 
@@ -496,17 +486,18 @@ def classify_toric_surface(rays):
         if state in seen:
             return
         seen.add(state)
-        coeffs = _self_intersection_coeffs(state)
-        if len(state) == 3:
+        n = len(state)
+        coeffs = [_det2(state[i - 1], state[(i + 1) % n]) for i in range(n)]
+        if n == 3:
             if coeffs != [-1, -1, -1]:
                 raise ValueError("three-ray fan with unexpected intersections %s" % coeffs)
             terminals.add(("P2", 0))
             return
-        if len(state) == 4 and 1 not in coeffs:
-            n = max(coeffs)
-            if sorted(coeffs) != sorted([0, n, 0, -n]):
+        if n == 4 and 1 not in coeffs:
+            top = max(coeffs)
+            if sorted(coeffs) != sorted([0, top, 0, -top]):
                 raise ValueError("four-ray fan with unexpected intersections %s" % coeffs)
-            terminals.add(("F", n))
+            terminals.add(("F", top))
             return
         blew = False
         for i, a in enumerate(coeffs):
@@ -514,10 +505,10 @@ def classify_toric_surface(rays):
                 blew = True
                 explore(tuple(state[:i] + state[i + 1:]))
         if not blew:
-            raise ValueError("no exceptional ray on a fan with %d rays" % len(state))
+            raise ValueError("no exceptional ray on a fan with %d rays" % n)
 
-    explore(tuple(rays))
-    k = len(rays)
+    explore(tuple(surface.rays))
+    k = surface.chi
     if ("P2", 0) in terminals:
         return SurfaceType("P2") if k == 3 else SurfaceType("BlP2", blowups=k - 3)
     n = min(t[1] for t in terminals)
@@ -529,15 +520,8 @@ def classify_toric_surface(rays):
 # -- P1-bundle recognition (method 2) -------------------------------------------
 
 
-@dataclass
-class PBundleStructure:
-    fiber: tuple  # star-lattice direction of the P1 fiber
-    base_rays: list
-    base_chi: int
-
-
 def pbundle_structure(fan, ray_id):
-    """Detect a locally trivial P1-bundle structure on Star(rho).
+    """Base fan of a locally trivial P1-bundle structure on Star(rho), or None.
 
     Looks for a direction e with both e and -e among the star's rays such
     that every maximal cone contains exactly one of them and projects to a
@@ -547,39 +531,30 @@ def pbundle_structure(fan, ray_id):
     st = star(fan, ray_id)
     values = set(st.rays.values())
     for e in sorted(values):
-        if tuple(-x for x in e) not in values:
-            continue
-        try:
-            base = _project_star_along(st, e)
-        except ValueError:
-            continue
-        return PBundleStructure(e, base, len(base))
+        if tuple(-x for x in e) in values:
+            base = _bundle_base(st, e)
+            if base is not None:
+                return base
     return None
 
 
-def _project_star_along(st, e):
+def _bundle_base(st, e):
+    """The star projected along e, if each cone splits into a fiber ray and a base cone."""
     proj = la.quotient_projection([list(e)])
-    rays = set()
     pair = {e, tuple(-x for x in e)}
     cones = []
     for cone in st.cones:
         vals = [st.rays[i] for i in cone]
-        fiber = [v for v in vals if v in pair]
-        if len(fiber) != 1:
-            raise ValueError("cone does not split along the fiber direction")
-        basev = [tuple(la.mat_vec_int(proj, list(v))) for v in vals if v not in pair]
-        if len(basev) != 2:
-            raise ValueError("cone does not split along the fiber direction")
-        rays.update(la.primitive(v) for v in basev)
-        cones.append(frozenset(la.primitive(v) for v in basev))
-    sorted_rays = _check_complete_smooth_2d(list(rays))
-    n = len(sorted_rays)
-    expected = {
-        frozenset((sorted_rays[i], sorted_rays[(i + 1) % n])) for i in range(n)
-    }
-    if set(cones) != expected or len(cones) != 2 * n:
-        raise ValueError("star cones do not project onto the base fan")
-    return sorted_rays
+        basev = [la.primitive(la.mat_vec_int(proj, list(v))) for v in vals if v not in pair]
+        if len(vals) != 3 or len(basev) != 2:
+            return None
+        cones.append(frozenset(basev))
+    base = SurfaceFan.from_rays(set().union(*cones))
+    n = base.chi
+    expected = {frozenset((base.rays[i - 1], base.rays[i])) for i in range(n)}
+    if base.complete and set(cones) == expected and len(cones) == 2 * n:
+        return base
+    return None
 
 
 # -- polytopes and normal fans (method 4) ----------------------------------------
@@ -649,41 +624,27 @@ def lattice_points_in_polytope(points):
 def fans_isomorphic_3d(rays_a, cones_a, rays_b, cones_b):
     """GL_3(Z)-equivalence of two complete simplicial 3d fans.
 
-    Candidates map one cone of the first fan onto each cone of the second
-    in every ray order; a candidate must be unimodular, carry rays to rays
-    and cones to cones.
+    Every isomorphism of the cone complexes fixes the linear map that
+    sends the rays of the first fan's first cone to their images; the fans
+    are equivalent when one such map is integral, has determinant +-1 and
+    carries every ray exactly to its image.
     """
-    from itertools import permutations as _perms
-
     if len(rays_a) != len(rays_b) or len(cones_a) != len(cones_b):
         return False
-    cones_a = [tuple(c) for c in cones_a]
-    base = cones_a[0]
+    base = tuple(cones_a[0])
     if len(base) != 3:
         return False
     inv_a = la.inverse(_ray_matrix_columns([rays_a[i] for i in base]))
-    pos_b = {tuple(r): j for j, r in enumerate(rays_b)}
-    set_b = {frozenset(c) for c in cones_b}
-    for cone in cones_b:
-        if len(cone) != 3:
-            return False
-        for order in _perms(cone):
-            rows = la.mat_fractions(_ray_matrix_columns([rays_b[i] for i in order]))
-            prod = [
-                [sum(rows[i][k] * inv_a[k][j] for k in range(3)) for j in range(3)]
-                for i in range(3)
-            ]
-            if any(x.denominator != 1 for row in prod for x in row):
-                continue
-            u = [[int(x) for x in row] for row in prod]
-            if abs(la.det(u)) != 1:
-                continue
-            images = [la.primitive(la.mat_vec_int(u, list(r))) for r in rays_a]
-            if any(img not in pos_b for img in images):
-                continue
-            mapping = {i: pos_b[img] for i, img in enumerate(images)}
-            if {frozenset(mapping[i] for i in c) for c in cones_a} == set_b:
-                return True
+    for m in SimplicialComplex(cones_a).isomorphisms(SimplicialComplex(cones_b)):
+        u = la.mat_int_mul(_ray_matrix_columns([rays_b[m[i]] for i in base]), inv_a)
+        if any(x.denominator != 1 for row in u for x in row):
+            continue
+        u = [[int(x) for x in row] for row in u]
+        if abs(la.det(u)) == 1 and all(
+            i in m and tuple(la.mat_vec_int(u, list(r))) == tuple(rays_b[m[i]])
+            for i, r in enumerate(rays_a)
+        ):
+            return True
     return False
 
 
@@ -707,7 +668,6 @@ class Component:
     ray_ids: tuple
     factor_index: int = 0
     chi: int = None
-    surface: SurfaceType = None
     closure: SurfaceFan = None  # torus (method 1) or orbit (method 3) closure fan
 
     @property
@@ -826,7 +786,7 @@ def match_component_table(fan, structure, rows):
                     raise ValueError("orbit closure of %s is not complete" % (comp.ray_ids,))
                 if comp.closure.chi != chi:
                     continue
-            comp.label, comp.chi, comp.surface = label, chi, surface
+            comp.label, comp.chi = label, chi
             break
         else:
             raise ValueError("no derived component matches table row %s" % label)

@@ -9,7 +9,7 @@ the torsion of that sublattice modulo the difference lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .intlinalg import smith_normal_form
 
@@ -18,7 +18,6 @@ from .intlinalg import smith_normal_form
 class FiniteAbelianGroup:
     invariant_factors: list  # integers > 1, each dividing the next
     generators: list  # weight vectors, one per invariant factor
-    nvars: int
 
     @property
     def order(self):
@@ -31,7 +30,6 @@ class FiniteAbelianGroup:
 @dataclass
 class InfiniteStabilizer:
     torus_rank: int
-    message: str = field(default="stabilizer has positive-dimensional torus part")
 
 
 def geometry_exponents(poly, geometry_vars):
@@ -76,7 +74,7 @@ def diagonal_stabilizer(gens, geometry_vars):
     diffs = exponent_differences(gens, geometry_vars)
     cols = [d[:-1] for d in diffs]
     if not cols:
-        return InfiniteStabilizer(n - 1) if n > 1 else FiniteAbelianGroup([], [], 1)
+        return InfiniteStabilizer(n - 1) if n > 1 else FiniteAbelianGroup([], [])
     a = [[c[i] for c in cols] for i in range(n - 1)]
     d, u, _v = smith_normal_form(a)
     diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
@@ -92,7 +90,7 @@ def diagonal_stabilizer(gens, geometry_vars):
         weight = [u[i][j] % di for j in range(n - 1)] + [0]
         factors.append(di)
         gens_out.append(weight)
-    return FiniteAbelianGroup(factors, gens_out, n)
+    return FiniteAbelianGroup(factors, gens_out)
 
 
 def verify_character(gens, weight, order, geometry_vars):

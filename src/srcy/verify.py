@@ -342,9 +342,9 @@ def _check_toric(report, base):
     pb7 = pbundle_structure(fan, rid((15, -5, -3, -6)))
     pb8 = pbundle_structure(fan, rid((12, -4, -2, -5)))
     report.add("toric.bundle_base.E7", (5, "Bl1F2"),
-               (pb7.base_chi, str(classify_toric_surface(pb7.base_rays))) if pb7 else None,
+               (pb7.chi, str(classify_toric_surface(pb7.rays))) if pb7 else None,
                "star fibration")
-    report.add("toric.bundle_base.E8", 6, pb8.base_chi if pb8 else None, "star fibration")
+    report.add("toric.bundle_base.E8", 6, pb8.chi if pb8 else None, "star fibration")
 
     points = fixtures.scroll_polytope(base)
     report.add("toric.polytope_lattice_points", 10,

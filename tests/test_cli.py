@@ -215,6 +215,13 @@ def test_toric_without_its_files_is_a_usage_error(capsys, argv):
     ("E1 6,-2,-1,-2 P2 3", "E1 6,-2,-1,-2 P2",
      "expected 'label ray type chi', got 'E1 6,-2,-1,-2 P2'", 2),
     ("E1 6,-2,-1,-2 P2 3", "E1 6,-2,x,-2 P2 3", "invalid literal for int() with base 10: 'x'", 2),
+    ("E3 11,-4,-2,-5 F5 4", "E3 11,-4,-2,-5 F-5 4", "unrecognized surface tag 'F-5'", 4),
+    ("E4 7,-2,-1,-3 F2 4", "E4 7,-2,-1,-3 F+2 4", "unrecognized surface tag 'F+2'", 5),
+    ("E4 7,-2,-1,-3 F2 4", "E4 7,-2,-1,-3 F02 4", "unrecognized surface tag 'F02'", 5),
+    ("E4 7,-2,-1,-3 F2 4", "E4 7,-2,-1,-3 F\u0662 4", "unrecognized surface tag 'F\u0662'", 5),
+    ("E10 1,0,0,0 Bl3P2 6", "E10 1,0,0,0 Bl0P2 6", "unrecognized surface tag 'Bl0P2'", 11),
+    ("E3 11,-4,-2,-5 F5 4", "E3 11,-4,-2,-5 F 4", "unrecognized surface tag 'F'", 4),
+    ("E2 3,-1,0,-1 Bl1F2 5", "E2 3,-1,0,-1 BlF 5", "unrecognized surface tag 'BlF'", 3),
 ])
 def test_bad_component_table_row_exits_2(capsys, tmp_path, old, new, reason, line):
     table = _toric_copy(tmp_path, "components.tbl", old, new)

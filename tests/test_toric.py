@@ -287,10 +287,10 @@ def test_classify_rejects_repeated_and_imprimitive_rays(rays):
 def test_pbundle_structures(fan_data):
     fan, _f, _inv, _charts = fan_data
     pb7 = pbundle_structure(fan, fan.ray_index((15, -5, -3, -6)))
-    assert pb7 and pb7.base_chi == 5
-    assert str(classify_toric_surface(pb7.base_rays)) == "Bl1F2"
+    assert pb7 and pb7.chi == 5
+    assert str(classify_toric_surface(pb7.rays)) == "Bl1F2"
     pb8 = pbundle_structure(fan, fan.ray_index((12, -4, -2, -5)))
-    assert pb8 and pb8.base_chi == 6
+    assert pb8 and pb8.chi == 6
     pb1 = pbundle_structure(fan, fan.ray_index((6, -2, -1, -2)))
     assert pb1 is None
 
