@@ -195,3 +195,13 @@ def test_isomorphism_finds_maps():
 
 def _digits(word):
     return [int(c) for c in word]
+
+
+def test_boundary_and_solid_tetrahedron_are_not_isomorphic():
+    """Same four vertices, every degree 3, and each face of the boundary is a
+    face of the solid simplex; only the facet sizes tell them apart."""
+    hollow, solid = boundary_simplex(3), closure(range(4))
+    assert hollow.vertices == solid.vertices
+    assert hollow.vertex_degrees() == solid.vertex_degrees()
+    assert hollow.faces() < solid.faces()
+    assert not hollow.is_isomorphic(solid) and not solid.is_isomorphic(hollow)

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations
 from math import factorial
 
@@ -62,6 +63,141 @@ def test_automorphisms_match_brute_force(complexes):
         assert automorphism_group(k).elements == reference, name
         orders[name] = len(reference)
     assert orders["cyclic_8_4"] == 16 and orders["join_4_4"] == 384
+
+
+def _reference_isomorphisms(k, other):
+    """Reference: the search with a two-way subset test and a leaf comparison.
+
+    Mapping v to w keeps a partial map only if each set of mapped vertices
+    that holds v and is no larger than a facet is a face exactly when its
+    image is a face; a full map is kept only if it carries the facets of k
+    onto the facets of other.
+    """
+    deg_s, deg_o = k.vertex_degrees(), other.vertex_degrees()
+    if (len(k.vertices) != len(other.vertices)
+            or sorted(map(len, k.facets)) != sorted(map(len, other.facets))
+            or sorted(deg_s.values()) != sorted(deg_o.values())):
+        return
+    mine = sorted(k.vertices, key=lambda v: (deg_s[v], v))
+    width = max(map(len, k.facets))
+    faces_s, faces_o, mapping = k.faces(), other.faces(), {}
+
+    def extend(i):
+        if i == len(mine):
+            if {frozenset(map(mapping.get, f)) for f in k.facets} == other.facets:
+                yield dict(mapping)
+            return
+        v = mine[i]
+        for w in other.vertices:
+            if w in mapping.values() or deg_o[w] != deg_s[v]:
+                continue
+            mapping[v] = w
+            if all((frozenset((v, *c)) in faces_s)
+                   == (frozenset(map(mapping.get, (v, *c))) in faces_o)
+                   for j in range(1, min(i, width - 1) + 1)
+                   for c in combinations(mine[:i], j)):
+                yield from extend(i + 1)
+            del mapping[v]
+
+    yield from extend(0)
+
+
+def _reference_greedy_generators(verts, elements):
+    """Reference: each element is tried with a fresh closure of the chosen ones."""
+    from srcy.symmetry import _closure
+
+    chosen = []
+    generated = 1
+    for g in sorted(elements, key=lambda p: tuple(p[v] for v in verts)):
+        if tuple(g[v] for v in verts) == tuple(verts):
+            continue
+        if generated == len(elements):
+            break
+        trial = _closure(verts, chosen + [g])
+        if len(trial) > generated:
+            chosen.append(g)
+            generated = len(trial)
+    pruned = list(chosen)
+    for g in list(pruned):
+        rest = [h for h in pruned if h is not g]
+        if rest and len(_closure(verts, rest)) == len(elements):
+            pruned = rest
+    return pruned
+
+
+def _relabel(k, mapping):
+    return SimplicialComplex({frozenset(mapping[v] for v in f) for f in k.facets})
+
+
+def _one_line(k, perm):
+    return tuple(perm[v] for v in k.vertices)
+
+
+def _guard_cases(complexes):
+    """The fixtures, two cyclic 4-polytopes and four n-gon joins, each with
+    its reference automorphisms and two seeded relabelings onto scattered
+    labels, as (name, complex, relabelings) triples."""
+    bases = dict(complexes)
+    bases["cyclic_7_4"] = _cyclic_polytope_4_boundary(7)
+    bases["cyclic_8_4"] = _cyclic_polytope_4_boundary(8)
+    for m, n in ((3, 3), (3, 4), (3, 5), (4, 4)):
+        bases["join_%d_%d" % (m, n)] = join(ngon(m), ngon(n, labels=list(range(m, m + n))))
+    out = []
+    for name, k in bases.items():
+        relabelings = []
+        for seed in (1, 2):
+            labels = random.Random(seed).sample(range(3 * len(k.vertices)), len(k.vertices))
+            relabelings.append(dict(zip(k.vertices, labels)))
+        out.append((name, k, relabelings))
+    return out
+
+
+def test_automorphism_group_matches_the_reference_search(complexes):
+    """Same elements in the same order, and the same generators.
+
+    A relabeling s turns each automorphism g of k into s g s^-1, so the
+    relabeled complexes are checked against the conjugated reference.
+    """
+    for name, k, relabelings in _guard_cases(complexes):
+        reference = list(_reference_isomorphisms(k, k))
+        for s in [{v: v for v in k.vertices}] + relabelings:
+            ks = _relabel(k, s)
+            expected = sorted(({s[v]: s[g[v]] for v in k.vertices} for g in reference),
+                              key=lambda p: _one_line(ks, p))
+            group = automorphism_group(ks)
+            assert group.elements == expected, name
+            assert group.generators == _reference_greedy_generators(ks.vertices, expected), name
+
+
+def _from_words(words):
+    return SimplicialComplex([int(c) for c in w] for w in words.split())
+
+
+def test_isomorphisms_match_the_reference_search(complexes):
+    """The same maps in the same order, on isomorphic and non-isomorphic pairs.
+
+    Each guard case goes to its second relabeling from its first, and to
+    every other guard case with as many vertices.  The non-isomorphic pairs
+    that pass the early exits are two 2-spheres with f-vector (1, 8, 18, 12)
+    and equal degrees, and a hexagon against two triangles.
+    """
+    pairs = []
+    cases = []
+    for name, k, (s1, s2) in _guard_cases(complexes):
+        pairs.append((_relabel(k, s1), _relabel(k, s2)))
+        cases.append(_relabel(k, s1))
+    pairs += [(a, b) for a in cases for b in cases
+              if a is not b and len(a.vertices) == len(b.vertices)]
+    twins = (_from_words("035 036 057 067 124 127 136 137 146 246 267 357"),
+             _from_words("012 016 027 056 057 126 234 236 247 346 456 457"))
+    cycles = (ngon(6), SimplicialComplex([{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}]))
+    pairs += [twins, twins[::-1], cycles, cycles[::-1]]
+    found = {True: 0, False: 0}
+    for k, other in pairs:
+        maps = list(k.isomorphisms(other))
+        assert maps == list(_reference_isomorphisms(k, other))
+        found[bool(maps)] += 1
+    assert found[True] >= 14 and found[False] >= 4
 
 
 def test_p7_1_group_structure(complexes):
