@@ -19,6 +19,7 @@ from .toric import Fan, SurfaceType
 
 FAN_RANK = 4  # the toric pipeline works in a rank-4 lattice only
 MAX_SIZE = 1000  # largest dim, len, ambient and x1..xN range; the bundled data stays below 100
+MAX_MATRIX_DIM = 20  # largest matrix dim: a dense Pfaffian expands up to 2^dim sub-Pfaffians
 
 
 class InputError(ValueError):
@@ -143,7 +144,7 @@ def _entry(line, ring, size, count):
     return indices, ring.parse(poly_text)
 
 
-def _entry_file(text, kind, size_word, count):
+def _entry_file(text, kind, size_word, count, most=MAX_SIZE):
     """(size, ring, {indices: poly}) of a file of size, `vars` and `entry` lines."""
     size = ring = None
     entries = {}
@@ -151,6 +152,9 @@ def _entry_file(text, kind, size_word, count):
         with _at(n):
             if line.startswith(size_word + " "):
                 size = _count(line)
+                if size > most:
+                    raise ValueError("%s %d is above %d, the largest a %s file may have"
+                                     % (size_word, size, most, kind))
             elif line.startswith("vars "):
                 ring = PolyRing(expand_var_names(line.split()[1:]))
             elif line.startswith("entry "):
@@ -164,8 +168,9 @@ def _entry_file(text, kind, size_word, count):
 
 
 def parse_matrix_file(text):
-    """Skew matrix file: `dim d`, `vars ...`, then `entry i j : poly` lines."""
-    dim, ring, entries = _entry_file(text, "matrix", "dim", 2)
+    """Skew matrix file: `dim d` (at most MAX_MATRIX_DIM), `vars ...`, then
+    `entry i j : poly` lines."""
+    dim, ring, entries = _entry_file(text, "matrix", "dim", 2, MAX_MATRIX_DIM)
     return SkewPolyMatrix(ring, dim, entries), ring
 
 

@@ -76,23 +76,23 @@ class SimplicialComplex:
 
     def vertex_degrees(self):
         """Number of edges at each vertex, as a dict."""
-        edges = self.faces_of_dim(1)
-        return {v: sum(v in e for e in edges) for v in self.vertices}
+        counts = Counter(v for e in self.faces_of_dim(1) for v in e)
+        return {v: counts[v] for v in self.vertices}
 
     def is_connected(self):
         if not self.vertices:
             return True
+        adjacent = {v: [] for v in self.vertices}
+        for a, b in self.faces_of_dim(1):
+            adjacent[a].append(b)
+            adjacent[b].append(a)
         seen = {self.vertices[0]}
         frontier = [self.vertices[0]]
-        edges = self.faces_of_dim(1)
         while frontier:
-            v = frontier.pop()
-            for e in edges:
-                if v in e:
-                    (w,) = e - {v}
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
+            for w in adjacent[frontier.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
         return len(seen) == len(self.vertices)
 
     # -- constructions -------------------------------------------------------
@@ -123,9 +123,19 @@ class SimplicialComplex:
     def isomorphisms(self, other):
         """Yield every vertex bijection (a dict) carrying facets to facets.
 
-        Backtracking over degree-compatible maps.  Mapping v to w keeps a
-        partial map only if each set of mapped vertices that holds v and is
-        no larger than a facet is a face exactly when its image is a face.
+        Backtracking over degree-compatible maps in the order `mine`.  Each
+        nonempty face of self is filed under its last vertex in that order,
+        and mapping v to w keeps a partial map only if every face filed
+        under v goes to a face of other.  So each face is checked once, in
+        one direction, and every map that reaches the leaf is an
+        isomorphism.  The proof rests on the facet-size exit: let f be an
+        injective vertex map sending every face of K to a face of L, where
+        K and L have the same facet-size multiset.  Go through the facet
+        sizes from largest to smallest.  A K-facet F of size s goes to a
+        face of L of size s.  That face lies in no larger L-facet G: by
+        induction G is the image of a larger K-facet H, and injectivity
+        would put F inside H.  So f(F) is an L-facet, and as the counts are
+        equal, f carries the facets of K onto the facets of L.
         """
         deg_s, deg_o = self.vertex_degrees(), other.vertex_degrees()
         if (len(self.vertices) != len(other.vertices)
@@ -133,27 +143,40 @@ class SimplicialComplex:
                 or sorted(deg_s.values()) != sorted(deg_o.values())):
             return
         mine = sorted(self.vertices, key=lambda v: (deg_s[v], v))
-        width = max(map(len, self.facets))
-        faces_s, faces_o, mapping = self.faces(), other.faces(), {}
+        # faces as bit masks: bit i is mine[i] on this side, other.vertices[j]
+        # on the other; a face is filed with the mask of itself minus its
+        # last vertex, whose image is already known when the face is checked
+        rank = {v: i for i, v in enumerate(mine)}
+        filed = [[] for _ in mine]
+        for f in sorted(self.faces(), key=len):
+            if f:
+                mask = sum(1 << rank[v] for v in f)
+                top = mask.bit_length() - 1
+                filed[top].append((mask, mask ^ (1 << top)))
+        bit = {w: 1 << j for j, w in enumerate(other.vertices)}
+        faces_o = {sum(map(bit.get, f)) for f in other.faces()}
+        targets = [[(w, bit[w]) for w in other.vertices if deg_o[w] == deg_s[v]]
+                   for v in mine]
+        image, mapping = {0: 0}, {}
 
-        def extend(i):
+        def extend(i, used):
             if i == len(mine):
-                if {frozenset(map(mapping.get, f)) for f in self.facets} == other.facets:
-                    yield dict(mapping)
+                yield dict(mapping)
                 return
-            v = mine[i]
-            for w in other.vertices:
-                if w in mapping.values() or deg_o[w] != deg_s[v]:
+            for w, b in targets[i]:
+                if used & b:
                     continue
-                mapping[v] = w
-                if all((frozenset((v, *c)) in faces_s)
-                       == (frozenset(map(mapping.get, (v, *c))) in faces_o)
-                       for k in range(1, min(i, width - 1) + 1)
-                       for c in combinations(mine[:i], k)):
-                    yield from extend(i + 1)
-                del mapping[v]
+                for mask, rest in filed[i]:
+                    m = image[rest] | b
+                    if m not in faces_o:
+                        break
+                    image[mask] = m
+                else:
+                    mapping[mine[i]] = w
+                    yield from extend(i + 1, used | b)
+                    del mapping[mine[i]]
 
-        yield from extend(0)
+        yield from extend(0, 0)
 
     def find_isomorphism(self, other):
         """The first bijection `isomorphisms` yields, or None."""

@@ -36,37 +36,32 @@ def automorphism_group(k):
     return PermutationGroup(verts, elements, generators)
 
 
-def _compose(p, q):
-    return {v: p[q[v]] for v in q}
-
-
 def _closure(verts, gens):
-    identity = {v: v for v in verts}
-    seen = {tuple(g[v] for v in verts): g for g in [identity]}
+    """The one-line images of the group the generators generate."""
+    identity = tuple(verts)
+    seen = {identity}
     frontier = [identity]
     while frontier:
         cur = frontier.pop()
         for g in gens:
-            nxt = _compose(g, cur)
-            key = tuple(nxt[v] for v in verts)
-            if key not in seen:
-                seen[key] = nxt
+            nxt = tuple(map(g.__getitem__, cur))
+            if nxt not in seen:
+                seen.add(nxt)
                 frontier.append(nxt)
-    return list(seen.values())
+    return seen
 
 
 def _greedy_generators(verts, elements):
+    # take each element, in one-line order, that lies outside the group the
+    # chosen ones generate; `reached` is that group, rebuilt only on a take
     chosen = []
-    generated = 1
+    reached = _closure(verts, chosen)
     for g in sorted(elements, key=lambda p: tuple(p[v] for v in verts)):
-        if tuple(g[v] for v in verts) == tuple(verts):
-            continue
-        if generated == len(elements):
+        if len(reached) == len(elements):
             break
-        trial = _closure(verts, chosen + [g])
-        if len(trial) > generated:
+        if tuple(g[v] for v in verts) not in reached:
             chosen.append(g)
-            generated = len(trial)
+            reached = _closure(verts, chosen)
     # drop members that became redundant once later ones were added
     pruned = list(chosen)
     for g in list(pruned):

@@ -163,6 +163,7 @@ MAT13 = _data("families/degree13_oneparam.mat")
     (["pfaffian"], "dim 2\nvars x1..x8\nentry 1 2 : (x1+x2+x3+x4+x5+x6+x7+x8)^1000\n",
      "line 3: power 1000 of a polynomial with 8 terms may have 204032533091695451 terms, "
      "above the limit 10000"),
+    (["pfaffian"], "dim 21\nvars x1\n", "line 1: dim 21 is above 20, the largest a matrix file may have"),
 ])
 def test_bad_input_file_exits_2(capsys, tmp_path, argv, text, reason):
     path = tmp_path / "input"

@@ -47,6 +47,16 @@ def test_matrix_file_rejects_lower_triangle():
         parse_matrix_file("dim 2\nvars x1\nentry 2 1: x1\n")
 
 
+def test_matrix_dim_is_capped_for_the_pfaffian():
+    """dim 20 is the largest a matrix file may have; a vector's len is not capped there."""
+    matrix, _ring = parse_matrix_file("dim 20\nvars x1\nentry 19 20 : x1\n")
+    assert matrix.dim == 20
+    with pytest.raises(InputError, match="dim 21 is above 20") as err:
+        parse_matrix_file("dim 21\nvars x1\n")
+    assert err.value.line == 1
+    assert len(parse_vector_file("len 21\nvars x1\n")[0]) == 21
+
+
 def test_vector_file():
     vec, ring = parse_vector_file("len 2\nvars x1 x2\nentry 2: x1*x2\n")
     assert vec[0].is_zero()

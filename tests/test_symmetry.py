@@ -102,10 +102,23 @@ def _reference_isomorphisms(k, other):
     yield from extend(0)
 
 
+def _reference_closure(verts, gens):
+    identity = {v: v for v in verts}
+    seen = {tuple(verts): identity}
+    frontier = [identity]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = {v: g[cur[v]] for v in cur}
+            key = tuple(nxt[v] for v in verts)
+            if key not in seen:
+                seen[key] = nxt
+                frontier.append(nxt)
+    return list(seen.values())
+
+
 def _reference_greedy_generators(verts, elements):
     """Reference: each element is tried with a fresh closure of the chosen ones."""
-    from srcy.symmetry import _closure
-
     chosen = []
     generated = 1
     for g in sorted(elements, key=lambda p: tuple(p[v] for v in verts)):
@@ -113,14 +126,14 @@ def _reference_greedy_generators(verts, elements):
             continue
         if generated == len(elements):
             break
-        trial = _closure(verts, chosen + [g])
+        trial = _reference_closure(verts, chosen + [g])
         if len(trial) > generated:
             chosen.append(g)
             generated = len(trial)
     pruned = list(chosen)
     for g in list(pruned):
         rest = [h for h in pruned if h is not g]
-        if rest and len(_closure(verts, rest)) == len(elements):
+        if rest and len(_reference_closure(verts, rest)) == len(elements):
             pruned = rest
     return pruned
 
