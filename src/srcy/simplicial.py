@@ -148,7 +148,7 @@ class SimplicialComplex:
         # last vertex, whose image is already known when the face is checked
         rank = {v: i for i, v in enumerate(mine)}
         filed = [[] for _ in mine]
-        for f in sorted(self.faces(), key=len):
+        for f in self.faces():
             if f:
                 mask = sum(1 << rank[v] for v in f)
                 top = mask.bit_length() - 1
