@@ -148,8 +148,8 @@ def _one_line(k, perm):
 
 def _guard_cases(complexes):
     """The fixtures, two cyclic 4-polytopes and four n-gon joins, each with
-    its reference automorphisms and two seeded relabelings onto scattered
-    labels, as (name, complex, relabelings) triples."""
+    two seeded relabelings onto scattered labels, as (name, complex,
+    relabelings) triples."""
     bases = dict(complexes)
     bases["cyclic_7_4"] = _cyclic_polytope_4_boundary(7)
     bases["cyclic_8_4"] = _cyclic_polytope_4_boundary(8)
