@@ -61,6 +61,18 @@ def test_link_errors_on_nonface(complexes):
         complexes["p7_3"].link({6, 7})
 
 
+def test_link_matches_the_reduced_facet_construction(complexes):
+    """Reference: the link as the complex on {g - f : f <= g}, through `__init__`."""
+    checked = 0
+    for k in complexes.values():
+        for f in k.faces():
+            expected = SimplicialComplex({g - f for g in k.facets if f <= g})
+            lk = k.link(f)
+            assert lk == expected and lk.vertices == expected.vertices, sorted(f)
+            checked += 1
+    assert checked == 354
+
+
 def test_link_vertex_set_is_restricted():
     k = load_triangulation("1 2\n2 3\n")
     lk = k.link({2})
