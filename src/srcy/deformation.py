@@ -8,7 +8,6 @@ distributing |b| among the vertices of `a` with positive weights.
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
@@ -21,6 +20,7 @@ from .simplicial import (
     classify_link,
     is_combinatorial_3sphere_candidate,
     is_sphere,
+    once_per_complex,
     ridge_counts,
 )
 
@@ -136,17 +136,12 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-_PAIRS = weakref.WeakKeyDictionary()
-
-
+@once_per_complex
 def admissible_pairs(k):
     """All (face a, subset b) with an admissible join decomposition.
 
-    Enumerated once per complex; the tuple is kept only while k is alive.
+    Enumerated once per complex and kept with it, as an immutable tuple.
     """
-    pairs = _PAIRS.get(k)
-    if pairs is not None:
-        return pairs
     pairs = []
     for f in sorted(k.faces(), key=lambda f: (len(f), tuple(sorted(f)))):
         if not f:
@@ -157,10 +152,10 @@ def admissible_pairs(k):
             for b in combinations(lverts, size):
                 if admissible_b(link, frozenset(b)):
                     pairs.append((tuple(sorted(f)), frozenset(b)))
-    _PAIRS[k] = pairs = tuple(pairs)
-    return pairs
+    return tuple(pairs)
 
 
+@once_per_complex
 def t1_degree_zero_basis(k):
     """Canonically ordered basis of the degree-zero first-order deformations."""
     report = is_combinatorial_3sphere_candidate(k)
@@ -170,8 +165,7 @@ def t1_degree_zero_basis(k):
     for support, b in admissible_pairs(k):
         for avec in _compositions(len(b), len(support)):
             basis.append(T1BasisElement(support, avec, b))
-    basis.sort(key=T1BasisElement.sort_key)
-    return basis
+    return tuple(sorted(basis, key=T1BasisElement.sort_key))
 
 
 @dataclass
@@ -247,7 +241,7 @@ def perturbation(elem, generators, ring, vertices):
 class FirstOrderFamily:
     ring: PolyRing
     generators: list  # Polys, linear in the parameter variables
-    basis: list  # T1BasisElement per parameter
+    basis: tuple  # T1BasisElement per parameter
     params: list  # parameter names, aligned with basis
 
 

@@ -1,16 +1,30 @@
 """Simplicial complexes on small labeled vertex sets.
 
-A complex is stored by its facets (inclusion-maximal faces); lower faces
-are enumerated on demand and cached.  Vertices keep their external integer
-labels throughout, so facet lists round-trip byte-for-byte through the
-triangulation file format.
+A complex is stored by its facets (inclusion-maximal faces); each object
+derived from it is computed once by `once_per_complex`, kept with the
+complex and shared by its callers, so it is immutable.  Vertices keep
+their external integer labels throughout, so facet lists round-trip
+byte-for-byte through the triangulation file format.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+
+
+def once_per_complex(fn):
+    """Memoize fn(k) in k._derived, which lives and dies with the complex."""
+
+    @functools.wraps(fn)
+    def memo(k):
+        if fn not in k._derived:
+            k._derived[fn] = fn(k)
+        return k._derived[fn]
+
+    return memo
 
 
 def _maximal(faces):
@@ -37,19 +51,18 @@ class SimplicialComplex:
     def _set_facets(self, maximal):
         self.facets = frozenset(maximal or [frozenset()])
         self.vertices = tuple(sorted(set().union(*self.facets)))
-        self._faces = None
+        self._derived = {}
 
     # -- face structure ----------------------------------------------------
 
+    @once_per_complex
     def faces(self):
-        if self._faces is None:
-            out = set()
-            for f in self.facets:
-                f = tuple(sorted(f))
-                for k in range(len(f) + 1):
-                    out.update(map(frozenset, combinations(f, k)))
-            self._faces = frozenset(out)
-        return self._faces
+        out = set()
+        for f in self.facets:
+            f = tuple(sorted(f))
+            for k in range(len(f) + 1):
+                out.update(map(frozenset, combinations(f, k)))
+        return frozenset(out)
 
     def has_face(self, f):
         f = frozenset(f)
@@ -99,10 +112,13 @@ class SimplicialComplex:
 
     def link(self, f):
         f = frozenset(f)
-        if not self.has_face(f):
+        facets = [g - f for g in self.facets if f <= g]
+        if not facets:
             raise ValueError("%s is not a face of the complex" % sorted(f))
-        facets = {g - f for g in self.facets if f <= g}
-        return SimplicialComplex(facets)
+        # no reduction: for distinct facets g, h holding f, g - f and h - f are never nested
+        lk = SimplicialComplex.__new__(SimplicialComplex)
+        lk._set_facets(facets)
+        return lk
 
     def full_subcomplex(self, vertices):
         vs = frozenset(vertices)
@@ -318,15 +334,16 @@ def classify_link(link):
 # -- sphere sanity report ------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SphereReport:
     ok: bool
-    failures: list
+    failures: tuple
 
     def __bool__(self):
         return self.ok
 
 
+@once_per_complex
 def is_combinatorial_3sphere_candidate(k):
     """Check the cheap necessary conditions for |K| to be a 3-sphere.
 
@@ -335,8 +352,7 @@ def is_combinatorial_3sphere_candidate(k):
     """
     failures = []
     if k.dim() != 3 or not k.is_pure():
-        failures.append("complex is not pure of dimension 3")
-        return SphereReport(False, failures)
+        return SphereReport(False, ("complex is not pure of dimension 3",))
     for t, count in ridge_counts(k).items():
         if count != 2:
             failures.append("triangle %s lies in %d facets" % (sorted(t), count))
@@ -345,7 +361,7 @@ def is_combinatorial_3sphere_candidate(k):
     for v in k.vertices:
         if not is_sphere(k.link({v}), 2):
             failures.append("link of vertex %s is not a 2-sphere" % v)
-    return SphereReport(not failures, failures)
+    return SphereReport(not failures, tuple(failures))
 
 
 def ridge_counts(c):

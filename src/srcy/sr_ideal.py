@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .polynomial import PolyRing
+from .simplicial import once_per_complex
 
 
 @dataclass(frozen=True)
@@ -16,6 +17,7 @@ class MonomialIdealPresentation:
     vertices: tuple
 
 
+@once_per_complex
 def minimal_nonfaces(k):
     """Inclusion-minimal subsets of the vertex set that are not faces.
 

@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .deformation import FirstOrderFamily, T1BasisElement
 from .polynomial import PolyRing
+from .simplicial import once_per_complex
 
 
-@dataclass
+@dataclass(frozen=True)
 class PermutationGroup:
-    """Explicit list of group elements (dicts label -> label)."""
+    """Explicit tuple of group elements (read-only maps label -> label)."""
 
     vertices: tuple
-    elements: list
-    generators: list
+    elements: tuple
+    generators: tuple
 
     @property
     def order(self):
@@ -24,6 +26,7 @@ class PermutationGroup:
         return [perm[v] for v in self.vertices]
 
 
+@once_per_complex
 def automorphism_group(k):
     """All vertex bijections preserving the facet set.
 
@@ -32,8 +35,8 @@ def automorphism_group(k):
     """
     verts = k.vertices
     elements = sorted(k.isomorphisms(k), key=lambda p: tuple(p[v] for v in verts))
-    generators = _greedy_generators(verts, elements)
-    return PermutationGroup(verts, elements, generators)
+    elements = tuple(map(MappingProxyType, elements))
+    return PermutationGroup(verts, elements, tuple(_greedy_generators(verts, elements)))
 
 
 def _closure(verts, gens):

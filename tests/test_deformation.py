@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import weakref
@@ -29,6 +30,7 @@ from srcy.simplicial import (
     suspension_of_ngon,
 )
 from srcy.sr_ideal import minimal_nonfaces
+from srcy.symmetry import automorphism_group
 from test_simplicial import _relabel
 from test_symmetry import _cyclic_polytope_4_boundary
 
@@ -223,7 +225,7 @@ def test_admissible_pairs_follow_a_relabeling(complexes):
 def test_one_enumeration_per_complex(complexes, monkeypatch):
     import srcy.deformation as deformation
 
-    # fresh labels, so no equal complex elsewhere in the session shares its memo entry
+    # a new complex, so no earlier test has filled its memo
     k = _relabel(complexes["p7_4"], {v: v + 100 for v in complexes["p7_4"].vertices})
     sizes = [len(k.link(f).vertices) for f in k.faces() if f]
     one_enumeration = sum(2 ** n - n - 1 for n in sizes)  # subsets b with |b| >= 2
@@ -243,10 +245,67 @@ def test_one_enumeration_per_complex(complexes, monkeypatch):
 def test_admissible_pairs_do_not_keep_the_complex_alive(complexes):
     k = _relabel(complexes["p7_5"], {v: v + 100 for v in complexes["p7_5"].vertices})
     ref = weakref.ref(k)
-    assert admissible_pairs(k)
+    derived = [fn(k) for fn in (admissible_pairs, is_combinatorial_3sphere_candidate,
+                                minimal_nonfaces, t1_degree_zero_basis, automorphism_group)]
+    assert all(derived)
     del k
     gc.collect()
     assert ref() is None
+
+
+def test_derived_objects_are_computed_once_per_complex(monkeypatch):
+    """Every call on one complex returns the same object, across a whole run."""
+    import srcy.deformation as deformation
+    import srcy.families as families
+    import srcy.simplicial as simplicial
+    import srcy.sr_ideal as sr_ideal
+    import srcy.symmetry as symmetry
+    import srcy.verify as verify
+
+    calls = {name: [] for name in ("is_combinatorial_3sphere_candidate", "minimal_nonfaces",
+                                   "t1_degree_zero_basis", "automorphism_group")}
+    for name, seen in calls.items():
+        for module in (simplicial, sr_ideal, deformation, families, symmetry, verify):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _recording(seen, getattr(module, name)))
+    assert verify.run_all(only=["sr", "t1", "aut", "orbits", "pfaffian"]).ok
+    for name, seen in calls.items():
+        # the complexes and values stay referenced by `seen`, so their ids stay unique
+        values = {}
+        for k, value in seen:
+            values.setdefault(id(k), []).append(value)
+        assert len(seen) > len(values) == 6, name
+        for same in values.values():
+            assert all(v is same[0] for v in same), name
+        assert len({id(same[0]) for same in values.values()}) == 6, name
+
+
+def _recording(calls, fn):
+    def recorded(k):
+        value = fn(k)
+        calls.append((k, value))
+        return value
+
+    return recorded
+
+
+def test_shared_derived_objects_are_immutable(complexes):
+    k = SimplicialComplex(complexes["p7_5"].facets)
+    basis = t1_degree_zero_basis(k)
+    with pytest.raises(AttributeError):
+        basis.append(basis[0])
+    group = automorphism_group(k)
+    with pytest.raises(TypeError):
+        group.elements[1][1] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        group.generators = group.elements
+    report = is_combinatorial_3sphere_candidate(k)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.failures = ["a failure"]
+    fresh = SimplicialComplex(complexes["p7_5"].facets)
+    assert t1_degree_zero_basis(k) == t1_degree_zero_basis(fresh) and len(basis) == 56
+    assert automorphism_group(k) == automorphism_group(fresh) and group.order == 14
+    assert is_combinatorial_3sphere_candidate(k) == is_combinatorial_3sphere_candidate(fresh)
 
 
 def _torus_suspension():
