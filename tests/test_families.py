@@ -18,6 +18,17 @@ def test_all_lifts_match_their_bases(complexes):
         assert len(result.matched) == len(params)
 
 
+def test_negated_lift_matches_with_sign_minus_one(complexes):
+    matrix, ring = fixtures.family_matrix("p7_2")
+    _geo, params = geometry_and_params(ring.names)
+    f1 = first_order_pfaffians(matrix, params)
+    plus = check_first_order_lift(complexes["p7_2"], f1, params)
+    minus = check_first_order_lift(complexes["p7_2"], [-p for p in f1], params)
+    assert minus.ok, minus.problems
+    assert minus.sign == -1
+    assert minus.matched == plus.matched and len(minus.matched) == len(params)
+
+
 def test_lift_check_rejects_corruption(complexes):
     matrix, ring = fixtures.family_matrix("p7_4")
     _geo, params = geometry_and_params(ring.names)

@@ -266,6 +266,63 @@ def test_dot_matches_the_sum_of_tuple_products(case):
     _check_same_sum(Poly.dot(ring, pairs, (names, bound)), _reference_dot(pairs, names, bound))
 
 
+# -- setting variables to zero and renaming ----------------------------------------
+
+
+def _reference_substitute(poly, values):
+    """The tuple loop `Poly.substitute` ran: rational constants for variables, one pass."""
+    subs = [(i, Fraction(values[n])) for i, n in enumerate(poly.ring.names) if n in values]
+    terms = {}
+    for e, c in poly.items():
+        ee = list(e)
+        for i, v in subs:
+            if ee[i]:
+                c *= v ** ee[i]
+                ee[i] = 0
+        key = tuple(ee)
+        terms[key] = terms.get(key, Fraction(0)) + c
+    return _from_terms(poly.ring, {e: c for e, c in terms.items() if c})
+
+
+def _reference_rename(poly, ring, mapping=None):
+    """The tuple loop `Poly.rename` ran: exponents added under the target ring's names."""
+    terms = {}
+    for e, c in poly.items():
+        ee = [0] * ring.nvars
+        for i, p in enumerate(e):
+            if p == 0:
+                continue
+            name = poly.ring.names[i]
+            if mapping:
+                name = mapping.get(name, name)
+            ee[ring.index[name]] += p
+        key = tuple(ee)
+        terms[key] = terms.get(key, Fraction(0)) + c
+    return _from_terms(ring, {e: c for e, c in terms.items() if c})
+
+
+def _merged_ring(ring):
+    """A target for `ring` with t1 and t2 merged into s, a new variable z, and the rest reversed."""
+    return PolyRing(["s", "z"] + [n for n in reversed(ring.names) if n not in ("t1", "t2")])
+
+
+_T = PRODUCT_RINGS[3]
+
+
+@settings(max_examples=50, deadline=None)
+@given(product_cases())
+@example((_T.parse("1/2*t1 + 1/2*t2"), _T.parse("t1 - t2 + x1"), ["t1"], 0))  # merges cancel, reduce
+@example((_T.parse("t1^4294967295*t2^4294967295"), _T.parse("2/3*x2 + t3"), ["x2", "t3"], 0))
+@example((_T.zero(), _T.parse("x1*t2 - 1/4"), ["x1", "x2", "t1", "t2", "t3"], 0))
+def test_zeroing_and_renaming_match_the_tuple_loops(case):
+    *polys, names, _bound = case
+    mapping = {"t1": "s", "t2": "s"}
+    for p in polys:
+        assert p.truncate_above(names, 1) == _reference_substitute(p, dict.fromkeys(names, 0))
+        target = _merged_ring(p.ring)
+        assert p.rename(target, mapping) == _reference_rename(p, target, mapping)
+
+
 # -- sums ------------------------------------------------------------------------
 
 
