@@ -37,7 +37,7 @@ def check_first_order_lift(k, f1, params):
         return LiftCheck(False, problems=["generator count mismatch"])
     ring = f1[0].ring
 
-    base = [p.substitute({t: 0 for t in params}) for p in f1]
+    base = [p.truncate_above(params, 1) for p in f1]
     monomials = [generator_monomial(ring, p) for p in gens]
 
     sign = None
@@ -74,7 +74,8 @@ def check_first_order_lift(k, f1, params):
     matched = {}
     used = set()
     for t in params:
-        vec = tuple(_canon(sign * p.coefficient_of(t, 1)) for p in f1)
+        coeffs = (p.coefficient_of(t, 1) for p in f1)
+        vec = tuple(_canon(q if sign == 1 else -q) for q in coeffs)
         if all(v is None for v in vec):
             problems.append("parameter %s acts trivially on the generators" % t)
             continue

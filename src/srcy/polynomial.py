@@ -6,11 +6,15 @@ numerator over one positive denominator shared by the whole polynomial.
 All arithmetic is exact; there is no floating point anywhere in this
 package.
 
-Products, sums and negation work on the keys and numerators alone: adding
-two keys multiplies the monomials, because a field holds at most half its
-width and so never carries into the next.  Fractions are built only where
-a caller reads the terms (`Poly.items`, printing and the structural
-helpers; `Poly.evaluate` builds one, over a common denominator).
+Every Poly is built on packed keys: constructors, arithmetic and the
+structural helpers write keys and int numerators directly, and none
+collects Fraction coefficients first.  Products, sums and negation work on
+the keys and numerators alone: adding two keys multiplies the monomials,
+because a field holds at most half its width and so never carries into the
+next.  Fractions are built only where a caller reads the terms
+(`Poly.items`, `constant_value` and printing; `Poly.evaluate` builds one,
+over a common denominator).  Setting variables to zero is
+`truncate_above(names, 1)`, a filter on the keys.
 `_add_product` is the one term-pair loop: `Poly.mul` runs it for one pair,
 and `Poly.dot`, the sum of products behind the Pfaffian expansion and the
 M.f = 0 residual, runs it once per pair into one dict of numerators that is
@@ -129,7 +133,8 @@ class PolyRing:
         coeff = Fraction(coeff)
         if coeff == 0:
             return self.zero()
-        return _from_terms(self, {exps: coeff})
+        fmt = _format_for(self, max(exps, default=0))
+        return Poly(self, fmt, {fmt.pack(exps): coeff.numerator}, coeff.denominator)
 
     def power_product(self, powers):
         """The monomial prod name^e over the name -> exponent mapping `powers`, coefficient 1.
@@ -154,14 +159,6 @@ def _format_for(ring, top):
         if fmt is None:
             raise ValueError("exponent %d does not fit a 64-bit field" % top)
     return fmt
-
-
-def _from_terms(ring, terms):
-    """The Poly with the exponent tuple -> nonzero Fraction `terms`, in their order."""
-    fmt = _format_for(ring, max((max(e, default=0) for e in terms), default=0))
-    den = lcm(*[c.denominator for c in terms.values()])
-    return Poly(ring, fmt, {fmt.pack(e): c.numerator * (den // c.denominator)
-                            for e, c in terms.items()}, den)
 
 
 def _repack(nums, old, new):
@@ -396,7 +393,10 @@ class Poly:
     # -- structure -------------------------------------------------------
 
     def truncate_above(self, names, bound):
-        """Drop every term whose combined degree in `names` is >= bound."""
+        """Drop every term whose combined degree in `names` is >= bound.
+
+        With bound 1 this sets the variables `names` to zero.
+        """
         fmt = self.fmt
         mask, unpack = fmt.mask(self.ring.nvars, (self.ring.index[n] for n in names)), fmt.unpack
         nums = {k: c for k, c in self.nums.items() if sum(unpack(k & mask)) < bound}
@@ -408,24 +408,6 @@ class Poly:
         drop = power << shift
         nums = {k - drop: c for k, c in self.nums.items() if (k >> shift) & field == power}
         return _reduced(self.ring, self.fmt, nums, self.den)
-
-    def substitute(self, values):
-        """Substitute rational constants for variables, in one pass over the terms.
-
-        Variables absent from `values` are left untouched; names outside the
-        ring are ignored.
-        """
-        subs = [(i, Fraction(values[n])) for i, n in enumerate(self.ring.names) if n in values]
-        terms = {}
-        for e, c in self.items():
-            ee = list(e)
-            for i, v in subs:
-                if ee[i]:
-                    c *= v ** ee[i]
-                    ee[i] = 0
-            key = tuple(ee)
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return _from_terms(self.ring, {e: c for e, c in terms.items() if c})
 
     def evaluate(self, point):
         """Evaluate at an assignment name -> rational that covers every variable present.
@@ -474,20 +456,22 @@ class Poly:
         return Poly(self.ring, self.fmt, {k - drop: c for k, c in self.nums.items()}, self.den)
 
     def rename(self, ring, mapping=None):
-        """Reinterpret in another ring; mapping gives old name -> new name."""
-        terms = {}
-        for e, c in self.items():
+        """Reinterpret in another ring; mapping gives old name -> new name.
+
+        Names mapped to one target add their exponents (t1*t2 becomes s^2), so
+        the key format fits the largest resulting exponent, and merged terms
+        may cancel.  Only a name with a nonzero exponent must exist in `ring`.
+        """
+        names, mapping, nums = self.ring.names, mapping or {}, {}
+        for e, c in zip(map(self.fmt.unpack, self.nums), self.nums.values()):
             ee = [0] * ring.nvars
             for i, p in enumerate(e):
-                if p == 0:
-                    continue
-                name = self.ring.names[i]
-                if mapping:
-                    name = mapping.get(name, name)
-                ee[ring.index[name]] += p
+                if p:
+                    ee[ring.index[mapping.get(names[i], names[i])]] += p
             key = tuple(ee)
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return _from_terms(ring, {e: c for e, c in terms.items() if c})
+            nums[key] = nums.get(key, 0) + c
+        fmt = _format_for(ring, max((max(e, default=0) for e in nums), default=0))
+        return _reduced(ring, fmt, {fmt.pack(e): c for e, c in nums.items() if c}, self.den)
 
     # -- printing ----------------------------------------------------------
 

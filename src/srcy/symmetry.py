@@ -77,13 +77,15 @@ def _greedy_generators(verts, elements):
 # -- action on the T^1 basis -----------------------------------------------------
 
 
-def act_on_element(perm, elem):
+def _image_key(perm, elem):
+    """The (support, a_vector, b) fields of the image of `elem` under `perm`."""
     pairs = sorted((perm[v], e) for v, e in zip(elem.support, elem.a_vector))
-    return T1BasisElement(
-        tuple(v for v, _ in pairs),
-        tuple(e for _, e in pairs),
-        frozenset(perm[v] for v in elem.b),
-    )
+    return (tuple(v for v, _ in pairs), tuple(e for _, e in pairs),
+            frozenset(perm[v] for v in elem.b))
+
+
+def act_on_element(perm, elem):
+    return T1BasisElement(*_image_key(perm, elem))
 
 
 @dataclass
@@ -106,7 +108,8 @@ class OrbitPartition:
 
 def orbits_on_t1(group, basis):
     """Orbits of the group action on (a-vector, b) basis elements."""
-    index = {elem: i for i, elem in enumerate(basis)}
+    # images are looked up by their fields: a permutation keeps an element valid
+    index = {(e.support, e.a_vector, e.b): i for i, e in enumerate(basis)}
     parent = list(range(len(basis)))
 
     def find(i):
@@ -122,7 +125,7 @@ def orbits_on_t1(group, basis):
 
     for i, elem in enumerate(basis):
         for g in group.generators or group.elements:
-            moved = act_on_element(g, elem)
+            moved = _image_key(g, elem)
             if moved not in index:
                 raise RuntimeError("group does not preserve the T^1 basis")
             union(i, index[moved])
@@ -156,14 +159,14 @@ def invariant_specialize(family, partition, assignment):
             new_params.append(name)
     xnames = [n for n in family.ring.names if n not in family.params]
     ring = PolyRing(xnames + new_params)
-    dropped, kept = {}, {}
+    dropped, kept = [], {}
     for block_id, block in enumerate(partition.blocks):
         name = assignment.get(block_id)
         for i in block:
             if name is None:
-                dropped[family.params[i]] = 0
+                dropped.append(family.params[i])
             else:
                 kept[family.params[i]] = name
-    gens = [p.substitute(dropped).rename(ring, kept) for p in family.generators]
+    gens = [p.truncate_above(dropped, 1).rename(ring, kept) for p in family.generators]
     return FirstOrderFamily(ring, gens, family.basis, new_params)
 

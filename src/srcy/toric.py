@@ -230,12 +230,8 @@ def all_charts(fan, invariant_monomials):
 
 def chart_restriction(fan, charts, cone_id, ray_ids):
     """Chart polynomial with the coordinates of the given rays set to zero."""
-    cone = fan.cones[cone_id]
-    subs = {}
-    for rid in ray_ids:
-        pos = cone.index(rid)
-        subs[CHART_RING.names[pos]] = 0
-    return charts[cone_id].poly.substitute(subs)
+    names = [CHART_RING.names[fan.cones[cone_id].index(rid)] for rid in ray_ids]
+    return charts[cone_id].poly.truncate_above(names, 1)
 
 
 def divisor_meets_strict_transform(fan, charts, ray_id):
@@ -823,8 +819,7 @@ def components_intersect(fan, charts, comps):
             rest = [rid for rid in needed if rid != rho]
             if rest:
                 cone = fan.cones[c]
-                subs = {CHART_RING.names[cone.index(rid)]: 0 for rid in rest}
-                h = h.substitute(subs)
+                h = h.truncate_above([CHART_RING.names[cone.index(rid)] for rid in rest], 1)
             if h.is_zero() or not h.is_constant():
                 return True
         else:

@@ -69,7 +69,7 @@ def test_degree14_orbit_specialization_via_appendix(complexes):
     keep = {t for t, idx in lift.matched.items() if idx in set(part.blocks[block])}
     sring = PolyRing([n for n in ring.names if n.startswith("x")] + ["s"])
     entries = {
-        key: poly.substitute({t: 0 for t in params if t not in keep}).rename(
+        key: poly.truncate_above([t for t in params if t not in keep], 1).rename(
             sring, {t: "s" for t in keep})
         for key, poly in full.upper.items()
     }
