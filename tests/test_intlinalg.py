@@ -1,19 +1,27 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import srcy.intlinalg as la
 from srcy.intlinalg import (
     complete_to_basis,
     det,
     hnf_rows,
+    inverse,
     kernel_basis_of_functional,
     mat_int_mul,
     mat_vec_int,
     primitive,
     quotient_projection,
+    rank,
     smith_normal_form,
     unimodular_inverse,
 )
+from srcy.toric import classify_toric_surface, orbit_closure_component
 
 
 def test_smith_normal_form_properties():
@@ -116,3 +124,193 @@ def test_unimodular_inverse(fan_data):
         unimodular_inverse([[2, 1], [0, 1]])
     with pytest.raises(ValueError, match="not unimodular"):
         unimodular_inverse([[1, 2], [2, 4]])
+
+
+# -- the Fraction Gauss-Jordan loops and the complete-to-basis projection, kept
+# as references for the fraction-free elimination and the Smith-form projection
+
+
+def _reference_rank(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return 0
+    nr, nc = len(m), len(m[0])
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+        if r == nr:
+            break
+    return r
+
+
+def _reference_inverse(rows):
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    aug = [m[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = 1 / aug[c][c]
+        aug[c] = [x * inv for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def _reference_det(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    sign = 1
+    result = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        result *= m[c][c]
+        inv = 1 / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return result * sign
+
+
+def _reference_quotient_projection(rays):
+    n = len(rays[0])
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k, ray in enumerate(rays):
+        img = [sum(u[i][j] * ray[j] for j in range(n)) for i in range(n)]
+        tail = img[k:]
+        if all(x == 0 for x in tail):
+            raise ValueError("rays are not independent modulo earlier ones")
+        if primitive(tail) != tuple(tail):
+            raise ValueError("ray is not primitive modulo the earlier rays")
+        w = complete_to_basis(tail)
+        full = [[int(i == j) for j in range(n)] for i in range(n)]
+        for i in range(n - k):
+            for j in range(n - k):
+                full[k + i][k + j] = w[i][j]
+        u = mat_int_mul(full, u)
+        img = [sum(u[i][j] * ray[j] for j in range(n)) for i in range(n)]
+        for i in range(k):
+            if img[i] != 0:
+                u[i] = [x - img[i] * y for x, y in zip(u[i], u[k])]
+    return [u[i] for i in range(len(rays), n)]
+
+
+_INTS = tuple(range(-4, 5))
+_FRACTIONS = _INTS + tuple(Fraction(p, q) for p in (-3, -1, 1, 2, 5) for q in (2, 3, 7))
+
+
+@st.composite
+def _matrices(draw):
+    """Int or Fraction matrices of size 1-7, half of them square; a drawn
+    rank bound below the size gives singular squares and rank-deficient
+    rectangles (rank 0 is a zero matrix)."""
+    nr = draw(st.integers(1, 7))
+    nc = nr if draw(st.booleans()) else draw(st.integers(1, 7))
+    entry = st.sampled_from(draw(st.sampled_from((_INTS, _FRACTIONS))))
+
+    def block(r, c):
+        return [draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(r)]
+
+    if draw(st.booleans()):
+        return block(nr, nc)
+    k = draw(st.integers(0, min(nr, nc) - 1))
+    left, right = block(nr, k), block(k, nc)
+    return [[sum(row[t] * right[t][j] for t in range(k)) for j in range(nc)] for row in left]
+
+
+# the fixture fan's sigma as ray columns (det 13), and its lattice block
+_SIGMA_COLUMNS = [[13, 0, 0, 0], [-5, 1, 0, 0], [-3, 0, 1, 0], [-6, 0, 0, 1]]
+_LATTICE_BLOCK = [[Fraction(1, 13), 0, 0, 0], [Fraction(5, 13), 1, 0, 0],
+                  [Fraction(3, 13), 0, 1, 0], [Fraction(6, 13), 0, 0, 1]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices())
+@example([])
+@example([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+@example(_SIGMA_COLUMNS)
+@example(_LATTICE_BLOCK)
+@example([[0, 1], [1, 0]])  # a row swap flips the sign
+def test_elimination_matches_the_fraction_loops(rows):
+    assert rank(rows) == _reference_rank(rows)
+    if rows and len(rows) != len(rows[0]):
+        return
+    assert det(rows) == _reference_det(rows)
+    try:
+        expected = _reference_inverse(rows)
+    except ValueError as exc:
+        assert str(exc) == "matrix is singular"
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            inverse(rows)
+    else:
+        assert inverse(rows) == expected
+
+
+def test_projection_of_one_ray_matches_the_reference(fan_data):
+    rng = random.Random(17)
+    rays = [list(r) for r in fan_data[0].rays]
+    while len(rays) < 18 + 200:
+        v = [rng.randint(-9, 9) for _ in range(rng.randint(2, 5))]
+        if any(v):
+            rays.append(list(primitive(v)))
+    for ray in rays:
+        assert quotient_projection([ray]) == _reference_quotient_projection([ray])
+
+
+def test_projection_kills_basis_rays_and_is_onto():
+    rng = random.Random(23)
+    for _ in range(60):
+        u = _elementary_product(rng, 4)
+        for k in (1, 2, 3):
+            rays = [[row[j] for row in u] for j in range(k)]
+            proj = quotient_projection(rays)
+            assert len(proj) == 4 - k
+            for r in rays:
+                assert mat_vec_int(proj, r) == [0] * (4 - k)
+            d, _u, _v = smith_normal_form(proj)
+            assert [d[i][i] for i in range(4 - k)] == [1] * (4 - k)
+
+
+def test_projection_rejects_rays_outside_a_basis():
+    with pytest.raises(ValueError):
+        quotient_projection([[2, 0, 0, 0]])
+    with pytest.raises(ValueError):
+        quotient_projection([[1, 0, 0], [1, 0, 0]])
+
+
+def _closures(fan):
+    faces = sorted({pair for cone in fan.cones for pair in combinations(sorted(cone), 2)})
+    out = []
+    for pair in faces:
+        closure = orbit_closure_component(fan, *pair)
+        tag = str(classify_toric_surface(closure.rays)) if closure.complete else None
+        out.append((closure.chi, closure.complete, tag))
+    return out
+
+
+def test_orbit_closures_agree_under_both_projections(fan_data, monkeypatch):
+    fan = fan_data[0]
+    closures = _closures(fan)
+    assert len(closures) == 72
+    monkeypatch.setattr(la, "quotient_projection", _reference_quotient_projection)
+    assert _closures(fan) == closures
