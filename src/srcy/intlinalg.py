@@ -1,82 +1,83 @@
 """Exact linear algebra over Z and Q (lists of lists, no floating point).
 
-Everything here operates on small matrices (at most ~50 x 8), so the
-algorithms are the plain classical ones.
+Everything here operates on small matrices (at most ~50 x 8), and two
+algorithms do all the work.  One fraction-free Gauss-Jordan elimination
+(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968) gives `rank`, `det` and `inverse` over
+Q.  The Smith normal form gives every lattice operation: unimodular
+inverses, completing a vector to a basis, quotient projections and kernels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 
-# -- rational elimination ----------------------------------------------------
+# -- fraction-free elimination -------------------------------------------------
 
 
-def mat_fractions(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _integral(rows):
+    """Each row times the lcm of its denominators, and those positive factors."""
+    factors = [lcm(*(x.denominator for x in row)) for row in rows]
+    return [[int(x * s) for x in row] for row, s in zip(rows, factors)], factors
+
+
+def _eliminate(m, ncols):
+    """Gauss-Jordan reduce the int matrix `m` in place on its first `ncols` columns.
+
+    Each step sets every other row to (p * row - f * pivot_row) // p_prev,
+    with p the pivot, f the row's entry in the pivot column and p_prev the
+    previous pivot; by Sylvester's identity every division is exact.
+    Returns the rank, the sign of the row swaps and the last pivot.  When
+    the first `ncols` columns are a nonsingular square block, that block
+    ends as the last pivot times the identity, and the pivot is the block's
+    determinant times the swap sign.
+    """
+    nr = len(m)
+    r, sign, prev = 0, 1, 1
+    for c in range(ncols):
+        piv = next((i for i in range(r, nr) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        p = m[r][c]
+        for i in range(nr):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], m[r])]
+        prev = p
+        r += 1
+    return r, sign, prev
 
 
 def rank(rows):
-    m = mat_fractions(rows)
-    if not m:
-        return 0
-    nr, nc = len(m), len(m[0])
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nr:
-            break
-    return r
+    m, _factors = _integral(rows)
+    return _eliminate(m, len(m[0]) if m else 0)[0]
 
 
 def inverse(rows):
-    n = len(rows)
-    m = mat_fractions(rows)
-    aug = [m[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    """Inverse over Q; raises ValueError for a singular matrix.
+
+    Reducing [S A | S], with S the diagonal of row factors, leaves
+    p I on the left and p A^-1 on the right, p the last pivot.
+    """
+    m, factors = _integral(rows)
+    n = len(m)
+    aug = [row + [s * (i == j) for j in range(n)] for i, (row, s) in enumerate(zip(m, factors))]
+    r, _sign, p = _eliminate(aug, n)
+    if r < n:
+        raise ValueError("matrix is singular")
+    return [[Fraction(x, p) for x in row[n:]] for row in aug]
 
 
 def det(rows):
-    m = mat_fractions(rows)
+    m, factors = _integral(rows)
     n = len(m)
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return result * sign
+    r, sign, p = _eliminate(m, n)
+    return Fraction(sign * p, prod(factors)) if r == n else Fraction(0)
 
 
 # -- integer normal forms ----------------------------------------------------
@@ -180,43 +181,25 @@ def unimodular_inverse(rows):
 
 def complete_to_basis(vec):
     """Unimodular U with U @ vec = e1, for a primitive integer vector."""
-    n = len(vec)
-    col = [[int(x)] for x in vec]
-    d, u, _v = smith_normal_form(col)
-    if abs(d[0][0]) != 1:
+    d, u, _v = smith_normal_form([[int(x)] for x in vec])
+    if d[0][0] != 1:
         raise ValueError("vector is not primitive")
-    if d[0][0] == -1:
-        u[0] = [-x for x in u[0]]
     return u
 
 
 def quotient_projection(rays):
-    """Projection Z^n -> Z^(n-k) modulo the span of the given primitive rays.
+    """Projection Z^n -> Z^(n-k) modulo the span of the given k primitive rays.
 
     The rays must be part of a basis of Z^n (the relevant cones here are
-    unimodular).  Returns the (n-k) x n integer projection matrix.
+    unimodular): with D = U * A * V the Smith form of the ray columns A,
+    the first k diagonal entries of D are then 1, and the last n - k rows
+    of U vanish on the rays and map Z^n onto Z^(n-k).  Returns those rows.
     """
-    n = len(rays[0])
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k, ray in enumerate(rays):
-        img = [sum(u[i][j] * ray[j] for j in range(n)) for i in range(n)]
-        tail = img[k:]
-        if all(x == 0 for x in tail):
-            raise ValueError("rays are not independent modulo earlier ones")
-        if primitive(tail) != tuple(tail):
-            raise ValueError("ray is not primitive modulo the earlier rays")
-        w = complete_to_basis(tail)
-        full = [[int(i == j) for j in range(n)] for i in range(n)]
-        for i in range(n - k):
-            for j in range(n - k):
-                full[k + i][k + j] = w[i][j]
-        u = mat_int_mul(full, u)
-        # clear the entries above the new pivot so u @ ray == e_{k+1}
-        img = [sum(u[i][j] * ray[j] for j in range(n)) for i in range(n)]
-        for i in range(k):
-            if img[i] != 0:
-                u[i] = [x - img[i] * y for x, y in zip(u[i], u[k])]
-    return [u[i] for i in range(len(rays), n)]
+    k = len(rays)
+    d, u, _v = smith_normal_form([list(col) for col in zip(*rays)])
+    if any(d[i][i] != 1 for i in range(k)):
+        raise ValueError("rays are not part of a lattice basis")
+    return u[k:]
 
 
 def mat_int_mul(a, b):

@@ -57,8 +57,10 @@ class Fan:
         self.cones = [tuple(c) for c in cones]
         self.sigma = tuple(sigma)  # ray indices spanning the subdivided cone
         self._ray_pos = {r: i for i, r in enumerate(self.rays)}
+        # sigma's facet functionals: the rows of its inverse, each scaled to
+        # integers by a positive factor, which keeps every sign and zero
         sig = [self.rays[i] for i in self.sigma]
-        self._sigma_inv = la.inverse(_ray_matrix_columns(sig))
+        self._sigma_functionals, _ = la._integral(la.inverse(_ray_matrix_columns(sig)))
         self.inverses = {}
         for c in range(len(self.cones)):
             cols = _ray_matrix_columns(self.cone_rays(c))
@@ -81,7 +83,7 @@ class Fan:
         return [i for i in range(len(self.rays)) if i not in self.sigma]
 
     def in_sigma(self, vec):
-        coords = la.mat_vec_int(self._sigma_inv, list(vec))
+        coords = la.mat_vec_int(self._sigma_functionals, list(vec))
         return all(c >= 0 for c in coords)
 
 
@@ -147,13 +149,10 @@ def _facet_pairing_problems(fan):
     for c, cone in enumerate(fan.cones):
         for facet in combinations(sorted(cone), 3):
             cones_at.setdefault(facet, []).append(c)
-    functionals = fan._sigma_inv
     for facet, cones in sorted(cones_at.items()):
         count = len(cones)
         rays = [fan.rays[i] for i in facet]
-        on_boundary = any(
-            all(sum(w[i] * r[i] for i in range(4)) == 0 for r in rays) for w in functionals
-        )
+        on_boundary = any(not any(la.mat_vec_int(rays, w)) for w in fan._sigma_functionals)
         if on_boundary and count != 1:
             problems.append("boundary facet %s shared by %d cones" % (facet, count))
         if not on_boundary and count != 2:
