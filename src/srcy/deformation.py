@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .polynomial import PolyRing
+from .polynomial import Poly, PolyRing
 from .simplicial import (
     OTHER,
     SimplicialComplex,
@@ -216,7 +216,7 @@ def generator_monomial(ring, p):
     return ring.power_product(dict.fromkeys(("x%d" % v for v in p), 1))
 
 
-def perturbation(elem, generators, ring, vertices):
+def perturbation(elem, generators, ring):
     """Image monomial of each ideal generator under the basis element.
 
     Generator p (a vertex set) maps to x_p * x^a / x_b when b <= p, and to
@@ -253,12 +253,10 @@ def first_order_family(k):
     params = ["t%d" % (i + 1) for i in range(len(basis))]
     ring = variable_ring(k, extra=params)
     gens = minimal_nonfaces(k).generators
-    polys = [generator_monomial(ring, p) for p in gens]
-    for i, elem in enumerate(basis):
-        images = perturbation(elem, gens, ring, k.vertices)
-        t = ring.var(params[i])
-        polys = [
-            poly + (t * images[p] if images[p] is not None else ring.zero())
-            for poly, p in zip(polys, gens)
-        ]
+    terms = [(ring.var(t), perturbation(elem, gens, ring)) for t, elem in zip(params, basis)]
+    polys = [
+        Poly.dot(ring, [(ring.one(), generator_monomial(ring, p))]
+                 + [(t, images[p]) for t, images in terms if images[p] is not None])
+        for p in gens
+    ]
     return FirstOrderFamily(ring, polys, basis, params)

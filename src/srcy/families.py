@@ -65,7 +65,7 @@ def check_first_order_lift(k, f1, params):
     basis = t1_degree_zero_basis(k)
     expected = {}
     for idx, elem in enumerate(basis):
-        images = perturbation(elem, gens, ring, k.vertices)
+        images = perturbation(elem, gens, ring)
         vec = tuple(
             _canon(images[gens[order[i]]]) for i in range(len(gens))
         )

@@ -1,14 +1,14 @@
 """Locating and loading the bundled fixture data.
 
-The default directory ships inside the package; SRCY_FIXTURES overrides
-it (same layout: triangulations/, families/, toric/, cohomology/).  Every
-fixture is read through `fileio.load`, so a missing or malformed one
-raises the same `InputError` as a file named on the command line.
+The default directory ships inside the package; `run-all --fixtures`
+passes another with the same layout (triangulations/, families/, toric/,
+cohomology/).  Every fixture is read through `fileio.load`, so a missing
+or malformed one raises the same `InputError` as a file named on the
+command line.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 from .fileio import (
@@ -29,9 +29,6 @@ TRIANGULATIONS = ["delta4", "p7_1", "p7_2", "p7_3", "p7_4", "p7_5"]
 def fixture_dir(override=None):
     if override:
         return Path(override)
-    env = os.environ.get("SRCY_FIXTURES")
-    if env:
-        return Path(env)
     return Path(__file__).parent / "data"
 
 

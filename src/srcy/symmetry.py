@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .deformation import FirstOrderFamily, T1BasisElement
+from .deformation import FirstOrderFamily
 from .polynomial import PolyRing
 from .simplicial import once_per_complex
 
@@ -82,10 +82,6 @@ def _image_key(perm, elem):
     pairs = sorted((perm[v], e) for v, e in zip(elem.support, elem.a_vector))
     return (tuple(v for v, _ in pairs), tuple(e for _, e in pairs),
             frozenset(perm[v] for v in elem.b))
-
-
-def act_on_element(perm, elem):
-    return T1BasisElement(*_image_key(perm, elem))
 
 
 @dataclass

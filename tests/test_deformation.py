@@ -151,7 +151,7 @@ def test_perturbation_examples(complexes):
     gens = minimal_nonfaces(k).generators
     basis = t1_degree_zero_basis(k)
     elem = next(e for e in basis if e.support == (1,) and e.b == frozenset({2, 3}))
-    images = perturbation(elem, gens, ring, k.vertices)
+    images = perturbation(elem, gens, ring)
     assert str(images[(1, 2, 3, 6)]) == "x1^3*x6"
     assert str(images[(1, 2, 3, 5)]) == "x1^3*x5"
     assert images[(4, 6)] is None
@@ -163,7 +163,7 @@ def test_perturbation_examples(complexes):
         e for e in t1_degree_zero_basis(quintic)
         if e.support == (0,) and e.b == frozenset({1, 2, 3, 4})
     )
-    qimages = perturbation(qelem, qgens, qring, quintic.vertices)
+    qimages = perturbation(qelem, qgens, qring)
     assert str(qimages[(0, 1, 2, 3, 4)]) == "x0^5"
 
 

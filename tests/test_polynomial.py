@@ -151,8 +151,18 @@ def _from_terms(ring, terms):
 
 PRODUCT_RINGS = (PolyRing([]), PolyRing(["x"]), PolyRing(["x", "y", "t"]),
                  PolyRing(["x1", "x2", "t1", "t2", "t3"]))
-EXPONENTS = st.one_of(st.integers(0, 2), st.sampled_from([255, 256, 65535, 2 ** 32 - 1]))
-COEFFICIENTS = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4))
+
+
+def _fractions(bound, max_denominator):
+    """Every Fraction in [-bound, bound] with denominator at most max_denominator."""
+    return tuple(sorted({Fraction(p, q) for q in range(1, max_denominator + 1)
+                         for p in range(-bound * q, bound * q + 1)}))
+
+
+# flat `sampled_from` value sets: drawing from them costs far less than
+# nested `one_of`s of `integers` and `fractions` over the same values
+EXPONENTS = st.sampled_from((0, 1, 2, 255, 256, 65535, 2 ** 32 - 1))
+COEFFICIENTS = st.sampled_from(tuple(range(-3, 4)) + _fractions(2, 4))
 
 
 def _polys(ring):
@@ -350,13 +360,13 @@ def _reference_evaluate(poly, point):
     return total
 
 
-VALUES = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5))
+VALUES = st.sampled_from(tuple(range(-3, 4)) + _fractions(3, 5))
 
 
 @st.composite
 def evaluate_cases(draw):
     ring = draw(st.sampled_from(PRODUCT_RINGS))
-    exponents = st.one_of(st.integers(0, 3), st.just(300))
+    exponents = st.sampled_from((0, 1, 2, 3, 300))
     terms = st.lists(st.tuples(st.tuples(*[exponents] * ring.nvars), COEFFICIENTS), max_size=5)
     poly = sum((ring.monomial(e, c) for e, c in draw(terms)), ring.zero())
     return poly, {n: draw(VALUES) for n in ring.names}

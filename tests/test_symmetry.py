@@ -2,10 +2,10 @@ import random
 from itertools import combinations, permutations
 from math import factorial
 
-from srcy.deformation import first_order_family, t1_degree_zero_basis
+from srcy.deformation import T1BasisElement, first_order_family, t1_degree_zero_basis
 from srcy.simplicial import SimplicialComplex, join, ngon
 from srcy.symmetry import (
-    act_on_element,
+    _image_key,
     automorphism_group,
     invariant_specialize,
     orbit_index_of,
@@ -270,7 +270,7 @@ def test_action_is_well_defined(complexes):
     basis = set(t1_degree_zero_basis(k))
     for g in group.elements:
         for elem in list(basis)[:10]:
-            assert act_on_element(g, elem) in basis
+            assert T1BasisElement(*_image_key(g, elem)) in basis
 
 
 def test_quintic_invariant_specialization(complexes):
