@@ -459,3 +459,25 @@ def test_reports_are_byte_identical():
     a = emit(run_all(only=["sr", "t1", "torus"]), "json")
     b = emit(run_all(only=["sr", "t1", "torus"]), "json")
     assert a == b
+
+
+# Every subcommand on the bundled fixtures: argv ($DATA is the fixture
+# directory), exit code, and stdout in full, or its byte count and SHA-256
+# when it is longer than 4 KiB.  An intended output change rewrites its entry.
+CLI_MANIFEST = json.loads(
+    (Path(__file__).parent / "data" / "cli" / "manifest.json").read_text()
+)
+
+
+@pytest.mark.parametrize("entry", CLI_MANIFEST, ids=lambda e: " ".join(a.rsplit("/", 1)[-1] for a in e["argv"]))
+def test_subcommand_stdout_is_pinned(capsys, entry):
+    import hashlib
+
+    argv = [a.replace("$DATA", str(fixtures.fixture_dir())) for a in entry["argv"]]
+    code, out = run_cli(capsys, *argv)
+    assert code == entry["exit"]
+    if "stdout" in entry:
+        assert out == entry["stdout"]
+    else:
+        data = out.encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (entry["bytes"], entry["sha256"])

@@ -6,6 +6,7 @@ from srcy.toric import (
     ComponentStructure,
     Fan,
     all_charts,
+    chart_exponents,
     chart_restriction,
     classify_toric_surface,
     crepancy_check,
@@ -146,6 +147,51 @@ def test_fan_with_a_same_side_facet_is_rejected(fan_data):
     report = verify_smooth_subdivision(_mutated(fan, cones=cones))
     assert not report.ok
     assert "cones 26 and 38 lie on one side of facet (0, 1, 4)" in report.problems
+
+
+IDENTITY = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+ORTHANT_RAYS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                (1, 1, 0, 0), (0, 0, 1, 1)]
+ORTHANT = [(0, 1, 2, 3)]
+# stellar subdivision of the orthant at e1 + e2 (ray 4), then at e3 + e4 (ray 5)
+ORTHANT_STELLAR = [(4, 1, 5, 3), (4, 1, 2, 5), (0, 4, 5, 3), (0, 4, 2, 5)]
+
+
+@pytest.mark.parametrize("cones", [ORTHANT, ORTHANT_STELLAR])
+def test_orthant_subdivisions_are_smooth(cones):
+    assert verify_smooth_subdivision(Fan(IDENTITY, ORTHANT_RAYS, cones, (0, 1, 2, 3))).ok
+
+
+def test_two_subdivisions_united_fail_only_coverage():
+    # the stellar cones split every boundary facet of the orthant, so each
+    # boundary facet still lies in one cone and every interior facet in two
+    # cones on opposite sides: only the coverage count sees the overlap
+    united = Fan(IDENTITY, ORTHANT_RAYS, ORTHANT + ORTHANT_STELLAR, (0, 1, 2, 3))
+    report = verify_smooth_subdivision(united)
+    assert not report.ok
+    assert report.problems
+    assert all(p.startswith("interior point of cone ") for p in report.problems)
+
+
+def _reference_chart_exponents(fan, cone_id, monomial):
+    """Pairing of a monomial with each ray of the cone taken to ambient coordinates."""
+    from fractions import Fraction
+
+    ambient = [[sum(Fraction(a) * x for a, x in zip(row, fan.rays[i])) for row in fan.lattice]
+               for i in fan.cones[cone_id]]
+    return [sum(m * a for m, a in zip(monomial, r)) for r in ambient]
+
+
+def test_pulled_back_pairings_match_the_ambient_ones(fan_data):
+    import random
+
+    fan, fmono, invmono, _charts = fan_data
+    rng = random.Random(21)
+    others = [tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(8)]
+    monomials = [tuple(m) for m in invmono] + [tuple(m) for m in fmono] + others
+    for c in range(len(fan.cones)):
+        for m in monomials:
+            assert chart_exponents(fan, c, m) == _reference_chart_exponents(fan, c, m), (c, m)
 
 
 def test_chart_polynomials(fan_data):
