@@ -37,7 +37,7 @@ from .toric import (
     cone_problems,
     crepancy_check,
     derive_component_structure,
-    divisor_meets_strict_transform,
+    divisor_meets_hypersurface,
     euler_exceptional,
     intersection_complex,
     match_component_table,
@@ -160,7 +160,7 @@ def cmd_toric(args):
         })
         return 0
     if args.toric_cmd == "charts":
-        meets = {r: divisor_meets_strict_transform(fan, charts, r)
+        meets = {r: divisor_meets_hypersurface(fan, charts, r)
                  for r in fan.interior_ray_ids()}
         _print_json({
             "charts": {str(c + 1): str(charts[c].poly) for c in sorted(charts)},

@@ -1,8 +1,9 @@
 """Toric verification for a crepant resolution of a hyperquotient point.
 
 The fan data lives in a working basis of the ambient lattice N (an integer
-refinement of Z^4); each ray is converted to ambient coordinates once, for
-the pairings with monomials.  Chart polynomials of the strict transform,
+refinement of Z^4), and so does every pairing: a monomial is pulled back to
+that basis once and paired with the integer rays.  Chart polynomials of the
+strict transform,
 Reid's crepancy criterion, exceptional-component fans and the intersection
 complex are all computed with exact integer/rational arithmetic.  Every 2d
 fan, whether the closure of a component (methods 1 and 3) or the base of a
@@ -32,9 +33,11 @@ CHART_RING = PolyRing(["y1", "y2", "y3", "y4"])
 class Fan:
     """Maximal cones of a fan, in a working basis of the lattice N.
 
-    `lattice` is the square `Fraction` matrix whose columns are the
-    working-basis vectors in ambient coordinates, and `ambient_rays` holds
-    each ray in ambient coordinates.  `inverses` maps each simplicial,
+    `lattice` is the square `Fraction` matrix L whose columns are the
+    working-basis vectors in ambient coordinates.  Rays stay in the working
+    basis: a monomial m pairs with a ray r as <m, L r> = <L^T m, r>, so
+    `pull_back` turns m into L^T m once and every pairing is then taken
+    with the integer rays.  `inverses` maps each simplicial,
     full-dimensional, unimodular cone to the integer inverse of its ray
     matrix, whose rows are the cone's facet functionals; the other cones
     are left for `verify_smooth_subdivision` to report.
@@ -50,17 +53,14 @@ class Fan:
                 raise ValueError("fan ray %s is not primitive" % (r,))
         if len(set(self.rays)) != len(self.rays):
             raise ValueError("repeated ray")
-        self.ambient_rays = [
-            tuple(sum(a * x for a, x in zip(row, r)) for row in self.lattice)
-            for r in self.rays
-        ]
         self.cones = [tuple(c) for c in cones]
         self.sigma = tuple(sigma)  # ray indices spanning the subdivided cone
         self._ray_pos = {r: i for i, r in enumerate(self.rays)}
-        # sigma's facet functionals: the rows of its inverse, each scaled to
-        # integers by a positive factor, which keeps every sign and zero
-        sig = [self.rays[i] for i in self.sigma]
-        self._sigma_functionals, _ = la._integral(la.inverse(_ray_matrix_columns(sig)))
+        # sigma's facet functionals: the rows of |det sigma| sigma^-1, integers
+        # scaled by a positive factor, which keeps every sign and zero
+        sig = _ray_matrix_columns([self.rays[i] for i in self.sigma])
+        inv, scale = la.inverse(sig), abs(la.det(sig))
+        self._sigma_functionals = [[int(x * scale) for x in row] for row in inv]
         self.inverses = {}
         for c in range(len(self.cones)):
             cols = _ray_matrix_columns(self.cone_rays(c))
@@ -85,6 +85,11 @@ class Fan:
     def in_sigma(self, vec):
         coords = la.mat_vec_int(self._sigma_functionals, list(vec))
         return all(c >= 0 for c in coords)
+
+    def pull_back(self, monomial):
+        """L^T m, with integral entries as ints: an invariant monomial pairs as ints."""
+        w = la.mat_vec_int(list(zip(*self.lattice)), list(monomial))
+        return [int(x) if x.denominator == 1 else x for x in w]
 
 
 def _ray_matrix_columns(rays):
@@ -115,8 +120,14 @@ def verify_smooth_subdivision(fan):
     *Triangulations*, Springer 2010, ch. 4): every facet lies in two
     cones, or in one cone if it is on the boundary of sigma; the two cones
     at an interior facet lie on opposite sides of it; and an interior
-    point is covered exactly once.  The last is tested at an interior
-    point of every cone.
+    point is covered exactly once.
+
+    One point decides the last.  Given the facet pairing, crossing an
+    interior facet trades one cone for another, so the number of cones
+    covering a point is the same everywhere off the walls.  The point is
+    the sum of the rays of the lowest-numbered unimodular cone.  In no
+    other closed cone, it is off every wall and the count is one; in
+    another, that cone overlaps the first one's interior.
     """
     problems = []
     for r in fan.rays:
@@ -125,7 +136,7 @@ def verify_smooth_subdivision(fan):
 
     problems.extend(cone_problems(fan))
     problems.extend(_facet_pairing_problems(fan))
-    problems.extend(_sample_coverage_problems(fan))
+    problems.extend(_coverage_problems(fan))
     return FanReport(not problems, len(fan.rays), len(fan.cones), problems)
 
 
@@ -170,21 +181,16 @@ def _facet_pairing_problems(fan):
     return problems
 
 
-def _sample_coverage_problems(fan):
-    problems = []
-    for c in fan.inverses:
-        point = [sum(r[i] for r in fan.cone_rays(c)) for i in range(4)]
-        hits = sum(
-            1
-            for inv in fan.inverses.values()
-            if all(x >= 0 for x in la.mat_vec_int(inv, point))
-        )
-        if hits != 1:
-            problems.append("interior point of cone %d lies in %d cones" % (c + 1, hits))
-    return problems
+def _coverage_problems(fan):
+    if not fan.inverses:
+        return []
+    c = min(fan.inverses)
+    point = [sum(xs) for xs in zip(*fan.cone_rays(c))]
+    hits = sum(all(x >= 0 for x in la.mat_vec_int(inv, point)) for inv in fan.inverses.values())
+    return [] if hits == 1 else ["interior point of cone %d lies in %d cones" % (c + 1, hits)]
 
 
-# -- charts and the strict transform -------------------------------------------
+# -- charts of the strict transform --------------------------------------------
 
 
 @dataclass
@@ -193,38 +199,29 @@ class ChartPolynomial:
     poly: Poly
 
 
-def chart_exponents(fan, cone_id, monomial):
-    """Pairing of a dual-lattice monomial with each ray of the chart."""
-    return [
-        sum(m * a for m, a in zip(monomial, fan.ambient_rays[i])) for i in fan.cones[cone_id]
-    ]
-
-
-def strict_transform(fan, cone_id, invariant_monomials):
-    """Chart polynomial of the strict transform in the given cone.
-
-    Each invariant monomial maps to the chart monomial of its pairings
-    with the four rays; the monomial gcd is divided out.  Non-integral or
-    negative exponents indicate bad input and raise.
-    """
-    terms = []
-    for m in invariant_monomials:
-        exps = chart_exponents(fan, cone_id, m)
-        for e in exps:
-            if e.denominator != 1 or e < 0:
-                raise ValueError(
-                    "monomial %s has non-integral chart exponent %s in cone %d"
-                    % (m, e, cone_id + 1)
-                )
-        terms.append(tuple(int(e) for e in exps))
-    poly = PolyRing(CHART_RING.names).zero()
-    for t in terms:
-        poly = poly + CHART_RING.monomial(t)
-    return ChartPolynomial(cone_id, poly.strip_monomial_content())
-
-
 def all_charts(fan, invariant_monomials):
-    return {c: strict_transform(fan, c, invariant_monomials) for c in range(len(fan.cones))}
+    """Chart polynomial of the strict transform in every cone.
+
+    Each invariant monomial is pulled back once; its pairings with a
+    cone's rays are the exponents of its chart monomial, and the monomial
+    gcd of their sum is divided out.  Non-integral or negative exponents
+    indicate bad input and raise.
+    """
+    pulled = [(m, fan.pull_back(m)) for m in invariant_monomials]
+    one = CHART_RING.one()
+    charts = {}
+    for c in range(len(fan.cones)):
+        rays = fan.cone_rays(c)
+        terms = []
+        for m, w in pulled:
+            exps = la.mat_vec_int(rays, w)
+            bad = next((e for e in exps if e.denominator != 1 or e < 0), None)
+            if bad is not None:
+                raise ValueError("monomial %s has non-integral chart exponent %s in cone %d"
+                                 % (m, bad, c + 1))
+            terms.append((CHART_RING.monomial(exps), one))
+        charts[c] = ChartPolynomial(c, Poly.dot(CHART_RING, terms).strip_monomial_content())
+    return charts
 
 
 def chart_restriction(fan, charts, cone_id, ray_ids):
@@ -233,8 +230,8 @@ def chart_restriction(fan, charts, cone_id, ray_ids):
     return charts[cone_id].poly.truncate_above(names, 1)
 
 
-def divisor_meets_strict_transform(fan, charts, ray_id):
-    """True iff the restriction to the divisor is non-constant in some chart."""
+def divisor_meets_hypersurface(fan, charts, ray_id):
+    """True iff the ray's divisor meets the strict transform: some restriction is non-constant."""
     for c in fan.cones_containing(ray_id):
         if not chart_restriction(fan, charts, c, [ray_id]).is_constant():
             return True
@@ -247,15 +244,15 @@ def divisor_meets_strict_transform(fan, charts, ray_id):
 def crepancy_check(fan, f_monomials):
     """Reid's discrepancy criterion per interior ray.
 
-    For each ray a (in ambient coordinates), crepant iff
-    a(1,...,1) = min over the defining monomials of a(m), plus one.
+    A ray a is crepant iff a(1,...,1) = min over the defining monomials
+    of a(m), plus one.  These monomials are not invariant, so their
+    pull-backs may pair to fractions.
     """
+    pulled = [fan.pull_back(m) for m in [[1] * len(fan.lattice)] + list(f_monomials)]
     results = {}
     for rid in fan.interior_ray_ids():
-        amb = fan.ambient_rays[rid]
-        alpha_one = sum(amb)
-        alpha_f = min(sum(m * a for m, a in zip(mono, amb)) for mono in f_monomials)
-        results[rid] = alpha_one == alpha_f + 1
+        alpha_one, *alpha_f = la.mat_vec_int(pulled, list(fan.rays[rid]))
+        results[rid] = alpha_one == min(alpha_f) + 1
     return results
 
 
@@ -689,7 +686,7 @@ def derive_component_structure(fan, charts):
     chart is binomial), method 3 on an orbit pair.
     """
     meeting = [rid for rid in fan.interior_ray_ids()
-               if divisor_meets_strict_transform(fan, charts, rid)]
+               if divisor_meets_hypersurface(fan, charts, rid)]
     components = []
     seen_pairs = {}
     certified = True

@@ -38,7 +38,7 @@ from srcy.toric import (
     classify_toric_surface,
     crepancy_check,
     derive_component_structure,
-    divisor_meets_strict_transform,
+    divisor_meets_hypersurface,
     euler_exceptional,
     intersection_complex,
     match_component_table,
@@ -183,7 +183,7 @@ def test_fan_verification(fan_data):
 def test_crepancy_and_meeting_rays(fan_data):
     fan, fmono, _inv, charts = fan_data
     crep = crepancy_check(fan, fmono)
-    meets = {r: divisor_meets_strict_transform(fan, charts, r)
+    meets = {r: divisor_meets_hypersurface(fan, charts, r)
              for r in fan.interior_ray_ids()}
     check("exactly 10 rays meet the strict transform", 10, sum(meets.values()))
     check("excluded rays", [(3, 0, 0, -1), (5, -1, 0, -2), (8, -3, -1, -3), (11, -4, -2, -4)],

@@ -6,12 +6,11 @@ from srcy.toric import (
     ComponentStructure,
     Fan,
     all_charts,
-    chart_exponents,
     chart_restriction,
     classify_toric_surface,
     crepancy_check,
     derive_component_structure,
-    divisor_meets_strict_transform,
+    divisor_meets_hypersurface,
     euler_exceptional,
     fans_isomorphic_3d,
     intersection_complex,
@@ -24,7 +23,6 @@ from srcy.toric import (
     normal_fan,
     orbit_closure_component,
     pbundle_structure,
-    strict_transform,
     verify_smooth_subdivision,
 )
 
@@ -185,13 +183,16 @@ def _reference_chart_exponents(fan, cone_id, monomial):
 def test_pulled_back_pairings_match_the_ambient_ones(fan_data):
     import random
 
+    from srcy.intlinalg import mat_vec_int
+
     fan, fmono, invmono, _charts = fan_data
     rng = random.Random(21)
     others = [tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(8)]
     monomials = [tuple(m) for m in invmono] + [tuple(m) for m in fmono] + others
-    for c in range(len(fan.cones)):
-        for m in monomials:
-            assert chart_exponents(fan, c, m) == _reference_chart_exponents(fan, c, m), (c, m)
+    for m in monomials:
+        w = fan.pull_back(m)
+        for c in range(len(fan.cones)):
+            assert mat_vec_int(fan.cone_rays(c), w) == _reference_chart_exponents(fan, c, m), (c, m)
 
 
 def test_chart_polynomials(fan_data):
@@ -206,14 +207,17 @@ def test_chart_polynomials(fan_data):
 
 def test_strict_transform_rejects_bad_monomial(fan_data):
     fan, _f, _inv, _charts = fan_data
-    with pytest.raises(ValueError):
-        strict_transform(fan, 0, [(1, 0, 0, 0)])
+    with pytest.raises(ValueError, match="exponent 3/13 in cone 1$"):
+        all_charts(fan, [(1, 0, 0, 0)])
+    # an integral but negative pairing is refused with the same message
+    with pytest.raises(ValueError, match=r"^monomial \(-2, 0, -8, 0\) .* exponent -2 in cone 1$"):
+        all_charts(fan, [(-2, 0, -8, 0)])
 
 
 def test_crepancy(fan_data):
     fan, fmono, _inv, charts = fan_data
     crep = crepancy_check(fan, fmono)
-    meets = {r: divisor_meets_strict_transform(fan, charts, r)
+    meets = {r: divisor_meets_hypersurface(fan, charts, r)
              for r in fan.interior_ray_ids()}
     assert sum(meets.values()) == 10
     assert {r for r, v in crep.items() if v} == {r for r, v in meets.items() if v}
