@@ -160,9 +160,20 @@ def test_sign_slip_fails_the_pfaffian_section(monkeypatch):
     monkeypatch.setattr(module, "_sub_pfaffian", slipped)
     report = run_all(only=["pfaffian"])
     assert not report.ok
-    [failure] = report.failures()
-    assert failure.id == "pfaffian.completed"
-    assert failure.computed.startswith("SyzygySignError")
+    families = ["p7_1", "p7_2", "p7_3", "p7_4", "p7_5"]
+    entries = ["base_generators", "base_syzygy", "lift_matches_basis", "first_order_syzygy"]
+    assert [c.id for c in report.checks] == ["pfaffian.square_is_det"] + [
+        "pfaffian.%s.%s" % (e, name) for name in families for e in entries
+    ] + ["pfaffian.completed"]
+    failed = {c.id: c.computed for c in report.failures()}
+    for name in families:
+        # every family is checked, and both of its syzygy entries fail
+        assert failed["pfaffian.base_syzygy.%s" % name] is False
+        assert failed["pfaffian.first_order_syzygy.%s" % name] is False
+        assert failed["pfaffian.base_generators.%s" % name] is None
+        assert failed["pfaffian.lift_matches_basis.%s" % name] is None
+    # the specialized families after them still stop the section
+    assert failed["pfaffian.completed"].startswith("SyzygySignError")
 
 
 def test_the_pfaffian_memo_needs_no_cycle_collector():
