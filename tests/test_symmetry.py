@@ -26,12 +26,16 @@ def test_automorphism_orders(complexes):
 
 
 def _brute_force_automorphisms(k):
-    """Reference: the facet-preserving members of S_n, in lexicographic order."""
-    verts = k.vertices
+    """Reference: the facet-preserving members of S_n, in lexicographic order.
+
+    A bijection of the vertices that sends every facet to a facet permutes
+    the facets, so the first facet whose image is not a facet rejects it.
+    """
+    verts, facets = k.vertices, k.facets
     out = []
     for image in permutations(verts):
         perm = dict(zip(verts, image))
-        if {frozenset(perm[v] for v in f) for f in k.facets} == k.facets:
+        if all(frozenset(perm[v] for v in f) in facets for f in facets):
             out.append(perm)
     return out
 
