@@ -3,12 +3,11 @@
 The fan data lives in a working basis of the ambient lattice N (an integer
 refinement of Z^4), and so does every pairing: a monomial is pulled back to
 that basis once and paired with the integer rays.  Chart polynomials of the
-strict transform,
-Reid's crepancy criterion, exceptional-component fans and the intersection
-complex are all computed with exact integer/rational arithmetic.  Every 2d
-fan, whether the closure of a component (methods 1 and 3) or the base of a
-P1-bundle (method 2), is a `SurfaceFan`: its rays in counterclockwise order
-and whether they form a smooth complete fan.
+strict transform, Reid's crepancy criterion, exceptional-component fans and
+the intersection complex are all computed with exact integer/rational
+arithmetic.  Every 2d fan, whether the closure of a component (methods 1
+and 3) or the base of a P1-bundle (method 2), is a `SurfaceFan`: its rays
+in counterclockwise order and whether they form a smooth complete fan.
 """
 
 from __future__ import annotations

@@ -469,7 +469,8 @@ CLI_MANIFEST = json.loads(
 )
 
 
-@pytest.mark.parametrize("entry", CLI_MANIFEST, ids=lambda e: " ".join(a.rsplit("/", 1)[-1] for a in e["argv"]))
+@pytest.mark.parametrize("entry", CLI_MANIFEST,
+                         ids=lambda e: " ".join(a.rsplit("/", 1)[-1] for a in e["argv"]))
 def test_subcommand_stdout_is_pinned(capsys, entry):
     import hashlib
 
