@@ -429,6 +429,35 @@ def test_power_product_matches_monomial(ring):
         ring.power_product({"x": 2 ** 64})
 
 
+TOP = 32767  # the largest exponent a packed key stores
+
+
+def test_the_largest_exponent_is_stored_and_read_back():
+    ring = PolyRing(["x", "y"])
+    x, y = ring.var("x"), ring.var("y")
+    high = ring.monomial((TOP, 0), Fraction(2, 3))
+    assert list(high.items()) == [((TOP, 0), Fraction(2, 3))]
+    assert list(ring.power_product({"y": TOP, "x": 1}).items()) == [((1, TOP), Fraction(1))]
+    assert ring.power_product({"x": TOP}) * Fraction(2, 3) == high
+    assert list((high * y).items()) == [((TOP, 1), Fraction(2, 3))]
+    assert list((y * high).items()) == [((TOP, 1), Fraction(2, 3))]
+    assert dict(Poly.dot(ring, [(high, y), (x, y), (y, high)]).items()) == {
+        (TOP, 1): Fraction(4, 3), (1, 1): Fraction(1)}
+    merged = PolyRing(["t1", "t2", "x"]).power_product({"t1": 16383, "t2": 16384})
+    assert list(merged.rename(ring, {"t1": "x", "t2": "x"}).items()) == [((TOP, 0), Fraction(1))]
+    assert (high * y + x).coefficient_of("x", TOP) == Fraction(2, 3) * y
+    assert (high * y).derivative("x") == ring.monomial((TOP - 1, 1), Fraction(2 * TOP, 3))
+    assert str(high * y - x) == "2/3*x^32767*y - x"
+
+
+def test_two_halves_of_the_limit_add_up_exactly():
+    ring = PolyRing(["x", "y"])
+    low, high = ring.monomial((16383, 0)), ring.monomial((16384, 0))
+    assert list((high * low).items()) == [((TOP, 0), Fraction(1))]
+    assert dict(Poly.dot(ring, [(high, low), (high, ring.var("y"))]).items()) == {
+        (TOP, 0): Fraction(1), (16384, 1): Fraction(1)}
+
+
 def test_product_exponent_past_64_bits_is_an_error():
     ring = PolyRing(["x", "y"])
     half = ring.monomial((2 ** 63, 0))
