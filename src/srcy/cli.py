@@ -100,9 +100,10 @@ def cmd_sr(args):
 def cmd_pfaffian(args):
     matrix, _ring = load(args.matrix, parse_matrix_file)
     if matrix.dim % 2 == 0:
-        _print_json({"pfaffian": str(pfaffian(matrix))})
+        _print_json({"pfaffian": str(_from(args.matrix, pfaffian, matrix))})
     else:
-        _print_json({"principal_pfaffians": [str(p) for p in principal_pfaffians(matrix)]})
+        f = _from(args.matrix, principal_pfaffians, matrix)
+        _print_json({"principal_pfaffians": [str(p) for p in f]})
 
 
 def cmd_verify_family(args):
@@ -116,7 +117,7 @@ def cmd_verify_family(args):
         raise InputError("variable %s is not among the matrix's vars" % unknown[0], args.vector)
     _geo, params = geometry_and_params(ring.names)
     vector = [v.rename(ring) for v in vector]
-    ok = verify_first_order(matrix, vector, params)
+    ok = _from(args.vector, verify_first_order, matrix, vector, params)
     _print_json({"first_order_syzygy": ok})
     return 0 if ok else 1
 

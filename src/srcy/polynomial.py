@@ -1,24 +1,28 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 A polynomial is stored packed: each term's exponent tuple is one int key,
-with a little-endian bit field per variable, and each coefficient is an int
-numerator over one positive denominator shared by the whole polynomial.
-All arithmetic is exact; there is no floating point anywhere in this
-package.
+with a little-endian field of `BITS` bits per variable, and each coefficient
+is an int numerator over one positive denominator shared by the whole
+polynomial.  All arithmetic is exact; there is no floating point anywhere in
+this package.
+
+Each ring has one key layout, which depends only on its number of variables,
+so keys compare across equal rings and no polynomial is ever repacked.  A
+stored exponent is below `LIMIT`, half a field, so adding two keys
+multiplies the monomials without a carry into the next field, and a product
+exponent that reaches `LIMIT` shows in one mask test.  An exponent at or
+above the limit is a ValueError, never a wrong key.
 
 Every Poly is built on packed keys: constructors, arithmetic and the
 structural helpers write keys and int numerators directly, and none
-collects Fraction coefficients first.  Products, sums and negation work on
-the keys and numerators alone: adding two keys multiplies the monomials,
-because a field holds at most half its width and so never carries into the
-next.  Fractions are built only where a caller reads the terms
-(`Poly.items`, `constant_value` and printing; `Poly.evaluate` builds one,
-over a common denominator).  Setting variables to zero is
-`truncate_above(names, 1)`, a filter on the keys.
+collects Fraction coefficients first.  Fractions are built only where a
+caller reads the terms (`Poly.items`, `constant_value` and printing;
+`Poly.evaluate` builds one, over a common denominator).  Setting variables
+to zero is `truncate_above(names, 1)`, a filter on the keys.
 `_add_product` is the one term-pair loop: `Poly.mul` runs it for one pair,
 and `Poly.dot`, the sum of products behind the Pfaffian expansion and the
 M.f = 0 residual, runs it once per pair into one dict of numerators that is
-widened and reduced once.  Given a truncation (names, bound) it never forms
+checked and reduced once.  Given a truncation (names, bound) it never forms
 a term pair whose degree in `names` reaches the bound.  The Pfaffians of
 first-order families use that truncation to drop the terms quadratic in
 the deformation parameters before they are built.
@@ -30,13 +34,13 @@ import struct
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm
-from operator import attrgetter, or_
+from operator import or_
 
 
-# field widths in bits, narrowest first, with the struct code of one field:
-# 16 bits hold every exponent the bundled data produces; a 128-bit field is a
-# 64-bit value and 8 zero bytes, since no exponent may reach 2**64
-_WIDTHS = ((16, "H"), (128, "Q8x"))
+# bits of one exponent field in a packed key, and the bound on a stored
+# exponent: half the field, so the sum of two stored exponents still fits it
+BITS = 16
+LIMIT = 1 << 15
 
 # largest exponent the parser multiplies out; the bundled data uses up to 8
 MAX_EXPONENT = 1000
@@ -46,53 +50,23 @@ MAX_EXPONENT = 1000
 MAX_POWER_TERMS = 10000
 
 
-class _Format:
-    """The packed keys of one ring at one field width.
+class PolyRing:
+    """A polynomial ring over Q with a fixed tuple of named variables.
 
-    A stored exponent is below `limit`, which is at most half the field, so
-    the sum of two stored keys adds their exponents without a carry, and a
-    sum that reaches `limit` in some field shows in `key & over`.  `wider`
-    is the next width, or None.
+    The ring owns the key layout: `pack` and `unpack` convert between
+    exponent tuples and keys, and a sum of two keys with an exponent that
+    reached `LIMIT` in some field shows in `key & over`.
     """
 
-    __slots__ = ("bits", "limit", "layout", "over", "wider")
-
-    def __init__(self, nvars, bits, code, wider):
-        self.bits = bits
-        self.limit = 1 << min(bits - 1, 64)
-        self.layout = struct.Struct("<" + code * nvars)
-        high = ((1 << bits) - self.limit).to_bytes(bits // 8, "little")
-        self.over = int.from_bytes(high * nvars, "little")
-        self.wider = wider
-
-    def mask(self, nvars, indices):
-        """The key with every bit a stored exponent can use set in the fields at `indices`."""
-        exps = [0] * nvars
-        for i in indices:
-            exps[i] = self.limit - 1
-        return self.pack(exps)
-
-    def pack(self, exps):
-        return int.from_bytes(self.layout.pack(*exps), "little")
-
-    def unpack(self, key):
-        return self.layout.unpack(key.to_bytes(self.layout.size, "little"))
-
-
-class PolyRing:
-    """A polynomial ring over Q with a fixed tuple of named variables."""
-
-    __slots__ = ("names", "index", "narrow")
+    __slots__ = ("names", "index", "layout", "over")
 
     def __init__(self, names):
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names: %r" % (self.names,))
         self.index = {n: i for i, n in enumerate(self.names)}
-        fmt = None
-        for bits, code in reversed(_WIDTHS):
-            fmt = _Format(len(self.names), bits, code, fmt)
-        self.narrow = fmt
+        self.layout = struct.Struct("<%dH" % len(self.names))
+        self.over = sum(LIMIT << (i * BITS) for i in range(len(self.names)))
 
     @property
     def nvars(self):
@@ -107,8 +81,18 @@ class PolyRing:
     def __repr__(self):
         return "PolyRing(%s)" % ", ".join(self.names)
 
+    def pack(self, exps):
+        return int.from_bytes(self.layout.pack(*exps), "little")
+
+    def unpack(self, key):
+        return self.layout.unpack(key.to_bytes(self.layout.size, "little"))
+
+    def mask(self, names):
+        """The key with every bit a stored exponent can use set in the fields of `names`."""
+        return sum((LIMIT - 1) << (self.index[n] * BITS) for n in names)
+
     def zero(self):
-        return Poly(self, self.narrow, {}, 1)
+        return Poly(self, {}, 1)
 
     def one(self):
         return self.const(1)
@@ -117,12 +101,12 @@ class PolyRing:
         c = Fraction(c)
         if c == 0:
             return self.zero()
-        return Poly(self, self.narrow, {0: c.numerator}, c.denominator)
+        return Poly(self, {0: c.numerator}, c.denominator)
 
     def var(self, name):
         if name not in self.index:
             raise KeyError("unknown variable %r" % name)
-        return Poly(self, self.narrow, {1 << (self.index[name] * self.narrow.bits): 1}, 1)
+        return Poly(self, {1 << (self.index[name] * BITS): 1}, 1)
 
     def monomial(self, exps, coeff=1):
         exps = tuple(int(e) for e in exps)
@@ -133,8 +117,8 @@ class PolyRing:
         coeff = Fraction(coeff)
         if coeff == 0:
             return self.zero()
-        fmt = _format_for(self, max(exps, default=0))
-        return Poly(self, fmt, {fmt.pack(exps): coeff.numerator}, coeff.denominator)
+        _check_limit(max(exps, default=0))
+        return Poly(self, {self.pack(exps): coeff.numerator}, coeff.denominator)
 
     def power_product(self, powers):
         """The monomial prod name^e over the name -> exponent mapping `powers`, coefficient 1.
@@ -144,63 +128,38 @@ class PolyRing:
         """
         if any(e < 0 for e in powers.values()):
             raise ValueError("negative exponent")
-        fmt, index = _format_for(self, max(powers.values(), default=0)), self.index
-        return Poly(self, fmt, {sum(e << (index[n] * fmt.bits) for n, e in powers.items()): 1}, 1)
+        _check_limit(max(powers.values(), default=0))
+        index = self.index
+        return Poly(self, {sum(e << (index[n] * BITS) for n, e in powers.items()): 1}, 1)
 
     def parse(self, text):
         return _parse(self, text)
 
 
-def _format_for(ring, top):
-    """The narrowest key format of `ring` that stores the exponent `top`."""
-    fmt = ring.narrow
-    while top >= fmt.limit:
-        fmt = fmt.wider
-        if fmt is None:
-            raise ValueError("exponent %d does not fit a 64-bit field" % top)
-    return fmt
+def _check_limit(top):
+    """Refuse `top`, the largest exponent of a key about to be packed, unless a field stores it."""
+    if top >= LIMIT:
+        raise ValueError("exponent %d is above the limit %d" % (top, LIMIT - 1))
 
 
-def _repack(nums, old, new):
-    """`nums` with its keys moved from format `old` to the wider `new`."""
-    unpack, pack = old.unpack, new.pack
-    return {pack(unpack(k)): c for k, c in nums.items()}
-
-
-def _reduced(ring, fmt, nums, den):
+def _reduced(ring, nums, den):
     """The Poly nums/den, with den divided out of the numerators as far as it goes."""
     if den != 1:
         g = gcd(den, *nums.values())
         if g != 1:
             den //= g
             nums = {k: c // g for k, c in nums.items()}
-    return Poly(ring, fmt, nums, den)
+    return Poly(ring, nums, den)
 
 
-def _common(a, b):
-    """The key format of the wider of a and b, and both numerator dicts in it."""
-    if a.fmt.bits == b.fmt.bits:
-        return a.fmt, a.nums, b.nums
-    if a.fmt.bits > b.fmt.bits:
-        return a.fmt, a.nums, _repack(b.nums, b.fmt, a.fmt)
-    return b.fmt, _repack(a.nums, a.fmt, b.fmt), b.nums
-
-
-def _nums_at(p, fmt):
-    """The numerators of p with their keys in `fmt`, which is at least as wide as p's."""
-    return p.nums if p.fmt.bits == fmt.bits else _repack(p.nums, p.fmt, fmt)
-
-
-def _truncation(ring, fmt, trunc):
+def _truncation(ring, trunc):
     """(mask, bound) for `_add_product` from trunc=(names, bound): the key mask of `names`."""
     names, bound = trunc or ((), 1)
-    if not names:
-        return 0, bound
-    return fmt.mask(ring.nvars, (ring.index[n] for n in names)), bound
+    return ring.mask(names), bound
 
 
 def _add_product(acc, a, b, scale, unpack, mask, bound):
-    """Add scale * a * b into acc; a, b and acc are numerator dicts over one key format.
+    """Add scale * a * b into acc; a, b and acc are numerator dicts over one ring's keys.
 
     This is the one term-pair loop.  With a nonzero `mask`, a pair whose
     degrees under the mask sum to `bound` or more is never formed; with no
@@ -229,36 +188,33 @@ def _add_product(acc, a, b, scale, unpack, mask, bound):
                 del acc[k]
 
 
-def _settled(ring, fmt, acc, den):
-    """The Poly acc/den, moved to the next field width if a key reached its field's limit."""
-    if reduce(or_, acc, 0) & fmt.over:
-        if fmt.wider is None:
-            raise ValueError("a product exponent does not fit a 64-bit field")
-        acc, fmt = _repack(acc, fmt, fmt.wider), fmt.wider
-    return _reduced(ring, fmt, acc, den)
+def _settled(ring, acc, den):
+    """The Poly acc/den; a key whose exponent reached the limit in some field is a ValueError."""
+    if reduce(or_, acc, 0) & ring.over:
+        raise ValueError("a product exponent is above the limit %d" % (LIMIT - 1))
+    return _reduced(ring, acc, den)
 
 
 class Poly:
     """An element of a PolyRing; immutable by convention.
 
-    `nums` maps packed exponent keys, in the layout `fmt`, to nonzero int
-    numerators, and the coefficient of a term is its numerator over the
+    `nums` maps packed exponent keys, in the layout of `ring`, to nonzero
+    int numerators, and the coefficient of a term is its numerator over the
     positive int `den`.  The form is canonical: gcd(den, *numerators) == 1,
-    and the zero polynomial has den 1.  Two equal polynomials may hold their
-    keys at different field widths.
+    and the zero polynomial has den 1, so two polynomials are equal exactly
+    when their `den` and `nums` are.  Every exponent is below `LIMIT`.
     """
 
-    __slots__ = ("ring", "fmt", "nums", "den")
+    __slots__ = ("ring", "nums", "den")
 
-    def __init__(self, ring, fmt, nums, den):
+    def __init__(self, ring, nums, den):
         self.ring = ring
-        self.fmt = fmt
         self.nums = nums
         self.den = den
 
     def items(self):
         """Yield the terms as (exponent tuple, Fraction) pairs in storage order."""
-        unpack, den = self.fmt.unpack, self.den
+        unpack, den = self.ring.unpack, self.den
         for k, c in self.nums.items():
             yield unpack(k), Fraction(c, den)
 
@@ -276,7 +232,7 @@ class Poly:
         return Fraction(self.nums.get(0, 0), self.den)
 
     def total_degree(self):
-        unpack = self.fmt.unpack
+        unpack = self.ring.unpack
         return max((sum(unpack(k)) for k in self.nums), default=-1)
 
     def monomials(self):
@@ -286,12 +242,8 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
-        if not isinstance(other, Poly) or self.ring != other.ring:
-            return False
-        if self.den != other.den or len(self.nums) != len(other.nums):
-            return False
-        _fmt, a, b = _common(self, other)
-        return a == b
+        return (isinstance(other, Poly) and self.ring == other.ring
+                and self.den == other.den and self.nums == other.nums)
 
     def __bool__(self):
         return bool(self.nums)
@@ -308,19 +260,18 @@ class Poly:
     def _combine(self, other, sign):
         """self + sign * other, over the lcm of the two denominators."""
         other = self._coerce(other)
-        fmt, a, b = _common(self, other)
         den = lcm(self.den, other.den)
         scale = den // self.den
-        nums = dict(a) if scale == 1 else {k: c * scale for k, c in a.items()}
+        nums = dict(self.nums) if scale == 1 else {k: c * scale for k, c in self.nums.items()}
         scale = sign * (den // other.den)
         get = nums.get
-        for k, c in b.items():
+        for k, c in other.nums.items():
             s = get(k, 0) + c * scale
             if s:
                 nums[k] = s
             else:
                 del nums[k]
-        return _reduced(self.ring, fmt, nums, den)
+        return _reduced(self.ring, nums, den)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -328,7 +279,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, self.fmt, {k: -c for k, c in self.nums.items()}, self.den)
+        return Poly(self.ring, {k: -c for k, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         return self._combine(other, -1)
@@ -346,36 +297,31 @@ class Poly:
 
         Keys add and numerators multiply as ints; the denominators multiply
         once.  A term pair whose degrees in `names` sum to `bound` or more is
-        never formed.  A product exponent that reaches its field's limit moves
-        the result to the next field width; one past 64 bits is a ValueError.
+        never formed.  A product exponent above the limit is a ValueError.
         """
         other = self._coerce(other)
         ring = self.ring
         if not self.nums or not other.nums:
             return ring.zero()
-        fmt, a, b = _common(self, other)
         acc = {}
-        _add_product(acc, a, b, 1, fmt.unpack, *_truncation(ring, fmt, trunc))
-        return _settled(ring, fmt, acc, self.den * other.den)
+        _add_product(acc, self.nums, other.nums, 1, ring.unpack, *_truncation(ring, trunc))
+        return _settled(ring, acc, self.den * other.den)
 
     @staticmethod
     def dot(ring, pairs, trunc=None):
         """The sum of a.mul(b, trunc) over the (a, b) pairs, all Polys of `ring`.
 
         Every product adds into one dict of numerators over the lcm of the
-        pairs' denominator products, at the widest key format among the
-        factors; no Poly is built per pair, and the result is widened on
-        overflow and reduced once at the end.
+        pairs' denominator products; no Poly is built per pair, and the
+        result is checked against the limit and reduced once at the end.
         """
         pairs = [(a, b) for a, b in pairs if a.nums and b.nums]
-        fmt = max((p.fmt for pair in pairs for p in pair), key=attrgetter("bits"), default=ring.narrow)
         den = lcm(*[a.den * b.den for a, b in pairs])
-        mask, bound = _truncation(ring, fmt, trunc)
+        mask, bound = _truncation(ring, trunc)
         acc = {}
         for a, b in pairs:
-            _add_product(acc, _nums_at(a, fmt), _nums_at(b, fmt), den // (a.den * b.den),
-                         fmt.unpack, mask, bound)
-        return _settled(ring, fmt, acc, den)
+            _add_product(acc, a.nums, b.nums, den // (a.den * b.den), ring.unpack, mask, bound)
+        return _settled(ring, acc, den)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -397,17 +343,16 @@ class Poly:
 
         With bound 1 this sets the variables `names` to zero.
         """
-        fmt = self.fmt
-        mask, unpack = fmt.mask(self.ring.nvars, (self.ring.index[n] for n in names)), fmt.unpack
+        mask, unpack = self.ring.mask(names), self.ring.unpack
         nums = {k: c for k, c in self.nums.items() if sum(unpack(k & mask)) < bound}
-        return _reduced(self.ring, fmt, nums, self.den)
+        return _reduced(self.ring, nums, self.den)
 
     def coefficient_of(self, name, power):
         """Coefficient polynomial of name**power (the variable removed)."""
-        shift, field = self.ring.index[name] * self.fmt.bits, self.fmt.limit - 1
+        shift = self.ring.index[name] * BITS
         drop = power << shift
-        nums = {k - drop: c for k, c in self.nums.items() if (k >> shift) & field == power}
-        return _reduced(self.ring, self.fmt, nums, self.den)
+        nums = {k - drop: c for k, c in self.nums.items() if (k >> shift) & (LIMIT - 1) == power}
+        return _reduced(self.ring, nums, self.den)
 
     def evaluate(self, point):
         """Evaluate at an assignment name -> rational that covers every variable present.
@@ -416,7 +361,7 @@ class Poly:
         factor v^p is n^p * d^(top - p) over the common d^top; each variable
         gets a table of those ints, and one Fraction is built at the end.
         """
-        exps = [self.fmt.unpack(k) for k in self.nums]
+        exps = [self.ring.unpack(k) for k in self.nums]
         den, tables = self.den, []
         for i, column in enumerate(zip(*exps)):
             powers = set(column)
@@ -433,45 +378,45 @@ class Poly:
         return Fraction(total, den)
 
     def derivative(self, name):
-        shift, field = self.ring.index[name] * self.fmt.bits, self.fmt.limit - 1
+        shift = self.ring.index[name] * BITS
         nums = {}
         for k, c in self.nums.items():
-            p = (k >> shift) & field
+            p = (k >> shift) & (LIMIT - 1)
             if p:
                 nums[k - (1 << shift)] = c * p
-        return _reduced(self.ring, self.fmt, nums, self.den)
+        return _reduced(self.ring, nums, self.den)
 
     def content_exponents(self):
         """Componentwise minimum of all exponent vectors (the monomial gcd)."""
         if not self.nums:
             raise ValueError("zero polynomial has no content")
-        return tuple(map(min, zip(*map(self.fmt.unpack, self.nums))))
+        return tuple(map(min, zip(*map(self.ring.unpack, self.nums))))
 
     def strip_monomial_content(self):
         """Divide out the monomial gcd of all terms."""
         m = self.content_exponents()
         if not any(m):
             return self
-        drop = self.fmt.pack(m)
-        return Poly(self.ring, self.fmt, {k - drop: c for k, c in self.nums.items()}, self.den)
+        drop = self.ring.pack(m)
+        return Poly(self.ring, {k - drop: c for k, c in self.nums.items()}, self.den)
 
     def rename(self, ring, mapping=None):
         """Reinterpret in another ring; mapping gives old name -> new name.
 
         Names mapped to one target add their exponents (t1*t2 becomes s^2), so
-        the key format fits the largest resulting exponent, and merged terms
-        may cancel.  Only a name with a nonzero exponent must exist in `ring`.
+        a sum above the limit is a ValueError, and merged terms may cancel.
+        Only a name with a nonzero exponent must exist in `ring`.
         """
         names, mapping, nums = self.ring.names, mapping or {}, {}
-        for e, c in zip(map(self.fmt.unpack, self.nums), self.nums.values()):
+        for e, c in zip(map(self.ring.unpack, self.nums), self.nums.values()):
             ee = [0] * ring.nvars
             for i, p in enumerate(e):
                 if p:
                     ee[ring.index[mapping.get(names[i], names[i])]] += p
             key = tuple(ee)
             nums[key] = nums.get(key, 0) + c
-        fmt = _format_for(ring, max((max(e, default=0) for e in nums), default=0))
-        return _reduced(ring, fmt, {fmt.pack(e): c for e, c in nums.items() if c}, self.den)
+        _check_limit(max((max(e, default=0) for e in nums), default=0))
+        return _reduced(ring, {ring.pack(e): c for e, c in nums.items() if c}, self.den)
 
     # -- printing ----------------------------------------------------------
 
@@ -615,10 +560,8 @@ def _parse_factor(ring, toks):
         p = toks.take()
         if not isinstance(p, Fraction) or p.denominator != 1 or p < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        # a monomial with coefficient +-1 stays one key (64-bit exponents at most);
-        # every other power grows with the exponent
-        e, unit_monomial = int(p), atom.den == 1 and [abs(c) for c in atom.nums.values()] == [1]
-        if e > MAX_EXPONENT and not unit_monomial:
+        e = int(p)
+        if e > MAX_EXPONENT:
             raise ValueError("exponent %d is above the limit %d" % (e, MAX_EXPONENT))
         # a t-term base has at most C(e + t - 1, t - 1) monomials of degree e in its terms
         t = len(atom.nums)

@@ -38,9 +38,10 @@ def test_parse_caps_exponents_that_grow_the_result(ring):
         with pytest.raises(ValueError, match="^exponent 1001 is above the limit 1000$"):
             ring.parse(text)
     assert ring.parse("7^1000") == ring.const(7 ** 1000)
-    # a unit monomial's power is one packed key at any exponent below 2^64
-    assert ring.parse("(-x*y)^70001") == -ring.monomial((70001, 70001, 0))
-    assert ring.parse("x^4294967295") == ring.monomial((2 ** 32 - 1, 0, 0))
+    # a unit monomial's power is capped like any other
+    for text, e in (("(-x*y)^70001", 70001), ("x^4294967295", 4294967295)):
+        with pytest.raises(ValueError, match="^exponent %d is above the limit 1000$" % e):
+            ring.parse(text)
 
 
 def test_parse_caps_the_terms_of_a_power(ring):
@@ -161,7 +162,8 @@ def _fractions(bound, max_denominator):
 
 # flat `sampled_from` value sets: drawing from them costs far less than
 # nested `one_of`s of `integers` and `fractions` over the same values
-EXPONENTS = st.sampled_from((0, 1, 2, 255, 256, 65535, 2 ** 32 - 1))
+# (the sum of two exponents never passes the limit 32767)
+EXPONENTS = st.sampled_from((0, 1, 2, 255, 256, 16383))
 COEFFICIENTS = st.sampled_from(tuple(range(-3, 4)) + _fractions(2, 4))
 
 
@@ -206,7 +208,7 @@ def test_product_matches_the_tuple_loop(case):
     _check_product(*case)
 
 
-@pytest.mark.parametrize("top", [255, 65535, 2 ** 32 - 1])
+@pytest.mark.parametrize("top", [255, 32766])
 def test_product_exponent_does_not_carry_into_the_next_variable(top):
     ring = PolyRing(["x", "y"])
     x, y = ring.var("x"), ring.var("y")
@@ -250,7 +252,7 @@ def _check_same_sum(poly, terms):
     assert poly == _from_terms(poly.ring, terms)
 
 
-_WIDE = _XYT.monomial((2 ** 32 - 1, 0, 0))
+_HIGH = _XYT.monomial((32766, 0, 0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -259,8 +261,8 @@ _WIDE = _XYT.monomial((2 ** 32 - 1, 0, 0))
 @example((_XYT, [(_XYT.zero(), _XYT.parse("x")), (_XYT.parse("y"), _XYT.zero())], [], 1))
 @example((_XYT, [(_XYT.parse("x + 1/2"), _XYT.parse("t")), (_XYT.parse("-t"), _XYT.parse("x + 1/2"))],
           ["t"], 2))  # the sum cancels to zero
-@example((_XYT, [(_XYT.parse("x"), _XYT.parse("y")), (_WIDE, _XYT.parse("1/3*t")),
-                 (_XYT.parse("1/2*y"), _XYT.parse("x"))], ["t"], 1))  # 16- and 128-bit pairs
+@example((_XYT, [(_XYT.parse("x"), _XYT.parse("y")), (_HIGH, _XYT.parse("1/3*t")),
+                 (_XYT.parse("1/2*y"), _XYT.parse("x"))], ["t"], 1))  # a pair near the limit
 @example((_XYT, [(_XYT.parse("1/2*x"), _XYT.parse("1/3*y")), (_XYT.parse("1/4*x*t"), _XYT.parse("y")),
                  (_XYT.parse("2/3*x"), _XYT.parse("-y"))], ["t"], 2))  # mixed denominators
 @example((_XYT, [(_XYT.parse("t*x + 1/5"), _XYT.parse("t^2 + t + 3"))], ["t"], 0))
@@ -316,7 +318,7 @@ _T = PRODUCT_RINGS[3]
 @settings(max_examples=50, deadline=None)
 @given(product_cases())
 @example((_T.parse("1/2*t1 + 1/2*t2"), _T.parse("t1 - t2 + x1"), ["t1"], 0))  # merges cancel, reduce
-@example((_T.parse("t1^4294967295*t2^4294967295"), _T.parse("2/3*x2 + t3"), ["x2", "t3"], 0))
+@example((_T.power_product({"t1": 16383, "t2": 16384}), _T.parse("2/3*x2 + t3"), ["x2", "t3"], 0))
 @example((_T.zero(), _T.parse("x1*t2 - 1/4"), ["x1", "x2", "t1", "t2", "t3"], 0))
 def test_zeroing_and_renaming_match_the_tuple_loops(case):
     *polys, names, _bound = case
@@ -375,7 +377,7 @@ def evaluate_cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(evaluate_cases())
 @example((_XYT.parse("x^2*t + 3/2*y - 1/3"), {"x": Fraction(-1, 2), "y": 0, "t": Fraction(2, 3)}))
-@example((_XYT.parse("x^40000*y - 1/7*x^3"), {"x": Fraction(-3, 2), "y": Fraction(1, 3), "t": 5}))
+@example((_XYT.monomial((32767, 1, 0)) - _XYT.parse("1/7*x^3"), {"x": Fraction(-3, 2), "y": Fraction(1, 3), "t": 5}))
 @example((_XYT.zero(), {"x": 1, "y": 2, "t": 3}))
 def test_evaluate_matches_the_fraction_loop(case):
     poly, point = case
@@ -396,7 +398,7 @@ def test_coefficients_are_kept_in_lowest_terms(ring):
     assert ring.parse("2/4*x") == ring.parse("1/2*x")
 
 
-@pytest.mark.parametrize("top", [300, 40000, 2 ** 31 + 5, 2 ** 40])
+@pytest.mark.parametrize("top", [300, 32766])
 def test_polynomials_of_different_exponent_sizes_mix(top):
     ring = PolyRing(["x", "y"])
     x, y = ring.var("x"), ring.var("y")
@@ -420,12 +422,12 @@ def test_polynomials_of_different_exponent_sizes_mix(top):
 def test_power_product_matches_monomial(ring):
     assert list(ring.power_product({"x": 2, "t": 1}).items()) == [((2, 0, 1), Fraction(1))]
     assert ring.power_product({"t": 1, "x": 2}) == ring.monomial((2, 0, 1))
-    assert list(ring.power_product({"y": 40000, "x": 0}).items()) == [((0, 40000, 0), Fraction(1))]
-    assert ring.power_product({"y": 40000}) * ring.var("x") == ring.monomial((1, 40000, 0))
+    assert list(ring.power_product({"y": 30000, "x": 0}).items()) == [((0, 30000, 0), Fraction(1))]
+    assert ring.power_product({"y": 30000}) * ring.var("x") == ring.monomial((1, 30000, 0))
     assert ring.power_product({}) == ring.one()
     with pytest.raises(ValueError, match="^negative exponent$"):
         ring.power_product({"x": 1, "y": -1})
-    with pytest.raises(ValueError, match="64-bit"):
+    with pytest.raises(ValueError, match="^exponent 18446744073709551616 is above the limit 32767$"):
         ring.power_product({"x": 2 ** 64})
 
 
@@ -458,12 +460,30 @@ def test_two_halves_of_the_limit_add_up_exactly():
         (TOP, 0): Fraction(1), (16384, 1): Fraction(1)}
 
 
+def test_one_past_the_limit_is_an_error():
+    ring = PolyRing(["x", "y"])
+    high, y = ring.monomial((16384, 0)), ring.var("y")
+    past, product = "^exponent 32768 is above the limit 32767$", "^a product exponent is above the limit 32767$"
+    with pytest.raises(ValueError, match=past):
+        ring.monomial((TOP + 1, 0))
+    with pytest.raises(ValueError, match=past):
+        ring.power_product({"y": TOP + 1, "x": 1})
+    merged = PolyRing(["t1", "t2", "x"]).power_product({"t1": 16384, "t2": 16384})
+    with pytest.raises(ValueError, match=past):
+        merged.rename(ring, {"t1": "x", "t2": "x"})
+    with pytest.raises(ValueError, match=product):
+        high * high
+    with pytest.raises(ValueError, match=product):
+        high.mul(high + y, (["y"], 1))
+    with pytest.raises(ValueError, match=product):
+        Poly.dot(ring, [(y, y), (high, high)])
+
+
 def test_product_exponent_past_64_bits_is_an_error():
     ring = PolyRing(["x", "y"])
-    half = ring.monomial((2 ** 63, 0))
-    with pytest.raises(ValueError, match="64-bit"):
-        half * half
-    with pytest.raises(ValueError, match="64-bit"):
+    with pytest.raises(ValueError, match="^exponent 9223372036854775808 is above the limit 32767$"):
+        ring.monomial((2 ** 63, 0))
+    with pytest.raises(ValueError, match="^exponent 18446744073709551616 is above the limit 1000$"):
         ring.parse("x^18446744073709551616")
 
 
