@@ -18,7 +18,8 @@ from srcy.pfaffian import (
     verify_first_order,
 )
 from srcy.polynomial import PolyRing
-from srcy.verify import run_all
+from srcy.report import VerificationReport
+from srcy.verify import _check_specializations, run_all
 
 RING = PolyRing(["a"])
 
@@ -162,9 +163,11 @@ def test_sign_slip_fails_the_pfaffian_section(monkeypatch):
     assert not report.ok
     families = ["p7_1", "p7_2", "p7_3", "p7_4", "p7_5"]
     entries = ["base_generators", "base_syzygy", "lift_matches_basis", "first_order_syzygy"]
+    specialized = ["pfaffian.%s.%s" % (e, name) for name in ("degree13", "degree14")
+                   for e in ("specialized_generators", "orbit_family")]
     assert [c.id for c in report.checks] == ["pfaffian.square_is_det"] + [
         "pfaffian.%s.%s" % (e, name) for name in families for e in entries
-    ] + ["pfaffian.completed"]
+    ] + specialized
     failed = {c.id: c.computed for c in report.failures()}
     for name in families:
         # every family is checked, and both of its syzygy entries fail
@@ -172,8 +175,17 @@ def test_sign_slip_fails_the_pfaffian_section(monkeypatch):
         assert failed["pfaffian.first_order_syzygy.%s" % name] is False
         assert failed["pfaffian.base_generators.%s" % name] is None
         assert failed["pfaffian.lift_matches_basis.%s" % name] is None
-    # the specialized families after them still stop the section
-    assert failed["pfaffian.completed"].startswith("SyzygySignError")
+    # so is every specialized family, with nothing to compare
+    assert all(failed[entry] is None for entry in specialized)
+
+
+def test_a_missing_lift_fails_only_the_degree14_orbit_entry():
+    report = VerificationReport()
+    complexes = {name: fixtures.triangulation(name) for name in ("p7_4", "p7_5")}
+    _check_specializations(report, complexes, None, {})
+    assert [(c.id, c.computed) for c in report.checks] == [
+        ("pfaffian.specialized_generators.degree13", True), ("pfaffian.orbit_family.degree13", True),
+        ("pfaffian.specialized_generators.degree14", True), ("pfaffian.orbit_family.degree14", None)]
 
 
 def test_the_pfaffian_memo_needs_no_cycle_collector():
