@@ -41,10 +41,18 @@ class SkewPolyMatrix:
         return -self.upper.get((j, i), self.ring.zero())
 
     def mul_vector(self, vec, trunc=None):
-        """M . vec, one `Poly.dot` per row, each product truncated by `trunc` as in `Poly.mul`."""
-        cols = range(1, self.dim + 1)
-        return [Poly.dot(self.ring, [(self.entry(i, j), vec[j - 1]) for j in cols], trunc)
-                for i in cols]
+        """M . vec, one `Poly.dot` per row, each product truncated by `trunc` as in `Poly.mul`.
+
+        A stored entry e at (i, j) pairs with vec[j] in row i and with
+        -vec[i] in row j, so each vector entry is negated once and no
+        matrix entry is.
+        """
+        neg = [-v for v in vec]
+        rows = [[] for _ in range(self.dim)]
+        for (i, j), e in self.upper.items():
+            rows[i - 1].append((e, vec[j - 1]))
+            rows[j - 1].append((e, neg[i - 1]))
+        return [Poly.dot(self.ring, pairs, trunc) for pairs in rows]
 
 
 def _sub_pfaffian(m, indices, trunc, cache):

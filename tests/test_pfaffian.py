@@ -17,7 +17,7 @@ from srcy.pfaffian import (
     quasi_weights,
     verify_first_order,
 )
-from srcy.polynomial import PolyRing
+from srcy.polynomial import Poly, PolyRing
 from srcy.report import VerificationReport
 from srcy.verify import _check_specializations, run_all
 
@@ -198,6 +198,29 @@ def test_the_pfaffian_memo_needs_no_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _reference_mul_vector(m, vec, trunc=None):
+    """The row loop `SkewPolyMatrix.mul_vector` ran on `entry`, which negates the lower triangle."""
+    cols = range(1, m.dim + 1)
+    return [Poly.dot(m.ring, [(m.entry(i, j), vec[j - 1]) for j in cols], trunc) for i in cols]
+
+
+def test_mul_vector_matches_the_entry_loop():
+    rng = random.Random(22)
+    ring = PolyRing(["x", "y", "t"])
+    terms = ["0", "1", "-2/3", "x", "y^2", "t", "x*t", "-1/2*y*t^2"]
+
+    def poly():
+        return ring.parse(" + ".join(rng.sample(terms, rng.randint(1, 3))))
+
+    for dim in range(8):
+        for _ in range(4):
+            m = SkewPolyMatrix(ring, dim, {(i, j): poly() for i in range(1, dim + 1)
+                                           for j in range(i + 1, dim + 1)})
+            vec = [poly() for _ in range(dim)]
+            for trunc in (None, (["t"], 1), (["t"], 2), (["x", "t"], 2)):
+                assert m.mul_vector(vec, trunc) == _reference_mul_vector(m, vec, trunc)
 
 
 def test_one_syzygy_residual_per_pfaffian_vector(monkeypatch):
