@@ -6,12 +6,12 @@ is an int numerator over one positive denominator shared by the whole
 polynomial.  All arithmetic is exact; there is no floating point anywhere in
 this package.
 
-Each ring has one key layout, which depends only on its number of variables,
-so keys compare across equal rings and no polynomial is ever repacked.  A
-stored exponent is below `LIMIT`, half a field, so adding two keys
-multiplies the monomials without a carry into the next field, and a product
-exponent that reaches `LIMIT` shows in one mask test.  An exponent at or
-above the limit is a ValueError, never a wrong key.
+Each ring has one key layout, which depends only on its number of
+variables, so keys compare across equal rings.  A stored exponent is below
+`LIMIT`, half a field, so adding two keys multiplies the monomials without a
+carry into the next field, and a product exponent that reaches `LIMIT`
+shows in one mask test.  An exponent at or above the limit is a ValueError,
+never a wrong key.
 
 Every Poly is built on packed keys: constructors, arithmetic and the
 structural helpers write keys and int numerators directly, and none
