@@ -166,7 +166,8 @@ MAT13 = _data("families/degree13_oneparam.mat")
     (["pfaffian"], "dim 21\nvars x1\n", "line 1: dim 21 is above 20, the largest a matrix file may have"),
     (["pfaffian"], "dim 4\nvars x1\nentry 1 2 : (x1^1000)^20\nentry 3 4 : (x1^1000)^20\n",
      "a product exponent is above the limit 32767"),
-    (["pfaffian"], "dim 2\nvars x1\nentry 1 2 : x1^40000\n", "line 3: exponent 40000 is above the limit 1000"),
+    (["pfaffian"], "dim 2\nvars x1\nentry 1 2 : x1^40000\n",
+     "line 3: exponent 40000 is above the limit 1000"),
     # entry (1, 3) of the matrix is x1*x2
     (["verify-family", MAT13], "len 5\nvars x1..x7 s\nentry 3 : (x1^1000)^32*x1^767\n",
      "a product exponent is above the limit 32767"),

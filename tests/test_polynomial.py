@@ -377,7 +377,8 @@ def evaluate_cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(evaluate_cases())
 @example((_XYT.parse("x^2*t + 3/2*y - 1/3"), {"x": Fraction(-1, 2), "y": 0, "t": Fraction(2, 3)}))
-@example((_XYT.monomial((32767, 1, 0)) - _XYT.parse("1/7*x^3"), {"x": Fraction(-3, 2), "y": Fraction(1, 3), "t": 5}))
+@example((_XYT.monomial((32767, 1, 0)) - _XYT.parse("1/7*x^3"),
+          {"x": Fraction(-3, 2), "y": Fraction(1, 3), "t": 5}))
 @example((_XYT.zero(), {"x": 1, "y": 2, "t": 3}))
 def test_evaluate_matches_the_fraction_loop(case):
     poly, point = case
@@ -463,7 +464,8 @@ def test_two_halves_of_the_limit_add_up_exactly():
 def test_one_past_the_limit_is_an_error():
     ring = PolyRing(["x", "y"])
     high, y = ring.monomial((16384, 0)), ring.var("y")
-    past, product = "^exponent 32768 is above the limit 32767$", "^a product exponent is above the limit 32767$"
+    past = "^exponent 32768 is above the limit 32767$"
+    product = "^a product exponent is above the limit 32767$"
     with pytest.raises(ValueError, match=past):
         ring.monomial((TOP + 1, 0))
     with pytest.raises(ValueError, match=past):
