@@ -171,6 +171,10 @@ MAT13 = _data("families/degree13_oneparam.mat")
     # entry (1, 3) of the matrix is x1*x2
     (["verify-family", MAT13], "len 5\nvars x1..x7 s\nentry 3 : (x1^1000)^32*x1^767\n",
      "a product exponent is above the limit 32767"),
+    # a two-term structure-sheaf resolution, so J_X is its one term (-7)^1
+    (["cohom", "hodge"], CI_TEXT.replace("term 1: (-2)^2 + (-3)^1\nterm 2: (-5)^2 + (-4)^1\n"
+                                         "term 3: (-7)^1\n", "term 1: (-7)^1\n"),
+     "exact window [('J_X', 6)] has alternating sum 1"),
 ])
 def test_bad_input_file_exits_2(capsys, tmp_path, argv, text, reason):
     path = tmp_path / "input"
@@ -351,6 +355,16 @@ def test_cohom_and_milnor(capsys):
     assert (payload["h11"], payload["h12"]) == (1, 73)
     code, out = run_cli(capsys, "milnor", "2/5", "1/3", "1/5", "1/2")
     assert json.loads(out)["milnor"] == 12
+
+
+def test_cohom_ideal_square_first_term_with_cohomology(capsys, tmp_path):
+    # (-7)^3 has h^6 = 3 on P^6
+    path = tmp_path / "input"
+    path.write_text(CI_TEXT.replace("term 0: (-4)^3 + (-5)^2 + (-6)^1",
+                                    "term 0: (-4)^3 + (-5)^2 + (-6)^1 + (-7)^3"))
+    assert run_cli(capsys, "cohom", "hodge", str(path)) == (0, (
+        '{"h11":1,"h12":76,"intermediates":{"h0_ox":1,"h3_ox":1,"h3_ox_minus1":7,'
+        '"h4_ideal":1,"h4_j2":125,"h3_conormal":124,"h3_omega_restr":48,"h1_omega_restr":1}}\n'))
 
 
 @pytest.mark.parametrize("weights, reason", [

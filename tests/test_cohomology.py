@@ -51,6 +51,8 @@ def test_resolve_shift():
     ideal = res[1:]
     assert [resolve_shift(ideal, p) for p in range(7)] == [0, 0, 0, 0, 1, 0, 0]
     assert resolve_shift(twisted, 9) == 0
+    assert sheaf_from_resolution(twisted, "O_X(-1)").entries == [0, 0, 0, 7, 0, 0, 0]
+    assert sheaf_from_resolution(ideal, "J_X").entries == [0, 0, 0, 0, 1, 0, 0]
 
 
 def test_resolve_shift_refuses_nonvanishing_inner_term():

@@ -5,6 +5,7 @@ from srcy.toric import (
     Component,
     ComponentStructure,
     Fan,
+    SurfaceType,
     all_charts,
     chart_restriction,
     classify_toric_surface,
@@ -293,7 +294,7 @@ def test_orbit_closures(fan_data):
     e11 = orbit_closure_component(fan, fan.ray_index((0, 0, 1, 0)),
                                   fan.ray_index((9, -3, -2, -4)))
     assert e11.chi == 5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="do not span a cone of the fan"):
         orbit_closure_component(fan, fan.ray_index((3, 0, 0, -1)),
                                 fan.ray_index((13, -5, -3, -6)))
 
@@ -319,6 +320,22 @@ def test_classify_standard_surfaces():
     # the printed 5-ray fan: blow-up of F2 and of F3 in one point agree
     rays = [(-1, -1), (0, 1), (1, 1), (1, 2), (2, 1)]
     assert str(classify_toric_surface(rays)) == "Bl1F2"
+
+
+@pytest.mark.parametrize("tag, chi", [
+    ("P2", 3), ("F0", 4), ("F1", 4), ("F5", 4),
+    ("Bl1P2", 4), ("Bl6P2", 9), ("Bl1F0", 5), ("Bl3F2", 7),
+])
+def test_surface_tag_round_trip(tag, chi):
+    surface = SurfaceType.parse(tag)
+    assert str(surface) == tag
+    assert surface.chi() == chi
+
+
+@pytest.mark.parametrize("tag", ["Bl0P2", "F01"])
+def test_surface_tag_rejects_noncanonical(tag):
+    with pytest.raises(ValueError, match="unrecognized surface tag"):
+        SurfaceType.parse(tag)
 
 
 def test_classify_rejects_nonsmooth():
