@@ -33,7 +33,7 @@ from .pfaffian import (
     verify_first_order,
 )
 from .torusgroup import diagonal_stabilizer, verify_character
-from .cohomology import TwistSum, h_twist, hodge_pipeline_ci, les_solve, resolve_shift
+from .cohomology import TwistSum, h_twist, hodge_pipeline_ci, les_solve
 from .verify import run_all
 
 __all__ = [
@@ -48,6 +48,6 @@ __all__ = [
     "milnor_quasihomogeneous", "pfaffian", "principal_pfaffians",
     "quasi_weights", "verify_first_order",
     "diagonal_stabilizer", "verify_character",
-    "TwistSum", "h_twist", "hodge_pipeline_ci", "les_solve", "resolve_shift",
+    "TwistSum", "h_twist", "hodge_pipeline_ci", "les_solve",
     "run_all",
 ]

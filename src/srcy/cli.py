@@ -164,7 +164,7 @@ def cmd_toric(args):
         meets = {r: divisor_meets_hypersurface(fan, charts, r)
                  for r in fan.interior_ray_ids()}
         _print_json({
-            "charts": {str(c + 1): str(charts[c].poly) for c in sorted(charts)},
+            "charts": {str(c + 1): str(charts[c]) for c in sorted(charts)},
             "meeting_rays": [list(fan.rays[r]) for r, v in sorted(meets.items()) if v],
         })
         return 0

@@ -47,29 +47,6 @@ class TwistSum:
         return " + ".join("(%d)^%d" % (d, m) for d, m in self.twists)
 
 
-def resolve_shift(resolution, p):
-    """h^p of a sheaf resolved by terms whose inner cohomology vanishes.
-
-    `resolution` lists [A_0, ..., A_k] with A_0 closest to the resolved
-    sheaf.  When every A_i with i < k is cohomology-free, exactness gives
-    h^p = h^(p+k) of A_k.  The vanishing is checked, not assumed.
-    """
-    k = len(resolution) - 1
-    n = resolution[0].n
-    for i in range(k):
-        for q in range(n + 1):
-            if resolution[i].h(q) != 0:
-                raise ValueError(
-                    "inner term %d has h^%d = %d; shift lemma does not apply"
-                    % (i, q, resolution[i].h(q))
-                )
-    if p < 0 or p > n:
-        return 0
-    if p + k > n:
-        return 0
-    return resolution[k].h(p + k)
-
-
 # -- conservative long-exact-sequence solver --------------------------------------
 
 
@@ -100,9 +77,6 @@ class CohTable:
                 "%s: h^%d is both %d and %d" % (self.name, p, self.entries[p], value)
             )
         return False
-
-    def known(self):
-        return all(e is not None for e in self.entries)
 
     def chi(self):
         return sum((-1) ** p * e for p, e in enumerate(self.entries))
@@ -201,8 +175,11 @@ def sheaf_from_resolution(resolution, name):
     """Cohomology table of the sheaf resolved by [A_0, ..., A_k].
 
     Splits the resolution into short exact sequences through its syzygy
-    sheaves and lets the window solver fill in the table.
+    sheaves and lets the window solver fill in the table; a one-term
+    resolution is its own term.
     """
+    if len(resolution) == 1:
+        return resolution[0].table(name)
     n = resolution[0].n
     target = CohTable(name, n)
     sequences = []
@@ -227,9 +204,9 @@ def hodge_pipeline_ci(structure_resolution, ideal_square_resolution):
 
     Inputs are the twist data of a resolution of the structure sheaf on
     P^n and of the square of the ideal sheaf.  The chase mirrors a manual
-    computation: structure sheaf, its twist by -1, the ideal sheaf via the
-    shift lemma, the ideal square through its resolution, then the
-    conormal and cotangent sequences.  Hodge symmetry supplies
+    computation: the structure sheaf, its twist by -1 and the ideal sheaf,
+    each from its resolution, then the ideal square through its resolution
+    and the conormal and cotangent sequences.  Hodge symmetry supplies
     h^3(Omega_X) = h^2(O_X); everything else is forced by exactness.
     """
     n = structure_resolution[0].n
@@ -239,13 +216,10 @@ def hodge_pipeline_ci(structure_resolution, ideal_square_resolution):
     inter["h0_ox"] = ox.entries[0]
     inter["h3_ox"] = ox.entries[3]
 
-    twisted = [t.twist(-1) for t in structure_resolution]
-    ox_m1 = CohTable("O_X(-1)", n, [resolve_shift(twisted, p) for p in range(n + 1)])
+    ox_m1 = sheaf_from_resolution([t.twist(-1) for t in structure_resolution], "O_X(-1)")
     inter["h3_ox_minus1"] = ox_m1.entries[3]
 
-    ideal = CohTable(
-        "J_X", n, [resolve_shift(structure_resolution[1:], p) for p in range(n + 1)]
-    )
+    ideal = sheaf_from_resolution(structure_resolution[1:], "J_X")
     inter["h4_ideal"] = ideal.entries[4]
 
     k_term, h_term, g_term = ideal_square_resolution

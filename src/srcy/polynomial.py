@@ -19,10 +19,10 @@ collects Fraction coefficients first.  Fractions are built only where a
 caller reads the terms (`Poly.items`, `constant_value` and printing;
 `Poly.evaluate` builds one, over a common denominator).  Setting variables
 to zero is `truncate_above(names, 1)`, a filter on the keys.
-`_add_product` is the one term-pair loop: `Poly.mul` runs it for one pair,
-and `Poly.dot`, the sum of products behind the Pfaffian expansion and the
-M.f = 0 residual, runs it once per pair into one dict of numerators that is
-checked and reduced once.  Given a truncation (names, bound) it never forms
+`_add_product` is the one term-pair loop, run only by `Poly.dot`: the sum
+of products behind the Pfaffian expansion and the M.f = 0 residual, and
+`Poly.mul` as its one-pair case.  It runs once per pair into one dict of
+numerators that is checked and reduced once.  Given a truncation (names, bound) it never forms
 a term pair whose degree in `names` reaches the bound.  The Pfaffians of
 first-order families use that truncation to drop the terms quadratic in
 the deformation parameters before they are built.
@@ -150,12 +150,6 @@ def _reduced(ring, nums, den):
             den //= g
             nums = {k: c // g for k, c in nums.items()}
     return Poly(ring, nums, den)
-
-
-def _truncation(ring, trunc):
-    """(mask, bound) for `_add_product` from trunc=(names, bound): the key mask of `names`."""
-    names, bound = trunc or ((), 1)
-    return ring.mask(names), bound
 
 
 def _add_product(acc, a, b, scale, unpack, mask, bound):
@@ -299,25 +293,21 @@ class Poly:
         once.  A term pair whose degrees in `names` sum to `bound` or more is
         never formed.  A product exponent above the limit is a ValueError.
         """
-        other = self._coerce(other)
-        ring = self.ring
-        if not self.nums or not other.nums:
-            return ring.zero()
-        acc = {}
-        _add_product(acc, self.nums, other.nums, 1, ring.unpack, *_truncation(ring, trunc))
-        return _settled(ring, acc, self.den * other.den)
+        return Poly.dot(self.ring, [(self, self._coerce(other))], trunc)
 
     @staticmethod
     def dot(ring, pairs, trunc=None):
-        """The sum of a.mul(b, trunc) over the (a, b) pairs, all Polys of `ring`.
+        """The sum of the products a * b over the (a, b) pairs, all Polys of `ring`.
 
+        With trunc=(names, bound), only the terms of degree < bound in names.
         Every product adds into one dict of numerators over the lcm of the
         pairs' denominator products; no Poly is built per pair, and the
         result is checked against the limit and reduced once at the end.
         """
         pairs = [(a, b) for a, b in pairs if a.nums and b.nums]
         den = lcm(*[a.den * b.den for a, b in pairs])
-        mask, bound = _truncation(ring, trunc)
+        names, bound = trunc or ((), 1)
+        mask = ring.mask(names)
         acc = {}
         for a, b in pairs:
             _add_product(acc, a.nums, b.nums, den // (a.den * b.den), ring.unpack, mask, bound)

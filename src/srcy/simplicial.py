@@ -79,13 +79,14 @@ class SimplicialComplex:
         return [f for f in self.faces() if len(f) == d + 1]
 
     def f_vector(self):
+        """Face counts (f_-1, f_0, ..., f_d); f_-1 = 1 counts the empty face."""
         counts = {}
         for f in self.faces():
             counts[len(f)] = counts.get(len(f), 0) + 1
-        return FVector(tuple(counts.get(k, 0) for k in range(self.dim() + 2)))
+        return tuple(counts.get(k, 0) for k in range(self.dim() + 2))
 
     def euler_characteristic(self):
-        return self.f_vector().euler_characteristic()
+        return sum((-1) ** i * c for i, c in enumerate(self.f_vector()[1:]))
 
     def vertex_degrees(self):
         """Number of edges at each vertex, as a dict."""
@@ -200,23 +201,6 @@ class SimplicialComplex:
 
     def is_isomorphic(self, other):
         return self.find_isomorphism(other) is not None
-
-
-@dataclass(frozen=True)
-class FVector:
-    """Face counts (f_-1, f_0, ..., f_d) with f_-1 = 1 for the empty face."""
-
-    counts: tuple
-
-    def __post_init__(self):
-        if not self.counts or self.counts[0] != 1:
-            raise ValueError("f-vector must start with f_-1 = 1")
-
-    def euler_characteristic(self):
-        return sum((-1) ** i * c for i, c in enumerate(self.counts[1:]))
-
-    def __iter__(self):
-        return iter(self.counts)
 
 
 # -- basic constructions -----------------------------------------------------

@@ -53,7 +53,7 @@ def hilbert_numerator(k):
     ring = PolyRing(["t"])
     t = ring.var("t")
     one = ring.one()
-    fv = k.f_vector().counts
+    fv = k.f_vector()
     d = k.dim() + 1
     total = ring.zero()
     for i in range(-1, d):

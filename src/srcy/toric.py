@@ -192,14 +192,8 @@ def _coverage_problems(fan):
 # -- charts of the strict transform --------------------------------------------
 
 
-@dataclass
-class ChartPolynomial:
-    cone_id: int
-    poly: Poly
-
-
 def all_charts(fan, invariant_monomials):
-    """Chart polynomial of the strict transform in every cone.
+    """Chart polynomial of the strict transform in every cone, as {cone id: Poly}.
 
     Each invariant monomial is pulled back once; its pairings with a
     cone's rays are the exponents of its chart monomial, and the monomial
@@ -219,14 +213,14 @@ def all_charts(fan, invariant_monomials):
                 raise ValueError("monomial %s has non-integral chart exponent %s in cone %d"
                                  % (m, bad, c + 1))
             terms.append((CHART_RING.monomial(exps), one))
-        charts[c] = ChartPolynomial(c, Poly.dot(CHART_RING, terms).strip_monomial_content())
+        charts[c] = Poly.dot(CHART_RING, terms).strip_monomial_content()
     return charts
 
 
 def chart_restriction(fan, charts, cone_id, ray_ids):
     """Chart polynomial with the coordinates of the given rays set to zero."""
     names = [CHART_RING.names[fan.cones[cone_id].index(rid)] for rid in ray_ids]
-    return charts[cone_id].poly.truncate_above(names, 1)
+    return charts[cone_id].truncate_above(names, 1)
 
 
 def divisor_meets_hypersurface(fan, charts, ray_id):
@@ -260,16 +254,18 @@ def crepancy_check(fan, f_monomials):
 
 @dataclass
 class StarFan:
-    """Star(rho) projected to the quotient lattice N/Z rho."""
+    """Star(tau) projected to the quotient lattice N / span tau."""
 
-    rays: dict  # adjacent ray id -> projected primitive 3-vector
-    cones: list  # triples of adjacent ray ids, per maximal cone containing rho
+    rays: dict  # adjacent ray id -> its image in N / span tau
+    cones: list  # per maximal cone containing tau, its other ray ids
 
 
-def star(fan, ray_id):
-    proj = la.quotient_projection([list(fan.rays[ray_id])])
+def star(fan, *ray_ids):
+    """Star of the cone tau spanned by `ray_ids`: the maximal cones holding it, in N / span tau."""
+    proj = la.quotient_projection([list(fan.rays[r]) for r in ray_ids])
     cones = [
-        tuple(i for i in fan.cones[c] if i != ray_id) for c in fan.cones_containing(ray_id)
+        tuple(i for i in fan.cones[c] if i not in ray_ids)
+        for c in fan.cones_containing(*ray_ids)
     ]
     rays = {i: tuple(la.mat_vec_int(proj, list(fan.rays[i]))) for cone in cones for i in cone}
     return StarFan(rays, cones)
@@ -399,24 +395,15 @@ def _preimage_cone_rays(g):
 
 
 def orbit_closure_component(fan, ray_id1, ray_id2):
-    """Fan of the orbit closure of a 2-cone, projected to its quotient plane.
+    """Fan of the orbit closure of a 2-cone: the primitive rays of its `star`.
 
     For a 2-cone on the subdivided cone's boundary the projected fan only
     covers the quotient image of that cone; the result is then flagged as
     incomplete and its ray count is not an Euler characteristic.
     """
-    cones = fan.cones_containing(ray_id1, ray_id2)
-    if not cones:
+    if not fan.cones_containing(ray_id1, ray_id2):
         raise ValueError("rays %d, %d do not span a cone of the fan" % (ray_id1, ray_id2))
-    proj = la.quotient_projection(
-        [list(fan.rays[ray_id1]), list(fan.rays[ray_id2])]
-    )
-    rays = set()
-    for c in cones:
-        for i in fan.cones[c]:
-            if i in (ray_id1, ray_id2):
-                continue
-            rays.add(tuple(la.mat_vec_int(proj, list(fan.rays[i]))))
+    rays = set(star(fan, ray_id1, ray_id2).rays.values())
     return SurfaceFan.from_rays([la.primitive(r) for r in rays])
 
 
@@ -429,18 +416,13 @@ _SURFACE_TAG = re.compile(r"(?:Bl(?P<k>[1-9][0-9]*))?(?:P2|F(?P<n>0|[1-9][0-9]*)
 
 @dataclass(frozen=True)
 class SurfaceType:
-    kind: str  # 'P2', 'F', 'BlP2', 'BlF'
+    base: str  # 'P2' or 'F', blown up `blowups` times
     n: int = 0
     blowups: int = 0
 
     def __str__(self):
-        if self.kind == "P2":
-            return "P2"
-        if self.kind == "F":
-            return "F%d" % self.n
-        if self.kind == "BlP2":
-            return "Bl%dP2" % self.blowups
-        return "Bl%dF%d" % (self.blowups, self.n)
+        return ("Bl%d" % self.blowups if self.blowups else "") + (
+            "P2" if self.base == "P2" else "F%d" % self.n)
 
     @classmethod
     def parse(cls, text):
@@ -448,13 +430,10 @@ class SurfaceType:
         m = _SURFACE_TAG.fullmatch(text)
         if m is None:
             raise ValueError("unrecognized surface tag %r" % text)
-        k, n = m["k"], m["n"]
-        kind = ("Bl" if k else "") + ("P2" if n is None else "F")
-        return cls(kind, n=int(n or 0), blowups=int(k or 0))
+        return cls("P2" if m["n"] is None else "F", n=int(m["n"] or 0), blowups=int(m["k"] or 0))
 
     def chi(self):
-        base = 3 if self.kind in ("P2", "BlP2") else 4
-        return base + self.blowups
+        return (3 if self.base == "P2" else 4) + self.blowups
 
 
 def classify_toric_surface(rays):
@@ -501,11 +480,8 @@ def classify_toric_surface(rays):
     explore(tuple(surface.rays))
     k = surface.chi
     if ("P2", 0) in terminals:
-        return SurfaceType("P2") if k == 3 else SurfaceType("BlP2", blowups=k - 3)
-    n = min(t[1] for t in terminals)
-    if k == 4:
-        return SurfaceType("F", n=n)
-    return SurfaceType("BlF", n=n, blowups=k - 4)
+        return SurfaceType("P2", blowups=k - 3)
+    return SurfaceType("F", n=min(t[1] for t in terminals), blowups=k - 4)
 
 
 # -- P1-bundle recognition (method 2) -------------------------------------------

@@ -152,7 +152,7 @@ MAT13 = _data("families/degree13_oneparam.mat")
      "no geometry variables (names starting with x)"),
     (["sr"], "0 1 2\n3\n", "degree is defined for pure complexes only"),
     (["cohom", "hodge"], CI_TEXT.replace("ambient 6", "ambient 5"),
-     "inner term 2 has h^5 = 2; shift lemma does not apply"),
+     "resolution leaves O_X(-1) undetermined at [('O_X(-1)', 2), ('O_X(-1)', 3)]"),
     (["cohom", "hodge"], CI_TEXT.replace("ambient 6", "ambient 7"),
      "exact window [('O_X(-1)^8', 4)] has alternating sum 8"),
     (["pfaffian"], "dim 2\nvars x1\nentry 1 2 : 7^99999999\n",

@@ -13,7 +13,6 @@ from srcy.cohomology import (
     h_twist,
     hodge_pipeline_ci,
     les_solve,
-    resolve_shift,
     sheaf_from_resolution,
 )
 
@@ -44,21 +43,17 @@ def test_chi_polynomial_identity():
 
 
 def test_resolve_shift():
+    # inner terms without cohomology: h^p is h^(p+k) of the last term
     res = fixtures.ci_complexes()["structure_sheaf"]
     twisted = [t.twist(-1) for t in res]
-    values = [resolve_shift(twisted, p) for p in range(7)]
-    assert values == [0, 0, 0, 7, 0, 0, 0]
-    ideal = res[1:]
-    assert [resolve_shift(ideal, p) for p in range(7)] == [0, 0, 0, 0, 1, 0, 0]
-    assert resolve_shift(twisted, 9) == 0
     assert sheaf_from_resolution(twisted, "O_X(-1)").entries == [0, 0, 0, 7, 0, 0, 0]
-    assert sheaf_from_resolution(ideal, "J_X").entries == [0, 0, 0, 0, 1, 0, 0]
+    assert sheaf_from_resolution(res[1:], "J_X").entries == [0, 0, 0, 0, 1, 0, 0]
 
 
-def test_resolve_shift_refuses_nonvanishing_inner_term():
-    bad = [TwistSum(((0, 1),), 6), TwistSum(((-7, 1),), 6)]
-    with pytest.raises(ValueError):
-        resolve_shift(bad, 0)
+def test_resolution_with_inner_cohomology_is_forced():
+    # 0 -> O(-7) -> O -> F -> 0 on P^6: h^0(O) = 1 and h^6(O(-7)) = 1
+    res = [TwistSum(((0, 1),), 6), TwistSum(((-7, 1),), 6)]
+    assert sheaf_from_resolution(res, "F").entries == [1, 0, 0, 0, 0, 1, 0]
 
 
 def test_sheaf_from_resolution_structure_sheaf():
