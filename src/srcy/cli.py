@@ -11,6 +11,7 @@ from .cohomology import hodge_pipeline_ci
 from .deformation import t1_degree_zero_basis
 from .fileio import (
     InputError,
+    from_file,
     geometry_and_params,
     load,
     load_triangulation,
@@ -50,17 +51,9 @@ def _print_json(data):
     sys.stdout.write(json.dumps(data, separators=(",", ":")) + "\n")
 
 
-def _from(path, fn, *args):
-    """`fn(*args)` on data read from `path`; its ValueError is an InputError there."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        raise InputError(str(exc), path) from None
-
-
 def cmd_t1(args):
     k = load(args.triangulation, load_triangulation)
-    basis = _from(args.triangulation, t1_degree_zero_basis, k)
+    basis = from_file(args.triangulation, t1_degree_zero_basis, k)
     _print_json({
         "dimension": len(basis),
         "elements": [
@@ -81,7 +74,7 @@ def cmd_aut(args):
 
 def cmd_orbits(args):
     k = load(args.triangulation, load_triangulation)
-    basis = _from(args.triangulation, t1_degree_zero_basis, k)
+    basis = from_file(args.triangulation, t1_degree_zero_basis, k)
     group = automorphism_group(k)
     part = orbits_on_t1(group, basis)
     _print_json({
@@ -94,15 +87,15 @@ def cmd_orbits(args):
 
 def cmd_sr(args):
     k = load(args.triangulation, load_triangulation)
-    _print_json(_from(args.triangulation, sr_report, k))
+    _print_json(from_file(args.triangulation, sr_report, k))
 
 
 def cmd_pfaffian(args):
     matrix, _ring = load(args.matrix, parse_matrix_file)
     if matrix.dim % 2 == 0:
-        _print_json({"pfaffian": str(_from(args.matrix, pfaffian, matrix))})
+        _print_json({"pfaffian": str(from_file(args.matrix, pfaffian, matrix))})
     else:
-        f = _from(args.matrix, principal_pfaffians, matrix)
+        f = from_file(args.matrix, principal_pfaffians, matrix)
         _print_json({"principal_pfaffians": [str(p) for p in f]})
 
 
@@ -117,7 +110,7 @@ def cmd_verify_family(args):
         raise InputError("variable %s is not among the matrix's vars" % unknown[0], args.vector)
     _geo, params = geometry_and_params(ring.names)
     vector = [v.rename(ring) for v in vector]
-    ok = _from(args.vector, verify_first_order, matrix, vector, params)
+    ok = from_file(args.vector, verify_first_order, matrix, vector, params)
     _print_json({"first_order_syzygy": ok})
     return 0 if ok else 1
 
@@ -125,7 +118,7 @@ def cmd_verify_family(args):
 def cmd_torus_group(args):
     gens, ring = load(args.generators, parse_vector_file)
     geo, _params = geometry_and_params(ring.names)
-    h = _from(args.generators, diagonal_stabilizer, gens, geo)
+    h = from_file(args.generators, diagonal_stabilizer, gens, geo)
     if isinstance(h, InfiniteStabilizer):
         _print_json({"finite": False, "torus_rank": h.torus_rank})
         return 0
@@ -152,7 +145,7 @@ def cmd_toric(args):
         if len(m) != len(fan.lattice):
             raise InputError("monomial %s has %d entries, not %d"
                              % (" ".join(map(str, m)), len(m), len(fan.lattice)), args.fpoly)
-    charts = _from(args.fpoly, all_charts, fan, invmono)
+    charts = from_file(args.fpoly, all_charts, fan, invmono)
     if args.toric_cmd == "crepancy":
         crep = crepancy_check(fan, fmono)
         _print_json({
@@ -170,7 +163,7 @@ def cmd_toric(args):
         return 0
     rows = load(args.components, parse_component_table)
     structure = derive_component_structure(fan, charts)
-    comps = _from(args.components, match_component_table, fan, structure, rows)
+    comps = from_file(args.components, match_component_table, fan, structure, rows)
     cx = intersection_complex(fan, charts, comps)
     chi = euler_exceptional([c.chi for c in comps], cx)
     _print_json({
@@ -187,7 +180,7 @@ def cmd_toric(args):
 
 def cmd_cohom(args):
     res = load(args.complexes, parse_ci_complexes)
-    out = _from(args.complexes, hodge_pipeline_ci, res["structure_sheaf"], res["ideal_square"])
+    out = from_file(args.complexes, hodge_pipeline_ci, res["structure_sheaf"], res["ideal_square"])
     _print_json({"h11": out.h11, "h12": out.h12, "intermediates": out.intermediates})
 
 
@@ -203,7 +196,7 @@ def _weight(text):
 
 
 def cmd_milnor(args):
-    mu = _from("srcy milnor", milnor_quasihomogeneous, quasi_weights(args.weights))
+    mu = from_file("srcy milnor", milnor_quasihomogeneous, quasi_weights(args.weights))
     _print_json({"milnor": mu})
 
 

@@ -49,6 +49,14 @@ def load(path, parse):
         raise InputError(str(exc), path) from None
 
 
+def from_file(path, fn, *args):
+    """`fn(*args)` on data read from `path`; its ValueError is an InputError there."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise InputError(str(exc), path) from None
+
+
 def _lines(text):
     """(number, text) of each line, '#' comments stripped and blank lines skipped."""
     for n, raw in enumerate(text.splitlines(), 1):

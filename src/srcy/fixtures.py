@@ -4,7 +4,9 @@ The default directory ships inside the package; `run-all --fixtures`
 passes another with the same layout (triangulations/, families/, toric/,
 cohomology/).  Every fixture is read through `fileio.load`, so a missing
 or malformed one raises the same `InputError` as a file named on the
-command line.
+command line.  The `*_path` functions name the files whose data `run_all`
+computes on, so that a ValueError from that computation is reported as an
+`InputError` on the file, as the subcommands report it.
 """
 
 from __future__ import annotations
@@ -36,12 +38,20 @@ def triangulation(name, base=None):
     return load(fixture_dir(base) / ("triangulations/%s.tri" % name), load_triangulation)
 
 
+def family_matrix_path(name, base=None):
+    return fixture_dir(base) / ("families/%s.mat" % name)
+
+
 def family_matrix(name, base=None):
-    return load(fixture_dir(base) / ("families/%s.mat" % name), parse_matrix_file)
+    return load(family_matrix_path(name, base), parse_matrix_file)
+
+
+def generator_vector_path(name, base=None):
+    return fixture_dir(base) / ("families/%s.gens" % name)
 
 
 def generator_vector(name, base=None):
-    return load(fixture_dir(base) / ("families/%s.gens" % name), parse_vector_file)
+    return load(generator_vector_path(name, base), parse_vector_file)
 
 
 def subdivision_fan(base=None):
@@ -60,5 +70,9 @@ def scroll_polytope(base=None):
     return load(fixture_dir(base) / "toric/scroll_polytope.txt", parse_point_file)
 
 
+def ci_complexes_path(base=None):
+    return fixture_dir(base) / "cohomology/ci_degree12.complexes"
+
+
 def ci_complexes(base=None):
-    return load(fixture_dir(base) / "cohomology/ci_degree12.complexes", parse_ci_complexes)
+    return load(ci_complexes_path(base), parse_ci_complexes)

@@ -22,7 +22,7 @@ from .deformation import (
     t1_link_table_crosscheck,
 )
 from .families import check_first_order_lift
-from .fileio import InputError, geometry_and_params
+from .fileio import InputError, from_file, geometry_and_params
 from .intlinalg import det
 from .pfaffian import (
     SkewPolyMatrix,
@@ -186,7 +186,8 @@ def _check_pfaffians(report, complexes, base):
         _geo, params = geometry_and_params(ring.names)
         gens = minimal_nonfaces(complexes[name]).generators
         try:
-            f1 = first_order_pfaffians(matrix, params)
+            f1 = from_file(fixtures.family_matrix_path(name, base),
+                           first_order_pfaffians, matrix, params)
         except SyzygySignError:
             # M.f = 0 fails mod t^2: both syzygy entries fail, and there are
             # no Pfaffians to compare with the generators or the basis
@@ -215,7 +216,8 @@ def _check_specializations(report, complexes, base, lifts):
         matrix, _ring = fixtures.family_matrix("%s_oneparam" % name, base)
         expect, _ring2 = fixtures.generator_vector("%s_expected" % name, base)
         try:
-            f = principal_pfaffians(matrix)
+            f = from_file(fixtures.family_matrix_path("%s_oneparam" % name, base),
+                          principal_pfaffians, matrix)
             match = all((sign * e).rename(matrix.ring) == p for e, p in zip(expect, f))
             k = complexes[tri]
             fam = first_order_family(k)
@@ -242,7 +244,8 @@ def _check_specializations(report, complexes, base, lifts):
                 entries = {key: poly.truncate_above(dropped, 1).rename(sring, mapping)
                            for key, poly in full.upper.items()}
                 spec_matrix = SkewPolyMatrix(sring, full.dim, entries)
-                fspec = first_order_pfaffians(spec_matrix, ["s"])
+                fspec = from_file(fixtures.family_matrix_path(tri, base),
+                                  first_order_pfaffians, spec_matrix, ["s"])
                 ours = [p.rename(sring) for p in spec.generators]
                 orbit = sorted(map(str, ours)) == sorted(map(str, [lift.sign * p for p in fspec]))
         except SyzygySignError:
@@ -266,13 +269,15 @@ def _random_skew(ring, dim, rng):
 def _check_torus(report, base):
     quintic, ring_q = fixtures.generator_vector("quintic", base)
     geo, _ = geometry_and_params(ring_q.names)
-    h = diagonal_stabilizer(quintic, geo)
+    h = from_file(fixtures.generator_vector_path("quintic", base),
+                  diagonal_stabilizer, quintic, geo)
     report.add("torus.quintic_order", 125, h.order, "diagonal symmetries of the family")
     report.add("torus.quintic_factors", [5, 5, 5], h.invariant_factors, "Smith normal form")
 
     gens14, ring14 = fixtures.generator_vector("degree14_expected", base)
     geo14, _ = geometry_and_params(ring14.names)
-    h14 = diagonal_stabilizer(gens14, geo14)
+    h14 = from_file(fixtures.generator_vector_path("degree14_expected", base),
+                    diagonal_stabilizer, gens14, geo14)
     report.add("torus.degree14_factors", [7], h14.invariant_factors, "Smith normal form")
     report.add("torus.degree14_character", True,
                verify_character(gens14, (0, 1, 2, 3, 4, 5, 6), 7, geo14),
@@ -280,7 +285,8 @@ def _check_torus(report, base):
 
     gens13, ring13 = fixtures.generator_vector("degree13_expected", base)
     geo13, _ = geometry_and_params(ring13.names)
-    h13 = diagonal_stabilizer(gens13, geo13)
+    h13 = from_file(fixtures.generator_vector_path("degree13_expected", base),
+                    diagonal_stabilizer, gens13, geo13)
     report.add("torus.degree13_factors", [13], h13.invariant_factors, "Smith normal form")
     report.add("torus.degree13_character", True,
                verify_character(gens13, (3, 3, 11, 11, 1, 7, 0), 13, geo13),
@@ -391,7 +397,8 @@ def _check_cohomology(report, base):
     res = fixtures.ci_complexes(base)
     report.add("cohom.h6_twists", [1, 7, 28, 84],
                [h_twist(6, d, 6) for d in (-7, -8, -9, -10)], "duality with sections")
-    out = hodge_pipeline_ci(res["structure_sheaf"], res["ideal_square"])
+    out = from_file(fixtures.ci_complexes_path(base),
+                    hodge_pipeline_ci, res["structure_sheaf"], res["ideal_square"])
     report.add("cohom.hodge_numbers", (1, 73), (out.h11, out.h12), "exact-sequence chase")
     inter = out.intermediates
     report.add("cohom.intermediates", (7, 48, 122, 121),

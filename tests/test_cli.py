@@ -448,6 +448,30 @@ def test_run_all_cohom_fixture_without_structure_sheaf_exits_2(tmp_path, capsys)
              "%s: no structure_sheaf resolution\n" % path)
 
 
+@pytest.mark.parametrize("rel, edits, section, reason", [
+    # the product of entries (1,2) and (3,4) has the term x1^40000*x2*x3
+    ("families/p7_1.mat", [("- t83*x1*x3^2\n", "- t83*x1*x3^2 + (x1^1000)^20*x2\n"),
+                           ("- t33*x6\n", "- t33*x6 + (x1^1000)^20*x3\n")],
+     "pfaffian", "a product exponent is above the limit 32767"),
+    ("cohomology/ci_degree12.complexes", [("ambient 6", "ambient 7")],
+     "cohom", "exact window [('O_X(-1)^8', 4)] has alternating sum 8"),
+    ("families/quintic.gens", [("- 5*t*x0*x1*x2*x3*x4", "- 5*t*x0*x1*x2*x3")],
+     "torus", "generator 1 is not homogeneous in the geometry variables"),
+])
+def test_run_all_bad_fixture_data_exits_2(tmp_path, capsys, rel, edits, section, reason):
+    import shutil
+
+    shutil.copytree(fixtures.fixture_dir(), tmp_path / "data")
+    path = tmp_path / "data" / rel
+    text = path.read_text()
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path.write_text(text)
+    _exits_2(capsys, ["run-all", "--fixtures", tmp_path / "data", "--only", section],
+             "%s: %s\n" % (path, reason))
+
+
 def test_python_dash_m_runs_the_cli():
     import os
     import subprocess
