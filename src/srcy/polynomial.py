@@ -19,13 +19,14 @@ collects Fraction coefficients first.  Fractions are built only where a
 caller reads the terms (`Poly.items`, `constant_value` and printing;
 `Poly.evaluate` builds one, over a common denominator).  Setting variables
 to zero is `truncate_above(names, 1)`, a filter on the keys.
-`_add_product` is the one term-pair loop, run only by `Poly.dot`: the sum
-of products behind the Pfaffian expansion and the M.f = 0 residual, and
-`Poly.mul` as its one-pair case.  It runs once per pair into one dict of
-numerators that is checked and reduced once.  Given a truncation (names, bound) it never forms
-a term pair whose degree in `names` reaches the bound.  The Pfaffians of
-first-order families use that truncation to drop the terms quadratic in
-the deformation parameters before they are built.
+`_add_product` is the one term-pair loop, run only by `Poly.dot`, the sum
+of products behind the Pfaffian expansion and the M.f = 0 residual;
+`Poly.mul` is its one-pair case.  `dot` runs the loop once per pair into
+one dict of numerators that is checked and reduced once.  Given a
+truncation (names, bound) it never forms a term pair whose degree in
+`names` reaches the bound.  The Pfaffians of first-order families use
+that truncation to drop the terms quadratic in the deformation parameters
+before they are built.
 """
 
 from __future__ import annotations
@@ -289,9 +290,8 @@ class Poly:
     def mul(self, other, trunc=None):
         """Product; with trunc=(names, bound), only the terms of degree < bound in names.
 
-        Keys add and numerators multiply as ints; the denominators multiply
-        once.  A term pair whose degrees in `names` sum to `bound` or more is
-        never formed.  A product exponent above the limit is a ValueError.
+        The one-pair case of `dot`.  A product exponent above the limit is a
+        ValueError.
         """
         return Poly.dot(self.ring, [(self, self._coerce(other))], trunc)
 
