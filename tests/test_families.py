@@ -1,7 +1,9 @@
+import pytest
+
 from srcy import fixtures
 from srcy.deformation import first_order_family
 from srcy.families import check_first_order_lift
-from srcy.fileio import geometry_and_params
+from srcy.fileio import geometry_and_params, parse_matrix_file
 from srcy.pfaffian import SkewPolyMatrix, first_order_pfaffians, principal_pfaffians
 from srcy.polynomial import PolyRing
 from srcy.symmetry import automorphism_group, invariant_specialize, orbit_index_of, orbits_on_t1
@@ -78,6 +80,35 @@ def test_degree14_orbit_specialization_via_appendix(complexes):
     assert sorted(str(p.rename(sring)) for p in spec.generators) == sorted(
         str(lift.sign * p) for p in f1
     )
+
+
+@pytest.mark.parametrize("old, new", [(None, None), ("+ t24*x2", "+ 2*t24*x2")])
+def test_specialized_lift_pfaffians_are_the_specialized_matrix_pfaffians(complexes, old, new):
+    """Setting the orbit's parameters to s and the rest to 0 commutes with
+    the first-order Pfaffians: the lift's Pfaffians, specialized, are the
+    Pfaffians mod s^2 of the specialized matrix.  With t24 doubled the
+    lift matches no basis, and the identity still holds."""
+    text = fixtures.family_matrix_path("p7_5").read_text()
+    if old is not None:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    full, ring = parse_matrix_file(text)
+    geo, params = geometry_and_params(ring.names)
+    k = complexes["p7_5"]
+    fam = first_order_family(k)
+    part = orbits_on_t1(automorphism_group(k), fam.basis)
+    block = set(part.blocks[orbit_index_of(part, fam.basis, (1, 3), {4, 7})])
+    f1 = first_order_pfaffians(full, params)
+    lift = check_first_order_lift(k, f1, params)
+    assert lift.ok is (old is None)
+    keep = {t: "s" for t, idx in lift.matched.items() if idx in block}
+    assert keep
+    dropped = [t for t in params if t not in keep]
+    sring = PolyRing(geo + ["s"])
+    entries = {key: poly.truncate_above(dropped, 1).rename(sring, keep)
+               for key, poly in full.upper.items()}
+    reference = first_order_pfaffians(SkewPolyMatrix(sring, full.dim, entries), ["s"])
+    assert [p.truncate_above(dropped, 1).rename(sring, keep) for p in f1] == reference
 
 
 def test_printed_degree14_matrix_drops_one_lift_entry(complexes):

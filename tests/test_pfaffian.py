@@ -1,5 +1,6 @@
 import gc
 import random
+import shutil
 import sys
 from fractions import Fraction
 
@@ -186,6 +187,18 @@ def test_a_missing_lift_fails_only_the_degree14_orbit_entry():
     assert [(c.id, c.computed) for c in report.checks] == [
         ("pfaffian.specialized_generators.degree13", True), ("pfaffian.orbit_family.degree13", True),
         ("pfaffian.specialized_generators.degree14", True), ("pfaffian.orbit_family.degree14", None)]
+
+
+def test_a_doubled_lift_coefficient_fails_the_degree14_orbit(tmp_path):
+    """A p7_5 lift with t24 doubled matches no basis, and its orbit misses the printed family."""
+    shutil.copytree(fixtures.fixture_dir(), tmp_path / "data")
+    path = tmp_path / "data" / "families" / "p7_5.mat"
+    text = path.read_text()
+    assert text.count("+ t24*x2") == 1
+    path.write_text(text.replace("+ t24*x2", "+ 2*t24*x2"))
+    report = run_all(base=tmp_path / "data", only=["pfaffian"])
+    assert [(c.id, c.computed) for c in report.failures()] == [
+        ("pfaffian.lift_matches_basis.p7_5", False), ("pfaffian.orbit_family.degree14", False)]
 
 
 def test_the_pfaffian_memo_needs_no_cycle_collector():
