@@ -53,6 +53,7 @@ from .toric import (
     method4_normal_fan_check,
     mirror_euler,
     pbundle_structure,
+    verify_smooth_subdivision,
 )
 
 DEGREES = {"delta4": 5, "p7_1": 11, "p7_2": 12, "p7_3": 12, "p7_4": 13, "p7_5": 14}
@@ -195,8 +196,9 @@ def _check_pfaffians(report, complexes, base):
         else:
             # M.f = 0 mod t^2 holds, and its parameter-free part is M0.f0 = 0
             f0 = sorted(str(p.truncate_above(params, 1)) for p in f1)  # the Pfaffians at t = 0
-            lifts[name] = check_first_order_lift(complexes[name], f1, params)
-            lift_ok, syzygy = lifts[name].ok, True
+            lift = check_first_order_lift(complexes[name], f1, params)
+            lifts[name] = (lift, f1, params)
+            lift_ok, syzygy = lift.ok, True
         report.add("pfaffian.base_generators.%s" % name,
                    sorted(str(generator_monomial(ring, p)) for p in gens), f0,
                    "syzygy matrix at parameter zero")
@@ -215,42 +217,34 @@ def _check_specializations(report, complexes, base, lifts):
     ):
         matrix, _ring = fixtures.family_matrix("%s_oneparam" % name, base)
         expect, _ring2 = fixtures.generator_vector("%s_expected" % name, base)
+        k = complexes[tri]
+        fam = first_order_family(k)
+        part = orbits_on_t1(automorphism_group(k), fam.basis)
+        assignment = {orbit_index_of(part, fam.basis, a, b): "s" for a, b in blocks}
+        spec = invariant_specialize(fam, part, assignment)
+        ours = sorted(str(p.rename(matrix.ring)) for p in spec.generators)
         try:
             f = from_file(fixtures.family_matrix_path("%s_oneparam" % name, base),
                           principal_pfaffians, matrix)
-            match = all((sign * e).rename(matrix.ring) == p for e, p in zip(expect, f))
-            k = complexes[tri]
-            fam = first_order_family(k)
-            group = automorphism_group(k)
-            part = orbits_on_t1(group, fam.basis)
-            assignment = {orbit_index_of(part, fam.basis, a, b): "s" for a, b in blocks}
-            spec = invariant_specialize(fam, part, assignment)
-            if name == "degree13":
-                truncated = [p.truncate_above(["s"], 2) for p in f]
-                ours = [p.rename(matrix.ring) for p in spec.generators]
-                orbit = sorted(map(str, ours)) == sorted(map(str, truncated))
-            elif tri not in lifts:
-                orbit = None  # the family's own M.f = 0 failed, so it has no lift
-            else:
-                # route the orbit through the appendix lift's parameter matching
-                full, ring_full = fixtures.family_matrix(tri, base)
-                _geo, params = geometry_and_params(ring_full.names)
-                lift = lifts[tri]
-                orbit_elems = set(part.blocks[orbit_index_of(part, fam.basis, *blocks[0])])
-                keep = [t for t, idx in lift.matched.items() if idx in orbit_elems]
-                sring = PolyRing([n for n in ring_full.names if n.startswith("x")] + ["s"])
-                mapping = {t: "s" for t in keep}
-                dropped = [t for t in params if t not in keep]
-                entries = {key: poly.truncate_above(dropped, 1).rename(sring, mapping)
-                           for key, poly in full.upper.items()}
-                spec_matrix = SkewPolyMatrix(sring, full.dim, entries)
-                fspec = from_file(fixtures.family_matrix_path(tri, base),
-                                  first_order_pfaffians, spec_matrix, ["s"])
-                ours = [p.rename(sring) for p in spec.generators]
-                orbit = sorted(map(str, ours)) == sorted(map(str, [lift.sign * p for p in fspec]))
         except SyzygySignError:
-            # M.f = 0 fails in this family: there are no Pfaffians to compare
-            match = orbit = None
+            f = None  # M.f = 0 fails in this family: there are no Pfaffians to compare
+        if name == "degree13":
+            reference = None if f is None else [p.truncate_above(["s"], 2) for p in f]
+        elif tri in lifts:
+            # the appendix lift with the orbit's matched parameters set to s and
+            # the others to 0: a ring map, so it commutes with the Pfaffians and
+            # takes (t)^2 into (s)^2
+            lift, f1, params = lifts[tri]
+            orbit_elems = set(part.blocks[orbit_index_of(part, fam.basis, *blocks[0])])
+            keep = {t: "s" for t, idx in lift.matched.items() if idx in orbit_elems}
+            dropped = [t for t in params if t not in keep]
+            reference = [lift.sign * p.truncate_above(dropped, 1).rename(matrix.ring, keep)
+                         for p in f1]
+        else:
+            reference = None  # the family's own M.f = 0 failed, so it has no lift
+        match = None if f is None else all(
+            (sign * e).rename(matrix.ring) == p for e, p in zip(expect, f))
+        orbit = None if reference is None else ours == sorted(map(str, reference))
         report.add("pfaffian.specialized_generators.%s" % name, True, match,
                    "printed generator list, global sign %+d" % sign)
         report.add("pfaffian.orbit_family.%s" % name, True, orbit,
@@ -298,8 +292,6 @@ def _check_torus(report, base):
 
 
 def _check_toric(report, base):
-    from .toric import verify_smooth_subdivision
-
     fan = fixtures.subdivision_fan(base)
     fmono, invmono = fixtures.hypersurface_monomials(base)
     fan_report = verify_smooth_subdivision(fan)

@@ -6,6 +6,7 @@ import pytest
 from srcy import fixtures
 from srcy.cli import main
 from srcy.report import VerificationReport, emit
+from srcy.verify import SECTIONS, run_all
 
 
 def _data(rel):
@@ -415,6 +416,22 @@ def test_run_all_detects_corruption(tmp_path, capsys):
     code, _out = run_cli(capsys, "run-all", "--fixtures", str(tmp_path / "data"),
                          "--only", "sr,milnor", "--format", "json")
     assert code == 0
+
+
+def test_each_run_all_section_reads_a_fixture_file_once(monkeypatch):
+    original, loads = fixtures.load, []
+
+    def counted(path, parse):
+        loads.append(path)
+        return original(path, parse)
+
+    monkeypatch.setattr(fixtures, "load", counted)
+    twice = {}
+    for section in SECTIONS:
+        loads.clear()
+        run_all(only=[section])
+        twice[section] = sorted({str(p) for p in loads if loads.count(p) > 1})
+    assert twice == {section: [] for section in SECTIONS}
 
 
 @pytest.mark.parametrize("rel, section", [

@@ -247,7 +247,7 @@ def test_one_syzygy_residual_per_pfaffian_vector(monkeypatch):
 
     monkeypatch.setattr(SkewPolyMatrix, "mul_vector", counted)
     assert run_all(only=["pfaffian"]).ok
-    assert len(calls) == 8
+    assert len(calls) == 7
 
 
 def test_specialized_matrices_match_printed_generators():
