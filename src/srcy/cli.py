@@ -141,10 +141,6 @@ def cmd_toric(args):
     if bad_cones:
         raise InputError("; ".join(bad_cones), args.fan)
     fmono, invmono = load(args.fpoly, parse_monomial_file)
-    for m in fmono + invmono:
-        if len(m) != len(fan.lattice):
-            raise InputError("monomial %s has %d entries, not %d"
-                             % (" ".join(map(str, m)), len(m), len(fan.lattice)), args.fpoly)
     charts = from_file(args.fpoly, all_charts, fan, invmono)
     if args.toric_cmd == "crepancy":
         crep = crepancy_check(fan, fmono)

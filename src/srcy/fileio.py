@@ -234,7 +234,7 @@ def parse_fan_file(text):
 
 
 def parse_monomial_file(text):
-    """`monomials` and `invariant_monomials` blocks of exponent rows."""
+    """`monomials` and `invariant_monomials` blocks of FAN_RANK exponents per row."""
     section = None
     out = {"monomials": [], "invariant_monomials": []}
     for n, line in _lines(text):
@@ -244,7 +244,10 @@ def parse_monomial_file(text):
         with _at(n):
             if section is None:
                 raise ValueError("data before any section header: %r" % line)
-            out[section].append(_ints(line, "exponents"))
+            row = _ints(line, "exponents")
+            if len(row) != FAN_RANK:
+                raise ValueError("monomial has %d entries, not %d" % (len(row), FAN_RANK))
+            out[section].append(row)
     return out["monomials"], out["invariant_monomials"]
 
 
@@ -347,9 +350,12 @@ def load_triangulation(text):
 
 
 def parse_point_file(text):
-    """One lattice point per line, as whitespace-separated integers."""
+    """One lattice point of the 3-d scroll polytope per line (FAN_RANK - 1 integers)."""
     points = []
     for n, line in _lines(text):
         with _at(n):
-            points.append(_ints(line, "points"))
+            point = _ints(line, "points")
+            if len(point) != FAN_RANK - 1:
+                raise ValueError("point has %d entries, not %d" % (len(point), FAN_RANK - 1))
+            points.append(point)
     return points

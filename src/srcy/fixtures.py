@@ -58,12 +58,20 @@ def subdivision_fan(base=None):
     return load(fixture_dir(base) / "toric/subdivision.fan", parse_fan_file)
 
 
+def hypersurface_monomials_path(base=None):
+    return fixture_dir(base) / "toric/hypersurface.fpoly"
+
+
 def hypersurface_monomials(base=None):
-    return load(fixture_dir(base) / "toric/hypersurface.fpoly", parse_monomial_file)
+    return load(hypersurface_monomials_path(base), parse_monomial_file)
+
+
+def component_table_path(base=None):
+    return fixture_dir(base) / "toric/components.tbl"
 
 
 def component_table(base=None):
-    return load(fixture_dir(base) / "toric/components.tbl", parse_component_table)
+    return load(component_table_path(base), parse_component_table)
 
 
 def scroll_polytope(base=None):

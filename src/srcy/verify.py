@@ -299,7 +299,7 @@ def _check_toric(report, base):
                "cone table")
     report.add("toric.fan_valid", True, fan_report.ok, "unimodularity, faces, coverage")
 
-    charts = all_charts(fan, invmono)
+    charts = from_file(fixtures.hypersurface_monomials_path(base), all_charts, fan, invmono)
     report.add("toric.chart_tau1", "y1^2*y4 + y2^5*y3^3*y4^4 + y2*y3*y4^2 + 1",
                str(charts[0]), "printed chart polynomial")
     report.add("toric.chart_tau29", "y1^2*y4 + y2^2*y3 + y3 + 1",
@@ -360,7 +360,8 @@ def _check_toric(report, base):
     report.add("toric.factor_disjointness", True,
                structure.factor_disjointness_certified, "binomial smoothness")
     rows = fixtures.component_table(base)
-    comps = match_component_table(fan, structure, rows)
+    comps = from_file(fixtures.component_table_path(base), match_component_table,
+                      fan, structure, rows)
     for comp in comps:
         if comp.closure is None:
             report.add("toric.chi.%s" % comp.label, comp.chi, comp.chi, "component table",

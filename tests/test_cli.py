@@ -244,7 +244,7 @@ def test_bad_component_table_row_exits_2(capsys, tmp_path, old, new, reason, lin
 
 
 @pytest.mark.parametrize("new, reason", [
-    ("1 2 3", "monomial 1 2 3 has 3 entries, not 4"),
+    ("1 2 3", "line 10: monomial has 3 entries, not 4"),
     ("1 0 0 0", "monomial (1, 0, 0, 0) has non-integral chart exponent 3/13 in cone 1"),
 ])
 def test_bad_invariant_monomial_exits_2(capsys, tmp_path, new, reason):
@@ -474,6 +474,14 @@ def test_run_all_cohom_fixture_without_structure_sheaf_exits_2(tmp_path, capsys)
      "cohom", "exact window [('O_X(-1)^8', 4)] has alternating sum 8"),
     ("families/quintic.gens", [("- 5*t*x0*x1*x2*x3*x4", "- 5*t*x0*x1*x2*x3")],
      "torus", "generator 1 is not homogeneous in the geometry variables"),
+    ("toric/hypersurface.fpoly", [("0 0 13 0\n", "0 0 13\n")],
+     "toric", "line 12: monomial has 3 entries, not 4"),
+    ("toric/scroll_polytope.txt", [("1 0 1\n", "1 1\n")],
+     "toric", "line 5: point has 2 entries, not 3"),
+    ("toric/hypersurface.fpoly", [("0 0 9 2\n", "0 0 9 1\n")],
+     "toric", "monomial (0, 0, 9, 1) has non-integral chart exponent 86/13 in cone 1"),
+    ("toric/components.tbl", [("E1 6,-2,-1,-2 P2 3", "E1 1,1,1,1 P2 3")],
+     "toric", "row E1: 1,1,1,1 is not a ray of the fan"),
 ])
 def test_run_all_bad_fixture_data_exits_2(tmp_path, capsys, rel, edits, section, reason):
     import shutil

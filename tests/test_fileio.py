@@ -130,8 +130,8 @@ def test_component_table():
 
 
 def test_monomial_file_sections():
-    mono, inv = parse_monomial_file("monomials\n1 0\ninvariant_monomials\n2 1\n")
-    assert mono == [(1, 0)] and inv == [(2, 1)]
+    mono, inv = parse_monomial_file("monomials\n1 0 0 0\ninvariant_monomials\n2 1 0 3\n")
+    assert mono == [(1, 0, 0, 0)] and inv == [(2, 1, 0, 3)]
 
 
 def test_complexes_file():
@@ -162,8 +162,11 @@ def test_input_error_names_what_it_knows():
     (parse_complexes_file, "ambient 6\nambient 6\n", "line 2: second ambient header"),
     (parse_vector_file, "len 1\nvars x1..t2\n", "line 2: range 'x1..t2' mixes prefixes"),
     (parse_vector_file, "len 1\nvars x1 x1\n", "line 2: duplicate variable names: ('x1', 'x1')"),
-    (parse_monomial_file, "monomials\n1 0\n1 a\n",
+    (parse_monomial_file, "monomials\n1 0 0 0\n1 a 0 0\n",
      "line 3: exponents must be whitespace-separated integers"),
+    (parse_monomial_file, "monomials\n1 0 0 0\ninvariant_monomials\n\n0 0 13\n",
+     "line 5: monomial has 3 entries, not 4"),
+    (parse_monomial_file, "monomials\n1 0 0 0 1\n", "line 2: monomial has 5 entries, not 4"),
     (parse_monomial_file, "\n1 0\n", "line 2: data before any section header: '1 0'"),
     (parse_component_table, "# t\nE1 1,0,0,0 P2 x\n",
      "line 2: invalid literal for int() with base 10: 'x'"),
@@ -178,7 +181,9 @@ def test_input_error_names_what_it_knows():
     (load_triangulation, "0 1 2\n2 1 0\n", "line 2: duplicate facet [0, 1, 2]"),
     (load_triangulation, "0 1\n0 1 2\n", "line 1: facet [0, 1] is contained in another facet"),
     (load_triangulation, "# only a comment\n", "empty triangulation file"),
-    (parse_point_file, "0 0\n0 x\n", "line 2: points must be whitespace-separated integers"),
+    (parse_point_file, "0 0 0\n0 x 0\n", "line 2: points must be whitespace-separated integers"),
+    (parse_point_file, "0 0 0\n\n1 1\n", "line 3: point has 2 entries, not 3"),
+    (parse_point_file, "0 0 0\n1 1 1 1\n", "line 2: point has 4 entries, not 3"),
 ])
 def test_bad_line_names_its_number(parse, text, message):
     with pytest.raises(InputError) as exc:
