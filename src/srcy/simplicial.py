@@ -195,12 +195,8 @@ class SimplicialComplex:
 
         yield from extend(0, 0)
 
-    def find_isomorphism(self, other):
-        """The first bijection `isomorphisms` yields, or None."""
-        return next(self.isomorphisms(other), None)
-
     def is_isomorphic(self, other):
-        return self.find_isomorphism(other) is not None
+        return next(self.isomorphisms(other), None) is not None
 
 
 # -- basic constructions -----------------------------------------------------

@@ -120,7 +120,7 @@ def orbits_on_t1(group, basis):
             parent[max(ri, rj)] = min(ri, rj)
 
     for i, elem in enumerate(basis):
-        for g in group.generators or group.elements:
+        for g in group.generators:
             moved = _image_key(g, elem)
             if moved not in index:
                 raise RuntimeError("group does not preserve the T^1 basis")

@@ -694,7 +694,7 @@ def derive_component_structure(fan, charts):
                 binomial_everywhere = False
         if horizontal:
             count = factor_count if (factor_count and binomial_everywhere) else 1
-            if count > 1 and not binomial_everywhere:
+            if (factor_count or 1) > 1 and not binomial_everywhere:
                 certified = False
             closure = None
             if factor_count is not None:

@@ -2,6 +2,7 @@ import pytest
 
 from srcy import fixtures
 from srcy.toric import (
+    CHART_RING,
     Component,
     ComponentStructure,
     Fan,
@@ -413,6 +414,16 @@ def test_component_structure(fan_data):
     assert kinds.count("divisor") == 8
     assert kinds.count("torus_factor") == 2
     assert kinds.count("orbit_pair") == 2
+
+
+def test_a_non_binomial_chart_of_the_imprimitive_ray_is_not_certified(fan_data):
+    """Conjugate factors are disjoint only where every chart of their ray is binomial."""
+    fan, _f, _inv, charts = fan_data
+    rid = fan.ray_index((9, -3, -2, -4))
+    c = next(iter(fan.cones_containing(rid)))
+    y = CHART_RING.names[(fan.cones[c].index(rid) + 1) % len(CHART_RING.names)]
+    structure = derive_component_structure(fan, {**charts, c: charts[c] + CHART_RING.parse(y)})
+    assert structure.factor_disjointness_certified is False
 
 
 def test_component_table_matching(fan_data):
