@@ -235,7 +235,7 @@ def _check_specializations(report, complexes, base, lifts):
             # the others to 0: a ring map, so it commutes with the Pfaffians and
             # takes (t)^2 into (s)^2
             lift, f1, params = lifts[tri]
-            orbit_elems = set(part.blocks[orbit_index_of(part, fam.basis, *blocks[0])])
+            orbit_elems = {i for block in assignment for i in part.blocks[block]}
             keep = {t: "s" for t, idx in lift.matched.items() if idx in orbit_elems}
             dropped = [t for t in params if t not in keep]
             reference = [lift.sign * p.truncate_above(dropped, 1).rename(matrix.ring, keep)
