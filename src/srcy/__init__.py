@@ -15,7 +15,6 @@ from .fileio import load_triangulation
 from .sr_ideal import degree, hilbert_numerator, minimal_nonfaces
 from .deformation import (
     admissible_b,
-    degree_zero_multiplicity,
     first_order_family,
     t1_degree_zero_basis,
     t1_link_table_crosscheck,
@@ -25,7 +24,6 @@ from .polynomial import Poly, PolyRing
 from .pfaffian import (
     SkewPolyMatrix,
     check_quasihomogeneous,
-    evaluate_jacobian,
     milnor_quasihomogeneous,
     pfaffian,
     principal_pfaffians,
@@ -40,11 +38,11 @@ __all__ = [
     "SimplicialComplex", "boundary", "classify_link", "closure",
     "is_combinatorial_3sphere_candidate", "join", "load_triangulation",
     "degree", "hilbert_numerator", "minimal_nonfaces",
-    "admissible_b", "degree_zero_multiplicity", "first_order_family",
+    "admissible_b", "first_order_family",
     "t1_degree_zero_basis", "t1_link_table_crosscheck",
     "automorphism_group", "invariant_specialize", "orbits_on_t1",
     "Poly", "PolyRing",
-    "SkewPolyMatrix", "check_quasihomogeneous", "evaluate_jacobian",
+    "SkewPolyMatrix", "check_quasihomogeneous",
     "milnor_quasihomogeneous", "pfaffian", "principal_pfaffians",
     "quasi_weights", "verify_first_order",
     "diagonal_stabilizer", "verify_character",

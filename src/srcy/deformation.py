@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from .polynomial import Poly, PolyRing
 from .simplicial import (
@@ -23,6 +22,7 @@ from .simplicial import (
     once_per_complex,
     ridge_counts,
 )
+from .sr_ideal import minimal_nonfaces
 
 # Admissible-b counts for the standard small links, before the degree-zero
 # multiplicity is applied.  n-gons with n >= 5 contribute nothing.
@@ -115,15 +115,6 @@ def _ball_rim(c, d):
 
 
 # -- enumeration ---------------------------------------------------------------
-
-
-def degree_zero_multiplicity(asize, bsize):
-    """Number of compositions of |b| into |a| positive parts."""
-    if asize < 1:
-        raise ValueError("a must be a nonempty face")
-    if bsize < 2:
-        raise ValueError("b must have at least two vertices")
-    return comb(bsize - 1, asize - 1)
 
 
 def _compositions(total, parts):
@@ -247,8 +238,6 @@ class FirstOrderFamily:
 
 def first_order_family(k):
     """One parameter per basis element; generators x_p + sum_i t_i phi_i(x_p)."""
-    from .sr_ideal import minimal_nonfaces
-
     basis = t1_degree_zero_basis(k)
     params = ["t%d" % (i + 1) for i in range(len(basis))]
     ring = variable_ring(k, extra=params)

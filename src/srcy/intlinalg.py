@@ -3,9 +3,9 @@
 Everything here operates on small matrices (at most ~50 x 8), and two
 algorithms do all the work.  One fraction-free Gauss-Jordan elimination
 (Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968) gives `rank`, `det` and `inverse` over
-Q.  The Smith normal form gives every lattice operation: unimodular
-inverses, completing a vector to a basis, quotient projections and kernels.
+elimination", Math. Comp. 22, 1968) gives `det` and `inverse` over Q.
+The Smith normal form gives every lattice operation: unimodular inverses,
+completing a vector to a basis, quotient projections and kernels.
 """
 
 from __future__ import annotations
@@ -51,11 +51,6 @@ def _eliminate(m, ncols):
         prev = p
         r += 1
     return r, sign, prev
-
-
-def rank(rows):
-    m, _factors = _integral(rows)
-    return _eliminate(m, len(m[0]) if m else 0)[0]
 
 
 def inverse(rows):

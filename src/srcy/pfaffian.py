@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intlinalg import rank as _rank
 from .polynomial import Poly, PolyRing
 
 
@@ -41,7 +40,7 @@ class SkewPolyMatrix:
         return -self.upper.get((j, i), self.ring.zero())
 
     def mul_vector(self, vec, trunc=None):
-        """M . vec, one `Poly.dot` per row, each product truncated by `trunc` as in `Poly.mul`.
+        """M . vec, one `Poly.dot(ring, pairs, trunc)` per row.
 
         A stored entry e at (i, j) pairs with vec[j] in row i and with
         -vec[i] in row j, so each vector entry is negated once and no
@@ -77,16 +76,11 @@ def _sub_pfaffian(m, indices, trunc, cache):
     return total
 
 
-def pfaffian(m, trunc=None):
-    """Pfaffian by recursive first-row expansion; 0 when the size is odd.
-
-    With trunc=(names, bound), every product drops the terms of degree
-    >= bound in `names` before they are formed (`Poly.dot`), so the result
-    is the Pfaffian truncated at that degree.
-    """
+def pfaffian(m):
+    """Pfaffian by recursive first-row expansion; 0 when the size is odd."""
     if m.dim % 2 == 1:
         return m.ring.zero()
-    return _sub_pfaffian(m, tuple(range(1, m.dim + 1)), trunc, {(): m.ring.one()})
+    return _sub_pfaffian(m, tuple(range(1, m.dim + 1)), None, {(): m.ring.one()})
 
 
 class SyzygySignError(RuntimeError):
@@ -97,8 +91,10 @@ def principal_pfaffians(m, trunc=None):
     """Vector f with f_i = (-1)^i Pf(M with row/column i removed), M.f = 0.
 
     The identity M . f = 0 is checked symbolically; a failure means the
-    sign convention has been broken somewhere upstream.  `trunc` truncates
-    the Pfaffians and the residual as in `pfaffian`.
+    sign convention has been broken somewhere upstream.  With
+    trunc=(names, bound), every product drops the terms of degree >= bound
+    in `names` before they are formed (`Poly.dot`), so the Pfaffians and
+    the residual are truncated at that degree.
     """
     if m.dim % 2 == 0:
         raise ValueError("principal Pfaffians are taken for odd size")
@@ -123,33 +119,6 @@ def verify_first_order(m1, f1, params):
 def first_order_pfaffians(m1, params):
     """Principal Pfaffians of M1 with parameter degree >= 2 discarded."""
     return principal_pfaffians(m1, (params, 2))
-
-
-# -- point evaluation -----------------------------------------------------------
-
-
-def evaluate_jacobian(gens, chart_var, point, params=None):
-    """Exact values and Jacobian rank of dehomogenized generators.
-
-    `point` assigns rational values to the affine coordinates (the chart
-    variable itself is set to 1); `params` assigns rational values to any
-    parameter variables.  The rank is computed over Q.
-    """
-    assignment = {chart_var: Fraction(1)}
-    if params:
-        assignment.update({k: Fraction(v) for k, v in params.items()})
-    assignment.update({k: Fraction(v) for k, v in point.items()})
-    ring = gens[0].ring
-    missing = [n for n in ring.names if n not in assignment]
-    if missing:
-        raise ValueError("point leaves variables unset: %s" % missing)
-    affine_vars = [n for n in point]
-    values = [g.evaluate(assignment) for g in gens]
-    jac = [
-        [g.derivative(v).evaluate(assignment) for v in affine_vars]
-        for g in gens
-    ]
-    return values, _rank(jac)
 
 
 # -- quasi-homogeneous singularities ---------------------------------------------

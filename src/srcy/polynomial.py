@@ -21,7 +21,7 @@ caller reads the terms (`Poly.items`, `constant_value` and printing;
 to zero is `truncate_above(names, 1)`, a filter on the keys.
 `_add_product` is the one term-pair loop, run only by `Poly.dot`, the sum
 of products behind the Pfaffian expansion and the M.f = 0 residual;
-`Poly.mul` is its one-pair case.  `dot` runs the loop once per pair into
+`Poly.__mul__` is its one-pair case.  `dot` runs the loop once per pair into
 one dict of numerators that is checked and reduced once.  Given a
 truncation (names, bound) it never forms a term pair whose degree in
 `names` reaches the bound.  The Pfaffians of first-order families use
@@ -283,17 +283,10 @@ class Poly:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        return self.mul(other)
+        """The one-pair case of `dot`; a product exponent above the limit is a ValueError."""
+        return Poly.dot(self.ring, [(self, self._coerce(other))])
 
     __rmul__ = __mul__
-
-    def mul(self, other, trunc=None):
-        """Product; with trunc=(names, bound), only the terms of degree < bound in names.
-
-        The one-pair case of `dot`.  A product exponent above the limit is a
-        ValueError.
-        """
-        return Poly.dot(self.ring, [(self, self._coerce(other))], trunc)
 
     @staticmethod
     def dot(ring, pairs, trunc=None):
@@ -366,15 +359,6 @@ class Poly:
                 c *= table[e[i]]
             total += c
         return Fraction(total, den)
-
-    def derivative(self, name):
-        shift = self.ring.index[name] * BITS
-        nums = {}
-        for k, c in self.nums.items():
-            p = (k >> shift) & (LIMIT - 1)
-            if p:
-                nums[k - (1 << shift)] = c * p
-        return _reduced(self.ring, nums, self.den)
 
     def content_exponents(self):
         """Componentwise minimum of all exponent vectors (the monomial gcd)."""

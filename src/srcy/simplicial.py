@@ -319,9 +319,6 @@ class SphereReport:
     ok: bool
     failures: tuple
 
-    def __bool__(self):
-        return self.ok
-
 
 @once_per_complex
 def is_combinatorial_3sphere_candidate(k):

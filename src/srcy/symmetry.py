@@ -131,14 +131,13 @@ def orbits_on_t1(group, basis):
     return OrbitPartition(sorted(blocks.values(), key=lambda b: b[0]))
 
 
-def orbit_index_of(partition, basis, support, b, a_vector=None):
-    """Block index of the orbit containing the given (a, b) pair."""
+def orbit_index_of(partition, basis, support, b):
+    """Block index of the orbit containing the first basis element of the (a, b) pair."""
     support = tuple(sorted(support))
     b = frozenset(b)
     for i, elem in enumerate(basis):
         if elem.support == support and elem.b == b:
-            if a_vector is None or elem.a_vector == tuple(a_vector):
-                return partition.block_of(i)
+            return partition.block_of(i)
     raise KeyError("no basis element with a=%s, b=%s" % (support, sorted(b)))
 
 

@@ -106,9 +106,6 @@ class FanReport:
     n_cones: int
     problems: list = field(default_factory=list)
 
-    def __bool__(self):
-        return self.ok
-
 
 def verify_smooth_subdivision(fan):
     """Check that the fan's cones form a smooth triangulation of sigma.

@@ -83,12 +83,15 @@ def run_all(base=None, only=None):
     if unknown:
         raise ValueError("unknown sections: %s" % sorted(unknown))
     complexes = {n: fixtures.triangulation(n, base) for n in fixtures.TRIANGULATIONS}
+    # the printed generator vectors, read once for the pfaffian and torus sections
+    expected = ({n: fixtures.generator_vector("%s_expected" % n, base)
+                 for n in ("degree13", "degree14")} if sections & {"pfaffian", "torus"} else None)
     runners = (
         ("sr", lambda: _check_sr(report, complexes)),
         ("t1", lambda: _check_t1(report, complexes)),
         ("aut", lambda: _check_symmetry(report, complexes, sections)),
-        ("pfaffian", lambda: _check_pfaffians(report, complexes, base)),
-        ("torus", lambda: _check_torus(report, base)),
+        ("pfaffian", lambda: _check_pfaffians(report, complexes, base, expected)),
+        ("torus", lambda: _check_torus(report, base, expected)),
         ("toric", lambda: _check_toric(report, base)),
         ("cohom", lambda: _check_cohomology(report, base)),
         ("milnor", lambda: _check_milnor(report)),
@@ -168,7 +171,7 @@ def _check_symmetry(report, complexes, sections):
                            "recorded orbit sizes")
 
 
-def _check_pfaffians(report, complexes, base):
+def _check_pfaffians(report, complexes, base, expected):
     rng = random.Random(1406)
     ring = PolyRing(["x"])
     ok_sq = True
@@ -207,16 +210,16 @@ def _check_pfaffians(report, complexes, base):
                    "first-order lift vs deformation basis")
         report.add("pfaffian.first_order_syzygy.%s" % name, True, syzygy, "truncated product")
 
-    _check_specializations(report, complexes, base, lifts)
+    _check_specializations(report, complexes, base, lifts, expected)
 
 
-def _check_specializations(report, complexes, base, lifts):
+def _check_specializations(report, complexes, base, lifts, expected):
     for name, sign, tri, blocks in (
         ("degree13", 1, "p7_4", [((5,), (3, 4, 6)), ((6,), (5, 7)), ((1, 2), (3, 4, 7))]),
         ("degree14", -1, "p7_5", [((1, 3), (4, 7))]),
     ):
         matrix, _ring = fixtures.family_matrix("%s_oneparam" % name, base)
-        expect, _ring2 = fixtures.generator_vector("%s_expected" % name, base)
+        expect, _ring2 = expected[name]
         k = complexes[tri]
         fam = first_order_family(k)
         part = orbits_on_t1(automorphism_group(k), fam.basis)
@@ -260,7 +263,7 @@ def _random_skew(ring, dim, rng):
     return SkewPolyMatrix(ring, dim, upper)
 
 
-def _check_torus(report, base):
+def _check_torus(report, base, expected):
     quintic, ring_q = fixtures.generator_vector("quintic", base)
     geo, _ = geometry_and_params(ring_q.names)
     h = from_file(fixtures.generator_vector_path("quintic", base),
@@ -268,7 +271,7 @@ def _check_torus(report, base):
     report.add("torus.quintic_order", 125, h.order, "diagonal symmetries of the family")
     report.add("torus.quintic_factors", [5, 5, 5], h.invariant_factors, "Smith normal form")
 
-    gens14, ring14 = fixtures.generator_vector("degree14_expected", base)
+    gens14, ring14 = expected["degree14"]
     geo14, _ = geometry_and_params(ring14.names)
     h14 = from_file(fixtures.generator_vector_path("degree14_expected", base),
                     diagonal_stabilizer, gens14, geo14)
@@ -277,7 +280,7 @@ def _check_torus(report, base):
                verify_character(gens14, (0, 1, 2, 3, 4, 5, 6), 7, geo14),
                "recorded weight vector")
 
-    gens13, ring13 = fixtures.generator_vector("degree13_expected", base)
+    gens13, ring13 = expected["degree13"]
     geo13, _ = geometry_and_params(ring13.names)
     h13 = from_file(fixtures.generator_vector_path("degree13_expected", base),
                     diagonal_stabilizer, gens13, geo13)

@@ -19,6 +19,14 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def test_every_public_name_is_bound_on_the_package():
+    import srcy
+
+    namespace = {}
+    exec("from srcy import *", namespace)  # a name in __all__ that is not bound raises here
+    assert sorted(n for n in namespace if n != "__builtins__") == sorted(srcy.__all__)
+
+
 def test_t1_command(capsys):
     code, out = run_cli(capsys, "t1", _data("triangulations/p7_5.tri"))
     assert code == 0
@@ -427,11 +435,12 @@ def test_each_run_all_section_reads_a_fixture_file_once(monkeypatch):
 
     monkeypatch.setattr(fixtures, "load", counted)
     twice = {}
-    for section in SECTIONS:
+    for section in SECTIONS + (None,):
         loads.clear()
-        run_all(only=[section])
+        run_all(only=[section] if section else None)
         twice[section] = sorted({str(p) for p in loads if loads.count(p) > 1})
-    assert twice == {section: [] for section in SECTIONS}
+    assert twice == {section: [] for section in SECTIONS + (None,)}
+    assert len(loads) == 21  # the whole run, each fixture file once
 
 
 @pytest.mark.parametrize("rel, section", [

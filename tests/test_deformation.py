@@ -13,7 +13,6 @@ from srcy.deformation import (
     LINK_CONTRIBUTIONS,
     admissible_b,
     admissible_pairs,
-    degree_zero_multiplicity,
     first_order_family,
     perturbation,
     t1_degree_zero_basis,
@@ -101,14 +100,6 @@ def test_admissible_b_relabeling_invariant():
             mapping = dict(zip(link.vertices, perm))
             relabeled = _relabel(link, mapping)
             assert admissible_b(relabeled, {mapping[v] for v in b}) == value
-
-
-def test_degree_zero_multiplicity():
-    assert degree_zero_multiplicity(2, 3) == 2
-    assert degree_zero_multiplicity(1, 5) == 1
-    assert degree_zero_multiplicity(3, 2) == 0
-    with pytest.raises(ValueError):
-        degree_zero_multiplicity(0, 2)
 
 
 def test_t1_dimensions(complexes):

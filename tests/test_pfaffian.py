@@ -11,7 +11,6 @@ from srcy.fileio import geometry_and_params
 from srcy.intlinalg import det
 from srcy.pfaffian import (
     SkewPolyMatrix,
-    evaluate_jacobian,
     milnor_quasihomogeneous,
     pfaffian,
     principal_pfaffians,
@@ -183,7 +182,8 @@ def test_sign_slip_fails_the_pfaffian_section(monkeypatch):
 def test_a_missing_lift_fails_only_the_degree14_orbit_entry():
     report = VerificationReport()
     complexes = {name: fixtures.triangulation(name) for name in ("p7_4", "p7_5")}
-    _check_specializations(report, complexes, None, {})
+    expected = {n: fixtures.generator_vector("%s_expected" % n) for n in ("degree13", "degree14")}
+    _check_specializations(report, complexes, None, {}, expected)
     assert [(c.id, c.computed) for c in report.checks] == [
         ("pfaffian.specialized_generators.degree13", True), ("pfaffian.orbit_family.degree13", True),
         ("pfaffian.specialized_generators.degree14", True), ("pfaffian.orbit_family.degree14", None)]
@@ -256,23 +256,6 @@ def test_specialized_matrices_match_printed_generators():
         expected, _ring2 = fixtures.generator_vector("%s_expected" % name)
         f = principal_pfaffians(matrix)
         assert [sign * e.rename(matrix.ring) for e in expected] == f
-
-
-def test_jacobian_at_fixture_points():
-    matrix, _ring = fixtures.family_matrix("degree13_oneparam")
-    gens = principal_pfaffians(matrix)
-    half = {"s": Fraction(1, 2)}
-    zeros = {v: 0 for v in ("x2", "x3", "x4", "x5", "x6", "x7")}
-    values, rank = evaluate_jacobian(gens, "x1", zeros, params=half)
-    assert all(v == 0 for v in values) and rank < 3
-
-    smooth = dict(zeros, x2=-1)
-    values, rank = evaluate_jacobian(gens, "x1", smooth, params=half)
-    assert all(v == 0 for v in values) and rank == 3
-
-    generic = dict(zeros, x2=1, x3=2)
-    values, _rank = evaluate_jacobian(gens, "x1", generic, params=half)
-    assert any(v != 0 for v in values)
 
 
 def test_milnor_numbers():

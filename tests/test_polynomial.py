@@ -84,11 +84,6 @@ def test_truncate_above(ring):
     assert p.truncate_above(["t"], 2) == ring.parse("x + t*x")
 
 
-def test_derivative(ring):
-    p = ring.parse("x^3*y + 2*x")
-    assert p.derivative("x") == ring.parse("3*x^2*y + 2")
-
-
 def test_monomial_content(ring):
     p = ring.parse("x^2*y + x*y^2")
     assert p.content_exponents() == (1, 1, 0)
@@ -191,7 +186,7 @@ def _check_product(a, b, names, bound):
     _check_same_terms(a * b, ref)
     idx = [a.ring.index[n] for n in names]
     kept = {e: c for e, c in ref.items() if sum(e[i] for i in idx) < bound}
-    _check_same_terms(a.mul(b, (names, bound)), kept)
+    _check_same_terms(Poly.dot(a.ring, [(a, b)], (names, bound)), kept)
 
 
 _XYT = PRODUCT_RINGS[2]
@@ -215,7 +210,7 @@ def test_product_exponent_does_not_carry_into_the_next_variable(top):
     high = ring.monomial((top, 0))
     assert list((high * x).items()) == [((top + 1, 0), Fraction(1))]
     assert list((x * high).items()) == [((top + 1, 0), Fraction(1))]
-    assert list(high.mul(x + y, (["y"], 1)).items()) == [((top + 1, 0), Fraction(1))]
+    assert list(Poly.dot(ring, [(high, x + y)], (["y"], 1)).items()) == [((top + 1, 0), Fraction(1))]
 
 
 def _reference_dot(pairs, names, bound):
@@ -416,7 +411,6 @@ def test_polynomials_of_different_exponent_sizes_mix(top):
     assert (high * y + y).coefficient_of("y", 1) == high + 1
     assert (high * y).total_degree() == top + 1
     assert (high * y + x * high).strip_monomial_content() == x + y
-    assert high.derivative("x") == top * ring.monomial((top - 1, 0))
     assert (high * y).truncate_above(["y"], 1).is_zero()
 
 
@@ -449,7 +443,6 @@ def test_the_largest_exponent_is_stored_and_read_back():
     merged = PolyRing(["t1", "t2", "x"]).power_product({"t1": 16383, "t2": 16384})
     assert list(merged.rename(ring, {"t1": "x", "t2": "x"}).items()) == [((TOP, 0), Fraction(1))]
     assert (high * y + x).coefficient_of("x", TOP) == Fraction(2, 3) * y
-    assert (high * y).derivative("x") == ring.monomial((TOP - 1, 1), Fraction(2 * TOP, 3))
     assert str(high * y - x) == "2/3*x^32767*y - x"
 
 
@@ -476,7 +469,7 @@ def test_one_past_the_limit_is_an_error():
     with pytest.raises(ValueError, match=product):
         high * high
     with pytest.raises(ValueError, match=product):
-        high.mul(high + y, (["y"], 1))
+        Poly.dot(ring, [(high, high + y)], (["y"], 1))
     with pytest.raises(ValueError, match=product):
         Poly.dot(ring, [(y, y), (high, high)])
 
@@ -496,8 +489,8 @@ def test_power_matches_repeated_multiplication(ring, k, monkeypatch):
     for _ in range(k):
         expected = expected * base
     products = []
-    original = Poly.mul
-    monkeypatch.setattr(Poly, "mul", lambda a, b, trunc=None: products.append(1) or original(a, b, trunc))
+    original = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or original(a, b))
     assert base ** k == expected
     # one squaring per bit after the lowest, one product per set bit after the first
     assert len(products) == max(k.bit_length() + bin(k).count("1") - 2, 0)
