@@ -95,9 +95,4 @@ def check_first_order_lift(k, f1, params):
 
 
 def _canon(poly):
-    if poly is None:
-        return None
-    if poly.is_zero():
-        return None
-    items = tuple(sorted(poly.items()))
-    return items
+    return None if poly is None or poly.is_zero() else frozenset(poly.items())

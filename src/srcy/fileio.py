@@ -107,16 +107,24 @@ def _fraction(tok):
     return Fraction(p, q)
 
 
+_DIGITS = "0123456789"
+
+
 def expand_var_names(tokens):
+    """Names with each range `x<lo>..x<hi>` (lo <= hi) spelled out."""
     names = []
     for tok in tokens:
         if ".." in tok:
-            start, end = tok.split("..")
-            prefix = start.rstrip("0123456789")
-            if not end.startswith(prefix):
+            start, _, end = tok.partition("..")
+            prefix = start.rstrip(_DIGITS)
+            if start == prefix or end == end.rstrip(_DIGITS):
+                raise ValueError("range %r needs a start and an end index" % tok)
+            if end.rstrip(_DIGITS) != prefix:
                 raise ValueError("range %r mixes prefixes" % tok)
             lo = int(start[len(prefix):])
             hi = int(end[len(prefix):])
+            if hi < lo:
+                raise ValueError("range %r ends below its start" % tok)
             if hi - lo >= MAX_SIZE:
                 raise ValueError("range %r has more than %d names" % (tok, MAX_SIZE))
             names.extend("%s%d" % (prefix, i) for i in range(lo, hi + 1))
@@ -159,14 +167,20 @@ def _entry_file(text, kind, size_word, count, most=MAX_SIZE):
     for n, line in _lines(text):
         with _at(n):
             if line.startswith(size_word + " "):
+                if size is not None:
+                    raise ValueError("second %s header" % size_word)
                 size = _count(line)
                 if size > most:
                     raise ValueError("%s %d is above %d, the largest a %s file may have"
                                      % (size_word, size, most, kind))
             elif line.startswith("vars "):
+                if ring is not None:
+                    raise ValueError("second vars header")
                 ring = PolyRing(expand_var_names(line.split()[1:]))
             elif line.startswith("entry "):
                 indices, poly = _entry(line, ring, size, count)
+                if indices in entries:
+                    raise ValueError("second entry %s" % " ".join(map(str, indices)))
                 entries[indices] = poly
             else:
                 raise ValueError("unrecognized %s-file line: %r" % (kind, line))
@@ -285,8 +299,11 @@ def parse_complexes_file(text):
                     raise ValueError("second ambient header")
                 ambient = _count(line, least=4)
             elif line.startswith("resolution "):
+                name = line.split()[1]
+                if name in resolutions:
+                    raise ValueError("second resolution %s" % name)
                 terms = {}
-                resolutions[line.split()[1]] = (n, terms)
+                resolutions[name] = (n, terms)
             elif line.startswith("term "):
                 if ambient is None or terms is None:
                     raise ValueError("term before the ambient and resolution headers: %r" % line)
@@ -295,6 +312,8 @@ def parse_complexes_file(text):
                 if not colon or len(tokens) != 2:
                     raise ValueError("expected 'term i: twists', got %r" % line)
                 index = int(tokens[1])
+                if index in terms:
+                    raise ValueError("second term %d in resolution %s" % (index, name))
                 twists = []
                 for chunk in body.split("+"):
                     chunk = chunk.strip()

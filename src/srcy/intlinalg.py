@@ -207,49 +207,12 @@ def mat_vec_int(a, v):
 
 
 def kernel_basis_of_functional(func):
-    """HNF-normalized basis of {x in Z^n : func . x = 0}."""
+    """A basis of {x in Z^n : func . x = 0}.
+
+    With D = U * func * V the Smith form of the 1 x n row, D is zero past
+    its first column, so the last n - 1 columns of the unimodular V lie in
+    the kernel and span it.
+    """
     n = len(func)
     _d, _u, v = smith_normal_form([list(func)])
-    cols = [[v[i][j] for i in range(n)] for j in range(1, n)]
-    return hnf_rows(cols)
-
-
-def hnf_rows(vectors):
-    """Row-style Hermite normal form of the lattice spanned by the vectors."""
-    rows = [list(map(int, v)) for v in vectors]
-    n = len(rows[0]) if rows else 0
-    out = []
-    col = 0
-    while rows and col < n:
-        nonzero = [r for r in rows if r[col] != 0]
-        rest = [r for r in rows if r[col] == 0]
-        if not nonzero:
-            rows = rest
-            col += 1
-            continue
-        while len(nonzero) > 1:
-            nonzero.sort(key=lambda r: abs(r[col]))
-            base = nonzero[0]
-            reduced = [base]
-            for r in nonzero[1:]:
-                f = r[col] // base[col]
-                rr = [x - f * y for x, y in zip(r, base)]
-                if rr[col] != 0:
-                    reduced.append(rr)
-                elif any(rr):
-                    rest.append(rr)
-            nonzero = reduced
-        pivot = nonzero[0]
-        if pivot[col] < 0:
-            pivot = [-x for x in pivot]
-        out.append(pivot)
-        rows = rest
-        col += 1
-    # reduce entries above pivots
-    for i in range(len(out) - 1, -1, -1):
-        p = next(j for j in range(n) if out[i][j] != 0)
-        for k in range(i):
-            f = out[k][p] // out[i][p]
-            if f:
-                out[k] = [x - f * y for x, y in zip(out[k], out[i])]
-    return out
+    return [[v[i][j] for i in range(n)] for j in range(1, n)]

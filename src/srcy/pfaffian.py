@@ -29,6 +29,8 @@ class SkewPolyMatrix:
         for (i, j), p in upper.items():
             if not 1 <= i < j <= dim:
                 raise ValueError("entry (%d,%d) outside the upper triangle" % (i, j))
+            if p.ring != ring:
+                raise ValueError("mixed polynomial rings")
             if p and not p.is_zero():
                 self.upper[(i, j)] = p
 

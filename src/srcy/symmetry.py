@@ -55,11 +55,12 @@ def _closure(verts, gens):
 
 
 def _greedy_generators(verts, elements):
-    # take each element, in one-line order, that lies outside the group the
-    # chosen ones generate; `reached` is that group, rebuilt only on a take
+    # take each element, in the one-line order `automorphism_group` gives, that
+    # lies outside the group the chosen ones generate; `reached` is that group,
+    # rebuilt only on a take
     chosen = []
     reached = _closure(verts, chosen)
-    for g in sorted(elements, key=lambda p: tuple(p[v] for v in verts)):
+    for g in elements:
         if len(reached) == len(elements):
             break
         if tuple(g[v] for v in verts) not in reached:

@@ -129,6 +129,9 @@ CI_TEXT = Path(_data("cohomology/ci_degree12.complexes")).read_text()
     (CI_TEXT.replace("term 2: (-9)^2 + (-10)^1\n", ""),
      "resolution ideal_square has 2 terms, needs 3", 12),
     (CI_TEXT + "ambient 7\n", "second ambient header", 16),
+    (CI_TEXT.replace("term 2: (-5)^2", "term 1: (-5)^2"),
+     "second term 1 in resolution structure_sheaf", 10),
+    (CI_TEXT + "resolution ideal_square\nterm 0: (0)^1\n", "second resolution ideal_square", 16),
 ])
 def test_malformed_complexes_file_exits_2(capsys, tmp_path, text, reason, line):
     path = tmp_path / "bad.complexes"
@@ -184,6 +187,10 @@ MAT13 = _data("families/degree13_oneparam.mat")
     (["cohom", "hodge"], CI_TEXT.replace("term 1: (-2)^2 + (-3)^1\nterm 2: (-5)^2 + (-4)^1\n"
                                          "term 3: (-7)^1\n", "term 1: (-7)^1\n"),
      "exact window [('J_X', 6)] has alternating sum 1"),
+    (["pfaffian"], "dim 2\nvars x1\nentry 1 2 : x1\nvars x2 x1\n", "line 4: second vars header"),
+    (["pfaffian"], "dim 2\nvars x3..x1\nentry 1 2 : 1\n",
+     "line 2: range 'x3..x1' ends below its start"),
+    (["torus-group"], "len 1\nvars x1\nentry 1 : x1\nentry 1 : x1^2\n", "line 4: second entry 1"),
 ])
 def test_bad_input_file_exits_2(capsys, tmp_path, argv, text, reason):
     path = tmp_path / "input"

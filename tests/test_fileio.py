@@ -20,8 +20,13 @@ from srcy.fileio import (
 def test_expand_var_names():
     assert expand_var_names(["x1..x3", "s"]) == ["x1", "x2", "x3", "s"]
     assert expand_var_names(["t10..t12"]) == ["t10", "t11", "t12"]
-    with pytest.raises(ValueError):
-        expand_var_names(["x1..t3"])
+    assert expand_var_names(["x1..x1"]) == ["x1"]
+    for tok, reason in (("x1..t3", "mixes prefixes"), ("x3..x1", "ends below its start"),
+                        ("x1..", "needs a start and an end index"),
+                        ("..x3", "needs a start and an end index"),
+                        ("x..x3", "needs a start and an end index")):
+        with pytest.raises(ValueError, match=reason):
+            expand_var_names([tok])
 
 
 def test_geometry_split():
@@ -162,6 +167,21 @@ def test_input_error_names_what_it_knows():
     (parse_complexes_file, "ambient 6\nambient 6\n", "line 2: second ambient header"),
     (parse_vector_file, "len 1\nvars x1..t2\n", "line 2: range 'x1..t2' mixes prefixes"),
     (parse_vector_file, "len 1\nvars x1 x1\n", "line 2: duplicate variable names: ('x1', 'x1')"),
+    (parse_vector_file, "len 1\nvars x3..x1\n", "line 2: range 'x3..x1' ends below its start"),
+    (parse_vector_file, "len 1\nvars x1..\n",
+     "line 2: range 'x1..' needs a start and an end index"),
+    (parse_matrix_file, "dim 2\n# again\ndim 2\n", "line 3: second dim header"),
+    (parse_matrix_file, "dim 2\nvars x1\nentry 1 2 : x1\nvars x2 x1\n",
+     "line 4: second vars header"),
+    (parse_matrix_file, "dim 3\nvars x1\nentry 1 2 : x1\nentry 1 3 : 1\nentry 1 2 : 1\n",
+     "line 5: second entry 1 2"),
+    (parse_vector_file, "len 1\nvars x1\nlen 2\n", "line 3: second len header"),
+    (parse_vector_file, "len 2\nvars x1\nentry 2 : x1\n\nentry 2 : x1\n",
+     "line 5: second entry 2"),
+    (parse_complexes_file, "ambient 6\nresolution a\nterm 0: (0)^1\nterm 0: (-1)^1\n",
+     "line 4: second term 0 in resolution a"),
+    (parse_complexes_file, "ambient 6\nresolution a\nterm 0: (0)^1\nresolution b\n"
+     "term 0: (0)^1\nresolution a\n", "line 6: second resolution a"),
     (parse_monomial_file, "monomials\n1 0 0 0\n1 a 0 0\n",
      "line 3: exponents must be whitespace-separated integers"),
     (parse_monomial_file, "monomials\n1 0 0 0\ninvariant_monomials\n\n0 0 13\n",

@@ -10,7 +10,6 @@ import srcy.intlinalg as la
 from srcy.intlinalg import (
     complete_to_basis,
     det,
-    hnf_rows,
     inverse,
     kernel_basis_of_functional,
     mat_int_mul,
@@ -80,12 +79,6 @@ def test_kernel_of_functional():
     # saturated: content of the kernel lattice is 1
     d, _u, _v = smith_normal_form([list(b) for b in basis])
     assert [d[i][i] for i in range(2)] == [1, 1]
-
-
-def test_hnf_rows_canonicalizes():
-    rows = hnf_rows([[2, 4, 0], [1, 1, 1]])
-    rows2 = hnf_rows([[1, 1, 1], [3, 5, 1], [2, 4, 0]])
-    assert rows == rows2
 
 
 def _identity(n):

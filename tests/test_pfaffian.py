@@ -119,6 +119,12 @@ def test_base_pfaffians_recover_monomial_generators(complexes):
         assert {str(p) for p in f} == expected
 
 
+def test_entries_share_the_matrix_ring():
+    other = PolyRing(["a", "b"])
+    with pytest.raises(ValueError, match="mixed polynomial rings"):
+        SkewPolyMatrix(RING, 2, {(1, 2): other.var("a")})
+
+
 def test_principal_pfaffians_need_odd_dimension():
     rng = random.Random(1)
     with pytest.raises(ValueError):

@@ -262,11 +262,25 @@ METHOD1_FANS = {
 }
 
 
+def _gl2z_invariant(rays):
+    """The cyclic sequence det(v[i-1], v[i+1]) of rays in circular order,
+    least over rotations and reversal.  Two smooth complete fans have the
+    same sequence exactly when a GL2(Z) map carries one onto the other: it
+    is their self-intersection numbers negated, which fix the fan."""
+    n = len(rays)
+    seq = [rays[i - 1][0] * rays[(i + 1) % n][1] - rays[i - 1][1] * rays[(i + 1) % n][0]
+           for i in range(n)]
+    return min(tuple(s[i:] + s[:i]) for s in (seq, seq[::-1]) for i in range(n))
+
+
 def test_method1_rays_are_pinned(fan_data):
+    """Each method-1 fan is the recorded one up to a change of lattice basis."""
     fan, _f, _inv, charts = fan_data
     for ray, (rays, factors) in METHOD1_FANS.items():
         sf = method1_component(fan, charts, fan.ray_index(ray))
-        assert (sf.rays, sf.factor_count) == (rays, factors), ray
+        assert sf.complete, ray
+        assert (_gl2z_invariant(sf.rays), sf.factor_count) == (
+            _gl2z_invariant(rays), factors), ray
 
 
 def test_method1_fans_complete_and_smooth(fan_data):
