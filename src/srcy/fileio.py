@@ -299,7 +299,10 @@ def parse_complexes_file(text):
                     raise ValueError("second ambient header")
                 ambient = _count(line, least=4)
             elif line.startswith("resolution "):
-                name = line.split()[1]
+                tokens = line.split()
+                if len(tokens) != 2:
+                    raise ValueError("expected 'resolution name', got %r" % line)
+                name = tokens[1]
                 if name in resolutions:
                     raise ValueError("second resolution %s" % name)
                 terms = {}
@@ -319,8 +322,10 @@ def parse_complexes_file(text):
                     chunk = chunk.strip()
                     if not chunk.startswith("(") or ")^" not in chunk:
                         raise ValueError("malformed twist term %r" % chunk)
-                    d_text, m_text = chunk[1:].split(")^")
-                    twists.append((int(d_text), int(m_text)))
+                    d, m = (int(t) for t in chunk[1:].split(")^"))
+                    if m < 1:
+                        raise ValueError("multiplicity must be >= 1 in twist term %r" % chunk)
+                    twists.append((d, m))
                 terms[index] = TwistSum(tuple(twists), ambient)
             else:
                 raise ValueError("unrecognized complexes-file line: %r" % line)

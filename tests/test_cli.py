@@ -27,30 +27,6 @@ def test_every_public_name_is_bound_on_the_package():
     assert sorted(n for n in namespace if n != "__builtins__") == sorted(srcy.__all__)
 
 
-def test_t1_command(capsys):
-    code, out = run_cli(capsys, "t1", _data("triangulations/p7_5.tri"))
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["dimension"] == 56
-    assert {"a": [1, 3], "a_vector": [1, 1], "b": [4, 7]} in payload["elements"]
-
-
-def test_aut_and_orbits(capsys):
-    code, out = run_cli(capsys, "aut", _data("triangulations/p7_3.tri"))
-    assert code == 0
-    assert out == (
-        '{"order":48,"generators":[[1,2,3,5,4,6,7],[1,2,3,6,7,4,5],'
-        '[1,3,2,4,5,6,7],[2,1,3,4,5,6,7]]}\n'
-    )
-    code, out = run_cli(capsys, "aut", _data("triangulations/p7_5.tri"))
-    assert code == 0
-    assert out == '{"order":14,"generators":[[1,7,6,5,4,3,2],[2,1,7,6,5,4,3]]}\n'
-    code, out = run_cli(capsys, "orbits", _data("triangulations/p7_4.tri"))
-    payload = json.loads(out)
-    assert payload["orbit_count"] == 20
-    assert sum(payload["orbit_sizes"]) == 67
-
-
 def test_bad_triangulation_exits_cleanly(capsys, tmp_path):
     missing = tmp_path / "missing.tri"
     bad = tmp_path / "bad.tri"
@@ -132,6 +108,12 @@ CI_TEXT = Path(_data("cohomology/ci_degree12.complexes")).read_text()
     (CI_TEXT.replace("term 2: (-5)^2", "term 1: (-5)^2"),
      "second term 1 in resolution structure_sheaf", 10),
     (CI_TEXT + "resolution ideal_square\nterm 0: (0)^1\n", "second resolution ideal_square", 16),
+    (CI_TEXT.replace("resolution ideal_square", "resolution ideal_square extra"),
+     "expected 'resolution name', got 'resolution ideal_square extra'", 12),
+    (CI_TEXT.replace("term 3: (-7)^1", "term 3: (-7)^-1"),
+     "multiplicity must be >= 1 in twist term '(-7)^-1'", 11),
+    (CI_TEXT.replace("term 1: (-2)^2 + (-3)^1", "term 1: (-2)^2 + (3)^0"),
+     "multiplicity must be >= 1 in twist term '(3)^0'", 9),
 ])
 def test_malformed_complexes_file_exits_2(capsys, tmp_path, text, reason, line):
     path = tmp_path / "bad.complexes"
@@ -177,6 +159,8 @@ MAT13 = _data("families/degree13_oneparam.mat")
      "above the limit 10000"),
     (["pfaffian"], "dim 21\nvars x1\n", "line 1: dim 21 is above 20, the largest a matrix file may have"),
     (["pfaffian"], "dim 4\nvars x1\nentry 1 2 : (x1^1000)^20\nentry 3 4 : (x1^1000)^20\n",
+     "a product exponent is above the limit 32767"),
+    (["pfaffian"], "dim 5\nvars x1\nentry 1 2 : (x1^1000)^20\nentry 3 4 : (x1^1000)^20\n",
      "a product exponent is above the limit 32767"),
     (["pfaffian"], "dim 2\nvars x1\nentry 1 2 : x1^40000\n",
      "line 3: exponent 40000 is above the limit 1000"),
@@ -268,46 +252,7 @@ def test_bad_invariant_monomial_exits_2(capsys, tmp_path, new, reason):
              "%s: %s\n" % (fpoly, reason))
 
 
-def test_sr_command(capsys):
-    code, out = run_cli(capsys, "sr", _data("triangulations/p7_1.tri"))
-    payload = json.loads(out)
-    assert payload["degree"] == 11
-    assert ["4", "6"] in payload["generators"]
-
-
-PFAFFIAN_STDOUT = {
-    "degree13_oneparam": (
-        '{"principal_pfaffians":['
-        '"-x1*x3*s^2 - x1*x4*s^2 - x2*x3*s^2 - x2*x4*s^2 + x5*x7 + x6^2*s",'
-        '"x1^2*x2*s + x1*x2^2*s + x3*x4*x7 - x5^2*x6*s^2",'
-        '"-x1*x7^2*s^2 - x2*x7^2*s^2 + x3*x4*x6 + x5^3*s",'
-        '"x1*x2*x6 - x3*x5^2*s^2 - x4*x5^2*s^2 + x7^3*s",'
-        '"x1*x2*x5 + x3^2*x4*s + x3*x4^2*s - x6*x7^2*s^2"]}\n'
-    ),
-    "degree14_oneparam": (
-        '{"principal_pfaffians":['
-        '"-x1^2*x7*s^2 + x1*x3*x5 + x2*x3*x4*s - x3*x6*x7*s^3 - x5^2*x6*s^2",'
-        '"x1*x2*x7*s + x1*x3*x6 - x1*x4*x5*s^3 - x3^2*x4*s^2 - x5*x6^2*s^2",'
-        '"x1*x4*x6 - x3*x4^2*s^2 + x5*x6*x7*s",'
-        '"-x1*x4*x7*s^3 + x2*x4*x6 + x3*x4*x5*s - x6^2*x7*s^2",'
-        '"x2*x4*x7 - x4^2*x5*s^2 - x6*x7^2*s^2",'
-        '"x1*x6*x7*s + x2*x5*x7 - x3*x4*x7*s^3 - x4*x5^2*s^2",'
-        '"-x1*x7^2*s^2 + x3*x5*x7 + x4*x5*x6*s"]}\n'
-    ),
-}
-
-
-def test_pfaffian_command(capsys):
-    for name, stdout in PFAFFIAN_STDOUT.items():
-        code, out = run_cli(capsys, "pfaffian", _data("families/%s.mat" % name))
-        assert (code, out) == (0, stdout), name
-
-
 def test_verify_family_command(capsys, tmp_path):
-    for name in ("degree13", "degree14"):
-        code, out = run_cli(capsys, "verify-family", _data("families/%s_oneparam.mat" % name),
-                            _data("families/%s_expected.gens" % name))
-        assert (code, out) == (0, '{"first_order_syzygy":true}\n'), name
     # one first-order sign flipped: M1 . f1 no longer vanishes mod s^2
     text = Path(_data("families/degree13_expected.gens")).read_text()
     assert text.count("x1*x2*x5 + s*x3") == 1
@@ -317,60 +262,12 @@ def test_verify_family_command(capsys, tmp_path):
     assert (code, out) == (1, '{"first_order_syzygy":false}\n')
 
 
-def test_torus_group_command(capsys):
-    code, out = run_cli(capsys, "torus-group", _data("families/quintic.gens"))
-    payload = json.loads(out)
-    assert payload["order"] == 125 and payload["invariant_factors"] == [5, 5, 5]
-
-
 def test_torus_group_on_one_variable_is_trivial(capsys, tmp_path):
     path = tmp_path / "one.gens"
     path.write_text("len 1\nvars x1\nentry 1 : x1^3\n")
     code, out = run_cli(capsys, "torus-group", str(path))
     assert code == 0
     assert out == '{"finite":true,"order":1,"invariant_factors":[],"generators":[]}\n'
-
-
-TORIC_EULER_STDOUT = (
-    '{"components":['
-    '{"label":"E1","chi":3,"provenance":"derived"},'
-    '{"label":"E2","chi":5,"provenance":"derived"},'
-    '{"label":"E3","chi":4,"provenance":"derived"},'
-    '{"label":"E4","chi":4,"provenance":"derived"},'
-    '{"label":"E5","chi":6,"provenance":"derived"},'
-    '{"label":"E6","chi":6,"provenance":"derived"},'
-    '{"label":"E7","chi":7,"provenance":"ingested"},'
-    '{"label":"E8","chi":7,"provenance":"ingested"},'
-    '{"label":"E9","chi":4,"provenance":"ingested"},'
-    '{"label":"E10","chi":6,"provenance":"derived"},'
-    '{"label":"E11","chi":5,"provenance":"derived"},'
-    '{"label":"E12","chi":4,"provenance":"ingested"}'
-    '],"edges":25,"triangles":14,"chi_exceptional":25}\n'
-)
-
-
-def test_toric_commands(capsys):
-    code, out = run_cli(capsys, "toric", "verify", _data("toric/subdivision.fan"))
-    assert code == 0 and json.loads(out)["ok"] is True
-    code, out = run_cli(capsys, "toric", "crepancy", _data("toric/subdivision.fan"),
-                        _data("toric/hypersurface.fpoly"))
-    assert len(json.loads(out)["crepant"]) == 10
-    code, out = run_cli(capsys, "toric", "charts", _data("toric/subdivision.fan"),
-                        _data("toric/hypersurface.fpoly"))
-    payload = json.loads(out)
-    assert payload["charts"]["1"] == "y1^2*y4 + y2^5*y3^3*y4^4 + y2*y3*y4^2 + 1"
-    assert len(payload["meeting_rays"]) == 10
-    code, out = run_cli(capsys, "toric", "euler", _data("toric/subdivision.fan"),
-                        _data("toric/hypersurface.fpoly"), _data("toric/components.tbl"))
-    assert code == 0 and out == TORIC_EULER_STDOUT
-
-
-def test_cohom_and_milnor(capsys):
-    code, out = run_cli(capsys, "cohom", "hodge", _data("cohomology/ci_degree12.complexes"))
-    payload = json.loads(out)
-    assert (payload["h11"], payload["h12"]) == (1, 73)
-    code, out = run_cli(capsys, "milnor", "2/5", "1/3", "1/5", "1/2")
-    assert json.loads(out)["milnor"] == 12
 
 
 def test_cohom_ideal_square_first_term_with_cohomology(capsys, tmp_path):
@@ -545,6 +442,14 @@ def test_reports_are_byte_identical():
     a = emit(run_all(only=["sr", "t1", "torus"]), "json")
     b = emit(run_all(only=["sr", "t1", "torus"]), "json")
     assert a == b
+
+
+# The exact stdout of `srcy run-all --format json` on the bundled fixtures.
+GOLDEN_REPORT = Path(__file__).parent / "data" / "run_all.json"
+
+
+def test_full_report_passes():
+    assert emit(run_all(), "json") + b"\n" == GOLDEN_REPORT.read_bytes()
 
 
 # Every subcommand on the bundled fixtures: argv ($DATA is the fixture

@@ -134,6 +134,10 @@ def test_crosscheck_includes_triangle_count_four(complexes):
     rows = t1_link_table_crosscheck(complexes["delta4"])
     triangle_rows = [r for r in rows if r.link_type.tag == "ngon" and r.link_type.n == 3]
     assert triangle_rows and all(r.expected == 4 for r in triangle_rows)
+    # pentagon links occur in the fixtures and admit no b
+    pentagon_rows = [r for k in complexes.values() for r in t1_link_table_crosscheck(k)
+                     if r.link_type.tag == "ngon" and r.link_type.n == 5]
+    assert pentagon_rows and all((r.expected, r.enumerated) == (0, 0) for r in pentagon_rows)
 
 
 def test_perturbation_examples(complexes):

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 from srcy.intlinalg import det, mat_int_mul, smith_normal_form
 from srcy.pfaffian import SkewPolyMatrix, pfaffian
 from srcy.polynomial import PolyRing
-from test_pfaffian import _scale_row_col
 
 RING = PolyRing(["x", "y"])
 
 
 @st.composite
-def skew_matrices(draw, dims=(2, 4, 6)):
+def skew_matrices(draw, dims=(2, 4, 6, 8)):
     dim = draw(st.sampled_from(dims))
     upper = {}
     for i in range(1, dim + 1):
@@ -26,6 +25,12 @@ def _det(matrix):
         [matrix.entry(i, j).constant_value() for j in range(1, matrix.dim + 1)]
         for i in range(1, matrix.dim + 1)
     ])
+
+
+def _scale_row_col(matrix, i, c):
+    """`matrix` with row i and column i both multiplied by c (still skew)."""
+    upper = {(a, b): p * c if i in (a, b) else p for (a, b), p in matrix.upper.items()}
+    return SkewPolyMatrix(matrix.ring, matrix.dim, upper)
 
 
 @settings(max_examples=60, deadline=None)

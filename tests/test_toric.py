@@ -208,6 +208,17 @@ def test_chart_polynomials(fan_data):
         assert not any(p.content_exponents())
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the printed polynomial for cone 29 has y2*y3^2 where the integer "
+    "pairings force y2^2*y3 (difference of the third and fourth invariant "
+    "monomials pairs to 2 against the ray (0,0,0,1)); see ledger",
+)
+def test_chart_tau29_as_printed(fan_data):
+    _fan, _f, _inv, charts = fan_data
+    assert str(charts[28]) == "y1^2*y4 + y2*y3^2 + y3 + 1"
+
+
 def test_strict_transform_rejects_bad_monomial(fan_data):
     fan, _f, _inv, _charts = fan_data
     with pytest.raises(ValueError, match="exponent 3/13 in cone 1$"):
@@ -229,6 +240,17 @@ def test_crepancy(fan_data):
     # the coordinate rays of sigma pair integrally with the unit vector
     perturbed = crepancy_check(fan, [tuple(m) for m in fmono] + [(0, 0, 0, 0)])
     assert not any(perturbed.values())
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the stated criterion extends the discrepancy identity to all 14 "
+    "interior rays; the source asserts it only for divisors meeting the "
+    "strict transform, and the four non-meeting rays fail it; see ledger",
+)
+def test_crepancy_all_interior_as_stated(fan_data):
+    fan, fmono, _inv, _charts = fan_data
+    assert sum(crepancy_check(fan, fmono).values()) == 14
 
 
 def test_restriction_example(fan_data):
