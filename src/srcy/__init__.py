@@ -7,7 +7,6 @@ from .simplicial import (
     SimplicialComplex,
     boundary,
     classify_link,
-    closure,
     is_combinatorial_3sphere_candidate,
     join,
 )
@@ -35,7 +34,7 @@ from .cohomology import TwistSum, h_twist, hodge_pipeline_ci, les_solve
 from .verify import run_all
 
 __all__ = [
-    "SimplicialComplex", "boundary", "classify_link", "closure",
+    "SimplicialComplex", "boundary", "classify_link",
     "is_combinatorial_3sphere_candidate", "join", "load_triangulation",
     "degree", "hilbert_numerator", "minimal_nonfaces",
     "admissible_b", "first_order_family",

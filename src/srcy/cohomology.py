@@ -20,10 +20,6 @@ def h_twist(n, d, p):
     return 0
 
 
-def chi_twist(n, d):
-    return sum((-1) ** p * h_twist(n, d, p) for p in range(n + 1))
-
-
 @dataclass(frozen=True)
 class TwistSum:
     """Direct sum of line bundles sum_i O(d_i)^{m_i} on P^n."""
@@ -33,9 +29,6 @@ class TwistSum:
 
     def h(self, p):
         return sum(m * h_twist(self.n, d, p) for d, m in self.twists)
-
-    def chi(self):
-        return sum(m * chi_twist(self.n, d) for d, m in self.twists)
 
     def twist(self, k):
         return TwistSum(tuple((d + k, m) for d, m in self.twists), self.n)
@@ -77,9 +70,6 @@ class CohTable:
                 "%s: h^%d is both %d and %d" % (self.name, p, self.entries[p], value)
             )
         return False
-
-    def chi(self):
-        return sum((-1) ** p * e for p, e in enumerate(self.entries))
 
 
 class Contradiction(ValueError):

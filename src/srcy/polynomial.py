@@ -20,17 +20,19 @@ caller reads the terms (`Poly.items`, `constant_value` and printing;
 `Poly.evaluate` builds one, over a common denominator).  Setting variables
 to zero is `truncate_above(names, 1)`, a filter on the keys.
 `_add_product` is the one term-pair loop, run only by `Poly.dot`, the sum
-of products behind the Pfaffian expansion and the M.f = 0 residual;
-`Poly.__mul__` is its one-pair case.  `dot` runs the loop once per pair into
-one dict of numerators that is checked and reduced once.  Given a
-truncation (names, bound) it never forms a term pair whose degree in
-`names` reaches the bound.  The Pfaffians of first-order families use
+of products behind the Pfaffian expansion and the M.f = 0 residual.
+`Poly.__mul__` is its one-pair case, and a sum is `dot` with the factor 1
+on each side (-1 for a subtracted term of a parsed expression).  `dot`
+runs the loop once per pair into one dict of numerators that is checked
+and reduced once.  Given a truncation (names, bound) it never forms a term
+pair whose degree in `names` reaches the bound.  The Pfaffians of first-order families use
 that truncation to drop the terms quadratic in the deformation parameters
 before they are built.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from fractions import Fraction
 from functools import reduce
@@ -96,7 +98,7 @@ class PolyRing:
         return Poly(self, {}, 1)
 
     def one(self):
-        return self.const(1)
+        return Poly(self, {0: 1}, 1)
 
     def const(self, c):
         c = Fraction(c)
@@ -252,24 +254,9 @@ class Poly:
             return other
         return self.ring.const(other)
 
-    def _combine(self, other, sign):
-        """self + sign * other, over the lcm of the two denominators."""
-        other = self._coerce(other)
-        den = lcm(self.den, other.den)
-        scale = den // self.den
-        nums = dict(self.nums) if scale == 1 else {k: c * scale for k, c in self.nums.items()}
-        scale = sign * (den // other.den)
-        get = nums.get
-        for k, c in other.nums.items():
-            s = get(k, 0) + c * scale
-            if s:
-                nums[k] = s
-            else:
-                del nums[k]
-        return _reduced(self.ring, nums, den)
-
     def __add__(self, other):
-        return self._combine(other, 1)
+        one = self.ring.one()
+        return Poly.dot(self.ring, [(self, one), (self._coerce(other), one)])
 
     __radd__ = __add__
 
@@ -277,7 +264,7 @@ class Poly:
         return Poly(self.ring, {k: -c for k, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        return self._combine(other, -1)
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -436,52 +423,36 @@ def _fmt_coeff(c):
 # -- parsing ---------------------------------------------------------------
 #
 # Grammar (implicit multiplication is not accepted):
-#   expr   := ['+'|'-'] term (('+'|'-') term)*
+#   expr   := ['+'] term (('+'|'-') term)*
 #   term   := factor ('*' factor)*
-#   factor := atom ('^' nat)?
+#   factor := '-' factor | atom ('^' nat)?
 #   atom   := rational | name | '(' expr ')'
+# A minus binds below '^' wherever it stands (x*-y^2 is -x*y^2), and a
+# rational p/q is one atom (5/3^2 is (5/3)^2).
+
+# one token: an operator, a name, an int with an optional '/' and
+# denominator, or any other character that is not a space, which is an error
+_TOKEN = re.compile(r"([-+*^()])|([^\W\d]\w*)|(\d+)(?:(/)(\d*))?|(\S)")
 
 
 class _Tokens:
     def __init__(self, text):
         self.toks = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "+-*^()":
-                self.toks.append(ch)
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                num = text[i:j]
-                if j < len(text) and text[j] == "/":
-                    k = j + 1
-                    while k < len(text) and text[k].isdigit():
-                        k += 1
-                    if k == j + 1:
-                        raise ValueError("malformed rational near %r" % text[i:k])
-                    if int(text[j + 1:k]) == 0:
-                        raise ValueError("zero denominator in %r" % text[i:k])
-                    self.toks.append(Fraction(int(num), int(text[j + 1:k])))
-                    i = k
-                else:
-                    self.toks.append(Fraction(int(num)))
-                    i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append(("name", text[i:j]))
-                i = j
-                continue
-            raise ValueError("unexpected character %r in polynomial" % ch)
+        for op, name, num, slash, den, other in _TOKEN.findall(text):
+            if op:
+                self.toks.append(op)
+            elif name and (name[0].isalpha() or name[0] == "_"):
+                self.toks.append(("name", name))
+            elif not num:  # any other character, or a numeral such as '½' opening a name
+                raise ValueError("unexpected character %r in polynomial" % (other or name[0]))
+            elif not slash:
+                self.toks.append(Fraction(int(num)))
+            elif not den:
+                raise ValueError("malformed rational near %r" % (num + "/"))
+            elif int(den) == 0:
+                raise ValueError("zero denominator in %r" % (num + "/" + den))
+            else:
+                self.toks.append(Fraction(int(num), int(den)))
         self.pos = 0
 
     def peek(self):
@@ -505,18 +476,18 @@ def _parse(ring, text):
 
 
 def _parse_expr(ring, toks):
-    sign = 1
-    if toks.peek() in ("+", "-"):
-        if toks.take() == "-":
-            sign = -1
-    result = _parse_term(ring, toks)
-    if sign < 0:
-        result = -result
+    """The terms of one expression, added in one `Poly.dot`; a single term is returned as is."""
+    if toks.peek() == "+":
+        toks.take()
+    first = _parse_term(ring, toks)
+    if toks.peek() not in ("+", "-"):
+        return first
+    signs = {"+": ring.one(), "-": -ring.one()}
+    terms = [(first, signs["+"])]
     while toks.peek() in ("+", "-"):
-        op = toks.take()
-        term = _parse_term(ring, toks)
-        result = result + term if op == "+" else result - term
-    return result
+        sign = signs[toks.take()]
+        terms.append((_parse_term(ring, toks), sign))
+    return Poly.dot(ring, terms)
 
 
 def _parse_term(ring, toks):
@@ -528,6 +499,9 @@ def _parse_term(ring, toks):
 
 
 def _parse_factor(ring, toks):
+    if toks.peek() == "-":
+        toks.take()
+        return -_parse_factor(ring, toks)
     atom = _parse_atom(ring, toks)
     if toks.peek() == "^":
         toks.take()
@@ -553,8 +527,6 @@ def _parse_atom(ring, toks):
         if toks.take() != ")":
             raise ValueError("missing closing parenthesis")
         return inner
-    if t == "-":
-        return -_parse_atom(ring, toks)
     if isinstance(t, Fraction):
         return ring.const(t)
     if isinstance(t, tuple) and t[0] == "name":

@@ -202,10 +202,6 @@ class SimplicialComplex:
 # -- basic constructions -----------------------------------------------------
 
 
-def closure(face):
-    return SimplicialComplex([frozenset(face)])
-
-
 def boundary(face):
     face = tuple(sorted(frozenset(face)))
     if not face:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .polynomial import PolyRing
+from .polynomial import Poly, PolyRing
 from .simplicial import once_per_complex
 
 
@@ -47,18 +47,15 @@ def degree(k):
 def hilbert_numerator(k):
     """Numerator of the Hilbert series over the (1-t)^d denominator.
 
-    sum_{i=-1}^{d-1} (1-t)^(d-i-1) f_i t^(i+1), where d = dim K + 1.
-    Evaluating at t = 1 recovers the facet count.
+    sum_{i=-1}^{d-1} (1-t)^(d-i-1) f_i t^(i+1), where d = dim K + 1, in
+    one `Poly.dot`.  Evaluating at t = 1 recovers the facet count.
     """
     ring = PolyRing(["t"])
-    t = ring.var("t")
-    one = ring.one()
+    one_minus_t = ring.one() - ring.var("t")
     fv = k.f_vector()
     d = k.dim() + 1
-    total = ring.zero()
-    for i in range(-1, d):
-        total = total + fv[i + 1] * (one - t) ** (d - i - 1) * t ** (i + 1)
-    return total
+    return Poly.dot(ring, [(one_minus_t ** (d - i - 1), ring.monomial((i + 1,), fv[i + 1]))
+                           for i in range(-1, d)])
 
 
 def sr_report(k):

@@ -39,7 +39,8 @@ class Fan:
     with the integer rays.  `inverses` maps each simplicial,
     full-dimensional, unimodular cone to the integer inverse of its ray
     matrix, whose rows are the cone's facet functionals; the other cones
-    are left for `verify_smooth_subdivision` to report.
+    are left for `verify_smooth_subdivision` to report.  `index` is
+    |det sigma|, the index in N of the lattice that sigma's rays span.
     """
 
     def __init__(self, lattice, rays, cones, sigma):
@@ -58,8 +59,8 @@ class Fan:
         # sigma's facet functionals: the rows of |det sigma| sigma^-1, integers
         # scaled by a positive factor, which keeps every sign and zero
         sig = _ray_matrix_columns([self.rays[i] for i in self.sigma])
-        inv, scale = la.inverse(sig), abs(la.det(sig))
-        self._sigma_functionals = [[int(x * scale) for x in row] for row in inv]
+        self.index = abs(int(la.det(sig)))
+        self._sigma_functionals = [[int(x * self.index) for x in row] for row in la.inverse(sig)]
         self.inverses = {}
         for c in range(len(self.cones)):
             cols = _ray_matrix_columns(self.cone_rays(c))
@@ -829,11 +830,6 @@ def euler_exceptional(chis, complex_):
     n_edges = len(complex_.faces_of_dim(1))
     n_triangles = len(complex_.faces_of_dim(2))
     return sum(chis) - 2 * n_edges + n_triangles
-
-
-def mckay_count(group_order):
-    """Conjugacy classes of an abelian group: its order."""
-    return int(group_order)
 
 
 def mirror_euler(

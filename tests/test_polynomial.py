@@ -1,3 +1,6 @@
+import ast
+import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -53,10 +56,96 @@ def test_parse_caps_the_terms_of_a_power(ring):
     assert len(ring.parse("(x - y)^1000").nums) == 1001
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x + 3/ 4", "malformed rational near '3/'"),
+    ("x . y", "unexpected character '.' in polynomial"),
+])
+def test_parse_names_the_bad_token(ring, text, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        ring.parse(text)
+
+
 @pytest.mark.parametrize("text", ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"])
 def test_parse_rejects_deep_nesting(ring, text):
     with pytest.raises(ValueError, match="^polynomial is nested too deeply$"):
         ring.parse(text)
+
+
+@pytest.mark.parametrize("text, same", [
+    ("x*-y^2", "-x*y^2"),
+    ("2*-3^2", "-18"),
+    ("x - -y^2", "x + y^2"),
+    ("x+-y^2", "x - y^2"),
+    ("-x^2", "-(x^2)"),
+    ("(-x)^2", "x^2"),
+])
+def test_a_minus_binds_below_the_power(ring, text, same):
+    assert ring.parse(text) == ring.parse(same)
+
+
+_POINT_VALUES = [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(2, 3), Fraction(-3)]
+
+
+_LEAVES = ["0", "1", "2", "3", "7", "12", "0/3", "1/2", "5/3", "12/7"] + ["x", "y", "t"] * 3
+
+
+def _grammar_text(data, depth=2):
+    """Text of the documented polynomial grammar over x, y, t.
+
+    Each choice takes the next byte of `data` (0 once it runs out), and the
+    first option of every choice is the simplest, so shrinking the bytes
+    shrinks the expression.
+    """
+    choices = iter(data)
+
+    def pick(options):
+        return options[next(choices, 0) % len(options)]
+
+    def expr(d):
+        text = pick(["", "+"]) + term(d)
+        for _ in range(pick([0, 1, 2])):
+            text += pick(["+", "-", " + ", " - "]) + term(d)
+        return text
+
+    def term(d):
+        return "*".join(factor(d) for _ in range(pick([1, 2])))
+
+    def factor(d):
+        text = pick(["", "-", "--"])  # a unary minus may start any factor
+        leaf = pick(_LEAVES + ["("] * 4 if d else _LEAVES)
+        text += "(" + expr(d - 1) + ")" if leaf == "(" else leaf
+        return text + pick(["", "^0", "^1", "^2"] + ([] if leaf == "(" else ["^3"]))
+
+    return expr(depth)
+
+
+_AST_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+            ast.Div: operator.truediv, ast.Pow: operator.pow,
+            ast.USub: operator.neg, ast.UAdd: operator.pos}
+
+
+def _reference_value(text, point):
+    """Python's reading of the text, with '^' as '**' and each p/q in parentheses."""
+    def value(node):
+        if isinstance(node, ast.BinOp):
+            return _AST_OPS[type(node.op)](value(node.left), value(node.right))
+        if isinstance(node, ast.UnaryOp):
+            return _AST_OPS[type(node.op)](value(node.operand))
+        if isinstance(node, ast.Name):
+            return point[node.id]
+        return Fraction(node.value)
+
+    source = re.sub(r"(\d+/\d+)", r"(\1)", text).replace("^", "**")
+    return value(ast.parse(source, mode="eval").body)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.binary(min_size=8, max_size=64).map(_grammar_text),
+       st.fixed_dictionaries({n: st.sampled_from(_POINT_VALUES) for n in "xyt"}))
+@example("x*-y^2", {"x": Fraction(1), "y": Fraction(2), "t": Fraction(0)})
+@example("5/3^2", {"x": Fraction(0), "y": Fraction(0), "t": Fraction(0)})
+def test_parse_agrees_with_python_precedence(text, point):
+    assert PolyRing(["x", "y", "t"]).parse(text).evaluate(point) == _reference_value(text, point)
 
 
 def test_arithmetic(ring):

@@ -9,7 +9,6 @@ from srcy.simplicial import (
     boundary,
     boundary_simplex,
     classify_link,
-    closure,
     cyclic_polytope_boundary,
     is_combinatorial_3sphere_candidate,
     join,
@@ -84,7 +83,7 @@ def test_join_boundary_closure():
     assert len(susp.facets) == 6
     tetra = boundary(frozenset({0, 1, 2, 3}))
     assert len(tetra.facets) == 4
-    assert closure({1, 2}).faces() == frozenset(
+    assert SimplicialComplex([frozenset({1, 2})]).faces() == frozenset(
         {frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 2})}
     )
     octa = join(SimplicialComplex([{8}, {9}]), SimplicialComplex([{1}, {3}]),
@@ -212,7 +211,7 @@ def _digits(word):
 def test_boundary_and_solid_tetrahedron_are_not_isomorphic():
     """Same four vertices, every degree 3, and each face of the boundary is a
     face of the solid simplex; only the facet sizes tell them apart."""
-    hollow, solid = boundary_simplex(3), closure(range(4))
+    hollow, solid = boundary_simplex(3), SimplicialComplex([frozenset(range(4))])
     assert hollow.vertices == solid.vertices
     assert hollow.vertex_degrees() == solid.vertex_degrees()
     assert hollow.faces() < solid.faces()

@@ -1,6 +1,7 @@
 import pytest
 
 from srcy import fixtures
+from srcy.fileio import geometry_and_params
 from srcy.toric import (
     CHART_RING,
     Component,
@@ -18,7 +19,6 @@ from srcy.toric import (
     intersection_complex,
     lattice_points_in_polytope,
     match_component_table,
-    mckay_count,
     method1_component,
     method4_normal_fan_check,
     mirror_euler,
@@ -27,6 +27,7 @@ from srcy.toric import (
     pbundle_structure,
     verify_smooth_subdivision,
 )
+from srcy.torusgroup import diagonal_stabilizer
 
 EXPECTED_FACETS = {
     frozenset(f)
@@ -538,6 +539,13 @@ def test_intersection_complex_and_euler(fan_data):
     assert frozenset({5, 6}) not in cx.faces()
 
 
+def test_fan_index_is_the_order_of_the_degree13_group(fan_data):
+    """|det sigma| is the order of N/Z^4, the diagonal group of the degree-13 generators."""
+    gens, ring = fixtures.generator_vector("degree13_expected")
+    geo, _params = geometry_and_params(ring.names)
+    assert fan_data[0].index == diagonal_stabilizer(gens, geo).order == 13
+
+
 def test_euler_exceptional_trivial_cases():
     from srcy.simplicial import SimplicialComplex
 
@@ -548,7 +556,7 @@ def test_euler_exceptional_trivial_cases():
 
 
 def test_mirror_euler():
-    assert mirror_euler(-120, 4, 12, 13, 6, 25, 4, mckay_count(13), 2) == 120
+    assert mirror_euler(-120, 4, 12, 13, 6, 25, 4, 13, 2) == 120
     assert mirror_euler(-120, 0, 0, 1, 0, 0, 0, 0, 0) == -120
     assert mirror_euler(27, 0, 0, 13, 1, 0, 0, 0, 0) == 2
     with pytest.raises(ValueError):
