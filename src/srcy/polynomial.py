@@ -52,9 +52,19 @@ MAX_EXPONENT = 1000
 # bundled data raises only single variables to powers
 MAX_POWER_TERMS = 10000
 
+# a variable name as the parser reads it: a letter or '_', then word
+# characters; the pattern's first class also takes a numeral such as '½',
+# which `_opens_name` refuses
+_NAME = re.compile(r"[^\W\d]\w*")
+
+
+def _opens_name(name):
+    return name[0].isalpha() or name[0] == "_"
+
 
 class PolyRing:
-    """A polynomial ring over Q with a fixed tuple of named variables.
+    """A polynomial ring over Q with a fixed tuple of distinct variables,
+    each named as the parser reads a name.
 
     The ring owns the key layout: `pack` and `unpack` convert between
     exponent tuples and keys, and a sum of two keys with an exponent that
@@ -67,6 +77,10 @@ class PolyRing:
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names: %r" % (self.names,))
+        for name in self.names:
+            if not (_NAME.fullmatch(name) and _opens_name(name)):
+                raise ValueError("variable name %r is not a letter or '_' followed by "
+                                 "letters, digits or '_'" % name)
         self.index = {n: i for i, n in enumerate(self.names)}
         self.layout = struct.Struct("<%dH" % len(self.names))
         self.over = sum(LIMIT << (i * BITS) for i in range(len(self.names)))
@@ -432,7 +446,7 @@ def _fmt_coeff(c):
 
 # one token: an operator, a name, an int with an optional '/' and
 # denominator, or any other character that is not a space, which is an error
-_TOKEN = re.compile(r"([-+*^()])|([^\W\d]\w*)|(\d+)(?:(/)(\d*))?|(\S)")
+_TOKEN = re.compile(r"([-+*^()])|(%s)|(\d+)(?:(/)(\d*))?|(\S)" % _NAME.pattern)
 
 
 class _Tokens:
@@ -441,7 +455,7 @@ class _Tokens:
         for op, name, num, slash, den, other in _TOKEN.findall(text):
             if op:
                 self.toks.append(op)
-            elif name and (name[0].isalpha() or name[0] == "_"):
+            elif name and _opens_name(name):
                 self.toks.append(("name", name))
             elif not num:  # any other character, or a numeral such as '½' opening a name
                 raise ValueError("unexpected character %r in polynomial" % (other or name[0]))

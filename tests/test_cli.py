@@ -1,6 +1,9 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,12 +28,76 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def _python(*args):
+    """A fresh interpreter run with `args`, with this srcy first on its path."""
+    import srcy
+
+    src = str(Path(srcy.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_every_public_name_is_bound_on_the_package():
     import srcy
 
     namespace = {}
     exec("from srcy import *", namespace)  # a name in __all__ that is not bound raises here
     assert sorted(n for n in namespace if n != "__builtins__") == sorted(srcy.__all__)
+
+
+# Layers that neither `import srcy` nor loading the bundled fixtures needs.
+LAZY_LAYERS = ("verify", "report", "deformation", "symmetry", "torusgroup", "families",
+               "sr_ideal", "cli")
+
+# Run in a fresh interpreter: load every fixture, as the benchmark's set-up
+# does, then print what the package namespace looked like and resolves to.
+LAZY_CHILD = """
+import json, pkgutil, sys
+import srcy
+from srcy import fixtures
+for name in fixtures.TRIANGULATIONS:
+    fixtures.triangulation(name)
+for path in sorted((fixtures.fixture_dir() / "families").iterdir()):
+    (fixtures.family_matrix if path.suffix == ".mat" else fixtures.generator_vector)(path.stem)
+fixtures.subdivision_fan()
+fixtures.hypersurface_monomials()
+fixtures.component_table()
+fixtures.scroll_polytope()
+fixtures.ci_complexes()
+facts = {"loaded": [m for m in %r if "srcy." + m in sys.modules],
+         "bound": [n for n in srcy.__all__ if n in vars(srcy)]}
+facts["emit"] = srcy.report.emit is sys.modules["srcy.report"].emit
+import srcy.pfaffian
+facts["pfaffian"] = srcy.pfaffian is sys.modules["srcy.pfaffian"].pfaffian
+values = {n: getattr(srcy, n) for n in srcy.__all__}
+facts["not_home"] = [n for n, v in values.items()
+                     if getattr(sys.modules.get(getattr(v, "__module__", "")), n, None) is not v]
+facts["not_cached"] = [n for n, v in values.items() if vars(srcy).get(n) is not v]
+facts["submodules"] = [m.name for m in pkgutil.iter_modules(srcy.__path__)]
+facts["not_module"] = [m for m in facts["submodules"] if m not in ("__main__", "pfaffian")
+                       and getattr(srcy, m) is not sys.modules["srcy." + m]]
+facts["not_in_dir"] = sorted(set(srcy.__all__) - set(dir(srcy)))
+facts["unknown_resolves"] = hasattr(srcy, "no_such_layer")
+print(json.dumps(facts))
+""" % (LAZY_LAYERS,)
+
+
+def test_import_loads_each_layer_on_first_use():
+    import srcy
+
+    done = _python("-c", LAZY_CHILD)
+    assert done.returncode == 0, done.stderr
+    facts = json.loads(done.stdout)
+    assert facts["loaded"] == []
+    # `pfaffian` is bound at import, every other public name on first use
+    assert facts["bound"] == ["pfaffian"]
+    assert facts["not_cached"] == []
+    assert facts["emit"] is True and facts["pfaffian"] is True
+    assert facts["not_home"] == [] and facts["not_module"] == [] and facts["not_in_dir"] == []
+    assert facts["unknown_resolves"] is False
+    # a public name that is also a submodule must be bound at import, as `pfaffian` is
+    assert set(srcy.__all__) & set(facts["submodules"]) == {"pfaffian"}
 
 
 def _json(capsys, *argv):
@@ -238,6 +305,10 @@ MAT13 = _data("families/degree13_oneparam.mat")
     (["torus-group"], "len 1\nvars x1\nentry 1 : x1\nentry 1 : x1^2\n", "line 4: second entry 1"),
     (["pfaffian"], "dim 5\nvars x1\nentry 1 2 : (x1^1000)^20\nentry 3 4 : (x1^1000)^20\n",
      "a product exponent is above the limit 32767"),
+    (["pfaffian"], "dim 2\nvars x1 2y ½\nentry 1 2: x1\n",
+     "line 2: variable name '2y' is not a letter or '_' followed by letters, digits or '_'"),
+    (["torus-group"], "len 1\nvars x1 x2..x3 2y1..2y3\nentry 1 : x1\n",
+     "line 2: variable name '2y1' is not a letter or '_' followed by letters, digits or '_'"),
 ])
 def test_bad_input_file_exits_2(capsys, tmp_path, argv, text, reason):
     path = tmp_path / "input"
@@ -563,17 +634,7 @@ def test_run_all_bad_fixture_data_exits_2(tmp_path, capsys, rel, edits, section,
 
 
 def test_python_dash_m_runs_the_cli():
-    import os
-    import subprocess
-    import sys
-
-    import srcy
-
-    src = str(Path(srcy.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-m", "srcy", "run-all", "--only", "milnor"],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = _python("-m", "srcy", "run-all", "--only", "milnor")
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("result: ok\n")
 

@@ -170,6 +170,13 @@ def test_input_error_names_what_it_knows():
     (parse_vector_file, "len 1\nvars x3..x1\n", "line 2: range 'x3..x1' ends below its start"),
     (parse_vector_file, "len 1\nvars x1..\n",
      "line 2: range 'x1..' needs a start and an end index"),
+    # a name the polynomial grammar cannot read, spelled out or made by a range
+    (parse_matrix_file, "dim 2\nvars x1 2y ½\nentry 1 2 : x1\n",
+     "line 2: variable name '2y' is not a letter or '_' followed by letters, digits or '_'"),
+    (parse_vector_file, "len 1\nvars x1 ½\n",
+     "line 2: variable name '½' is not a letter or '_' followed by letters, digits or '_'"),
+    (parse_vector_file, "len 1\n\nvars 2y1..2y3\n",
+     "line 3: variable name '2y1' is not a letter or '_' followed by letters, digits or '_'"),
     (parse_matrix_file, "dim 2\n# again\ndim 2\n", "line 3: second dim header"),
     (parse_matrix_file, "dim 2\nvars x1\nentry 1 2 : x1\nvars x2 x1\n",
      "line 4: second vars header"),
