@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .polynomial import Poly, PolyRing
+from .polynomial import BITS, PolyRing, _settled
 from .simplicial import (
     OTHER,
     SimplicialComplex,
@@ -212,20 +212,19 @@ def perturbation(elem, generators, ring):
 
     Generator p (a vertex set) maps to x_p * x^a / x_b when b <= p, and to
     None otherwise.  Exponents stay nonnegative because a and b are
-    disjoint.
+    disjoint.  Its key is key(p) plus `_image_offset`, as in `first_order_family`.
     """
-    out = {}
-    avec = dict(zip(elem.support, elem.a_vector))
-    for p in generators:
-        pset = frozenset(p)
-        if not elem.b <= pset:
-            out[tuple(sorted(p))] = None
-            continue
-        powers = dict.fromkeys(("x%d" % v for v in pset - elem.b), 1)
-        for v, e in avec.items():
-            powers["x%d" % v] = powers.get("x%d" % v, 0) + e
-        out[tuple(sorted(p))] = ring.power_product(powers)
-    return out
+    vertices = set().union(elem.support, elem.b, *generators)
+    key = {v: 1 << (ring.index["x%d" % v] * BITS) for v in vertices}
+    offset = _image_offset(elem, key)
+    return {tuple(sorted(p)): _settled(ring, {sum(map(key.get, p)) + offset: 1}, 1)
+            if elem.b <= set(p) else None for p in generators}
+
+
+def _image_offset(elem, key):
+    """sum a_i key(v_i) - key(b): added to x_p's key, it gives x_p * x^a / x_b's when b <= p."""
+    return (sum(a * key[v] for v, a in zip(elem.support, elem.a_vector))
+            - sum(key[v] for v in elem.b))
 
 
 @dataclass
@@ -237,15 +236,20 @@ class FirstOrderFamily:
 
 
 def first_order_family(k):
-    """One parameter per basis element; generators x_p + sum_i t_i phi_i(x_p)."""
+    """One parameter per basis element; generators x_p + sum_i t_i phi_i(x_p).
+
+    Each generator is one dict of packed keys, x_p's and each image's plus
+    t_i's field, all distinct; `_settled` checks the exponent limit.
+    """
     basis = t1_degree_zero_basis(k)
     params = ["t%d" % (i + 1) for i in range(len(basis))]
     ring = variable_ring(k, extra=params)
-    gens = minimal_nonfaces(k).generators
-    terms = [(ring.var(t), perturbation(elem, gens, ring)) for t, elem in zip(params, basis)]
-    polys = [
-        Poly.dot(ring, [(ring.one(), generator_monomial(ring, p))]
-                 + [(t, images[p]) for t, images in terms if images[p] is not None])
-        for p in gens
-    ]
-    return FirstOrderFamily(ring, polys, basis, params)
+    key = {v: 1 << (ring.index["x%d" % v] * BITS) for v in k.vertices}
+    gens = [(frozenset(p), sum(map(key.get, p))) for p in minimal_nonfaces(k).generators]
+    nums = [{pkey: 1} for _p, pkey in gens]
+    for t, elem in zip(params, basis):
+        shift = _image_offset(elem, key) + (1 << (ring.index[t] * BITS))
+        for acc, (p, pkey) in zip(nums, gens):
+            if elem.b <= p:
+                acc[pkey + shift] = 1
+    return FirstOrderFamily(ring, [_settled(ring, acc, 1) for acc in nums], basis, params)

@@ -5,6 +5,8 @@ through its principal Pfaffians.  Truncated past linear order in the
 parameters, those must recover the monomial generators at zero and, per
 parameter, exactly one basis element's perturbation; the parameter
 numbering of a lift is matched to the canonical basis by that data.
+`Poly.linear_coefficients` reads every parameter's coefficient in one
+pass over each Pfaffian's terms; they are compared in packed form.
 """
 
 from __future__ import annotations
@@ -37,26 +39,22 @@ def check_first_order_lift(k, f1, params):
         return LiftCheck(False, problems=["generator count mismatch"])
     ring = f1[0].ring
 
-    base = [p.truncate_above(params, 1) for p in f1]
-    monomials = [generator_monomial(ring, p) for p in gens]
+    slots = {}  # packed form of +-x_p -> (position of p in `gens`, sign)
+    for j, p in enumerate(gens):
+        m = generator_monomial(ring, p)
+        slots[_canon(m)], slots[_canon(-m)] = (j, 1), (j, -1)
 
     sign = None
     order = []  # position in `gens` for each pfaffian slot
-    for i, b in enumerate(base):
-        hit = None
-        for j, m in enumerate(gens):
-            if b == monomials[j]:
-                hit, s = j, 1
-            elif b == -monomials[j]:
-                hit, s = j, -1
+    for i, p in enumerate(f1):
+        hit, s = slots.get(_canon(p.truncate_above(params, 1)), (None, None))
         if hit is None:
             problems.append("pfaffian %d does not reduce to a generator at t=0" % (i + 1))
             return LiftCheck(False, problems=problems)
-        if sign is None:
-            sign = s
-        elif sign != s:
+        if sign not in (None, s):
             problems.append("inconsistent signs among the base generators")
             return LiftCheck(False, problems=problems)
+        sign = s
         order.append(hit)
     if sorted(order) != list(range(len(gens))):
         problems.append("base generators are not a permutation of the ideal generators")
@@ -66,16 +64,13 @@ def check_first_order_lift(k, f1, params):
     expected = {}
     for idx, elem in enumerate(basis):
         images = perturbation(elem, gens, ring)
-        vec = tuple(
-            _canon(images[gens[order[i]]]) for i in range(len(gens))
-        )
-        expected[vec] = idx
+        expected[tuple(_canon(images[gens[j]]) for j in order)] = idx
 
+    coeffs = [(p if sign == 1 else -p).linear_coefficients(params) for p in f1]
     matched = {}
     used = set()
     for t in params:
-        coeffs = (p.coefficient_of(t, 1) for p in f1)
-        vec = tuple(_canon(q if sign == 1 else -q) for q in coeffs)
+        vec = tuple(_canon(c.get(t)) for c in coeffs)
         if all(v is None for v in vec):
             problems.append("parameter %s acts trivially on the generators" % t)
             continue
@@ -88,11 +83,9 @@ def check_first_order_lift(k, f1, params):
             used.add(idx)
             matched[t] = idx
     if len(matched) != len(basis):
-        problems.append(
-            "lift covers %d of %d basis elements" % (len(matched), len(basis))
-        )
+        problems.append("lift covers %d of %d basis elements" % (len(matched), len(basis)))
     return LiftCheck(not problems, sign, matched, problems)
 
 
 def _canon(poly):
-    return None if poly is None or poly.is_zero() else frozenset(poly.items())
+    return None if poly is None or poly.is_zero() else (poly.den, frozenset(poly.nums.items()))

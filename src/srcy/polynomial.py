@@ -338,6 +338,23 @@ class Poly:
         nums = {k - drop: c for k, c in self.nums.items() if (k >> shift) & (LIMIT - 1) == power}
         return _reduced(self.ring, nums, self.den)
 
+    def linear_coefficients(self, names):
+        """{name: coefficient_of(name, 1)} over `names`, zeros left out, in one pass over the terms.
+
+        A term goes to each name of exponent 1 in it, less that field, so a
+        term holding two of the names goes to both.
+        """
+        fields, mask, out = {self.ring.index[n] * BITS: n for n in names}, self.ring.mask(names), {}
+        for k, c in self.nums.items():
+            rest = k & mask
+            while rest:
+                shift = ((rest & -rest).bit_length() - 1) // BITS * BITS
+                e = (rest >> shift) & (LIMIT - 1)
+                if e == 1:
+                    out.setdefault(fields[shift], {})[k - (1 << shift)] = c
+                rest -= e << shift
+        return {n: _reduced(self.ring, nums, self.den) for n, nums in out.items()}
+
     def evaluate(self, point):
         """Evaluate at an assignment name -> rational that covers every variable present.
 

@@ -2,9 +2,10 @@
 
 A complex is stored by its facets (inclusion-maximal faces); each object
 derived from it is computed once by `once_per_complex`, kept with the
-complex and shared by its callers, so it is immutable.  Vertices keep
-their external integer labels throughout, so facet lists round-trip
-byte-for-byte through the triangulation file format.
+complex and shared by its callers, so it is immutable; `link` keeps each
+face's link there too, and each reference sphere is built once per process.
+Vertices keep their external integer labels throughout, so facet lists
+round-trip byte-for-byte through the triangulation file format.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from types import MappingProxyType
 
 
 def once_per_complex(fn):
@@ -44,14 +46,13 @@ class SimplicialComplex:
     @classmethod
     def from_faces(cls, faces):
         """Build from an arbitrary face collection (reduces to maximal)."""
-        k = cls.__new__(cls)
-        k._set_facets(_maximal({frozenset(f) for f in faces}))
-        return k
+        return cls.__new__(cls)._set_facets(_maximal({frozenset(f) for f in faces}))
 
     def _set_facets(self, maximal):
         self.facets = frozenset(maximal or [frozenset()])
         self.vertices = tuple(sorted(set().union(*self.facets)))
         self._derived = {}
+        return self
 
     # -- face structure ----------------------------------------------------
 
@@ -88,10 +89,11 @@ class SimplicialComplex:
     def euler_characteristic(self):
         return sum((-1) ** i * c for i, c in enumerate(self.f_vector()[1:]))
 
+    @once_per_complex
     def vertex_degrees(self):
-        """Number of edges at each vertex, as a dict."""
+        """Number of edges at each vertex, as a read-only mapping."""
         counts = Counter(v for e in self.faces_of_dim(1) for v in e)
-        return {v: counts[v] for v in self.vertices}
+        return MappingProxyType({v: counts[v] for v in self.vertices})
 
     def is_connected(self):
         if not self.vertices:
@@ -112,14 +114,15 @@ class SimplicialComplex:
     # -- constructions -------------------------------------------------------
 
     def link(self, f):
+        """The link of the face f, kept in the memo from the first call; a non-face raises."""
         f = frozenset(f)
-        facets = [g - f for g in self.facets if f <= g]
-        if not facets:
-            raise ValueError("%s is not a face of the complex" % sorted(f))
-        # no reduction: for distinct facets g, h holding f, g - f and h - f are never nested
-        lk = SimplicialComplex.__new__(SimplicialComplex)
-        lk._set_facets(facets)
-        return lk
+        if f not in self._derived:
+            facets = [g - f for g in self.facets if f <= g]
+            if not facets:
+                raise ValueError("%s is not a face of the complex" % sorted(f))
+            # no reduction: for distinct facets g, h holding f, g - f and h - f are never nested
+            self._derived[f] = SimplicialComplex.__new__(SimplicialComplex)._set_facets(facets)
+        return self._derived[f]
 
     def full_subcomplex(self, vertices):
         vs = frozenset(vertices)
@@ -235,6 +238,7 @@ def ngon(n, labels=None):
     )
 
 
+@functools.cache
 def suspension_of_ngon(n):
     """Double pyramid over an n-gon; n = 4 is the octahedron."""
     poles = [n, n + 1]
@@ -242,10 +246,12 @@ def suspension_of_ngon(n):
     return join(SimplicialComplex([{poles[0]}, {poles[1]}]), cyc)
 
 
+@functools.cache
 def boundary_simplex(k):
     return boundary(frozenset(range(k + 1)))
 
 
+@functools.cache
 def cyclic_polytope_boundary(n):
     """Boundary of the cyclic polytope C(n, 3): a stacked 2-sphere.
 

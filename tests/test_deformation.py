@@ -19,6 +19,7 @@ from srcy.deformation import (
     t1_link_table_crosscheck,
     variable_ring,
 )
+from srcy.polynomial import Poly
 from srcy.simplicial import (
     SimplicialComplex,
     boundary_simplex,
@@ -178,6 +179,42 @@ def test_first_order_family_structure(complexes):
             if not coeff.is_zero():
                 assert coeff.total_degree() == len(g)
         assert poly.truncate_above(fam.params, 2) == poly
+
+
+def _reference_image(ring, elem, p):
+    """x_p * x^a / x_b through `power_product` when b <= p, else None."""
+    if not elem.b <= set(p):
+        return None
+    powers = dict.fromkeys(("x%d" % v for v in set(p) - elem.b), 1)
+    for v, e in zip(elem.support, elem.a_vector):
+        powers["x%d" % v] = powers.get("x%d" % v, 0) + e
+    return ring.power_product(powers)
+
+
+def _reference_family_generators(k, ring, params):
+    """x_p + sum_i t_i phi_i(x_p) as one `Poly.dot` of one-term pairs per generator."""
+    basis = t1_degree_zero_basis(k)
+    out = []
+    for p in minimal_nonfaces(k).generators:
+        pairs = [(ring.one(), ring.power_product(dict.fromkeys(("x%d" % v for v in p), 1)))]
+        for t, elem in zip(params, basis):
+            image = _reference_image(ring, elem, p)
+            if image is not None:
+                pairs.append((ring.var(t), image))
+        out.append(Poly.dot(ring, pairs))
+    return out
+
+
+def test_family_and_perturbations_match_the_one_term_products(complexes):
+    joined = join(ngon(4), ngon(4, [4, 5, 6, 7]))
+    for k in [*complexes.values(), joined]:
+        fam = first_order_family(k)
+        assert fam.ring == variable_ring(k, extra=fam.params)
+        assert fam.generators == _reference_family_generators(k, fam.ring, fam.params)
+        gens = minimal_nonfaces(k).generators
+        for elem in fam.basis:
+            assert perturbation(elem, gens, fam.ring) == {
+                p: _reference_image(fam.ring, elem, p) for p in gens}
 
 
 def _reference_crosscheck(k):

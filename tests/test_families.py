@@ -41,6 +41,34 @@ def test_lift_check_rejects_corruption(complexes):
     assert not result.ok
 
 
+def test_a_term_with_two_parameters_is_read_for_each_of_them(complexes):
+    """t1*t2*x3 in one Pfaffian is part of t1's coefficient and of t2's, as
+    `coefficient_of(t, 1)` reads it, so neither matches a perturbation."""
+    matrix, ring = fixtures.family_matrix("p7_2")
+    _geo, params = geometry_and_params(ring.names)
+    f1 = first_order_pfaffians(matrix, params)
+    f1[2] = f1[2] + ring.parse("t1*t2*x3")
+    result = check_first_order_lift(complexes["p7_2"], f1, params)
+    assert not result.ok
+    assert result.problems[:2] == ["parameter t1 is not a basis perturbation",
+                                   "parameter t2 is not a basis perturbation"]
+    assert "t1" not in result.matched and "t2" not in result.matched
+    assert len(result.matched) == len(params) - 2
+
+
+def test_a_doubled_coefficient_is_rejected(complexes):
+    matrix, ring = fixtures.family_matrix("p7_2")
+    _geo, params = geometry_and_params(ring.names)
+    f1 = first_order_pfaffians(matrix, params)
+    t = params[0]
+    i = next(i for i, p in enumerate(f1) if p.coefficient_of(t, 1))
+    f1[i] = f1[i] + ring.var(t) * f1[i].coefficient_of(t, 1)
+    result = check_first_order_lift(complexes["p7_2"], f1, params)
+    assert not result.ok
+    assert result.problems[0] == "parameter %s is not a basis perturbation" % t
+    assert t not in result.matched and len(result.matched) == len(params) - 1
+
+
 def test_degree13_orbit_specialization_matches_matrix(complexes):
     k = complexes["p7_4"]
     fam = first_order_family(k)

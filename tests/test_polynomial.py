@@ -413,6 +413,14 @@ def test_zeroing_and_renaming_match_the_tuple_loops(case):
         assert p.rename(target, mapping) == _reference_rename(p, target, mapping)
 
 
+@settings(max_examples=50, deadline=None)
+@given(product_cases())
+@example((_T.parse("t1*t2*x1 + 2*t1^2*t3 - t3*x2 + 1/3*t1"), _T.one(), ["t1", "t2", "t3"], 0))
+def test_linear_coefficients_match_coefficient_of(case):
+    p, _q, names, _bound = case
+    assert p.linear_coefficients(names) == {n: c for n in names if (c := p.coefficient_of(n, 1))}
+
+
 # -- sums ------------------------------------------------------------------------
 
 

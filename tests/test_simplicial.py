@@ -60,6 +60,27 @@ def test_link_errors_on_nonface(complexes):
         complexes["p7_3"].link({6, 7})
 
 
+def test_a_nonface_raises_again_on_a_second_call():
+    k = SimplicialComplex([(1, 2, 3), (3, 4)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a face"):
+            k.link({1, 4})
+    assert k.link({3}).facets == {frozenset({1, 2}), frozenset({4})}
+
+
+def test_each_face_has_one_link_per_complex(complexes):
+    k = complexes["p7_4"]
+    twin = SimplicialComplex(k.facets)
+    for f in k.faces():
+        assert k.link(f) is k.link(set(f))
+        assert twin.link(f) == k.link(f) and twin.link(f) is not k.link(f)
+    lk = k.link({1})
+    assert lk.faces() is k.link({1}).faces()
+    assert lk.vertex_degrees() is k.link({1}).vertex_degrees()
+    with pytest.raises(TypeError):
+        lk.vertex_degrees()[lk.vertices[0]] = 0
+
+
 def test_link_matches_the_reduced_facet_construction(complexes):
     """Reference: the link as the complex on {g - f : f <= g}, through `__init__`."""
     checked = 0
@@ -134,6 +155,11 @@ def test_classification_distinguishes_six_vertex_spheres():
     assert classify_link(cyclic_polytope_boundary(6)).tag == "cyclic_polytope"
     assert classify_link(boundary_simplex(3)).tag == "boundary_tetrahedron"
     assert classify_link(SimplicialComplex([{1, 2}, {2, 3}])) == OTHER
+    # the reference spheres are built once per argument, so other sizes stay apart
+    assert classify_link(suspension_of_ngon(3)).tag == "susp_triangle"
+    assert str(classify_link(suspension_of_ngon(5))) == "susp_ngon(5)"
+    assert str(classify_link(cyclic_polytope_boundary(7))) == "cyclic_polytope(7)"
+    assert classify_link(boundary_simplex(2)).tag == "ngon"
 
 
 def test_ridge_counts():
