@@ -44,7 +44,7 @@ from .toric import (
     match_component_table,
     verify_smooth_subdivision,
 )
-from .verify import run_all
+from .verify import SECTIONS, run_all
 
 
 def _print_json(data):
@@ -191,14 +191,23 @@ def _weight(text):
     return w
 
 
+def _sections(text):
+    """A comma-separated list of run-all sections."""
+    names = text.split(",")
+    for name in names:
+        if name not in SECTIONS:
+            raise argparse.ArgumentTypeError(
+                "unknown section %r (choose from %s)" % (name, ", ".join(SECTIONS)))
+    return names
+
+
 def cmd_milnor(args):
     mu = from_file("srcy milnor", milnor_quasihomogeneous, quasi_weights(args.weights))
     _print_json({"milnor": mu})
 
 
 def cmd_run_all(args):
-    only = args.only.split(",") if args.only else None
-    report = run_all(base=args.fixtures, only=only)
+    report = run_all(base=args.fixtures, only=args.only)
     sys.stdout.buffer.write(emit(report, args.format))
     if args.format == "json":
         sys.stdout.write("\n")
@@ -251,7 +260,7 @@ def build_parser():
 
     p = sub.add_parser("run-all")
     p.add_argument("--fixtures", default=None)
-    p.add_argument("--only", default=None,
+    p.add_argument("--only", default=None, type=_sections,
                    help="comma-separated section list, e.g. t1,toric")
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(fn=cmd_run_all)

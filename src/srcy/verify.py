@@ -22,7 +22,7 @@ from .deformation import (
     t1_link_table_crosscheck,
 )
 from .families import check_first_order_lift
-from .fileio import InputError, from_file, geometry_and_params
+from .fileio import InputError, geometry_and_params
 from .intlinalg import det
 from .pfaffian import (
     SkewPolyMatrix,
@@ -86,26 +86,25 @@ def run_all(base=None, only=None):
     unknown = sections - set(SECTIONS)
     if unknown:
         raise ValueError("unknown sections: %s" % sorted(unknown))
-    complexes = {n: fixtures.triangulation(n, base) for n in fixtures.TRIANGULATIONS}
-    # the printed generator vectors, read once for the pfaffian and torus sections
-    expected = ({n: fixtures.generator_vector("%s_expected" % n, base)
-                 for n in ("degree13", "degree14")} if sections & {"pfaffian", "torus"} else None)
+    fx = fixtures.FixtureSet(base)
+    for name in fixtures.TRIANGULATIONS:  # a bad triangulation exits 2 whatever runs
+        fx("triangulation", name)
     runners = (
-        ("sr", lambda: _check_sr(report, complexes)),
-        ("t1", lambda: _check_t1(report, complexes)),
-        ("aut", lambda: _check_symmetry(report, complexes, sections)),
-        ("pfaffian", lambda: _check_pfaffians(report, complexes, base, expected)),
-        ("torus", lambda: _check_torus(report, base, expected)),
-        ("toric", lambda: _check_toric(report, base)),
-        ("cohom", lambda: _check_cohomology(report, base)),
-        ("milnor", lambda: _check_milnor(report)),
+        ("sr", _check_sr),
+        ("t1", _check_t1),
+        ("aut", lambda report, fx: _check_symmetry(report, fx, sections)),
+        ("pfaffian", _check_pfaffians),
+        ("torus", _check_torus),
+        ("toric", _check_toric),
+        ("cohom", _check_cohomology),
+        ("milnor", _check_milnor),
     )
     for section, runner in runners:
         wanted = {section, "orbits"} if section == "aut" else {section}
         if not wanted & sections:
             continue
         try:
-            runner()
+            runner(report, fx)
         except InputError:
             raise
         except Exception as exc:  # fault isolation between sections
@@ -114,8 +113,9 @@ def run_all(base=None, only=None):
     return report
 
 
-def _check_sr(report, complexes):
-    for name, k in complexes.items():
+def _check_sr(report, fx):
+    for name in fixtures.TRIANGULATIONS:
+        k = fx("triangulation", name)
         report.add("sr.sphere_checks.%s" % name, True,
                    is_combinatorial_3sphere_candidate(k).ok, "link and facet enumeration")
         report.add("sr.degree.%s" % name, DEGREES[name], degree(k), "facet table")
@@ -123,16 +123,17 @@ def _check_sr(report, complexes):
         report.add("sr.hilbert_at_1.%s" % name, DEGREES[name],
                    int(num.evaluate({"t": 1})), "derived from the f-vector")
     report.add("sr.nonfaces.delta4", [(0, 1, 2, 3, 4)],
-               list(minimal_nonfaces(complexes["delta4"]).generators), "monomial ideal")
+               list(minimal_nonfaces(fx("triangulation", "delta4")).generators), "monomial ideal")
     report.add("sr.nonfaces.p7_1",
                [(1, 2, 3, 5), (1, 2, 3, 6), (4, 6), (4, 7), (5, 7)],
-               list(minimal_nonfaces(complexes["p7_1"]).generators), "monomial ideal")
+               list(minimal_nonfaces(fx("triangulation", "p7_1")).generators), "monomial ideal")
     report.add("sr.nonfaces.p7_3", [(1, 2, 3), (4, 5), (6, 7)],
-               list(minimal_nonfaces(complexes["p7_3"]).generators), "monomial ideal")
+               list(minimal_nonfaces(fx("triangulation", "p7_3")).generators), "monomial ideal")
 
 
-def _check_t1(report, complexes):
-    for name, k in complexes.items():
+def _check_t1(report, fx):
+    for name in fixtures.TRIANGULATIONS:
+        k = fx("triangulation", name)
         basis = t1_degree_zero_basis(k)
         report.add("t1.dimension.%s" % name, T1_DIMS[name], len(basis), "deformation count")
         rows = t1_link_table_crosscheck(k)
@@ -144,8 +145,9 @@ def _check_t1(report, complexes):
                    "degree-zero multiplicity")
 
 
-def _check_symmetry(report, complexes, sections):
-    for name, k in complexes.items():
+def _check_symmetry(report, fx, sections):
+    for name in fixtures.TRIANGULATIONS:
+        k = fx("triangulation", name)
         group = automorphism_group(k)
         if "aut" in sections:
             if name in AUT_ORDERS:
@@ -175,7 +177,7 @@ def _check_symmetry(report, complexes, sections):
                            "recorded orbit sizes")
 
 
-def _check_pfaffians(report, complexes, base, expected):
+def _check_pfaffians(report, fx):
     rng = random.Random(1406)
     ring = PolyRing(["x"])
     ok_sq = True
@@ -190,12 +192,12 @@ def _check_pfaffians(report, complexes, base, expected):
 
     lifts = {}
     for name in ("p7_1", "p7_2", "p7_3", "p7_4", "p7_5"):
-        matrix, ring = fixtures.family_matrix(name, base)
+        matrix, ring = fx("family_matrix", name)
         _geo, params = geometry_and_params(ring.names)
-        gens = minimal_nonfaces(complexes[name]).generators
+        k = fx("triangulation", name)
+        gens = minimal_nonfaces(k).generators
         try:
-            f1 = from_file(fixtures.family_matrix_path(name, base),
-                           first_order_pfaffians, matrix, params)
+            f1 = fx.blame("family_matrix", name, first_order_pfaffians, matrix, params)
         except SyzygySignError:
             # M.f = 0 fails mod t^2: both syzygy entries fail, and there are
             # no Pfaffians to compare with the generators or the basis
@@ -203,7 +205,7 @@ def _check_pfaffians(report, complexes, base, expected):
         else:
             # M.f = 0 mod t^2 holds, and its parameter-free part is M0.f0 = 0
             f0 = sorted(str(p.truncate_above(params, 1)) for p in f1)  # the Pfaffians at t = 0
-            lift = check_first_order_lift(complexes[name], f1, params)
+            lift = check_first_order_lift(k, f1, params)
             lifts[name] = (lift, f1, params)
             lift_ok, syzygy = lift.ok, True
         report.add("pfaffian.base_generators.%s" % name,
@@ -214,25 +216,24 @@ def _check_pfaffians(report, complexes, base, expected):
                    "first-order lift vs deformation basis")
         report.add("pfaffian.first_order_syzygy.%s" % name, True, syzygy, "truncated product")
 
-    _check_specializations(report, complexes, base, lifts, expected)
+    _check_specializations(report, fx, lifts)
 
 
-def _check_specializations(report, complexes, base, lifts, expected):
+def _check_specializations(report, fx, lifts):
     for name, sign, tri, blocks in (
         ("degree13", 1, "p7_4", [((5,), (3, 4, 6)), ((6,), (5, 7)), ((1, 2), (3, 4, 7))]),
         ("degree14", -1, "p7_5", [((1, 3), (4, 7))]),
     ):
-        matrix, _ring = fixtures.family_matrix("%s_oneparam" % name, base)
-        expect, _ring2 = expected[name]
-        k = complexes[tri]
+        matrix, _ring = fx("family_matrix", "%s_oneparam" % name)
+        expect, _ring2 = fx("generator_vector", "%s_expected" % name)
+        k = fx("triangulation", tri)
         fam = first_order_family(k)
         part = orbits_on_t1(automorphism_group(k), fam.basis)
         assignment = {orbit_index_of(part, fam.basis, a, b): "s" for a, b in blocks}
         spec = invariant_specialize(fam, part, assignment)
         ours = sorted(str(p.rename(matrix.ring)) for p in spec.generators)
         try:
-            f = from_file(fixtures.family_matrix_path("%s_oneparam" % name, base),
-                          principal_pfaffians, matrix)
+            f = fx.blame("family_matrix", "%s_oneparam" % name, principal_pfaffians, matrix)
         except SyzygySignError:
             f = None  # M.f = 0 fails in this family: there are no Pfaffians to compare
         if name == "degree13":
@@ -266,27 +267,24 @@ def _random_skew(ring, dim, rng):
     return SkewPolyMatrix(ring, dim, upper)
 
 
-def _check_torus(report, base, expected):
-    quintic, ring_q = fixtures.generator_vector("quintic", base)
+def _check_torus(report, fx):
+    quintic, ring_q = fx("generator_vector", "quintic")
     geo, _ = geometry_and_params(ring_q.names)
-    h = from_file(fixtures.generator_vector_path("quintic", base),
-                  diagonal_stabilizer, quintic, geo)
+    h = fx.blame("generator_vector", "quintic", diagonal_stabilizer, quintic, geo)
     report.add("torus.quintic_order", 125, h.order, "diagonal symmetries of the family")
     report.add("torus.quintic_factors", [5, 5, 5], h.invariant_factors, "Smith normal form")
 
-    gens14, ring14 = expected["degree14"]
+    gens14, ring14 = fx("generator_vector", "degree14_expected")
     geo14, _ = geometry_and_params(ring14.names)
-    h14 = from_file(fixtures.generator_vector_path("degree14_expected", base),
-                    diagonal_stabilizer, gens14, geo14)
+    h14 = fx.blame("generator_vector", "degree14_expected", diagonal_stabilizer, gens14, geo14)
     report.add("torus.degree14_factors", [7], h14.invariant_factors, "Smith normal form")
     report.add("torus.degree14_character", True,
                verify_character(gens14, (0, 1, 2, 3, 4, 5, 6), 7, geo14),
                "recorded weight vector")
 
-    gens13, ring13 = expected["degree13"]
+    gens13, ring13 = fx("generator_vector", "degree13_expected")
     geo13, _ = geometry_and_params(ring13.names)
-    h13 = from_file(fixtures.generator_vector_path("degree13_expected", base),
-                    diagonal_stabilizer, gens13, geo13)
+    h13 = fx.blame("generator_vector", "degree13_expected", diagonal_stabilizer, gens13, geo13)
     report.add("torus.degree13_factors", [13], h13.invariant_factors, "Smith normal form")
     report.add("torus.degree13_character", True,
                verify_character(gens13, (3, 3, 11, 11, 1, 7, 0), 13, geo13),
@@ -297,15 +295,15 @@ def _check_torus(report, base, expected):
     report.add("torus.generators_are_characters", True, members_ok, "re-verification")
 
 
-def _check_toric(report, base):
-    fan = fixtures.subdivision_fan(base)
-    fmono, invmono = fixtures.hypersurface_monomials(base)
+def _check_toric(report, fx):
+    fan = fx("subdivision_fan")
+    fmono, invmono = fx("hypersurface_monomials")
     fan_report = verify_smooth_subdivision(fan)
     report.add("toric.fan_shape", (18, 53), (fan_report.n_rays, fan_report.n_cones),
                "cone table")
     report.add("toric.fan_valid", True, fan_report.ok, "unimodularity, faces, coverage")
 
-    charts = from_file(fixtures.hypersurface_monomials_path(base), all_charts, fan, invmono)
+    charts = fx.blame("hypersurface_monomials", None, all_charts, fan, invmono)
     report.add("toric.chart_tau1", "y1^2*y4 + y2^5*y3^3*y4^4 + y2*y3*y4^2 + 1",
                str(charts[0]), "printed chart polynomial")
     report.add("toric.chart_tau29", "y1^2*y4 + y2^2*y3 + y3 + 1",
@@ -354,7 +352,7 @@ def _check_toric(report, base):
                "star fibration")
     report.add("toric.bundle_base.E8", 6, pb8.chi if pb8 else None, "star fibration")
 
-    points = fixtures.scroll_polytope(base)
+    points = fx("scroll_polytope")
     report.add("toric.polytope_lattice_points", 10,
                len(lattice_points_in_polytope(points)), "recorded count")
     report.add("toric.polytope_normal_fan", True,
@@ -365,9 +363,8 @@ def _check_toric(report, base):
                "chart factorization")
     report.add("toric.factor_disjointness", True,
                structure.factor_disjointness_certified, "binomial smoothness")
-    rows = fixtures.component_table(base)
-    comps = from_file(fixtures.component_table_path(base), match_component_table,
-                      fan, structure, rows)
+    rows = fx("component_table")
+    comps = fx.blame("component_table", None, match_component_table, fan, structure, rows)
     for comp in comps:
         if comp.closure is None:
             report.add("toric.chi.%s" % comp.label, comp.chi, comp.chi, "component table",
@@ -399,12 +396,12 @@ def _check_toric(report, base):
                "quotient count with recorded chi = -120")
 
 
-def _check_cohomology(report, base):
-    res = fixtures.ci_complexes(base)
+def _check_cohomology(report, fx):
+    res = fx("ci_complexes")
     report.add("cohom.h6_twists", [1, 7, 28, 84],
                [h_twist(6, d, 6) for d in (-7, -8, -9, -10)], "duality with sections")
-    out = from_file(fixtures.ci_complexes_path(base),
-                    hodge_pipeline_ci, res["structure_sheaf"], res["ideal_square"])
+    out = fx.blame("ci_complexes", None, hodge_pipeline_ci,
+                   res["structure_sheaf"], res["ideal_square"])
     report.add("cohom.hodge_numbers", (1, 73), (out.h11, out.h12), "exact-sequence chase")
     inter = out.intermediates
     report.add("cohom.intermediates", (7, 48, 122, 121),
@@ -412,7 +409,7 @@ def _check_cohomology(report, base):
                 inter["h3_conormal"]), "exact-sequence chase")
 
 
-def _check_milnor(report):
+def _check_milnor(report, _fx):
     report.add("milnor.number", 12, milnor_quasihomogeneous(MILNOR_WEIGHTS), "weight product")
     ring = PolyRing(MILNOR_WEIGHTS.names)
     f = ring.parse("w^2 + x^3 + y^5 + y*z^2")

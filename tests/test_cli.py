@@ -11,7 +11,7 @@ import pytest
 
 from srcy import fixtures
 from srcy.cli import main
-from srcy.fileio import geometry_and_params
+from srcy.fileio import InputError, geometry_and_params
 from srcy.polynomial import PolyRing
 from srcy.report import VerificationReport, emit
 from srcy.torusgroup import verify_character
@@ -529,6 +529,15 @@ def test_run_all_sections_and_exit_codes(capsys):
     assert all(c["status"] == "pass" for c in payload["checks"])
 
 
+@pytest.mark.parametrize("only, name", [("bogus", "bogus"), ("sr,", ""), ("", "")])
+def test_run_all_unknown_section_is_a_usage_error(capsys, only, name):
+    with pytest.raises(SystemExit) as exc:
+        main(["run-all", "--only", only])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: argument --only: unknown section %r" % name in err
+
+
 def test_run_all_missing_fixtures(tmp_path, capsys):
     code = main(["run-all", "--fixtures", str(tmp_path), "--only", "sr"])
     capsys.readouterr()
@@ -554,6 +563,8 @@ def test_run_all_detects_corruption(tmp_path, capsys):
 
 
 def test_each_run_all_section_reads_a_fixture_file_once(monkeypatch):
+    """Each section alone reads no file twice and reports its slice of the golden report."""
+    golden = json.loads((Path(__file__).parent / "data" / "run_all.json").read_text())["checks"]
     original, loads = fixtures.load, []
 
     def counted(path, parse):
@@ -561,13 +572,40 @@ def test_each_run_all_section_reads_a_fixture_file_once(monkeypatch):
         return original(path, parse)
 
     monkeypatch.setattr(fixtures, "load", counted)
-    twice = {}
+    twice, slices = {}, {}
     for section in SECTIONS + (None,):
         loads.clear()
-        run_all(only=[section] if section else None)
+        report = run_all(only=[section] if section else None)
         twice[section] = sorted({str(p) for p in loads if loads.count(p) > 1})
+        if section:
+            slices[section] = json.loads(emit(report, "json"))["checks"]
     assert twice == {section: [] for section in SECTIONS + (None,)}
+    assert slices == {section: [c for c in golden if c["id"].startswith(section + ".")]
+                      for section in SECTIONS}
     assert len(loads) == 21  # the whole run, each fixture file once
+
+
+def test_a_fixture_set_calls_each_parser_through_its_module_binding(monkeypatch):
+    """A wrapper bound over a `fileio` parser after import, as a tracer binds one, is called."""
+    from srcy import fileio
+
+    fx, called = fixtures.FixtureSet(), []
+    names = {"triangulation": "p7_1", "family_matrix": "p7_1", "generator_vector": "quintic"}
+    for kind, (_rel, parser) in fixtures.KINDS.items():
+        monkeypatch.setattr(fileio, parser, lambda text, p=parser, f=getattr(fileio, parser):
+                            called.append(p) or f(text))
+        fx(kind, names.get(kind))
+    assert called == [parser for _rel, parser in fixtures.KINDS.values()]
+
+
+def test_a_failed_fixture_read_keeps_nothing(tmp_path):
+    import shutil
+
+    fx = fixtures.FixtureSet(tmp_path)
+    with pytest.raises(InputError):
+        fx("scroll_polytope")
+    shutil.copytree(fixtures.fixture_dir() / "toric", tmp_path / "toric")
+    assert fx("scroll_polytope") == fixtures.scroll_polytope()
 
 
 @pytest.mark.parametrize("rel, section", [
@@ -618,6 +656,14 @@ def test_run_all_cohom_fixture_without_structure_sheaf_exits_2(tmp_path, capsys)
      "toric", "monomial (0, 0, 9, 1) has non-integral chart exponent 86/13 in cone 1"),
     ("toric/components.tbl", [("E1 6,-2,-1,-2 P2 3", "E1 1,1,1,1 P2 3")],
      "toric", "row E1: 1,1,1,1 is not a ray of the fan"),
+    ("families/degree14_expected.gens", [("entry 3: -x1*x6*x4 +", "entry 3: -x1*x6*x4*x7 +")],
+     "torus", "generator 3 is not homogeneous in the geometry variables"),
+    ("families/degree13_expected.gens", [("entry 3: x3*x4*x6 +", "entry 3: x3*x4*x6*x7 +")],
+     "torus", "generator 3 is not homogeneous in the geometry variables"),
+    # the product of entries (1,2) and (3,4) has the term x1^40000*x2*x3 again
+    ("families/degree13_oneparam.mat", [("s*x7^2\n", "s*x7^2 + (x1^1000)^20*x2\n"),
+                                        ("s*x6\n", "s*x6 + (x1^1000)^20*x3\n")],
+     "pfaffian", "a product exponent is above the limit 32767"),
 ])
 def test_run_all_bad_fixture_data_exits_2(tmp_path, capsys, rel, edits, section, reason):
     import shutil

@@ -116,7 +116,7 @@ def test_specialized_lift_pfaffians_are_the_specialized_matrix_pfaffians(complex
     the first-order Pfaffians: the lift's Pfaffians, specialized, are the
     Pfaffians mod s^2 of the specialized matrix.  With t24 doubled the
     lift matches no basis, and the identity still holds."""
-    text = fixtures.family_matrix_path("p7_5").read_text()
+    text = fixtures.FixtureSet().path("family_matrix", "p7_5").read_text()
     if old is not None:
         assert text.count(old) == 1
         text = text.replace(old, new)
