@@ -34,7 +34,8 @@ _LAYERS = {
     "torusgroup": ("diagonal_stabilizer", "verify_character"),
     "cohomology": ("TwistSum", "h_twist", "hodge_pipeline_ci", "les_solve"),
     "verify": ("run_all",),
-    "cli": (), "families": (), "fixtures": (), "intlinalg": (), "report": (), "toric": (),
+    "cli": (), "fan": (), "families": (), "fixtures": (), "intlinalg": (), "report": (),
+    "toric": (),
 }
 _HOME = {name: layer for layer, names in _LAYERS.items() for name in names}
 

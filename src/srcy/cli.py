@@ -15,7 +15,7 @@ from .fileio import (
     geometry_and_params,
     load,
     load_triangulation,
-    parse_ci_complexes,
+    parse_complexes_file,
     parse_component_table,
     parse_fan_file,
     parse_matrix_file,
@@ -175,7 +175,7 @@ def cmd_toric(args):
 
 
 def cmd_cohom(args):
-    res = load(args.complexes, parse_ci_complexes)
+    res = load(args.complexes, parse_complexes_file)
     out = from_file(args.complexes, hodge_pipeline_ci, res["structure_sheaf"], res["ideal_square"])
     _print_json({"h11": out.h11, "h12": out.h12, "intermediates": out.intermediates})
 

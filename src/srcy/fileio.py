@@ -3,6 +3,8 @@
 All files are UTF-8 text with '#' comments; variable headers accept range
 shorthand like `x1..x7`.  Every parser reads through `_lines` and raises
 `InputError`, with the line number for a bad line; `load` adds the path.
+A fan file becomes a `fan.Fan`, and each component-table tag is checked
+here, at its line; reading any file loads no part of the toric pipeline.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cohomology import TwistSum
+from .fan import Fan, SurfaceType
 from .pfaffian import SkewPolyMatrix
 from .polynomial import PolyRing
 from .simplicial import SimplicialComplex
-from .toric import Fan, SurfaceType
 
 FAN_RANK = 4  # the toric pipeline works in a rank-4 lattice only
 MAX_SIZE = 1000  # largest dim, len, ambient and x1..xN range; the bundled data stays below 100
@@ -248,7 +250,8 @@ def parse_fan_file(text):
 
 
 def parse_monomial_file(text):
-    """`monomials` and `invariant_monomials` blocks of FAN_RANK exponents per row."""
+    """Non-empty `monomials` and `invariant_monomials` blocks of FAN_RANK
+    exponents per row."""
     section = None
     out = {"monomials": [], "invariant_monomials": []}
     for n, line in _lines(text):
@@ -262,11 +265,15 @@ def parse_monomial_file(text):
             if len(row) != FAN_RANK:
                 raise ValueError("monomial has %d entries, not %d" % (len(row), FAN_RANK))
             out[section].append(row)
+    for name, block in out.items():
+        if not block:
+            raise InputError("empty %s block" % name)
     return out["monomials"], out["invariant_monomials"]
 
 
 def parse_component_table(text):
-    """Rows `label ray type chi`, ray comma-separated in the working basis."""
+    """Rows `label ray type chi`, ray comma-separated in the working basis and
+    chi the type tag's Euler number."""
     rows = []
     for n, line in _lines(text):
         with _at(n):
@@ -274,9 +281,13 @@ def parse_component_table(text):
             if len(fields) != 4:
                 raise ValueError("expected 'label ray type chi', got %r" % line)
             label, ray_text, type_tag, chi = fields
-            SurfaceType.parse(type_tag)
+            nominal = SurfaceType.parse(type_tag).chi()
             ray = tuple(int(tok) for tok in ray_text.split(","))
-            rows.append((label, ray, type_tag, int(chi)))
+            chi = int(chi)
+            if nominal != chi:
+                raise ValueError("row %s: tag %s has chi %d, recorded %d"
+                                 % (label, type_tag, nominal, chi))
+            rows.append((label, ray, type_tag, chi))
     return rows
 
 
@@ -285,8 +296,8 @@ def parse_complexes_file(text):
 
     Term lines use `(d)^m + (d)^m` twist-sum notation; term 0 is the end
     of the resolution nearest the resolved sheaf.  The ambient P^n has
-    n >= 4, and the resolutions `hodge_pipeline_ci` chases, when present,
-    have the lengths it needs: `structure_sheaf` at least 2 terms and
+    n >= 4, and both resolutions `hodge_pipeline_ci` chases are present
+    with the lengths it needs: `structure_sheaf` at least 2 terms and
     `ideal_square` 3.
     """
     ambient = None
@@ -339,16 +350,10 @@ def parse_complexes_file(text):
         if name == "ideal_square" and len(terms) != 3:
             raise InputError("resolution ideal_square has %d terms, needs 3" % len(terms), line=n)
         out[name] = [terms[i] for i in sorted(terms)]
-    return out
-
-
-def parse_ci_complexes(text):
-    """A complexes file holding both resolutions `hodge_pipeline_ci` chases."""
-    res = parse_complexes_file(text)
     for name in ("structure_sheaf", "ideal_square"):
-        if name not in res:
+        if name not in out:
             raise InputError("no %s resolution" % name)
-    return res
+    return out
 
 
 def load_triangulation(text):
@@ -382,4 +387,6 @@ def parse_point_file(text):
             if len(point) != FAN_RANK - 1:
                 raise ValueError("point has %d entries, not %d" % (len(point), FAN_RANK - 1))
             points.append(point)
+    if not points:
+        raise InputError("empty point file")
     return points

@@ -30,7 +30,7 @@ KINDS = {
     "hypersurface_monomials": ("toric/hypersurface.fpoly", "parse_monomial_file"),
     "component_table": ("toric/components.tbl", "parse_component_table"),
     "scroll_polytope": ("toric/scroll_polytope.txt", "parse_point_file"),
-    "ci_complexes": ("cohomology/ci_degree12.complexes", "parse_ci_complexes"),
+    "ci_complexes": ("cohomology/ci_degree12.complexes", "parse_complexes_file"),
 }
 
 

@@ -12,89 +12,17 @@ in counterclockwise order and whether they form a smooth complete fan.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 from math import gcd
 
 from . import intlinalg as la
+from .fan import Fan, SurfaceType, _ray_matrix_columns  # Fan: still srcy.toric.Fan
 from .polynomial import Poly, PolyRing
 from .simplicial import SimplicialComplex
 
 CHART_RING = PolyRing(["y1", "y2", "y3", "y4"])
-
-
-# -- the fan -------------------------------------------------------------------
-
-
-class Fan:
-    """Maximal cones of a fan, in a working basis of the lattice N.
-
-    `lattice` is the square `Fraction` matrix L whose columns are the
-    working-basis vectors in ambient coordinates.  Rays stay in the working
-    basis: a monomial m pairs with a ray r as <m, L r> = <L^T m, r>, so
-    `pull_back` turns m into L^T m once and every pairing is then taken
-    with the integer rays.  `inverses` maps each simplicial,
-    full-dimensional, unimodular cone to the integer inverse of its ray
-    matrix, whose rows are the cone's facet functionals; the other cones
-    are left for `verify_smooth_subdivision` to report.  `index` is
-    |det sigma|, the index in N of the lattice that sigma's rays span.
-    """
-
-    def __init__(self, lattice, rays, cones, sigma):
-        self.lattice = [[Fraction(x) for x in row] for row in lattice]
-        if la.det(self.lattice) == 0:
-            raise ValueError("lattice basis matrix is singular")
-        self.rays = [tuple(int(x) for x in r) for r in rays]
-        for r in self.rays:
-            if la.primitive(r) != r:
-                raise ValueError("fan ray %s is not primitive" % (r,))
-        if len(set(self.rays)) != len(self.rays):
-            raise ValueError("repeated ray")
-        self.cones = [tuple(c) for c in cones]
-        self.sigma = tuple(sigma)  # ray indices spanning the subdivided cone
-        self._ray_pos = {r: i for i, r in enumerate(self.rays)}
-        # sigma's facet functionals: the rows of |det sigma| sigma^-1, integers
-        # scaled by a positive factor, which keeps every sign and zero
-        sig = _ray_matrix_columns([self.rays[i] for i in self.sigma])
-        self.index = abs(int(la.det(sig)))
-        self._sigma_functionals = [[int(x * self.index) for x in row] for row in la.inverse(sig)]
-        self.inverses = {}
-        for c in range(len(self.cones)):
-            cols = _ray_matrix_columns(self.cone_rays(c))
-            try:
-                self.inverses[c] = la.unimodular_inverse(cols)
-            except ValueError:
-                pass  # not square, or not unimodular
-
-    def ray_index(self, ray):
-        return self._ray_pos[tuple(ray)]
-
-    def cone_rays(self, cone_id):
-        return [self.rays[i] for i in self.cones[cone_id]]
-
-    def cones_containing(self, *ray_ids):
-        want = set(ray_ids)
-        return [c for c in range(len(self.cones)) if want <= set(self.cones[c])]
-
-    def interior_ray_ids(self):
-        return [i for i in range(len(self.rays)) if i not in self.sigma]
-
-    def in_sigma(self, vec):
-        coords = la.mat_vec_int(self._sigma_functionals, list(vec))
-        return all(c >= 0 for c in coords)
-
-    def pull_back(self, monomial):
-        """L^T m, with integral entries as ints: an invariant monomial pairs as ints."""
-        w = la.mat_vec_int(list(zip(*self.lattice)), list(monomial))
-        return [int(x) if x.denominator == 1 else x for x in w]
-
-
-def _ray_matrix_columns(rays):
-    n = len(rays[0])
-    return [[rays[j][i] for j in range(len(rays))] for i in range(n)]
 
 
 # -- fan verification ----------------------------------------------------------
@@ -408,32 +336,6 @@ def orbit_closure_component(fan, ray_id1, ray_id2):
 # -- smooth complete toric surfaces ---------------------------------------------
 
 
-# P2, F<n> or Bl<k>P2, Bl<k>F<n>, in ASCII digits without leading zeros
-_SURFACE_TAG = re.compile(r"(?:Bl(?P<k>[1-9][0-9]*))?(?:P2|F(?P<n>0|[1-9][0-9]*))")
-
-
-@dataclass(frozen=True)
-class SurfaceType:
-    base: str  # 'P2' or 'F', blown up `blowups` times
-    n: int = 0
-    blowups: int = 0
-
-    def __str__(self):
-        return ("Bl%d" % self.blowups if self.blowups else "") + (
-            "P2" if self.base == "P2" else "F%d" % self.n)
-
-    @classmethod
-    def parse(cls, text):
-        """Read a canonical tag, one that `str` gives back unchanged (k >= 1)."""
-        m = _SURFACE_TAG.fullmatch(text)
-        if m is None:
-            raise ValueError("unrecognized surface tag %r" % text)
-        return cls("P2" if m["n"] is None else "F", n=int(m["n"] or 0), blowups=int(m["k"] or 0))
-
-    def chi(self):
-        return (3 if self.base == "P2" else 4) + self.blowups
-
-
 def classify_toric_surface(rays):
     """Tag a smooth complete 2d fan as P2, F_n or an iterated blow-up.
 
@@ -556,6 +458,8 @@ def hull_facets(points):
         else:
             continue
         facets[key] = frozenset(t for t, s in enumerate(sides) if s == 0)
+    if len(facets) < 4:  # a flat set has at most its two sides
+        raise ValueError("points do not span 3-space")
     return [(n, off, inc) for (n, off), inc in sorted(facets.items())]
 
 
@@ -720,21 +624,16 @@ def match_component_table(fan, structure, rows):
     (pairs of two interior rays before mixed pairs, which is enough to
     separate the fixtures' rows sharing a ray).  A candidate with a closure
     fan matches only a row whose chi is that fan's ray count, and one with
-    an incomplete orbit closure raises; every tag's nominal chi must equal
-    the recorded chi.
+    an incomplete orbit closure raises.
     """
     interior = set(fan.interior_ray_ids())
     components = list(structure.components)
     taken = set()
     out = []
-    for label, ray, type_tag, chi in rows:
+    for label, ray, _tag, chi in rows:
         if tuple(ray) not in fan.rays:
             raise ValueError("row %s: %s is not a ray of the fan" % (label, ",".join(map(str, ray))))
         ray_id = fan.ray_index(ray)
-        surface = SurfaceType.parse(type_tag)
-        if surface.chi() != chi:
-            raise ValueError("row %s: tag %s has chi %d, recorded %d"
-                             % (label, type_tag, surface.chi(), chi))
         candidates = [i for i, comp in enumerate(components)
                       if i not in taken and ray_id in comp.ray_ids]
         # prefer single-ray components, then pairs of interior rays

@@ -354,7 +354,8 @@ def _check_toric(report, fx):
 
     points = fx("scroll_polytope")
     report.add("toric.polytope_lattice_points", 10,
-               len(lattice_points_in_polytope(points)), "recorded count")
+               len(fx.blame("scroll_polytope", None, lattice_points_in_polytope, points)),
+               "recorded count")
     report.add("toric.polytope_normal_fan", True,
                method4_normal_fan_check(fan, rid((5, -1, -1, -2)), points),
                "normal fan comparison")

@@ -48,7 +48,7 @@ def test_every_public_name_is_bound_on_the_package():
 
 # Layers that neither `import srcy` nor loading the bundled fixtures needs.
 LAZY_LAYERS = ("verify", "report", "deformation", "symmetry", "torusgroup", "families",
-               "sr_ideal", "cli")
+               "sr_ideal", "toric", "cli")
 
 # Run in a fresh interpreter: load every fixture, as the benchmark's set-up
 # does, then print what the package namespace looked like and resolves to.
@@ -368,6 +368,8 @@ def test_toric_without_its_files_is_a_usage_error(capsys, argv):
     ("E10 1,0,0,0 Bl3P2 6", "E10 1,0,0,0 Bl0P2 6", "unrecognized surface tag 'Bl0P2'", 11),
     ("E3 11,-4,-2,-5 F5 4", "E3 11,-4,-2,-5 F 4", "unrecognized surface tag 'F'", 4),
     ("E2 3,-1,0,-1 Bl1F2 5", "E2 3,-1,0,-1 BlF 5", "unrecognized surface tag 'BlF'", 3),
+    ("E7 15,-5,-3,-6 Bl3F2 7", "E7 15,-5,-3,-6 Bl3F2 8",
+     "row E7: tag Bl3F2 has chi 7, recorded 8", 8),
 ])
 def test_bad_component_table_row_exits_2(capsys, tmp_path, old, new, reason, line):
     table = _toric_copy(tmp_path, "components.tbl", old, new)
@@ -384,6 +386,14 @@ def test_bad_invariant_monomial_exits_2(capsys, tmp_path, new, reason):
     fpoly = _toric_copy(tmp_path, "hypersurface.fpoly", "2 0 8 0", new)
     _exits_2(capsys, ["toric", "charts", _data("toric/subdivision.fan"), fpoly],
              "%s: %s\n" % (fpoly, reason))
+
+
+def test_empty_monomial_block_exits_2(capsys, tmp_path):
+    # crepancy takes a minimum over these monomials
+    fpoly = _toric_copy(tmp_path, "hypersurface.fpoly",
+                        "monomials\n2 0 0 0\n0 3 0 0\n0 0 5 0\n0 0 1 2\n", "monomials\n")
+    _exits_2(capsys, ["toric", "crepancy", _data("toric/subdivision.fan"), fpoly],
+             "%s: empty monomials block\n" % fpoly)
 
 
 def test_sr_command(capsys, complexes):
@@ -664,6 +674,13 @@ def test_run_all_cohom_fixture_without_structure_sheaf_exits_2(tmp_path, capsys)
     ("families/degree13_oneparam.mat", [("s*x7^2\n", "s*x7^2 + (x1^1000)^20*x2\n"),
                                         ("s*x6\n", "s*x6 + (x1^1000)^20*x3\n")],
      "pfaffian", "a product exponent is above the limit 32767"),
+    ("toric/scroll_polytope.txt", [("0 0 0\n1 0 0\n0 1 0\n1 0 1\n0 0 4\n0 1 2\n", "")],
+     "toric", "empty point file"),
+    # four coplanar points, then three collinear ones
+    ("toric/scroll_polytope.txt", [("1 0 1\n0 0 4\n0 1 2\n", "1 1 0\n")],
+     "toric", "points do not span 3-space"),
+    ("toric/scroll_polytope.txt", [("1 0 0\n0 1 0\n1 0 1\n0 0 4\n0 1 2\n", "1 1 1\n2 2 2\n")],
+     "toric", "points do not span 3-space"),
 ])
 def test_run_all_bad_fixture_data_exits_2(tmp_path, capsys, rel, edits, section, reason):
     import shutil

@@ -6,7 +6,6 @@ from srcy.fileio import (
     geometry_and_params,
     load,
     load_triangulation,
-    parse_ci_complexes,
     parse_complexes_file,
     parse_component_table,
     parse_fan_file,
@@ -142,13 +141,18 @@ def test_monomial_file_sections():
 def test_complexes_file():
     text = """
     ambient 6
-    resolution demo
+    resolution structure_sheaf
     term 0: (0)^1
     term 1: (-2)^2 + (-3)^1
+    resolution ideal_square
+    term 0: (-4)^1
+    term 1: (-6)^2
+    term 2: (-8)^1
     """
     res = parse_complexes_file(text)
-    assert [t.twists for t in res["demo"]] == [((0, 1),), ((-2, 2), (-3, 1))]
-    assert res["demo"][0].n == 6
+    assert [t.twists for t in res["structure_sheaf"]] == [((0, 1),), ((-2, 2), (-3, 1))]
+    assert [t.twists for t in res["ideal_square"]] == [((-4, 1),), ((-6, 2),), ((-8, 1),)]
+    assert res["structure_sheaf"][0].n == 6
 
 
 def test_input_error_names_what_it_knows():
@@ -201,7 +205,7 @@ def test_input_error_names_what_it_knows():
      "line 3: malformed twist term '3'"),
     (parse_complexes_file, "ambient 6\nresolution a\nfoo\n",
      "line 3: unrecognized complexes-file line: 'foo'"),
-    (parse_ci_complexes, "ambient 6\nresolution structure_sheaf\nterm 0: (0)^1\n"
+    (parse_complexes_file, "ambient 6\nresolution structure_sheaf\nterm 0: (0)^1\n"
      "term 1: (-2)^1\n", "no ideal_square resolution"),
     (load_triangulation, "0 1 2\n\n0 1 1\n", "line 3: repeated vertex in facet"),
     (load_triangulation, "0 1 2\n0 -1 2\n", "line 2: negative vertex label"),
@@ -211,6 +215,12 @@ def test_input_error_names_what_it_knows():
     (parse_point_file, "0 0 0\n0 x 0\n", "line 2: points must be whitespace-separated integers"),
     (parse_point_file, "0 0 0\n\n1 1\n", "line 3: point has 2 entries, not 3"),
     (parse_point_file, "0 0 0\n1 1 1 1\n", "line 2: point has 4 entries, not 3"),
+    (parse_point_file, "# no points\n", "empty point file"),
+    (parse_monomial_file, "monomials\ninvariant_monomials\n2 1 0 3\n", "empty monomials block"),
+    (parse_monomial_file, "monomials\n1 0 0 0\ninvariant_monomials\n",
+     "empty invariant_monomials block"),
+    (parse_component_table, "E1 1,0,0,0 P2 3\nE2 1,1,0,0 Bl2F1 5\n",
+     "line 2: row E2: tag Bl2F1 has chi 6, recorded 5"),
 ])
 def test_bad_line_names_its_number(parse, text, message):
     with pytest.raises(InputError) as exc:

@@ -17,7 +17,7 @@ from srcy.cli import main
 from srcy.fileio import (
     InputError,
     load_triangulation,
-    parse_ci_complexes,
+    parse_complexes_file,
     parse_component_table,
     parse_fan_file,
     parse_matrix_file,
@@ -32,7 +32,7 @@ PARSERS = {
     "fan": (parse_fan_file, "toric/subdivision.fan"),
     "monomial": (parse_monomial_file, "toric/hypersurface.fpoly"),
     "component table": (parse_component_table, "toric/components.tbl"),
-    "complexes": (parse_ci_complexes, "cohomology/ci_degree12.complexes"),
+    "complexes": (parse_complexes_file, "cohomology/ci_degree12.complexes"),
     "triangulation": (load_triangulation, "triangulations/p7_1.tri"),
     "point": (parse_point_file, "toric/scroll_polytope.txt"),
 }
