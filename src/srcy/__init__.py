@@ -32,7 +32,7 @@ _LAYERS = {
                  "milnor_quasihomogeneous", "pfaffian", "principal_pfaffians",
                  "quasi_weights", "verify_first_order"),
     "torusgroup": ("diagonal_stabilizer", "verify_character"),
-    "cohomology": ("TwistSum", "h_twist", "hodge_pipeline_ci", "les_solve"),
+    "cohomology": ("h_twist", "hodge_pipeline_ci", "les_solve"),
     "verify": ("run_all",),
     "cli": (), "fan": (), "families": (), "fixtures": (), "intlinalg": (), "report": (),
     "toric": (),

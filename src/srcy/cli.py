@@ -175,8 +175,9 @@ def cmd_toric(args):
 
 
 def cmd_cohom(args):
-    res = load(args.complexes, parse_complexes_file)
-    out = from_file(args.complexes, hodge_pipeline_ci, res["structure_sheaf"], res["ideal_square"])
+    n, res = load(args.complexes, parse_complexes_file)
+    out = from_file(args.complexes, hodge_pipeline_ci, n, res["structure_sheaf"],
+                    res["ideal_square"])
     _print_json({"h11": out.h11, "h12": out.h12, "intermediates": out.intermediates})
 
 

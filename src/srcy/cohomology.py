@@ -2,12 +2,14 @@
 
 Dimensions of twisted structure sheaves follow Bott's formula on P^n; a
 conservative solver propagates what exactness of long exact sequences
-forces (and nothing more), matching a by-hand chase.
+forces (and nothing more), matching a by-hand chase.  A resolution is a
+list of terms on one P^n, each a tuple of (d, m) pairs meaning the sum
+of O(d)^m; the ambient n is passed once, beside it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 
@@ -18,26 +20,6 @@ def h_twist(n, d, p):
     if p == n and d <= -n - 1:
         return comb(-d - 1, n)
     return 0
-
-
-@dataclass(frozen=True)
-class TwistSum:
-    """Direct sum of line bundles sum_i O(d_i)^{m_i} on P^n."""
-
-    twists: tuple  # ((d, multiplicity), ...)
-    n: int
-
-    def h(self, p):
-        return sum(m * h_twist(self.n, d, p) for d, m in self.twists)
-
-    def twist(self, k):
-        return TwistSum(tuple((d + k, m) for d, m in self.twists), self.n)
-
-    def table(self, name):
-        return CohTable(name, self.n, [self.h(p) for p in range(self.n + 1)])
-
-    def __str__(self):
-        return " + ".join("(%d)^%d" % (d, m) for d, m in self.twists)
 
 
 # -- conservative long-exact-sequence solver --------------------------------------
@@ -158,26 +140,30 @@ def _close_window(window):
 class HodgeResult:
     h11: int
     h12: int
-    intermediates: dict = field(default_factory=dict)
+    intermediates: dict
 
 
-def sheaf_from_resolution(resolution, name):
-    """Cohomology table of the sheaf resolved by [A_0, ..., A_k].
+def _table(n, twists, name):
+    """The CohTable of the sum of O(d)^m over `twists` on P^n, by Bott's formula."""
+    return CohTable(name, n, [sum(m * h_twist(n, d, p) for d, m in twists) for p in range(n + 1)])
+
+
+def sheaf_from_resolution(n, resolution, name):
+    """Cohomology table of the sheaf on P^n resolved by [A_0, ..., A_k].
 
     Splits the resolution into short exact sequences through its syzygy
     sheaves and lets the window solver fill in the table; a one-term
     resolution is its own term.
     """
     if len(resolution) == 1:
-        return resolution[0].table(name)
-    n = resolution[0].n
+        return _table(n, resolution[0], name)
     target = CohTable(name, n)
     sequences = []
     current = target
     for i in range(len(resolution) - 1):
-        mid = resolution[i].table("%s:A%d" % (name, i))
+        mid = _table(n, resolution[i], "%s:A%d" % (name, i))
         if i == len(resolution) - 2:
-            left = resolution[i + 1].table("%s:A%d" % (name, i + 1))
+            left = _table(n, resolution[i + 1], "%s:A%d" % (name, i + 1))
         else:
             left = CohTable("%s:S%d" % (name, i + 1), n)
         sequences.append(ShortExact(left, mid, current))
@@ -189,30 +175,22 @@ def sheaf_from_resolution(resolution, name):
     return target
 
 
-def hodge_pipeline_ci(structure_resolution, ideal_square_resolution):
+def hodge_pipeline_ci(n, structure, ideal_square):
     """Hodge numbers (h11, h12) of a Calabi-Yau complete intersection 3-fold.
 
-    Inputs are the twist data of a resolution of the structure sheaf on
-    P^n and of the square of the ideal sheaf.  The chase mirrors a manual
+    Inputs are resolutions on P^n of the structure sheaf and of the square
+    of the ideal sheaf, as twist data.  The chase mirrors a manual
     computation: the structure sheaf, its twist by -1 and the ideal sheaf,
     each from its resolution, then the ideal square through its resolution
     and the conormal and cotangent sequences.  Hodge symmetry supplies
     h^3(Omega_X) = h^2(O_X); everything else is forced by exactness.
     """
-    n = structure_resolution[0].n
-    inter = {}
+    ox = sheaf_from_resolution(n, structure, "O_X")
+    minus1 = [tuple((d - 1, m) for d, m in t) for t in structure]
+    ox_m1 = sheaf_from_resolution(n, minus1, "O_X(-1)")
+    ideal = sheaf_from_resolution(n, structure[1:], "J_X")
 
-    ox = sheaf_from_resolution(structure_resolution, "O_X")
-    inter["h0_ox"] = ox.entries[0]
-    inter["h3_ox"] = ox.entries[3]
-
-    ox_m1 = sheaf_from_resolution([t.twist(-1) for t in structure_resolution], "O_X(-1)")
-    inter["h3_ox_minus1"] = ox_m1.entries[3]
-
-    ideal = sheaf_from_resolution(structure_resolution[1:], "J_X")
-    inter["h4_ideal"] = ideal.entries[4]
-
-    k_term, h_term, g_term = ideal_square_resolution
+    k_term, h_term, g_term = ideal_square
     image = CohTable("Im", n)
     j2 = CohTable("J2", n)
     conormal = CohTable("N_dual", n, dim_bound=3)
@@ -224,8 +202,8 @@ def hodge_pipeline_ci(structure_resolution, ideal_square_resolution):
     omega.entries[3] = ox.entries[2]  # Hodge symmetry h^{1,3} = h^{0,2}
 
     sequences = [
-        ShortExact(g_term.table("G"), h_term.table("H"), image),
-        ShortExact(image, k_term.table("K"), j2),
+        ShortExact(_table(n, g_term, "G"), _table(n, h_term, "H"), image),
+        ShortExact(image, _table(n, k_term, "K"), j2),
         ShortExact(j2, ideal, conormal),
         ShortExact(omega_restr, euler_mid, ox),
         ShortExact(conormal, omega_restr, omega),
@@ -235,8 +213,8 @@ def hodge_pipeline_ci(structure_resolution, ideal_square_resolution):
     missing = [u for u in unknown if u in needed]
     if missing:
         raise ValueError("chase underdetermined at %s" % missing)
-    inter["h4_j2"] = j2.entries[4]
-    inter["h3_conormal"] = conormal.entries[3]
-    inter["h3_omega_restr"] = omega_restr.entries[3]
-    inter["h1_omega_restr"] = omega_restr.entries[1]
+    inter = {"h0_ox": ox.entries[0], "h3_ox": ox.entries[3], "h3_ox_minus1": ox_m1.entries[3],
+             "h4_ideal": ideal.entries[4], "h4_j2": j2.entries[4],
+             "h3_conormal": conormal.entries[3], "h3_omega_restr": omega_restr.entries[3],
+             "h1_omega_restr": omega_restr.entries[1]}
     return HodgeResult(omega.entries[1], omega.entries[2], inter)

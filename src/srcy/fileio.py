@@ -4,7 +4,7 @@ All files are UTF-8 text with '#' comments; variable headers accept range
 shorthand like `x1..x7`.  Every parser reads through `_lines` and raises
 `InputError`, with the line number for a bad line; `load` adds the path.
 A fan file becomes a `fan.Fan`, and each component-table tag is checked
-here, at its line; reading any file loads no part of the toric pipeline.
+here, at its line; reading any file loads no solver layer.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
-from .cohomology import TwistSum
 from .fan import Fan, SurfaceType
 from .pfaffian import SkewPolyMatrix
 from .polynomial import PolyRing
@@ -81,6 +80,13 @@ def _ints(line, what):
         return tuple(int(tok) for tok in line.split())
     except ValueError:
         raise ValueError("%s must be whitespace-separated integers" % what) from None
+
+
+def _int(tok, what):
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError("%s must be an integer, got %r" % (what, tok)) from None
 
 
 def _count(line, least=0):
@@ -282,8 +288,8 @@ def parse_component_table(text):
                 raise ValueError("expected 'label ray type chi', got %r" % line)
             label, ray_text, type_tag, chi = fields
             nominal = SurfaceType.parse(type_tag).chi()
-            ray = tuple(int(tok) for tok in ray_text.split(","))
-            chi = int(chi)
+            ray = tuple(_int(tok, "ray entry") for tok in ray_text.split(","))
+            chi = _int(chi, "chi")
             if nominal != chi:
                 raise ValueError("row %s: tag %s has chi %d, recorded %d"
                                  % (label, type_tag, nominal, chi))
@@ -292,16 +298,16 @@ def parse_component_table(text):
 
 
 def parse_complexes_file(text):
-    """Resolution descriptions: `ambient n`, `resolution name`, `term i: ...`.
+    """(n, {name: [term, ...]}) from `ambient n`, `resolution name`, `term i: ...`.
 
-    Term lines use `(d)^m + (d)^m` twist-sum notation; term 0 is the end
-    of the resolution nearest the resolved sheaf.  The ambient P^n has
-    n >= 4, and both resolutions `hodge_pipeline_ci` chases are present
-    with the lengths it needs: `structure_sheaf` at least 2 terms and
-    `ideal_square` 3.
+    A term line `(d)^m + (d)^m` becomes the tuple ((d, m), (d, m)); term 0
+    is the end of the resolution nearest the resolved sheaf.  The ambient
+    P^n has n >= 4, and both resolutions `hodge_pipeline_ci` chases are
+    present with the lengths it needs: `structure_sheaf` at least 2 terms
+    and `ideal_square` 3.
     """
     ambient = None
-    resolutions = {}  # name -> (header line, {index: TwistSum})
+    resolutions = {}  # name -> (header line, {index: term})
     terms = None
     for n, line in _lines(text):
         with _at(n):
@@ -325,19 +331,21 @@ def parse_complexes_file(text):
                 tokens = head.split()
                 if not colon or len(tokens) != 2:
                     raise ValueError("expected 'term i: twists', got %r" % line)
-                index = int(tokens[1])
+                index = _int(tokens[1], "term index")
                 if index in terms:
                     raise ValueError("second term %d in resolution %s" % (index, name))
                 twists = []
                 for chunk in body.split("+"):
                     chunk = chunk.strip()
-                    if not chunk.startswith("(") or ")^" not in chunk:
-                        raise ValueError("malformed twist term %r" % chunk)
-                    d, m = (int(t) for t in chunk[1:].split(")^"))
+                    parts = chunk[1:].split(")^") if chunk.startswith("(") else ()
+                    try:
+                        d, m = map(int, parts)
+                    except ValueError:
+                        raise ValueError("malformed twist term %r" % chunk) from None
                     if m < 1:
                         raise ValueError("multiplicity must be >= 1 in twist term %r" % chunk)
                     twists.append((d, m))
-                terms[index] = TwistSum(tuple(twists), ambient)
+                terms[index] = tuple(twists)
             else:
                 raise ValueError("unrecognized complexes-file line: %r" % line)
     out = {}
@@ -353,7 +361,7 @@ def parse_complexes_file(text):
     for name in ("structure_sheaf", "ideal_square"):
         if name not in out:
             raise InputError("no %s resolution" % name)
-    return out
+    return ambient, out
 
 
 def load_triangulation(text):

@@ -1,11 +1,10 @@
 """Exact linear algebra over Z and Q (lists of lists, no floating point).
 
-Everything here operates on small matrices (at most ~50 x 8), and two
-algorithms do all the work.  One fraction-free Gauss-Jordan elimination
-(Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968) gives `det` and `inverse` over Q.
-The Smith normal form gives every lattice operation: unimodular inverses,
-completing a vector to a basis, quotient projections and kernels.
+Everything here operates on small matrices (at most ~50 x 8).  One
+fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968)
+gives `det` and every inverse, over Q and Z; the Smith normal form is used
+only for lattice operations: basis completion, quotient projections, kernels.
 """
 
 from __future__ import annotations
@@ -164,14 +163,15 @@ def smith_normal_form(rows):
 
 
 def unimodular_inverse(rows):
-    """Inverse of a unimodular integer matrix, as integers.
-
-    If the Smith form D = U * A * V is the identity, A^-1 = V * U.
-    """
-    d, u, v = smith_normal_form(rows)
-    if d != [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]:
+    """Inverse over Z: [A | I] reduces to [p I | p A^-1], p = ±det A the last pivot."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    aug = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    r, _sign, p = _eliminate(aug, n)
+    if r < n or abs(p) != 1:
         raise ValueError("matrix is not unimodular")
-    return mat_int_mul(v, u)
+    return [[p * x for x in row[n:]] for row in aug]
 
 
 def complete_to_basis(vec):

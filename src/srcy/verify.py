@@ -398,11 +398,11 @@ def _check_toric(report, fx):
 
 
 def _check_cohomology(report, fx):
-    res = fx("ci_complexes")
+    n, res = fx("ci_complexes")
     report.add("cohom.h6_twists", [1, 7, 28, 84],
                [h_twist(6, d, 6) for d in (-7, -8, -9, -10)], "duality with sections")
     out = fx.blame("ci_complexes", None, hodge_pipeline_ci,
-                   res["structure_sheaf"], res["ideal_square"])
+                   n, res["structure_sheaf"], res["ideal_square"])
     report.add("cohom.hodge_numbers", (1, 73), (out.h11, out.h12), "exact-sequence chase")
     inter = out.intermediates
     report.add("cohom.intermediates", (7, 48, 122, 121),

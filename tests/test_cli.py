@@ -48,7 +48,7 @@ def test_every_public_name_is_bound_on_the_package():
 
 # Layers that neither `import srcy` nor loading the bundled fixtures needs.
 LAZY_LAYERS = ("verify", "report", "deformation", "symmetry", "torusgroup", "families",
-               "sr_ideal", "toric", "cli")
+               "sr_ideal", "toric", "cohomology", "cli")
 
 # Run in a fresh interpreter: load every fixture, as the benchmark's set-up
 # does, then print what the package namespace looked like and resolves to.
@@ -360,7 +360,7 @@ def test_toric_without_its_files_is_a_usage_error(capsys, argv):
     ("E1 6,-2,-1,-2 P2 3", "E1 9,9,9,9 P2 3", "row E1: 9,9,9,9 is not a ray of the fan", None),
     ("E1 6,-2,-1,-2 P2 3", "E1 6,-2,-1,-2 P2",
      "expected 'label ray type chi', got 'E1 6,-2,-1,-2 P2'", 2),
-    ("E1 6,-2,-1,-2 P2 3", "E1 6,-2,x,-2 P2 3", "invalid literal for int() with base 10: 'x'", 2),
+    ("E1 6,-2,-1,-2 P2 3", "E1 6,-2,x,-2 P2 3", "ray entry must be an integer, got 'x'", 2),
     ("E3 11,-4,-2,-5 F5 4", "E3 11,-4,-2,-5 F-5 4", "unrecognized surface tag 'F-5'", 4),
     ("E4 7,-2,-1,-3 F2 4", "E4 7,-2,-1,-3 F+2 4", "unrecognized surface tag 'F+2'", 5),
     ("E4 7,-2,-1,-3 F2 4", "E4 7,-2,-1,-3 F02 4", "unrecognized surface tag 'F02'", 5),
@@ -370,6 +370,7 @@ def test_toric_without_its_files_is_a_usage_error(capsys, argv):
     ("E2 3,-1,0,-1 Bl1F2 5", "E2 3,-1,0,-1 BlF 5", "unrecognized surface tag 'BlF'", 3),
     ("E7 15,-5,-3,-6 Bl3F2 7", "E7 15,-5,-3,-6 Bl3F2 8",
      "row E7: tag Bl3F2 has chi 7, recorded 8", 8),
+    ("E1 6,-2,-1,-2 P2 3", "E1 6,-2,-1,-2 P2 x", "chi must be an integer, got 'x'", 2),
 ])
 def test_bad_component_table_row_exits_2(capsys, tmp_path, old, new, reason, line):
     table = _toric_copy(tmp_path, "components.tbl", old, new)

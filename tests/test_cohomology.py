@@ -8,7 +8,6 @@ from srcy.cohomology import (
     CohTable,
     Contradiction,
     ShortExact,
-    TwistSum,
     h_twist,
     hodge_pipeline_ci,
     les_solve,
@@ -47,21 +46,27 @@ def test_chi_polynomial_identity():
 
 def test_resolve_shift():
     # inner terms without cohomology: h^p is h^(p+k) of the last term
-    res = fixtures.ci_complexes()["structure_sheaf"]
-    twisted = [t.twist(-1) for t in res]
-    assert sheaf_from_resolution(twisted, "O_X(-1)").entries == [0, 0, 0, 7, 0, 0, 0]
-    assert sheaf_from_resolution(res[1:], "J_X").entries == [0, 0, 0, 0, 1, 0, 0]
+    n, res = fixtures.ci_complexes()
+    res = res["structure_sheaf"]
+    twisted = [tuple((d - 1, m) for d, m in t) for t in res]
+    assert sheaf_from_resolution(n, twisted, "O_X(-1)").entries == [0, 0, 0, 7, 0, 0, 0]
+    assert sheaf_from_resolution(n, res[1:], "J_X").entries == [0, 0, 0, 0, 1, 0, 0]
 
 
 def test_resolution_with_inner_cohomology_is_forced():
     # 0 -> O(-7) -> O -> F -> 0 on P^6: h^0(O) = 1 and h^6(O(-7)) = 1
-    res = [TwistSum(((0, 1),), 6), TwistSum(((-7, 1),), 6)]
-    assert sheaf_from_resolution(res, "F").entries == [1, 0, 0, 0, 0, 1, 0]
+    res = [((0, 1),), ((-7, 1),)]
+    assert sheaf_from_resolution(6, res, "F").entries == [1, 0, 0, 0, 0, 1, 0]
+
+
+def test_one_term_resolution_is_its_bott_sum():
+    # O(-7)^2 + O(1) on P^6: h^0 = 7 from O(1), h^6 = 2 from O(-7)^2
+    assert sheaf_from_resolution(6, [((-7, 2), (1, 1))], "A").entries == [7, 0, 0, 0, 0, 0, 2]
 
 
 def test_sheaf_from_resolution_structure_sheaf():
-    res = fixtures.ci_complexes()["structure_sheaf"]
-    table = sheaf_from_resolution(res, "O_X")
+    n, res = fixtures.ci_complexes()
+    table = sheaf_from_resolution(n, res["structure_sheaf"], "O_X")
     assert table.entries == [1, 0, 0, 1, 0, 0, 0]
 
 
@@ -101,8 +106,8 @@ def test_les_contradiction():
 
 
 def test_hodge_pipeline():
-    res = fixtures.ci_complexes()
-    out = hodge_pipeline_ci(res["structure_sheaf"], res["ideal_square"])
+    n, res = fixtures.ci_complexes()
+    out = hodge_pipeline_ci(n, res["structure_sheaf"], res["ideal_square"])
     assert (out.h11, out.h12) == (1, 73)
     inter = out.intermediates
     assert inter["h3_ox_minus1"] == 7
@@ -117,20 +122,24 @@ def test_pipeline_deterministic_under_sequence_shuffle():
     # not depend on discovery order
     results = set()
     for _ in range(5):
-        res = fixtures.ci_complexes()
-        out = hodge_pipeline_ci(res["structure_sheaf"], res["ideal_square"])
+        n, res = fixtures.ci_complexes()
+        out = hodge_pipeline_ci(n, res["structure_sheaf"], res["ideal_square"])
         results.add((out.h11, out.h12))
     assert results == {(1, 73)}
 
 
+def _term_chi(n, term):
+    return sum(m * _chi([h_twist(n, d, p) for p in range(n + 1)]) for d, m in term)
+
+
 def test_resolution_euler_characteristic_consistency():
-    res = fixtures.ci_complexes()
-    ox = sheaf_from_resolution(res["structure_sheaf"], "O_X")
-    alt = sum((-1) ** i * _chi(t.table("").entries) for i, t in enumerate(res["structure_sheaf"]))
+    n, res = fixtures.ci_complexes()
+    ox = sheaf_from_resolution(n, res["structure_sheaf"], "O_X")
+    alt = sum((-1) ** i * _term_chi(n, t) for i, t in enumerate(res["structure_sheaf"]))
     assert alt == _chi(ox.entries) == 0
 
-    out = hodge_pipeline_ci(res["structure_sheaf"], res["ideal_square"])
-    j2_chi = sum((-1) ** i * _chi(t.table("").entries) for i, t in enumerate(res["ideal_square"]))
+    out = hodge_pipeline_ci(n, res["structure_sheaf"], res["ideal_square"])
+    j2_chi = sum((-1) ** i * _term_chi(n, t) for i, t in enumerate(res["ideal_square"]))
     # h^4(J^2) = 122 is the only nonzero entry of the squared ideal sheaf
     assert j2_chi == out.intermediates["h4_j2"]
 

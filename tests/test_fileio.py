@@ -149,10 +149,10 @@ def test_complexes_file():
     term 1: (-6)^2
     term 2: (-8)^1
     """
-    res = parse_complexes_file(text)
-    assert [t.twists for t in res["structure_sheaf"]] == [((0, 1),), ((-2, 2), (-3, 1))]
-    assert [t.twists for t in res["ideal_square"]] == [((-4, 1),), ((-6, 2),), ((-8, 1),)]
-    assert res["structure_sheaf"][0].n == 6
+    n, res = parse_complexes_file(text)
+    assert n == 6
+    assert res["structure_sheaf"] == [((0, 1),), ((-2, 2), (-3, 1))]
+    assert res["ideal_square"] == [((-4, 1),), ((-6, 2),), ((-8, 1),)]
 
 
 def test_input_error_names_what_it_knows():
@@ -199,8 +199,7 @@ def test_input_error_names_what_it_knows():
      "line 5: monomial has 3 entries, not 4"),
     (parse_monomial_file, "monomials\n1 0 0 0 1\n", "line 2: monomial has 5 entries, not 4"),
     (parse_monomial_file, "\n1 0\n", "line 2: data before any section header: '1 0'"),
-    (parse_component_table, "# t\nE1 1,0,0,0 P2 x\n",
-     "line 2: invalid literal for int() with base 10: 'x'"),
+    (parse_component_table, "# t\nE1 1,0,0,0 P2 x\n", "line 2: chi must be an integer, got 'x'"),
     (parse_complexes_file, "ambient 6\nresolution a\nterm 0: (0)^1 + 3\n",
      "line 3: malformed twist term '3'"),
     (parse_complexes_file, "ambient 6\nresolution a\nfoo\n",
@@ -221,6 +220,15 @@ def test_input_error_names_what_it_knows():
      "empty invariant_monomials block"),
     (parse_component_table, "E1 1,0,0,0 P2 3\nE2 1,1,0,0 Bl2F1 5\n",
      "line 2: row E2: tag Bl2F1 has chi 6, recorded 5"),
+    # each field named, not Python's own int() or unpacking text
+    (parse_complexes_file, "ambient 6\nresolution a\nterm x: (0)^1\n",
+     "line 3: term index must be an integer, got 'x'"),
+    (parse_complexes_file, "ambient 6\nresolution a\nterm 0: (a)^1\n",
+     "line 3: malformed twist term '(a)^1'"),
+    (parse_complexes_file, "ambient 6\nresolution a\nterm 0: (0)^1 + (1)^\n",
+     "line 3: malformed twist term '(1)^'"),
+    (parse_complexes_file, "ambient 6\nresolution a\nterm 0: (0)^1)^2\n",
+     "line 3: malformed twist term '(0)^1)^2'"),
 ])
 def test_bad_line_names_its_number(parse, text, message):
     with pytest.raises(InputError) as exc:

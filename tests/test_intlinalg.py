@@ -116,6 +116,10 @@ def test_unimodular_inverse(fan_data):
         unimodular_inverse([[2, 1], [0, 1]])
     with pytest.raises(ValueError, match="not unimodular"):
         unimodular_inverse([[1, 2], [2, 4]])
+    # a non-square matrix is rejected before the elimination reads its columns
+    for a in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]):
+        with pytest.raises(ValueError, match="not square"):
+            unimodular_inverse(a)
 
 
 # -- the Fraction Gauss-Jordan loops and the complete-to-basis projection, kept
