@@ -9,7 +9,7 @@ of O(d)^m; the ambient n is passed once, beside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 
@@ -25,20 +25,18 @@ def h_twist(n, d, p):
 # -- conservative long-exact-sequence solver --------------------------------------
 
 
-@dataclass
 class CohTable:
-    """h^0..h^n of a named sheaf; None marks an unknown entry."""
+    """h^0..h^n of a named sheaf; None marks an unknown entry.
 
-    name: str
-    n: int
-    entries: list = None
-    dim_bound: int = None  # h^p = 0 for p > dim_bound, when set
+    With `dim_bound` set, h^p = 0 for p > dim_bound.
+    """
 
-    def __post_init__(self):
-        if self.entries is None:
-            self.entries = [None] * (self.n + 1)
-        if self.dim_bound is not None:
-            for p in range(self.dim_bound + 1, self.n + 1):
+    def __init__(self, name, n, entries=None, dim_bound=None):
+        self.name = name
+        self.n = n
+        self.entries = [None] * (n + 1) if entries is None else entries
+        if dim_bound is not None:
+            for p in range(dim_bound + 1, n + 1):
                 self._set(p, 0)
 
     def _set(self, p, value):
@@ -58,13 +56,10 @@ class Contradiction(ValueError):
     """Exactness forces a negative or a second value: the twist data are inconsistent."""
 
 
-@dataclass
-class ShortExact:
+class ShortExact(namedtuple("ShortExact", "a b c")):
     """0 -> a -> b -> c -> 0 of CohTables on the same P^n."""
 
-    a: CohTable
-    b: CohTable
-    c: CohTable
+    __slots__ = ()
 
     def les_terms(self):
         out = []
@@ -136,11 +131,7 @@ def _close_window(window):
 # -- the complete-intersection Hodge chase -----------------------------------------
 
 
-@dataclass
-class HodgeResult:
-    h11: int
-    h12: int
-    intermediates: dict
+HodgeResult = namedtuple("HodgeResult", "h11 h12 intermediates")
 
 
 def _table(n, twists, name):

@@ -8,8 +8,7 @@ distributing |b| among the vertices of `a` with positive weights.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations
 
 from .polynomial import BITS, PolyRing, _settled
@@ -37,19 +36,20 @@ LINK_CONTRIBUTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class T1BasisElement:
-    support: tuple  # sorted vertices of the face a
-    a_vector: tuple  # positive exponents, aligned with support
-    b: frozenset
+class T1BasisElement(namedtuple("T1BasisElement", "support a_vector b")):
+    """`support`: the sorted vertices of the face a; `a_vector`: positive
+    exponents, aligned with support; `b`: a frozenset of vertices."""
 
-    def __post_init__(self):
-        if set(self.support) & self.b:
+    __slots__ = ()
+
+    def __new__(cls, support, a_vector, b):
+        if set(support) & b:
             raise ValueError("a and b must be disjoint")
-        if sum(self.a_vector) != len(self.b):
+        if sum(a_vector) != len(b):
             raise ValueError("degree-zero condition sum(a) = |b| violated")
-        if any(e <= 0 for e in self.a_vector):
+        if any(e <= 0 for e in a_vector):
             raise ValueError("a-vector entries must be positive")
+        return super().__new__(cls, support, a_vector, b)
 
     def sort_key(self):
         return (self.support, tuple(sorted(self.b)), self.a_vector)
@@ -159,12 +159,8 @@ def t1_degree_zero_basis(k):
     return tuple(sorted(basis, key=T1BasisElement.sort_key))
 
 
-@dataclass
-class CrosscheckRow:
-    face: tuple
-    link_type: object
-    expected: int
-    enumerated: int
+class CrosscheckRow(namedtuple("CrosscheckRow", "face link_type expected enumerated")):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -227,12 +223,10 @@ def _image_offset(elem, key):
             - sum(key[v] for v in elem.b))
 
 
-@dataclass
-class FirstOrderFamily:
-    ring: PolyRing
-    generators: list  # Polys, linear in the parameter variables
-    basis: tuple  # T1BasisElement per parameter
-    params: list  # parameter names, aligned with basis
+# `generators` are Polys of `ring`, linear in the parameter variables;
+# `basis` holds one T1BasisElement per parameter, and `params` the
+# parameter names, aligned with it.
+FirstOrderFamily = namedtuple("FirstOrderFamily", "ring generators basis params")
 
 
 def first_order_family(k):

@@ -11,18 +11,15 @@ pass over each Pfaffian's terms; they are compared in packed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .deformation import generator_monomial, perturbation, t1_degree_zero_basis
 from .sr_ideal import minimal_nonfaces
 
 
-@dataclass
-class LiftCheck:
-    ok: bool
-    sign: int = 0
-    matched: dict = field(default_factory=dict)  # parameter name -> basis index
-    problems: list = field(default_factory=list)
+# `sign` is the lift's global sign (0 when it is not found), and `matched`
+# maps each parameter name to its basis index.
+LiftCheck = namedtuple("LiftCheck", "ok sign matched problems")
 
 
 def check_first_order_lift(k, f1, params):
@@ -36,7 +33,7 @@ def check_first_order_lift(k, f1, params):
     problems = []
     gens = minimal_nonfaces(k).generators
     if len(f1) != len(gens):
-        return LiftCheck(False, problems=["generator count mismatch"])
+        return LiftCheck(False, 0, {}, ["generator count mismatch"])
     ring = f1[0].ring
 
     slots = {}  # packed form of +-x_p -> (position of p in `gens`, sign)
@@ -50,15 +47,15 @@ def check_first_order_lift(k, f1, params):
         hit, s = slots.get(_canon(p.truncate_above(params, 1)), (None, None))
         if hit is None:
             problems.append("pfaffian %d does not reduce to a generator at t=0" % (i + 1))
-            return LiftCheck(False, problems=problems)
+            return LiftCheck(False, 0, {}, problems)
         if sign not in (None, s):
             problems.append("inconsistent signs among the base generators")
-            return LiftCheck(False, problems=problems)
+            return LiftCheck(False, 0, {}, problems)
         sign = s
         order.append(hit)
     if sorted(order) != list(range(len(gens))):
         problems.append("base generators are not a permutation of the ideal generators")
-        return LiftCheck(False, problems=problems)
+        return LiftCheck(False, 0, {}, problems)
 
     basis = t1_degree_zero_basis(k)
     expected = {}

@@ -9,7 +9,7 @@ data, so the file readers in `fileio` build them without loading `toric`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import intlinalg as la
@@ -87,11 +87,10 @@ def _ray_matrix_columns(rays):
 _SURFACE_TAG = re.compile(r"(?:Bl(?P<k>[1-9][0-9]*))?(?:P2|F(?P<n>0|[1-9][0-9]*))")
 
 
-@dataclass(frozen=True)
-class SurfaceType:
-    base: str  # 'P2' or 'F', blown up `blowups` times
-    n: int = 0
-    blowups: int = 0
+class SurfaceType(namedtuple("SurfaceType", "base n blowups", defaults=(0, 0))):
+    """`base` is 'P2' or 'F' (F_n), blown up `blowups` times."""
+
+    __slots__ = ()
 
     def __str__(self):
         return ("Bl%d" % self.blowups if self.blowups else "") + (

@@ -3,7 +3,8 @@
 Sign conventions: the Pfaffian expands recursively along the first row,
 normalized so Pf([[0, a], [-a, 0]]) = a.  Principal Pfaffians carry the
 alternating sign that makes M . f = 0 hold identically; this is verified
-symbolically whenever they are produced.
+symbolically whenever they are produced, on all rows of M . f but one,
+which f^T M f = 0 for skew M then implies (`SkewPolyMatrix.annihilates`).
 
 Each first-row expansion and each row of M . f is one `Poly.dot`, the
 fused sum of products.  Sub-Pfaffians are memoized in a dict that
@@ -13,7 +14,7 @@ recursion, so the memo forms no reference cycle and is freed on return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .polynomial import Poly, PolyRing
@@ -41,19 +42,28 @@ class SkewPolyMatrix:
             return self.upper.get((i, j), self.ring.zero())
         return -self.upper.get((j, i), self.ring.zero())
 
-    def mul_vector(self, vec, trunc=None):
-        """M . vec, one `Poly.dot(ring, pairs, trunc)` per row.
+    def annihilates(self, vec, trunc=None):
+        """Whether M . vec = 0, with every row but one formed by `Poly.dot(ring, pairs, trunc)`.
 
-        A stored entry e at (i, j) pairs with vec[j] in row i and with
-        -vec[i] in row j, so each vector entry is negated once and no
-        matrix entry is.
+        M is skew, so vec^T M vec = 0: once every other row vanishes,
+        vec[r] * (row r) = 0 too, and so row r = 0 when vec[r] is not a
+        zero divisor.  Row r is left out for the first vec[r] with a
+        nonzero term of degree 0 in the truncation's names (with no
+        truncation, the first nonzero vec[r]).  In Q[x][t]/(t)^bound such
+        an element times the lowest-degree part of a nonzero h is nonzero,
+        so it is no zero divisor.  A stored entry e at (i, j) pairs with
+        vec[j] in row i and with -vec[i] in row j, so each vector entry is
+        negated once and no matrix entry is.
         """
+        mask = self.ring.mask(trunc[0] if trunc else ())
+        implied = next((r for r, v in enumerate(vec) if any(not k & mask for k in v.nums)), None)
         neg = [-v for v in vec]
         rows = [[] for _ in range(self.dim)]
         for (i, j), e in self.upper.items():
             rows[i - 1].append((e, vec[j - 1]))
             rows[j - 1].append((e, neg[i - 1]))
-        return [Poly.dot(self.ring, pairs, trunc) for pairs in rows]
+        return all(Poly.dot(self.ring, pairs, trunc).is_zero()
+                   for r, pairs in enumerate(rows) if r != implied)
 
 
 def _sub_pfaffian(m, indices, trunc, cache):
@@ -106,16 +116,14 @@ def principal_pfaffians(m, trunc=None):
     for i in full:
         p = _sub_pfaffian(m, full[:i - 1] + full[i:], trunc, cache)
         f.append(-p if i % 2 == 1 else p)
-    residual = m.mul_vector(f, trunc)
-    if any(not r.is_zero() for r in residual):
+    if not m.annihilates(f, trunc):
         raise SyzygySignError("principal Pfaffians do not satisfy M.f = 0")
     return f
 
 
 def verify_first_order(m1, f1, params):
     """Whether M1 . f1 vanishes modulo quadratic terms in the parameters."""
-    residual = m1.mul_vector(f1, (params, 2))
-    return all(r.is_zero() for r in residual)
+    return m1.annihilates(f1, (params, 2))
 
 
 def first_order_pfaffians(m1, params):
@@ -126,15 +134,16 @@ def first_order_pfaffians(m1, params):
 # -- quasi-homogeneous singularities ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuasiWeights:
-    weights: tuple  # Fractions in (0, 1), aligned with variable names
-    names: tuple
+class QuasiWeights(namedtuple("QuasiWeights", "weights names")):
+    """`weights`: Fractions in (0, 1), aligned with the variable `names`."""
 
-    def __post_init__(self):
-        for w in self.weights:
+    __slots__ = ()
+
+    def __new__(cls, weights, names):
+        for w in weights:
             if not (0 < w < 1):
                 raise ValueError("weights must lie strictly between 0 and 1")
+        return super().__new__(cls, weights, names)
 
 
 def check_quasihomogeneous(f, weights):

@@ -3,25 +3,19 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 PASS = "pass"
 FAIL = "fail"
 INGESTED = "ingested"
 
 
-@dataclass
-class CheckRecord:
-    id: str
-    expected: object
-    computed: object
-    status: str
-    provenance: str
+CheckRecord = namedtuple("CheckRecord", "id expected computed status provenance")
 
 
-@dataclass
 class VerificationReport:
-    checks: list = field(default_factory=list)
+    def __init__(self):
+        self.checks = []  # CheckRecords, in the order they were added
 
     def add(self, check_id, expected, computed, provenance, ingested=False):
         if ingested:

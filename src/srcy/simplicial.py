@@ -11,8 +11,7 @@ round-trip byte-for-byte through the triangulation file format.
 from __future__ import annotations
 
 import functools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations
 from types import MappingProxyType
 
@@ -268,10 +267,8 @@ def cyclic_polytope_boundary(n):
     return SimplicialComplex(facets)
 
 
-@dataclass(frozen=True)
-class LinkType:
-    tag: str
-    n: int | None = None
+class LinkType(namedtuple("LinkType", "tag n", defaults=(None,))):
+    __slots__ = ()
 
     def __str__(self):
         return self.tag if self.n is None else "%s(%d)" % (self.tag, self.n)
@@ -316,10 +313,7 @@ def classify_link(link):
 # -- sphere sanity report ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SphereReport:
-    ok: bool
-    failures: tuple
+SphereReport = namedtuple("SphereReport", "ok failures")
 
 
 @once_per_complex

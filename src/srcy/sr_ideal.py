@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .polynomial import Poly, PolyRing
 from .simplicial import once_per_complex
 
 
-@dataclass(frozen=True)
-class MonomialIdealPresentation:
-    """Square-free generators (vertex subsets) of a Stanley-Reisner ideal."""
-
-    generators: tuple  # sorted tuple of sorted vertex tuples
-    vertices: tuple
+# Square-free generators (vertex subsets) of a Stanley-Reisner ideal:
+# `generators` is a sorted tuple of sorted vertex tuples.
+MonomialIdealPresentation = namedtuple("MonomialIdealPresentation", "generators vertices")
 
 
 @once_per_complex

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from types import MappingProxyType
 
 from .deformation import FirstOrderFamily
@@ -10,13 +10,10 @@ from .polynomial import PolyRing
 from .simplicial import once_per_complex
 
 
-@dataclass(frozen=True)
-class PermutationGroup:
+class PermutationGroup(namedtuple("PermutationGroup", "vertices elements generators")):
     """Explicit tuple of group elements (read-only maps label -> label)."""
 
-    vertices: tuple
-    elements: tuple
-    generators: tuple
+    __slots__ = ()
 
     @property
     def order(self):
@@ -85,9 +82,10 @@ def _image_key(perm, elem):
             frozenset(perm[v] for v in elem.b))
 
 
-@dataclass
-class OrbitPartition:
-    blocks: list  # lists of basis indices, each sorted; blocks sorted by min
+class OrbitPartition(namedtuple("OrbitPartition", "blocks")):
+    """`blocks`: lists of basis indices, each sorted; the blocks sorted by their minima."""
+
+    __slots__ = ()
 
     @property
     def count(self):

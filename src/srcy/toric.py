@@ -12,7 +12,7 @@ in counterclockwise order and whether they form a smooth complete fan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cmp_to_key
 from itertools import combinations
 from math import gcd
@@ -28,12 +28,7 @@ CHART_RING = PolyRing(["y1", "y2", "y3", "y4"])
 # -- fan verification ----------------------------------------------------------
 
 
-@dataclass
-class FanReport:
-    ok: bool
-    n_rays: int
-    n_cones: int
-    problems: list = field(default_factory=list)
+FanReport = namedtuple("FanReport", "ok n_rays n_cones problems")
 
 
 def verify_smooth_subdivision(fan):
@@ -178,12 +173,10 @@ def crepancy_check(fan, f_monomials):
 # -- quotient fans: Star and orbit closures -------------------------------------
 
 
-@dataclass
-class StarFan:
-    """Star(tau) projected to the quotient lattice N / span tau."""
-
-    rays: dict  # adjacent ray id -> its image in N / span tau
-    cones: list  # per maximal cone containing tau, its other ray ids
+# Star(tau) projected to the quotient lattice N / span tau: `rays` maps each
+# adjacent ray id to its image there, and `cones` holds, per maximal cone
+# containing tau, its other ray ids.
+StarFan = namedtuple("StarFan", "rays cones")
 
 
 def star(fan, *ray_ids):
@@ -213,8 +206,7 @@ def _counterclockwise(a, b):
     return 0 if cr == 0 else (-1 if cr > 0 else 1)
 
 
-@dataclass
-class SurfaceFan:
+class SurfaceFan(namedtuple("SurfaceFan", "rays complete factor_count")):
     """A 2d fan given by its rays, counterclockwise from the positive x-axis.
 
     `complete` holds when there are at least three rays and every two
@@ -225,9 +217,7 @@ class SurfaceFan:
     `from_rays`, which neither deduplicates nor takes primitives.
     """
 
-    rays: list
-    complete: bool
-    factor_count: int = 1
+    __slots__ = ()
 
     @classmethod
     def from_rays(cls, rays, factor_count=1):
@@ -530,25 +520,24 @@ def method4_normal_fan_check(fan, ray_id, polytope_points):
 # -- exceptional components and the intersection complex -------------------------
 
 
-@dataclass
 class Component:
-    label: str
-    kind: str  # 'divisor', 'orbit_pair', 'torus_factor'
-    ray_ids: tuple
-    factor_index: int = 0
-    chi: int = None
-    closure: SurfaceFan = None  # torus (method 1) or orbit (method 3) closure fan
+    """An exceptional component; `match_component_table` sets its `label` and `chi`."""
+
+    def __init__(self, label, kind, ray_ids, factor_index=0, closure=None):
+        self.label = label
+        self.kind = kind  # 'divisor', 'orbit_pair', 'torus_factor'
+        self.ray_ids = ray_ids
+        self.factor_index = factor_index
+        self.chi = None
+        self.closure = closure  # torus (method 1) or orbit (method 3) closure SurfaceFan
 
     @property
     def chi_provenance(self):
         return "derived" if self.closure is not None else "ingested"
 
 
-@dataclass
-class ComponentStructure:
-    components: list
-    meeting_rays: list
-    factor_disjointness_certified: bool
+ComponentStructure = namedtuple(
+    "ComponentStructure", "components meeting_rays factor_disjointness_certified")
 
 
 def derive_component_structure(fan, charts):

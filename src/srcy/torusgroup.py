@@ -9,15 +9,16 @@ the torsion of that sublattice modulo the difference lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .intlinalg import smith_normal_form
 
 
-@dataclass
-class FiniteAbelianGroup:
-    invariant_factors: list  # integers > 1, each dividing the next
-    generators: list  # weight vectors, one per invariant factor
+class FiniteAbelianGroup(namedtuple("FiniteAbelianGroup", "invariant_factors generators")):
+    """Its invariant factors, integers > 1 each dividing the next, and one
+    weight vector per invariant factor as `generators`."""
+
+    __slots__ = ()
 
     @property
     def order(self):
@@ -27,9 +28,7 @@ class FiniteAbelianGroup:
         return n
 
 
-@dataclass
-class InfiniteStabilizer:
-    torus_rank: int
+InfiniteStabilizer = namedtuple("InfiniteStabilizer", "torus_rank")
 
 
 def geometry_exponents(poly, geometry_vars):

@@ -50,6 +50,10 @@ def test_every_public_name_is_bound_on_the_package():
 LAZY_LAYERS = ("verify", "report", "deformation", "symmetry", "torusgroup", "families",
                "sr_ideal", "toric", "cohomology", "cli")
 
+# Standard-library modules that no srcy process imports: each costs a
+# start-up share and no check needs it.
+UNUSED_STDLIB = ("dataclasses", "inspect")
+
 # Run in a fresh interpreter: load every fixture, as the benchmark's set-up
 # does, then print what the package namespace looked like and resolves to.
 LAZY_CHILD = """
@@ -66,11 +70,13 @@ fixtures.component_table()
 fixtures.scroll_polytope()
 fixtures.ci_complexes()
 facts = {"loaded": [m for m in %r if "srcy." + m in sys.modules],
-         "bound": [n for n in srcy.__all__ if n in vars(srcy)]}
+         "bound": [n for n in srcy.__all__ if n in vars(srcy)],
+         "stdlib": [m for m in %r if m in sys.modules]}
 facts["emit"] = srcy.report.emit is sys.modules["srcy.report"].emit
 import srcy.pfaffian
 facts["pfaffian"] = srcy.pfaffian is sys.modules["srcy.pfaffian"].pfaffian
 values = {n: getattr(srcy, n) for n in srcy.__all__}
+facts["stdlib_all"] = [m for m in %r if m in sys.modules]  # pkgutil below imports inspect
 facts["not_home"] = [n for n, v in values.items()
                      if getattr(sys.modules.get(getattr(v, "__module__", "")), n, None) is not v]
 facts["not_cached"] = [n for n, v in values.items() if vars(srcy).get(n) is not v]
@@ -80,7 +86,7 @@ facts["not_module"] = [m for m in facts["submodules"] if m not in ("__main__", "
 facts["not_in_dir"] = sorted(set(srcy.__all__) - set(dir(srcy)))
 facts["unknown_resolves"] = hasattr(srcy, "no_such_layer")
 print(json.dumps(facts))
-""" % (LAZY_LAYERS,)
+""" % (LAZY_LAYERS, UNUSED_STDLIB, UNUSED_STDLIB)
 
 
 def test_import_loads_each_layer_on_first_use():
@@ -90,6 +96,8 @@ def test_import_loads_each_layer_on_first_use():
     assert done.returncode == 0, done.stderr
     facts = json.loads(done.stdout)
     assert facts["loaded"] == []
+    # neither loading the fixtures nor binding every public name imports these
+    assert facts["stdlib"] == [] and facts["stdlib_all"] == []
     # `pfaffian` is bound at import, every other public name on first use
     assert facts["bound"] == ["pfaffian"]
     assert facts["not_cached"] == []
@@ -695,6 +703,33 @@ def test_run_all_bad_fixture_data_exits_2(tmp_path, capsys, rel, edits, section,
     path.write_text(text)
     _exits_2(capsys, ["run-all", "--fixtures", tmp_path / "data", "--only", section],
              "%s: %s\n" % (path, reason))
+
+
+def test_run_all_imports_no_unused_stdlib_module():
+    child = ("import json, sys; from srcy.cli import main; code = main(['run-all']); "
+             "sys.stderr.write(json.dumps([m for m in %r if m in sys.modules]))" % (UNUSED_STDLIB,))
+    done = _python("-c", child)
+    assert done.returncode == 0 and done.stdout.endswith("result: ok\n"), done.stderr
+    assert json.loads(done.stderr) == []
+
+
+def test_no_record_has_a_mutable_default():
+    """A default shared by every record built without that field must not change."""
+    import importlib
+    import pkgutil
+
+    import srcy
+
+    records = {}
+    for info in pkgutil.iter_modules(srcy.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module("srcy." + info.name)
+            records.update((v.__name__, v) for v in vars(module).values()
+                           if isinstance(v, type) and issubclass(v, tuple)
+                           and v.__module__ == module.__name__)
+    assert {"SurfaceType", "LinkType"} <= {n for n, r in records.items() if r._field_defaults}
+    assert [(n, d) for n, r in records.items() for d in r._field_defaults.values()
+            if isinstance(d, (list, dict, set))] == []
 
 
 def test_python_dash_m_runs_the_cli():

@@ -9,6 +9,7 @@ import pytest
 from srcy import fixtures
 from srcy.fileio import geometry_and_params
 from srcy.pfaffian import (
+    QuasiWeights,
     SkewPolyMatrix,
     milnor_quasihomogeneous,
     pfaffian,
@@ -62,7 +63,7 @@ def test_base_pfaffians_recover_monomial_generators(complexes):
             k: p.truncate_above(params, 1) for k, p in matrix.upper.items()
         })
         f = principal_pfaffians(base)
-        assert all(r.is_zero() for r in base.mul_vector(f))
+        assert all(r.is_zero() for r in _reference_mul_vector(base, f))
         gens = minimal_nonfaces(complexes[name]).generators
         expected = set()
         for g in gens:
@@ -184,38 +185,59 @@ def test_the_pfaffian_memo_needs_no_cycle_collector():
 
 
 def _reference_mul_vector(m, vec, trunc=None):
-    """The row loop `SkewPolyMatrix.mul_vector` ran on `entry`, which negates the lower triangle."""
+    """M . vec, every row multiplied out on `entry`, which negates the lower triangle."""
     cols = range(1, m.dim + 1)
     return [Poly.dot(m.ring, [(m.entry(i, j), vec[j - 1]) for j in cols], trunc) for i in cols]
 
 
-def test_mul_vector_matches_the_entry_loop():
+def test_annihilates_matches_the_entry_loop():
+    """Sparse matrices and vectors, so that often all rows of M . vec but one vanish."""
     rng = random.Random(22)
     ring = PolyRing(["x", "y", "t"])
-    terms = ["0", "1", "-2/3", "x", "y^2", "t", "x*t", "-1/2*y*t^2"]
+    terms = ["1", "-2/3", "x", "y^2", "t", "x*t", "-1/2*y*t^2"]
 
     def poly():
-        return ring.parse(" + ".join(rng.sample(terms, rng.randint(1, 3))))
+        if rng.random() < 0.5:
+            return ring.zero()
+        return ring.parse(" + ".join(rng.sample(terms, rng.randint(1, 2))))
 
     for dim in range(8):
-        for _ in range(4):
+        for _ in range(40 - 4 * dim):
             m = SkewPolyMatrix(ring, dim, {(i, j): poly() for i in range(1, dim + 1)
                                            for j in range(i + 1, dim + 1)})
             vec = [poly() for _ in range(dim)]
             for trunc in (None, (["t"], 1), (["t"], 2), (["x", "t"], 2)):
-                assert m.mul_vector(vec, trunc) == _reference_mul_vector(m, vec, trunc)
+                residual = _reference_mul_vector(m, vec, trunc)
+                assert m.annihilates(vec, trunc) == all(r.is_zero() for r in residual)
+
+
+def test_annihilates_leaves_out_only_a_row_its_entry_implies():
+    """Only the row of the first entry with a term of degree 0 in the truncation's names.
+
+    The row of a zero entry, or of an entry that is a multiple of t modulo
+    t^2, may hold the one nonzero row of M . vec.
+    """
+    ring = PolyRing(["x", "t"])
+    zero, one, t = ring.zero(), ring.one(), ring.var("t")
+    # M . (0, 0, 1) = (1, 0, 0)
+    m = SkewPolyMatrix(ring, 3, {(1, 3): one})
+    assert not m.annihilates([zero, zero, one])
+    # M . (t, 0, 1) = (t, 0, -t^2), which is (t, 0, 0) modulo t^2
+    m = SkewPolyMatrix(ring, 3, {(1, 3): t})
+    assert not m.annihilates([t, zero, one], (["t"], 2))
+    assert m.annihilates([t, zero, one], (["t"], 1))
 
 
 def test_one_syzygy_residual_per_pfaffian_vector(monkeypatch):
     """M.f = 0 is multiplied out once per principal_pfaffians call, nowhere else."""
-    original = SkewPolyMatrix.mul_vector
+    original = SkewPolyMatrix.annihilates
     calls = []
 
     def counted(self, vec, trunc=None):
         calls.append(self.dim)
         return original(self, vec, trunc=trunc)
 
-    monkeypatch.setattr(SkewPolyMatrix, "mul_vector", counted)
+    monkeypatch.setattr(SkewPolyMatrix, "annihilates", counted)
     assert run_all(only=["pfaffian"]).ok
     assert len(calls) == 7
 
@@ -228,6 +250,14 @@ def test_milnor_numbers():
     assert milnor_quasihomogeneous(quasi_weights([Fraction(1, 3), Fraction(1, 3)])) == 4
     with pytest.raises(ValueError):
         milnor_quasihomogeneous(quasi_weights([Fraction(2, 5), Fraction(1, 2)]))
+
+
+def test_weights_lie_strictly_between_0_and_1():
+    for bad in ([Fraction(1, 2), 1], [0, Fraction(1, 2)], [Fraction(3, 2)], [Fraction(-1, 3)]):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            quasi_weights(bad)
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
+        QuasiWeights((Fraction(1, 2), Fraction(1)), ("x", "y"))
 
 
 def test_milnor_matches_monomial_oracle():
