@@ -236,7 +236,7 @@ def parse_fan_file(text):
     for name, block in blocks.items():
         if not block:
             raise InputError("empty %s block" % name)
-    for name, what in (("lattice", "lattice row"), ("rays", "ray")):
+    for name, what in (("lattice", "lattice row"), ("rays", "ray"), ("cones", "cone")):
         for n, row in blocks[name]:
             if len(row) != FAN_RANK:
                 raise InputError("%s has %d entries, not %d" % (what, len(row), FAN_RANK), line=n)
@@ -248,6 +248,8 @@ def parse_fan_file(text):
     if len(sigma) != FAN_RANK:
         raise InputError("sigma lists %d rays, not %d" % (len(sigma), FAN_RANK))
     for n, row in blocks["sigma"] + blocks["cones"]:
+        if len(set(row)) != len(row):
+            raise InputError("repeated ray index", line=n)
         for i in row:
             if not 0 <= i < len(rays):
                 raise InputError("ray index %d out of range 1..%d" % (i + 1, len(rays)), line=n)
@@ -279,7 +281,7 @@ def parse_monomial_file(text):
 
 def parse_component_table(text):
     """Rows `label ray type chi`, ray comma-separated in the working basis and
-    chi the type tag's Euler number."""
+    chi the type tag's Euler number.  Row k is labelled Ek."""
     rows = []
     for n, line in _lines(text):
         with _at(n):
@@ -287,6 +289,8 @@ def parse_component_table(text):
             if len(fields) != 4:
                 raise ValueError("expected 'label ray type chi', got %r" % line)
             label, ray_text, type_tag, chi = fields
+            if label != "E%d" % (len(rows) + 1):
+                raise ValueError("label %s is not E%d" % (label, len(rows) + 1))
             nominal = SurfaceType.parse(type_tag).chi()
             ray = tuple(_int(tok, "ray entry") for tok in ray_text.split(","))
             chi = _int(chi, "chi")

@@ -564,12 +564,8 @@ def derive_component_structure(fan, charts):
         for c in fan.cones_containing(rid):
             fbar = chart_restriction(fan, charts, c, [rid])
             cone = fan.cones[c]
-            pos = cone.index(rid)
-            content = fbar.content_exponents()
-            for i, e in enumerate(content):
+            for i, e in enumerate(fbar.content_exponents()):
                 if e > 0:
-                    if i == pos:
-                        raise RuntimeError("restriction divisible by its own coordinate")
                     partners.add(cone[i])
             if fbar.strip_monomial_content().is_constant():
                 continue
@@ -580,7 +576,7 @@ def derive_component_structure(fan, charts):
                 if factor_count is None:
                     factor_count = g
                 elif factor_count != g:
-                    raise RuntimeError("inconsistent factor content across charts")
+                    raise ValueError("inconsistent factor content across charts")
             else:
                 binomial_everywhere = False
         if horizontal:

@@ -347,7 +347,7 @@ def _toric_copy(tmp_path, name, old, new):
 def test_fan_with_a_cut_cone_exits_2(capsys, tmp_path):
     fan = _toric_copy(tmp_path, "subdivision.fan", "16 2 5 11", "16 2 5")
     fpoly, table = _data("toric/hypersurface.fpoly"), _data("toric/components.tbl")
-    err = "%s: cone 1 is not simplicial of full dimension\n" % fan
+    err = "%s: line 34: cone has 3 entries, not 4\n" % fan
     _exits_2(capsys, ["toric", "crepancy", fan, fpoly], err)
     _exits_2(capsys, ["toric", "charts", fan, fpoly], err)
     _exits_2(capsys, ["toric", "euler", fan, fpoly, table], err)
@@ -703,6 +703,59 @@ def test_run_all_bad_fixture_data_exits_2(tmp_path, capsys, rel, edits, section,
     path.write_text(text)
     _exits_2(capsys, ["run-all", "--fixtures", tmp_path / "data", "--only", section],
              "%s: %s\n" % (path, reason))
+
+
+def _line(n, new):
+    """An edit that replaces line n of a fixture by `new`, or deletes it if `new` is None."""
+    def edit(text):
+        lines = text.splitlines()
+        lines[n - 1:n] = [] if new is None else [new]
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+# Fixture edits that once crashed a run-all section.  Input that is
+# malformed, or contradicts another fixture, exits 2 naming the file (and the
+# line, when there is one); well-formed data that is merely different fails
+# checks, and the report keeps every recorded id.
+@pytest.mark.parametrize("rel, edit, code, named", [
+    # not a 3-sphere: t1, orbits and the Pfaffian lift need one
+    ("triangulations/p7_4.tri", _line(3, None), 2, "triangulations/p7_4.tri"),
+    # vertex 7 relabelled 12: the family matrix has no x12
+    ("triangulations/p7_5.tri", lambda text: text.replace("7", "12"), 2, "families/p7_5.mat"),
+    ("toric/subdivision.fan", _line(69, "12 10 7"), 2, "toric/subdivision.fan: line 69"),
+    ("toric/subdivision.fan", _line(69, "3 1 10 7"), 2, "toric/subdivision.fan"),
+    ("toric/subdivision.fan", _line(41, "1 1 12 7"), 2, "toric/subdivision.fan: line 41"),
+    # four dependent rays: a P1-bundle base gets a zero ray
+    ("toric/subdivision.fan", _line(54, "5 17 18 16"), 2, "toric/subdivision.fan"),
+    # the fan lacks the ray of table row E1, which a closure is looked up by
+    ("toric/subdivision.fan", _line(19, "6 -2 -1 -3"), 2, "toric/components.tbl"),
+    # a wrong ray: the fan is invalid, and the components it loses fail
+    ("toric/subdivision.fan", _line(74, "4 5 8 15"), 1, None),
+    # without y^8*x^3 the derived components no longer match the table
+    ("toric/hypersurface.fpoly", _line(11, None), 2, "toric/components.tbl"),
+    # two more variables: the stabilizer is infinite
+    ("families/degree14_expected.gens", _line(3, "vars x1..x9 s"), 1, None),
+    # the same sphere, relabelled: it lacks the recorded orbit blocks of degree13
+    ("triangulations/p7_4.tri", lambda text: text.translate(str.maketrans("1234567", "2345671")),
+     1, None),
+])
+def test_run_all_on_an_edited_fixture_exits_2_or_fails_checks(tmp_path, capsys, rel, edit,
+                                                               code, named):
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(fixtures.fixture_dir(), data)
+    path = data / rel
+    path.write_text(edit(path.read_text()))
+    assert main(["run-all", "--fixtures", str(data), "--format", "json"]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and err.startswith("%s: " % (data / named)) and err.count("\n") == 1
+    else:
+        golden = json.loads((Path(__file__).parent / "data" / "run_all.json").read_text())
+        assert err == ""
+        assert [c["id"] for c in json.loads(out)["checks"]] == [c["id"] for c in golden["checks"]]
 
 
 def test_run_all_imports_no_unused_stdlib_module():

@@ -118,6 +118,8 @@ def test_fan_file_errors():
         ("sigma\n1 2 3 4", "sigma\n1 2 3", "sigma lists 3 rays, not 4"),
         ("sigma\n1 2 3 4", "sigma\n1 2 3 5", "line 12: ray index 5 out of range 1..4"),
         ("cones\n1 2 3 4", "cones\n0 1 2 3", "line 14: ray index 0 out of range 1..4"),
+        ("cones\n1 2 3 4", "cones\n1 2 3", "line 14: cone has 3 entries, not 4"),
+        ("cones\n1 2 3 4", "cones\n1 2 2 4", "line 14: repeated ray index"),
         ("cones\n1 2 3 4", "cones\n1 2 x 4", "line 14: ray indices must be whitespace-separated"
          " integers"),
         ("0 0 0 1\nrays", "1 1 0 0\nrays", "lattice basis matrix is singular"),
@@ -220,6 +222,10 @@ def test_input_error_names_what_it_knows():
      "empty invariant_monomials block"),
     (parse_component_table, "E1 1,0,0,0 P2 3\nE2 1,1,0,0 Bl2F1 5\n",
      "line 2: row E2: tag Bl2F1 has chi 6, recorded 5"),
+    # row k is Ek, so a report id never depends on a label typo
+    (parse_component_table, "E1 1,0,0,0 P2 3\n# E2 next\nE1 1,1,0,0 P2 3\n",
+     "line 3: label E1 is not E2"),
+    (parse_component_table, "E11 1,0,0,0 P2 3\n", "line 1: label E11 is not E1"),
     # each field named, not Python's own int() or unpacking text
     (parse_complexes_file, "ambient 6\nresolution a\nterm x: (0)^1\n",
      "line 3: term index must be an integer, got 'x'"),

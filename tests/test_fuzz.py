@@ -1,12 +1,16 @@
 """Bad input never escapes as anything but InputError, or exit 2 from the CLI.
 
 Each parser gets arbitrary text and a bundled fixture with one line
-changed; it must return or raise InputError.  The cheap subcommands get
-the same changed fixtures and must exit 0, 1 or 2, and on 2 print one
-line naming the file and nothing on stdout.
+changed; it must return or raise InputError.  The cheap subcommands, and
+`run-all` on a copy of the fixture tree, get the same changed fixtures and
+must exit 0, 1 or 2, and on 2 print one line naming the file and nothing
+on stdout.  `run-all`'s report keeps to the recorded report's ids.
 """
 
+import json
 import re
+import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -102,7 +106,12 @@ COMMANDS = {
     "verify-family": (["verify-family", MAT13], "families/degree13_expected.gens"),
     "cohom": (["cohom", "hodge"], "cohomology/ci_degree12.complexes"),
     "sr": (["sr"], "triangulations/p7_1.tri"),
+    "run-all": (["run-all", "--format", "json", "--fixtures"], None),
 }
+FIXTURE_FILES = sorted(str(p.relative_to(fixtures.fixture_dir()))
+                       for p in fixtures.fixture_dir().rglob("*") if p.is_file())
+GOLDEN_IDS = {c["id"] for c in json.loads(
+    (Path(__file__).parent / "data" / "run_all.json").read_text())["checks"]}
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -110,10 +119,20 @@ COMMANDS = {
 @given(data=st.data())
 def test_subcommand_on_a_fixture_with_one_line_changed(name, data, tmp_path_factory, capsys):
     argv, rel = COMMANDS[name]
-    path = tmp_path_factory.mktemp("fuzz") / rel.split("/")[1]
+    tmp = tmp_path_factory.mktemp("fuzz")
+    if rel is None:  # run-all: a copy of the fixture tree with one file changed
+        shutil.copytree(fixtures.fixture_dir(), tmp, dirs_exist_ok=True)
+        rel = data.draw(st.sampled_from(FIXTURE_FILES))
+        path, target = tmp / rel, tmp
+    else:
+        path = target = tmp / rel.split("/")[1]
     path.write_text(data.draw(one_line_changed(_text(rel))))
-    code = main([*argv, str(path)])
+    code = main([*argv, str(target)])
     out, err = capsys.readouterr()
     assert code in (0, 1, 2)
     if code == 2:
-        assert out == "" and err.startswith("%s: " % path) and err.count("\n") == 1
+        # run-all may name another fixture, one that the changed file contradicts
+        named = "%s: " % path if target == path else "%s/" % tmp
+        assert out == "" and err.startswith(named) and err.count("\n") == 1
+    elif target != path:
+        assert {c["id"] for c in json.loads(out)["checks"]} <= GOLDEN_IDS
