@@ -20,11 +20,11 @@ from .pfaffian import pfaffian
 # each layer and the public names it defines, in `__all__` order; a layer
 # with none is still reachable as `srcy.<module>`
 _LAYERS = {
-    "simplicial": ("SimplicialComplex", "boundary", "classify_link",
-                   "is_combinatorial_3sphere_candidate", "join"),
+    "simplicial": ("SimplicialComplex", "boundary", "is_combinatorial_3sphere_candidate",
+                   "join"),
     "fileio": ("load_triangulation",),
     "sr_ideal": ("degree", "hilbert_numerator", "minimal_nonfaces"),
-    "deformation": ("admissible_b", "first_order_family",
+    "deformation": ("admissible_b", "classify_link", "first_order_family",
                     "t1_degree_zero_basis", "t1_link_table_crosscheck"),
     "symmetry": ("automorphism_group", "invariant_specialize", "orbits_on_t1"),
     "polynomial": ("Poly", "PolyRing"),

@@ -8,20 +8,29 @@ distributing |b| among the vertices of `a` with positive weights.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter, namedtuple
 from itertools import combinations
 
 from .polynomial import BITS, PolyRing, _settled
 from .simplicial import (
-    OTHER,
     SimplicialComplex,
-    classify_link,
+    _is_sphere,
+    _union,
+    ball_rim,
+    bits,
+    boundary,
+    face_set,
+    facet_masks,
     is_combinatorial_3sphere_candidate,
-    is_sphere,
+    join,
+    labels_of,
+    ngon,
     once_per_complex,
-    ridge_counts,
 )
 from .sr_ideal import minimal_nonfaces
+
+# -- the link table: reference spheres and link classification ----------------
 
 # Admissible-b counts for the standard small links, before the degree-zero
 # multiplicity is applied.  n-gons with n >= 5 contribute nothing.
@@ -34,6 +43,62 @@ LINK_CONTRIBUTIONS = {
     "susp_ngon": lambda n: 1,
     "cyclic_polytope": lambda n: 1,
 }
+
+
+@functools.cache
+def suspension_of_ngon(n):
+    """Double pyramid over an n-gon; n = 4 is the octahedron."""
+    return join(SimplicialComplex([{n}, {n + 1}]), ngon(n))
+
+
+@functools.cache
+def boundary_simplex(k):
+    return boundary(frozenset(range(k + 1)))
+
+
+@functools.cache
+def cyclic_polytope_boundary(n):
+    """Boundary of the cyclic polytope C(n, 3), a stacked 2-sphere: a chain of
+    n-3 edges joined to two apexes, closed at each end by a triangle on them."""
+    if n < 5:
+        raise ValueError("cyclic polytope boundary needs n >= 5")
+    facets = [{i, i + 1, a} for i in range(n - 3) for a in (n - 2, n - 1)]
+    return SimplicialComplex(facets + [{0, n - 2, n - 1}, {n - 3, n - 2, n - 1}])
+
+
+class LinkType(namedtuple("LinkType", "tag n", defaults=(None,))):
+    __slots__ = ()
+
+    def __str__(self):
+        return self.tag if self.n is None else "%s(%d)" % (self.tag, self.n)
+
+
+OTHER = LinkType("other")
+
+
+def classify_link(link):
+    """Classify a complex of dimension <= 2 against the small standard types,
+    each candidate with matching vertex count by the exact isomorphism
+    search, so the answer is relabeling-invariant by construction."""
+    d, nv = link.dim(), len(link.vertices)
+    if d != 2:
+        return _curve_type(facet_masks(link), d)
+    for tag, n, reference in (("boundary_tetrahedron", None, nv == 4 and boundary_simplex(3)),
+                              ("susp_triangle", None, nv == 5 and suspension_of_ngon(3)),
+                              ("susp_quadrangle", None, nv == 6 and suspension_of_ngon(4)),
+                              ("susp_ngon", nv - 2, nv >= 7 and suspension_of_ngon(nv - 2)),
+                              ("cyclic_polytope", nv, nv >= 6 and cyclic_polytope_boundary(nv))):
+        if reference and link.is_isomorphic(reference):
+            return LinkType(tag, n)
+    return OTHER
+
+
+def _curve_type(masks, d):
+    """`classify_link` on facet masks when d != 2: two points, an n-gon or other."""
+    nv = _union(masks).bit_count()
+    if d == 0:
+        return LinkType("two_points") if nv == 2 else OTHER
+    return LinkType("ngon", nv) if d == 1 and _is_sphere(masks, 1) else OTHER
 
 
 class T1BasisElement(namedtuple("T1BasisElement", "support a_vector b")):
@@ -67,64 +132,71 @@ def admissible_b(link, b):
     a ball when b is a face.  Both sides are pure of the link's
     dimension, so they agree exactly when their facets do: the sets
     H union (b minus one vertex) for H a facet of L', and R union b for R
-    a facet of the rim of the ball.  A facet of the link holding fewer
-    than |b| - 1 vertices of b therefore rejects b before L' is built.
+    a facet of the rim.  So a facet missing two vertices of b rejects b.
     """
     b = frozenset(b)
     if len(b) < 2:
         raise ValueError("b must have at least two vertices")
     if not b <= set(link.vertices):
         raise ValueError("b must lie in the link's vertex set")
-    if any(len(f & b) < len(b) - 1 for f in link.facets):
+    bit = {v: 1 << i for i, v in enumerate(link.vertices)}
+    return _admissible(facet_masks(link), link.dim(), sum(map(bit.get, b)))
+
+
+def _admissible(link, dim, b):
+    """`admissible_b` on the link's facet masks, its dimension and the mask b.
+    Past the filter a facet is H | (b - v), with outer part H, or R | b, with
+    inner part R.  The sides agree exactly when the outer parts, each with
+    all |b| vertices v, pass the sphere or ball test and the inner parts are
+    their rim; the outer parts are then the facets of L', which hold the rim."""
+    outer, inner, joined = set(), set(), 0
+    for f in link:
+        r = b & ~f
+        if r & (r - 1):
+            return False
+        if r:
+            outer.add(f & ~b)
+            joined += 1
+        else:
+            inner.add(f ^ b)
+    if joined != len(outer) * b.bit_count():
         return False
-    lprime = link.full_subcomplex(v for v in link.vertices if v not in b)
-    target_dim = link.dim() - len(b) + 1
-    if link.has_face(b):
-        rim = _ball_rim(lprime, target_dim)
-    else:
-        rim = [] if is_sphere(lprime, target_dim) else None
-    if rim is None:
-        return False
-    joined = {h | (b - {v}) for h in lprime.facets for v in b}
-    return joined | {r | b for r in rim} == link.facets
+    d = dim + 1 - b.bit_count()
+    rim = ball_rim(outer, d) if inner else [] if _is_sphere(outer, d) else None
+    return rim is not None and inner == set(rim)
 
 
-def _ball_rim(c, d):
-    """Facets of the boundary of c when c triangulates the d-ball, else None.
-
-    For d <= 2: c is pure of dimension d and connected, with Euler
-    characteristic 1, and its ridges lie in at most two facets; those in
-    exactly one form a (d-1)-sphere.  The 0-ball's rim is the void complex.
-    """
-    if c.dim() != d or not c.is_pure():
-        return None
-    if d == 0:
-        return [frozenset()] if len(c.vertices) == 1 else None
-    if d > 2:
-        raise ValueError("ball test implemented for dimension <= 2 only")
-    counts = ridge_counts(c)
-    rim = [r for r, n in counts.items() if n == 1]
-    if (
-        max(counts.values()) <= 2
-        and is_sphere(SimplicialComplex(rim), d - 1)
-        and c.is_connected()
-        and c.euler_characteristic() == 1
-    ):
-        return rim
-    return None
+def _candidates(link):
+    """The masks b of two or more link vertices with at most one vertex
+    outside the link's first facet, as the facet filter demands."""
+    first = link[0]
+    outside = [0, *bits(_union(link) & ~first)]
+    s = first
+    while True:
+        for x in outside:
+            if (s | x) & (s | x) - 1:
+                yield s | x
+        if not s:
+            return
+        s = (s - 1) & first
 
 
 # -- enumeration ---------------------------------------------------------------
 
 
 def _compositions(total, parts):
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Each way to write total as an ordered sum of `parts` positive integers."""
+    for cuts in combinations(range(1, total), parts - 1):
+        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
+
+
+@once_per_complex
+def _face_links(k):
+    """(face, its link's facet masks, the link's dimension) for each nonempty
+    face of k, by size and then by the sorted face."""
+    faces = sorted((f.bit_count(), tuple(labels_of(k, f)), f) for f in face_set(k) if f)
+    links = [(face, [g ^ f for g in facet_masks(k) if g & f == f]) for _n, face, f in faces]
+    return [(face, link, max(map(int.bit_count, link)) - 1) for face, link in links]
 
 
 @once_per_complex
@@ -134,15 +206,9 @@ def admissible_pairs(k):
     Enumerated once per complex and kept with it, as an immutable tuple.
     """
     pairs = []
-    for f in sorted(k.faces(), key=lambda f: (len(f), tuple(sorted(f)))):
-        if not f:
-            continue
-        link = k.link(f)
-        lverts = link.vertices
-        for size in range(2, len(lverts) + 1):
-            for b in combinations(lverts, size):
-                if admissible_b(link, frozenset(b)):
-                    pairs.append((tuple(sorted(f)), frozenset(b)))
+    for face, link, dim in _face_links(k):
+        found = [labels_of(k, b) for b in _candidates(link) if _admissible(link, dim, b)]
+        pairs += [(face, frozenset(b)) for b in sorted(found, key=lambda b: (len(b), b))]
     return tuple(pairs)
 
 
@@ -152,10 +218,8 @@ def t1_degree_zero_basis(k):
     report = is_combinatorial_3sphere_candidate(k)
     if not report.ok:
         raise ValueError("complex fails 3-sphere checks: %s" % "; ".join(report.failures))
-    basis = []
-    for support, b in admissible_pairs(k):
-        for avec in _compositions(len(b), len(support)):
-            basis.append(T1BasisElement(support, avec, b))
+    basis = [T1BasisElement(support, avec, b) for support, b in admissible_pairs(k)
+             for avec in _compositions(len(b), len(support))]
     return tuple(sorted(basis, key=T1BasisElement.sort_key))
 
 
@@ -175,18 +239,13 @@ def t1_link_table_crosscheck(k):
     """
     enumerated = Counter(a for a, _b in admissible_pairs(k))
     rows = []
-    for f in sorted(k.faces(), key=lambda f: (len(f), tuple(sorted(f)))):
-        if not f:
+    for face, link, dim in _face_links(k):
+        if not 0 <= dim <= 2:
             continue
-        link = k.link(f)
-        if link.dim() > 2 or link.facets == frozenset({frozenset()}):
-            continue
-        tag = classify_link(link)
+        tag = classify_link(k.link(face)) if dim == 2 else _curve_type(link, dim)
         if tag == OTHER:
-            raise ValueError("link of %s does not classify" % sorted(f))
-        face = tuple(sorted(f))
-        expected = LINK_CONTRIBUTIONS[tag.tag](tag.n)
-        rows.append(CrosscheckRow(face, tag, expected, enumerated[face]))
+            raise ValueError("link of %s does not classify" % list(face))
+        rows.append(CrosscheckRow(face, tag, LINK_CONTRIBUTIONS[tag.tag](tag.n), enumerated[face]))
     return rows
 
 

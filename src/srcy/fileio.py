@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
+from . import intlinalg as la
 from .fan import Fan, SurfaceType
 from .pfaffian import SkewPolyMatrix
 from .polynomial import PolyRing
@@ -254,7 +255,11 @@ def parse_fan_file(text):
             if not 0 <= i < len(rays):
                 raise InputError("ray index %d out of range 1..%d" % (i + 1, len(rays)), line=n)
     with _at(None):
-        return Fan(lattice_rows, rays, cones, sigma)
+        fan = Fan(lattice_rows, rays, cones, sigma)
+    for c, (n, _row) in enumerate(blocks["cones"]):  # a cone without an inverse may be flat
+        if c not in fan.inverses and la.det(fan.cone_rays(c)) == 0:
+            raise InputError("the rays of the cone are linearly dependent", line=n)
+    return fan
 
 
 def parse_monomial_file(text):

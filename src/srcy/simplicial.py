@@ -3,9 +3,9 @@
 A complex is stored by its facets (inclusion-maximal faces); each object
 derived from it is computed once by `once_per_complex`, kept with the
 complex and shared by its callers, so it is immutable; `link` keeps each
-face's link there too, and each reference sphere is built once per process.
-Vertices keep their external integer labels throughout, so facet lists
-round-trip byte-for-byte through the triangulation file format.
+face's link there too.  Vertices keep their external integer labels, so
+facet lists round-trip byte-for-byte through the triangulation file
+format; the kernels work on vertex masks, bit i standing for vertices[i].
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 from collections import Counter, namedtuple
 from itertools import combinations
+from operator import or_
 from types import MappingProxyType
 
 
@@ -57,58 +58,28 @@ class SimplicialComplex:
 
     @once_per_complex
     def faces(self):
-        out = set()
-        for f in self.facets:
-            f = tuple(sorted(f))
-            for k in range(len(f) + 1):
-                out.update(map(frozenset, combinations(f, k)))
-        return frozenset(out)
-
-    def has_face(self, f):
-        f = frozenset(f)
-        return any(f <= g for g in self.facets)
+        return frozenset(frozenset(labels_of(self, m)) for m in face_set(self))
 
     def dim(self):
         return max(len(f) for f in self.facets) - 1
 
     def is_pure(self):
-        d = self.dim()
-        return all(len(f) == d + 1 for f in self.facets)
+        return len(set(map(len, self.facets))) == 1
 
     def faces_of_dim(self, d):
         return [f for f in self.faces() if len(f) == d + 1]
 
     def f_vector(self):
         """Face counts (f_-1, f_0, ..., f_d); f_-1 = 1 counts the empty face."""
-        counts = {}
-        for f in self.faces():
-            counts[len(f)] = counts.get(len(f), 0) + 1
-        return tuple(counts.get(k, 0) for k in range(self.dim() + 2))
-
-    def euler_characteristic(self):
-        return sum((-1) ** i * c for i, c in enumerate(self.f_vector()[1:]))
+        counts = Counter(m.bit_count() for m in face_set(self))
+        return tuple(counts[k] for k in range(self.dim() + 2))
 
     @once_per_complex
     def vertex_degrees(self):
         """Number of edges at each vertex, as a read-only mapping."""
-        counts = Counter(v for e in self.faces_of_dim(1) for v in e)
-        return MappingProxyType({v: counts[v] for v in self.vertices})
-
-    def is_connected(self):
-        if not self.vertices:
-            return True
-        adjacent = {v: [] for v in self.vertices}
-        for a, b in self.faces_of_dim(1):
-            adjacent[a].append(b)
-            adjacent[b].append(a)
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        while frontier:
-            for w in adjacent[frontier.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(self.vertices)
+        masks = facet_masks(self)
+        return MappingProxyType({v: _union(m for m in masks if m >> i & 1).bit_count() - 1
+                                 for i, v in enumerate(self.vertices)})
 
     # -- constructions -------------------------------------------------------
 
@@ -122,10 +93,6 @@ class SimplicialComplex:
             # no reduction: for distinct facets g, h holding f, g - f and h - f are never nested
             self._derived[f] = SimplicialComplex.__new__(SimplicialComplex)._set_facets(facets)
         return self._derived[f]
-
-    def full_subcomplex(self, vertices):
-        vs = frozenset(vertices)
-        return SimplicialComplex.from_faces(f & vs for f in self.facets)
 
     def __eq__(self, other):
         return isinstance(other, SimplicialComplex) and self.facets == other.facets
@@ -142,60 +109,22 @@ class SimplicialComplex:
     def isomorphisms(self, other):
         """Yield every vertex bijection (a dict) carrying facets to facets.
 
-        Backtracking over degree-compatible maps in the order `mine`.  Each
-        nonempty face of self is filed under its last vertex in that order,
-        and mapping v to w keeps a partial map only if every face filed
-        under v goes to a face of other.  So each face is checked once, in
-        one direction, and every map that reaches the leaf is an
-        isomorphism.  The proof rests on the facet-size exit: let f be an
-        injective vertex map sending every face of K to a face of L, where
-        K and L have the same facet-size multiset.  Go through the facet
-        sizes from largest to smallest.  A K-facet F of size s goes to a
-        face of L of size s.  That face lies in no larger L-facet G: by
-        induction G is the image of a larger K-facet H, and injectivity
-        would put F inside H.  So f(F) is an L-facet, and as the counts are
-        equal, f carries the facets of K onto the facets of L.
+        Backtracking over degree-compatible maps in the order `mine`: a
+        partial map is kept only if each face filed under its last vertex
+        goes to a face of other (`search_tables`).  Each map reaching the leaf
+        is an isomorphism, by the facet-size exit: let f be injective and send
+        every face of K to a face of L, with the same facet-size multiset.
+        From the largest size down, a K-facet F goes to a face f(F) of L of
+        its size, in no larger L-facet G: by induction G = f(H) for a larger
+        K-facet H, and injectivity would put F inside H.  So f(F) is an
+        L-facet, and as the counts are equal, f maps facets onto facets.
         """
-        deg_s, deg_o = self.vertex_degrees(), other.vertex_degrees()
-        if (len(self.vertices) != len(other.vertices)
-                or sorted(map(len, self.facets)) != sorted(map(len, other.facets))
-                or sorted(deg_s.values()) != sorted(deg_o.values())):
-            return
-        mine = sorted(self.vertices, key=lambda v: (deg_s[v], v))
-        # faces as bit masks: bit i is mine[i] on this side, other.vertices[j]
-        # on the other; a face is filed with the mask of itself minus its
-        # last vertex, whose image is already known when the face is checked
-        rank = {v: i for i, v in enumerate(mine)}
-        filed = [[] for _ in mine]
-        for f in self.faces():
-            if f:
-                mask = sum(1 << rank[v] for v in f)
-                top = mask.bit_length() - 1
-                filed[top].append((mask, mask ^ (1 << top)))
-        bit = {w: 1 << j for j, w in enumerate(other.vertices)}
-        faces_o = {sum(map(bit.get, f)) for f in other.faces()}
-        targets = [[(w, bit[w]) for w in other.vertices if deg_o[w] == deg_s[v]]
-                   for v in mine]
-        image, mapping = {0: 0}, {}
-
-        def extend(i, used):
-            if i == len(mine):
-                yield dict(mapping)
-                return
-            for w, b in targets[i]:
-                if used & b:
-                    continue
-                for mask, rest in filed[i]:
-                    m = image[rest] | b
-                    if m not in faces_o:
-                        break
-                    image[mask] = m
-                else:
-                    mapping[mine[i]] = w
-                    yield from extend(i + 1, used | b)
-                    del mapping[mine[i]]
-
-        yield from extend(0, 0)
+        tables = search_tables(self, other)
+        if tables is not None:
+            mine, filed, faces_o, targets = tables
+            chosen = list(mine)
+            for _ in extensions(filed, faces_o, targets, 0, 0, {0: 0}, chosen):
+                yield dict(zip(mine, chosen))
 
     def is_isomorphic(self, other):
         return next(self.isomorphisms(other), None) is not None
@@ -212,102 +141,21 @@ def boundary(face):
 
 
 def join(*complexes):
-    out = None
+    out = SimplicialComplex([()])  # the void complex, the unit of the join
     for comp in complexes:
         if not isinstance(comp, SimplicialComplex):
             comp = SimplicialComplex(comp)
-        if out is None:
-            out = comp
-            continue
         if set(out.vertices) & set(comp.vertices):
             raise ValueError("join requires disjoint vertex sets")
         out = SimplicialComplex({f | g for f in out.facets for g in comp.facets})
     return out
 
 
-# -- reference complexes and link classification ------------------------------
-
-
 def ngon(n, labels=None):
     if n < 3:
         raise ValueError("an n-gon needs n >= 3")
     labels = labels or list(range(n))
-    return SimplicialComplex(
-        [frozenset({labels[i], labels[(i + 1) % n]}) for i in range(n)]
-    )
-
-
-@functools.cache
-def suspension_of_ngon(n):
-    """Double pyramid over an n-gon; n = 4 is the octahedron."""
-    poles = [n, n + 1]
-    cyc = ngon(n)
-    return join(SimplicialComplex([{poles[0]}, {poles[1]}]), cyc)
-
-
-@functools.cache
-def boundary_simplex(k):
-    return boundary(frozenset(range(k + 1)))
-
-
-@functools.cache
-def cyclic_polytope_boundary(n):
-    """Boundary of the cyclic polytope C(n, 3): a stacked 2-sphere.
-
-    Built as (chain of n-3 edges) * {two apexes} together with the two
-    triangles closing up the ends through the apex edge.
-    """
-    if n < 5:
-        raise ValueError("cyclic polytope boundary needs n >= 5")
-    chain = [frozenset({i, i + 1}) for i in range(n - 3)]
-    apexes = [n - 2, n - 1]
-    facets = [e | {a} for e in chain for a in apexes]
-    facets.append(frozenset({0, n - 2, n - 1}))
-    facets.append(frozenset({n - 3, n - 2, n - 1}))
-    return SimplicialComplex(facets)
-
-
-class LinkType(namedtuple("LinkType", "tag n", defaults=(None,))):
-    __slots__ = ()
-
-    def __str__(self):
-        return self.tag if self.n is None else "%s(%d)" % (self.tag, self.n)
-
-
-TWO_POINTS = LinkType("two_points")
-BOUNDARY_TETRAHEDRON = LinkType("boundary_tetrahedron")
-SUSP_TRIANGLE = LinkType("susp_triangle")
-SUSP_QUADRANGLE = LinkType("susp_quadrangle")
-OTHER = LinkType("other")
-
-
-def classify_link(link):
-    """Classify a complex of dimension <= 2 against the small standard types.
-
-    Each candidate with matching vertex count is checked by the exact
-    isomorphism search, so the answer is relabeling-invariant by construction.
-    """
-    d = link.dim()
-    nv = len(link.vertices)
-    if d == 0:
-        if nv == 2:
-            return TWO_POINTS
-        return OTHER
-    if d == 1:
-        return LinkType("ngon", nv) if is_sphere(link, 1) else OTHER
-    if d == 2:
-        if nv == 4 and link.is_isomorphic(boundary_simplex(3)):
-            return BOUNDARY_TETRAHEDRON
-        if nv == 5 and link.is_isomorphic(suspension_of_ngon(3)):
-            return SUSP_TRIANGLE
-        if nv == 6 and link.is_isomorphic(suspension_of_ngon(4)):
-            return SUSP_QUADRANGLE
-        if nv >= 7 and link.is_isomorphic(suspension_of_ngon(nv - 2)):
-            return LinkType("susp_ngon", nv - 2)
-        if nv >= 6 and link.is_isomorphic(cyclic_polytope_boundary(nv)):
-            return LinkType("cyclic_polytope", nv)
-        return OTHER
-    return OTHER
+    return SimplicialComplex({labels[i], labels[(i + 1) % n]} for i in range(n))
 
 
 # -- sphere sanity report ------------------------------------------------------
@@ -318,48 +166,164 @@ SphereReport = namedtuple("SphereReport", "ok failures")
 
 @once_per_complex
 def is_combinatorial_3sphere_candidate(k):
-    """Check the cheap necessary conditions for |K| to be a 3-sphere.
-
-    Pure of dimension 3, every triangle in exactly two facets, Euler
-    characteristic 0, and every vertex link a triangulated 2-sphere.
-    """
-    failures = []
-    if k.dim() != 3 or not k.is_pure():
+    """Check the cheap necessary conditions for |K| to be a 3-sphere: pure of
+    dimension 3, every triangle in exactly two facets, Euler characteristic
+    0, and every vertex link, the masks g ^ v of the facets g holding v, a
+    2-sphere.  The edges are half the links' vertex counts summed."""
+    masks = facet_masks(k)
+    if {m.bit_count() for m in masks} != {4}:
         return SphereReport(False, ("complex is not pure of dimension 3",))
-    for t, count in ridge_counts(k).items():
-        if count != 2:
-            failures.append("triangle %s lies in %d facets" % (sorted(t), count))
-    if k.euler_characteristic() != 0:
-        failures.append("Euler characteristic %d != 0" % k.euler_characteristic())
-    for v in k.vertices:
-        if not is_sphere(k.link({v}), 2):
-            failures.append("link of vertex %s is not a 2-sphere" % v)
+    counts = _ridge_masks(masks)
+    failures = ["triangle %s lies in %d facets" % (labels_of(k, t), n)
+                for t, n in counts.items() if n != 2]
+    links = [[m ^ v for m in masks if m & v] for v in bits((1 << len(k.vertices)) - 1)]
+    edges = sum(_union(link).bit_count() for link in links) // 2
+    chi = len(k.vertices) - edges + len(counts) - len(masks)
+    if chi != 0:
+        failures.append("Euler characteristic %d != 0" % chi)
+    failures += ["link of vertex %s is not a 2-sphere" % v
+                 for v, link in zip(k.vertices, links) if not _is_sphere(link, 2)]
     return SphereReport(not failures, tuple(failures))
 
 
 def ridge_counts(c):
     """How many facets hold each ridge (facet minus one vertex), in one pass."""
-    return Counter(f - {v} for f in c.facets for v in f)
+    return Counter({frozenset(labels_of(c, r)): n for r, n in _ridge_masks(facet_masks(c)).items()})
 
 
 def is_sphere(c, d):
-    """Whether c triangulates the d-sphere, for d <= 2.
+    """Whether c triangulates the d-sphere, for d <= 2: the void complex for
+    d = -1, two points for d = 0, and for d = 1, 2 a connected complex, pure
+    of dimension d, whose ridges each lie in two facets, with Euler
+    characteristic 2 when d = 2."""
+    return _is_sphere(facet_masks(c), d)
 
-    The void complex is the (-1)-sphere; otherwise c must be pure of
-    dimension d: two points for d = 0, and for d = 1, 2 a connected
-    complex whose ridges each lie in two facets, with Euler
-    characteristic 2 when d = 2.
-    """
-    if d == -1:
-        return c.facets == frozenset({frozenset()})
-    if c.dim() != d or not c.is_pure():
-        return False
-    if d == 0:
-        return len(c.vertices) == 2
+
+# -- vertex-bitmask kernels ----------------------------------------------------
+
+
+@once_per_complex
+def facet_masks(k):
+    bit = {v: 1 << i for i, v in enumerate(k.vertices)}
+    return tuple(sum(map(bit.get, f)) for f in k.facets)
+
+
+@once_per_complex
+def face_set(k):
+    """Every face of k as a mask, the empty face 0 included."""
+    out = {0}
+    for m in facet_masks(k):
+        s = m
+        while s:
+            out.add(s)
+            s = (s - 1) & m
+    return frozenset(out)
+
+
+def labels_of(k, mask):
+    """The sorted vertices of k in the mask."""
+    return [v for i, v in enumerate(k.vertices) if mask >> i & 1]
+
+
+def bits(mask):
+    """The one-bit masks of the mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _union(masks):
+    return functools.reduce(or_, masks, 0)
+
+
+def _ridge_masks(masks):
+    return Counter(m ^ v for m in masks for v in bits(m))
+
+
+def _connected(masks):
+    """Whether the facets hang together through shared vertices."""
+    reached, grown = 0, next(iter(masks))
+    while grown != reached:
+        reached, grown = grown, _union(m for m in masks if m & grown)
+    return reached == _union(masks)
+
+
+def _surface(masks, d):
+    """(rim, Euler characteristic) of a connected complex, pure of dimension
+    d = 1 or 2, whose ridges lie in at most two facets; the rim lists those
+    in one.  None for any other complex.  The edges of a pure 2-complex are
+    its ridges, and the vertices of a pure 1-complex are."""
+    if {m.bit_count() for m in masks} != {d + 1}:
+        return None
     if d > 2:
-        raise ValueError("sphere test implemented for dimension <= 2 only")
-    return (
-        set(ridge_counts(c).values()) == {2}
-        and c.is_connected()
-        and (d == 1 or c.euler_characteristic() == 2)
-    )
+        raise ValueError("sphere and ball tests implemented for dimension <= 2 only")
+    counts = _ridge_masks(masks)
+    if max(counts.values()) > 2 or not _connected(masks):
+        return None
+    chi = len(masks) - len(counts)
+    chi = chi + _union(masks).bit_count() if d == 2 else -chi
+    return [r for r, n in counts.items() if n == 1], chi
+
+
+def _is_sphere(masks, d):
+    """`is_sphere` on facet masks."""
+    if d < 1:
+        return set(masks) == {0} if d == -1 else sorted(map(int.bit_count, masks)) == [1, 1]
+    return _surface(masks, d) == ([], 1 + (-1) ** d)
+
+
+def ball_rim(masks, d):
+    """The rim's ridge masks when the facet masks triangulate the d-ball, d <= 2,
+    else None: one point, with the void rim, for d = 0, and for d = 1, 2 a
+    `_surface` with Euler characteristic 1 and a (d-1)-sphere as its rim."""
+    if d == 0:
+        return [0] if len(masks) == 1 == _union(masks).bit_count() else None
+    found = _surface(masks, d)
+    return found[0] if found and found[1] == 1 and _is_sphere(found[0], d - 1) else None
+
+
+# -- the isomorphism search ----------------------------------------------------
+
+
+def search_tables(k, other):
+    """(mine, filed, faces_o, targets) for the search from k to other, or None
+    when the vertex, facet-size or degree counts differ.  `mine` orders k's
+    vertices by degree; a face of k, a mask with bit i for mine[i], is filed
+    at its top bit i as (face, face less mine[i]).  `faces_o` is other's
+    `face_set`; targets[i] holds other's (vertex, bit) of mine[i]'s degree."""
+    deg_s, deg_o = k.vertex_degrees(), other.vertex_degrees()
+    if (len(k.vertices) != len(other.vertices)
+            or sorted(map(len, k.facets)) != sorted(map(len, other.facets))
+            or sorted(deg_s.values()) != sorted(deg_o.values())):
+        return None
+    mine = sorted(k.vertices, key=lambda v: (deg_s[v], v))
+    rank = [1 << mine.index(v) for v in k.vertices]
+    filed = [[] for _ in mine]
+    for face in face_set(k) - {0}:
+        mask = sum(r for i, r in enumerate(rank) if face >> i & 1)
+        filed[mask.bit_length() - 1].append((mask, mask & ~(1 << (mask.bit_length() - 1))))
+    targets = [[(w, 1 << j) for j, w in enumerate(other.vertices) if deg_o[w] == deg_s[v]]
+               for v in mine]
+    return mine, filed, face_set(other), targets
+
+
+def extensions(filed, faces_o, targets, i, used, image, chosen):
+    """Extend a map of mine[:i] level by level, yielding once per isomorphism:
+    `used` holds the images' bits, `image` the image of each face filed below
+    level i, and chosen[j] gets mine[j]'s image.  Mapping mine[i] to w keeps
+    the map only if each face filed at level i goes to a face."""
+    if i == len(targets):
+        yield chosen
+        return
+    for w, b in targets[i]:
+        if used & b:
+            continue
+        for mask, rest in filed[i]:
+            m = image[rest] | b
+            if m not in faces_o:
+                break
+            image[mask] = m
+        else:
+            chosen[i] = w
+            yield from extensions(filed, faces_o, targets, i + 1, used | b, image, chosen)

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
 
 from .polynomial import Poly, PolyRing
-from .simplicial import once_per_complex
+from .simplicial import bits, face_set, labels_of, once_per_complex
 
 
 # Square-free generators (vertex subsets) of a Stanley-Reisner ideal:
@@ -16,22 +15,14 @@ MonomialIdealPresentation = namedtuple("MonomialIdealPresentation", "generators 
 
 @once_per_complex
 def minimal_nonfaces(k):
-    """Inclusion-minimal subsets of the vertex set that are not faces.
-
-    Searches subsets by increasing size, pruning supersets of non-faces
-    already found, so minimality holds by construction.
-    """
-    found = []
-    verts = k.vertices
-    for size in range(1, len(verts) + 1):
-        for sub in combinations(verts, size):
-            s = frozenset(sub)
-            if any(g <= s for g in found):
-                continue
-            if not k.has_face(s):
-                found.append(s)
-    gens = tuple(sorted(tuple(sorted(g)) for g in found))
-    return MonomialIdealPresentation(gens, verts)
+    """Inclusion-minimal subsets of the vertex set that are not faces: each
+    subset, as a vertex mask, that is not a face while dropping any one of
+    its vertices gives a face, as faces are closed under taking subsets."""
+    faces = face_set(k)
+    found = [s for s in range(1, 1 << len(k.vertices))
+             if s not in faces and all(s ^ v in faces for v in bits(s))]
+    gens = tuple(sorted(tuple(labels_of(k, g)) for g in found))
+    return MonomialIdealPresentation(gens, k.vertices)
 
 
 def degree(k):

@@ -7,7 +7,7 @@ from types import MappingProxyType
 
 from .deformation import FirstOrderFamily
 from .polynomial import PolyRing
-from .simplicial import once_per_complex
+from .simplicial import extensions, once_per_complex, search_tables
 
 
 class PermutationGroup(namedtuple("PermutationGroup", "vertices elements generators")):
@@ -25,22 +25,41 @@ class PermutationGroup(namedtuple("PermutationGroup", "vertices elements generat
 
 @once_per_complex
 def automorphism_group(k):
-    """All vertex bijections preserving the facet set.
-
-    The isomorphisms from k to itself, in lexicographic order of their
-    one-line images.  Generators are a greedily chosen minimal subset.
+    """All vertex bijections preserving the facet set, in lexicographic
+    order of their one-line images, with a greedily chosen minimal subset
+    as generators.  They come from a stabilizer chain along the search order
+    `mine` (Sims, 1970): with mine[:i] fixed, one search per candidate w for
+    mine[i] keeps the first automorphism sending mine[i] to w, if any, and
+    each element is one product u_0 u_1 ... of a kept map (or 1) per level.
     """
     verts = k.vertices
-    elements = sorted(k.isomorphisms(k), key=lambda p: tuple(p[v] for v in verts))
-    elements = tuple(map(MappingProxyType, elements))
-    return PermutationGroup(verts, elements, tuple(_greedy_generators(verts, elements)))
+    mine, filed, faces_o, targets = search_tables(k, k)
+    pos = {v: i for i, v in enumerate(verts)}
+    identity = tuple(range(len(verts)))
+    perms, chosen, image, used = [identity], list(mine), {0: 0}, 0
+    for i, v in enumerate(mine):
+        kept = [identity]
+        for w, b in targets[i]:
+            if used & b or w == v:
+                continue
+            forced = targets[:i] + [[(w, b)]] + targets[i + 1:]
+            if next(extensions(filed, faces_o, forced, i, used, dict(image), chosen), None):
+                kept.append(tuple(map(pos.get, map(dict(zip(mine, chosen)).get, verts))))
+        perms = [tuple(map(e.__getitem__, u)) for e in perms for u in kept]
+        chosen[i], b = v, 1 << pos[v]
+        image.update((mask, image[rest] | b) for mask, rest in filed[i])
+        used |= b
+    perms.sort()
+    elements = tuple(MappingProxyType(dict(zip(verts, map(verts.__getitem__, p)))) for p in perms)
+    generators = tuple(map(dict(zip(perms, elements)).get, _greedy_generators(perms)))
+    return PermutationGroup(verts, elements, generators)
 
 
-def _closure(verts, gens):
-    """The one-line images of the group the generators generate."""
-    identity = tuple(verts)
-    seen = {identity}
-    frontier = [identity]
+def _closure(gens, seen, frontier):
+    """`seen` and every product g p, g in gens, reached from the set
+    `frontier`: the group the gens generate when `seen` holds all other
+    products.  Permutations are tuples of vertex positions here."""
+    seen, frontier = seen | frontier, list(frontier)
     while frontier:
         cur = frontier.pop()
         for g in gens:
@@ -51,23 +70,23 @@ def _closure(verts, gens):
     return seen
 
 
-def _greedy_generators(verts, elements):
-    # take each element, in the one-line order `automorphism_group` gives, that
-    # lies outside the group the chosen ones generate; `reached` is that group,
-    # rebuilt only on a take
-    chosen = []
-    reached = _closure(verts, chosen)
-    for g in elements:
-        if len(reached) == len(elements):
+def _greedy_generators(perms):
+    # take each element, in the one-line order `automorphism_group` sorts
+    # `perms` in, that lies outside the group the chosen ones generate;
+    # `reached` is that group, grown on a take by the products through it
+    chosen, reached = [], {perms[0]}  # the identity comes first
+    for p in perms:
+        if len(reached) == len(perms):
             break
-        if tuple(g[v] for v in verts) not in reached:
-            chosen.append(g)
-            reached = _closure(verts, chosen)
+        if p not in reached:
+            chosen.append(p)
+            new = {tuple(map(p.__getitem__, h)) for h in reached} - reached
+            reached = _closure(chosen, reached, new)
     # drop members that became redundant once later ones were added
     pruned = list(chosen)
-    for g in list(pruned):
-        rest = [h for h in pruned if h is not g]
-        if rest and len(_closure(verts, rest)) == len(elements):
+    for p in chosen:
+        rest = [q for q in pruned if q != p]
+        if rest and len(_closure(rest, {perms[0]}, {perms[0]})) == len(perms):
             pruned = rest
     return pruned
 
@@ -103,8 +122,9 @@ class OrbitPartition(namedtuple("OrbitPartition", "blocks")):
 
 def orbits_on_t1(group, basis):
     """Orbits of the group action on (a-vector, b) basis elements."""
-    # images are looked up by their fields: a permutation keeps an element valid
-    index = {(e.support, e.a_vector, e.b): i for i, e in enumerate(basis)}
+    # an element is looked up by its (vertex, exponent) pairs and its b,
+    # which a permutation moves without a sort
+    index = {(frozenset(zip(e.support, e.a_vector)), e.b): i for i, e in enumerate(basis)}
     parent = list(range(len(basis)))
 
     def find(i):
@@ -118,12 +138,13 @@ def orbits_on_t1(group, basis):
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    for i, elem in enumerate(basis):
-        for g in group.generators:
-            moved = _image_key(g, elem)
-            if moved not in index:
+    for g in group.generators:
+        at = g.__getitem__
+        for i, e in enumerate(basis):
+            j = index.get((frozenset(zip(map(at, e.support), e.a_vector)), frozenset(map(at, e.b))))
+            if j is None:
                 raise RuntimeError("group does not preserve the T^1 basis")
-            union(i, index[moved])
+            union(i, j)
     blocks = {}
     for i in range(len(basis)):
         blocks.setdefault(find(i), []).append(i)

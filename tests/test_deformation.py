@@ -13,25 +13,20 @@ from srcy.deformation import (
     T1BasisElement,
     admissible_b,
     admissible_pairs,
+    boundary_simplex,
+    classify_link,
     first_order_family,
     perturbation,
+    suspension_of_ngon,
     t1_degree_zero_basis,
     t1_link_table_crosscheck,
     variable_ring,
 )
 from srcy.polynomial import Poly
-from srcy.simplicial import (
-    SimplicialComplex,
-    boundary_simplex,
-    classify_link,
-    is_combinatorial_3sphere_candidate,
-    join,
-    ngon,
-    suspension_of_ngon,
-)
+from srcy.simplicial import SimplicialComplex, is_combinatorial_3sphere_candidate, join, ngon
 from srcy.sr_ideal import minimal_nonfaces
 from srcy.symmetry import automorphism_group
-from test_simplicial import _relabel
+from test_simplicial import _euler, _relabel
 from test_symmetry import _cyclic_polytope_4_boundary
 
 T1_DIMS = {"delta4": 105, "p7_1": 92, "p7_2": 79, "p7_3": 79, "p7_4": 67, "p7_5": 56}
@@ -265,23 +260,25 @@ def test_admissible_pairs_follow_a_relabeling(complexes):
 
 
 def test_one_enumeration_per_complex(complexes, monkeypatch):
+    """Each nonempty face's link is enumerated once, across every caller."""
     import srcy.deformation as deformation
 
     # a new complex, so no earlier test has filled its memo
     k = _relabel(complexes["p7_4"], {v: v + 100 for v in complexes["p7_4"].vertices})
-    sizes = [len(k.link(f).vertices) for f in k.faces() if f]
-    one_enumeration = sum(2 ** n - n - 1 for n in sizes)  # subsets b with |b| >= 2
-    calls = []
+    candidates, links = deformation._candidates, []
 
-    def counted(link, b):
-        calls.append(b)
-        return admissible_b(link, b)
+    def counted(link):
+        links.append(sorted(link))
+        return candidates(link)
 
-    monkeypatch.setattr(deformation, "admissible_b", counted)
+    monkeypatch.setattr(deformation, "_candidates", counted)
     t1_degree_zero_basis(k)
     t1_link_table_crosscheck(k)
     first_order_family(k)
-    assert len(calls) == one_enumeration
+    bit = {v: 1 << i for i, v in enumerate(k.vertices)}
+    masks = [sum(map(bit.get, g)) for g in k.facets]
+    faces = [sum(map(bit.get, f)) for f in k.faces() if f]
+    assert sorted(links) == sorted(sorted(g ^ f for g in masks if g & f == f) for f in faces)
 
 
 def test_admissible_pairs_do_not_keep_the_complex_alive(complexes):
@@ -375,10 +372,10 @@ def _reference_admissible_b(link, b):
     if any(len(f & b) < len(b) - 1 for f in link.facets):
         return False
     rest = [v for v in link.vertices if v not in b]
-    lprime = link.full_subcomplex(rest) if rest else SimplicialComplex([])
+    lprime = _full_subcomplex(link, rest) if rest else SimplicialComplex([])
     target_dim = link.dim() - len(b) + 1
     bsubsets_proper = _proper_subsets(b)
-    if not link.has_face(b):
+    if b not in link.faces():
         if not _reference_is_sphere(lprime, target_dim):
             return False
         joined = {f | g for f in lprime.faces() for g in bsubsets_proper}
@@ -391,9 +388,27 @@ def _reference_admissible_b(link, b):
     return joined | ball_part == set(link.faces())
 
 
+def _full_subcomplex(c, vertices):
+    return SimplicialComplex.from_faces(f & frozenset(vertices) for f in c.facets)
+
+
 def _proper_subsets(b):
     b = tuple(sorted(b))
     return {frozenset(c) for k in range(len(b)) for c in combinations(b, k)}
+
+
+def _connected(c):
+    """Connectivity of the edge graph, by a search over the frozenset edges."""
+    if not c.vertices:
+        return True
+    seen, frontier = {c.vertices[0]}, [c.vertices[0]]
+    while frontier:
+        v = frontier.pop()
+        for e in c.faces_of_dim(1):
+            if v in e and not e <= seen:
+                seen |= e
+                frontier.extend(e - {v})
+    return len(seen) == len(c.vertices)
 
 
 def _degrees(c):
@@ -408,11 +423,11 @@ def _reference_is_sphere(c, d):
     if d == 0:
         return len(c.vertices) == 2
     if d == 1:
-        return c.is_connected() and set(_degrees(c)) == {2}
+        return _connected(c) and set(_degrees(c)) == {2}
     if d == 2:
         return (
-            c.is_connected()
-            and c.euler_characteristic() == 2
+            _connected(c)
+            and _euler(c) == 2
             and all(sum(1 for t in c.facets if e <= t) == 2 for e in c.faces_of_dim(1))
         )
     raise ValueError("sphere test implemented for dimension <= 2 only")
@@ -428,13 +443,13 @@ def _is_ball(c, d):
     if d == 1:
         degs = _degrees(c)
         return (
-            c.is_connected()
-            and c.euler_characteristic() == 1
+            _connected(c)
+            and _euler(c) == 1
             and max(degs) <= 2
             and degs.count(1) == 2
         )
     if d == 2:
-        if not c.is_connected() or c.euler_characteristic() != 1:
+        if not _connected(c) or _euler(c) != 1:
             return False
         boundary_edges = []
         for e in c.faces_of_dim(1):
@@ -466,14 +481,22 @@ def _candidates(link):
 
 
 def test_admissible_b_matches_face_set_reference(complexes):
-    extra = [_cyclic_polytope_4_boundary(8), join(ngon(3), ngon(4, [3, 4, 5, 6]))]
+    """admissible_b on every subset b of every link, and admissible_pairs in
+    its order: by face, by size of b and then by the sorted b."""
+    extra = [_cyclic_polytope_4_boundary(8), join(ngon(3), ngon(4, [3, 4, 5, 6])),
+             join(ngon(4), ngon(4, [4, 5, 6, 7]))]
     for k in [*complexes.values(), *extra]:
-        for f in k.faces():
+        pairs = []
+        for f in sorted(k.faces(), key=lambda f: (len(f), sorted(f))):
             if not f:
                 continue
             link = k.link(f)
             for b in _candidates(link):
-                assert admissible_b(link, b) == _reference_admissible_b(link, b), (f, b)
+                expected = _reference_admissible_b(link, b)
+                assert admissible_b(link, b) == expected, (f, b)
+                if expected:
+                    pairs.append((tuple(sorted(f)), b))
+        assert admissible_pairs(k) == tuple(pairs)
 
 
 @st.composite
@@ -527,9 +550,9 @@ def _ball_variant(lprime_facets, b):
 def test_face_branch_needs_a_ball(lprime, ball):
     b = frozenset({8, 9})
     link = _ball_variant([frozenset(f) for f in lprime], b)
-    assert link.has_face(b)
+    assert b in link.faces()
     assert all(len(f & b) >= len(b) - 1 for f in link.facets)
-    assert link.full_subcomplex(v for v in link.vertices if v not in b).facets == {
+    assert _full_subcomplex(link, set(link.vertices) - b).facets == {
         frozenset(f) for f in lprime}
     assert admissible_b(link, b) == _reference_admissible_b(link, b) == ball
 

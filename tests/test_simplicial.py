@@ -3,20 +3,26 @@ from itertools import combinations
 
 import pytest
 
-from srcy.simplicial import (
+from srcy.deformation import (
     OTHER,
-    SimplicialComplex,
-    boundary,
     boundary_simplex,
     classify_link,
     cyclic_polytope_boundary,
+    suspension_of_ngon,
+)
+from srcy.simplicial import (
+    SimplicialComplex,
+    boundary,
     is_combinatorial_3sphere_candidate,
     join,
     ngon,
     ridge_counts,
-    suspension_of_ngon,
 )
 from srcy.fileio import load_triangulation
+
+
+def _euler(c):
+    return sum((-1) ** i * n for i, n in enumerate(c.f_vector()[1:]))
 
 
 def _relabel(k, mapping):
@@ -129,9 +135,9 @@ def test_f_vectors(complexes):
     assert complexes["p7_5"].f_vector() == (1, 7, 21, 28, 14)
     assert complexes["delta4"].f_vector() == (1, 5, 10, 10, 5)
     for k in complexes.values():
-        assert k.euler_characteristic() == 0
+        assert _euler(k) == 0
         for v in k.vertices:
-            assert k.link({v}).euler_characteristic() == 2
+            assert _euler(k.link({v})) == 2
 
 
 def test_classify_links_of_fixtures(complexes):
@@ -201,7 +207,7 @@ def test_links_are_valid_complexes(complexes):
     for f in k.faces():
         lk = k.link(f)
         for face in lk.faces():
-            assert lk.has_face(face)
+            assert any(face <= g for g in lk.facets)
 
 
 def test_sphere_candidate_checks(complexes):
