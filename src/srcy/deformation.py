@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 from collections import Counter, namedtuple
-from itertools import combinations
 
 from .polynomial import BITS, PolyRing, _settled
 from .simplicial import (
@@ -27,6 +26,7 @@ from .simplicial import (
     labels_of,
     ngon,
     once_per_complex,
+    submasks,
 )
 from .sr_ideal import minimal_nonfaces
 
@@ -80,25 +80,25 @@ def classify_link(link):
     """Classify a complex of dimension <= 2 against the small standard types,
     each candidate with matching vertex count by the exact isomorphism
     search, so the answer is relabeling-invariant by construction."""
-    d, nv = link.dim(), len(link.vertices)
+    return _link_type(facet_masks(link), link.dim(), link.is_isomorphic)
+
+
+def _link_type(masks, d, is_isomorphic):
+    """`classify_link` on the link's facet masks and dimension: two points and
+    n-gons are read off the masks, and a 2-sphere is tested against each
+    reference by `is_isomorphic`, which the crosscheck builds the link for."""
+    nv = _union(masks).bit_count()
     if d != 2:
-        return _curve_type(facet_masks(link), d)
+        return (LinkType("two_points") if d == 0 and nv == 2
+                else LinkType("ngon", nv) if d == 1 and _is_sphere(masks, 1) else OTHER)
     for tag, n, reference in (("boundary_tetrahedron", None, nv == 4 and boundary_simplex(3)),
                               ("susp_triangle", None, nv == 5 and suspension_of_ngon(3)),
                               ("susp_quadrangle", None, nv == 6 and suspension_of_ngon(4)),
                               ("susp_ngon", nv - 2, nv >= 7 and suspension_of_ngon(nv - 2)),
                               ("cyclic_polytope", nv, nv >= 6 and cyclic_polytope_boundary(nv))):
-        if reference and link.is_isomorphic(reference):
+        if reference and is_isomorphic(reference):
             return LinkType(tag, n)
     return OTHER
-
-
-def _curve_type(masks, d):
-    """`classify_link` on facet masks when d != 2: two points, an n-gon or other."""
-    nv = _union(masks).bit_count()
-    if d == 0:
-        return LinkType("two_points") if nv == 2 else OTHER
-    return LinkType("ngon", nv) if d == 1 and _is_sphere(masks, 1) else OTHER
 
 
 class T1BasisElement(namedtuple("T1BasisElement", "support a_vector b")):
@@ -169,25 +169,22 @@ def _admissible(link, dim, b):
 def _candidates(link):
     """The masks b of two or more link vertices with at most one vertex
     outside the link's first facet, as the facet filter demands."""
-    first = link[0]
-    outside = [0, *bits(_union(link) & ~first)]
-    s = first
-    while True:
-        for x in outside:
-            if (s | x) & (s | x) - 1:
-                yield s | x
-        if not s:
-            return
-        s = (s - 1) & first
+    outside = [0, *bits(_union(link) & ~link[0])]
+    for s in submasks(link[0]):
+        yield from (s | x for x in outside if (s | x) & (s | x) - 1)
 
 
 # -- enumeration ---------------------------------------------------------------
 
 
 def _compositions(total, parts):
-    """Each way to write total as an ordered sum of `parts` positive integers."""
-    for cuts in combinations(range(1, total), parts - 1):
-        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
+    if parts == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 @once_per_complex
@@ -242,7 +239,7 @@ def t1_link_table_crosscheck(k):
     for face, link, dim in _face_links(k):
         if not 0 <= dim <= 2:
             continue
-        tag = classify_link(k.link(face)) if dim == 2 else _curve_type(link, dim)
+        tag = _link_type(link, dim, lambda ref: k.link(face).is_isomorphic(ref))
         if tag == OTHER:
             raise ValueError("link of %s does not classify" % list(face))
         rows.append(CrosscheckRow(face, tag, LINK_CONTRIBUTIONS[tag.tag](tag.n), enumerated[face]))

@@ -64,7 +64,8 @@ class SimplicialComplex:
         return max(len(f) for f in self.facets) - 1
 
     def is_pure(self):
-        return len(set(map(len, self.facets))) == 1
+        d = self.dim()
+        return all(len(f) == d + 1 for f in self.facets)
 
     def faces_of_dim(self, d):
         return [f for f in self.faces() if len(f) == d + 1]
@@ -141,10 +142,13 @@ def boundary(face):
 
 
 def join(*complexes):
-    out = SimplicialComplex([()])  # the void complex, the unit of the join
+    out = None
     for comp in complexes:
         if not isinstance(comp, SimplicialComplex):
             comp = SimplicialComplex(comp)
+        if out is None:
+            out = comp
+            continue
         if set(out.vertices) & set(comp.vertices):
             raise ValueError("join requires disjoint vertex sets")
         out = SimplicialComplex({f | g for f in out.facets for g in comp.facets})
@@ -155,7 +159,9 @@ def ngon(n, labels=None):
     if n < 3:
         raise ValueError("an n-gon needs n >= 3")
     labels = labels or list(range(n))
-    return SimplicialComplex({labels[i], labels[(i + 1) % n]} for i in range(n))
+    return SimplicialComplex(
+        [frozenset({labels[i], labels[(i + 1) % n]}) for i in range(n)]
+    )
 
 
 # -- sphere sanity report ------------------------------------------------------
@@ -211,13 +217,17 @@ def facet_masks(k):
 @once_per_complex
 def face_set(k):
     """Every face of k as a mask, the empty face 0 included."""
-    out = {0}
-    for m in facet_masks(k):
-        s = m
-        while s:
-            out.add(s)
-            s = (s - 1) & m
-    return frozenset(out)
+    return frozenset(s for m in facet_masks(k) for s in submasks(m))
+
+
+def submasks(mask):
+    """Every submask of the mask, from the mask itself down to 0."""
+    s = mask
+    while True:
+        yield s
+        if not s:
+            return
+        s = (s - 1) & mask
 
 
 def labels_of(k, mask):

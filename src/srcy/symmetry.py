@@ -94,13 +94,6 @@ def _greedy_generators(perms):
 # -- action on the T^1 basis -----------------------------------------------------
 
 
-def _image_key(perm, elem):
-    """The (support, a_vector, b) fields of the image of `elem` under `perm`."""
-    pairs = sorted((perm[v], e) for v, e in zip(elem.support, elem.a_vector))
-    return (tuple(v for v, _ in pairs), tuple(e for _, e in pairs),
-            frozenset(perm[v] for v in elem.b))
-
-
 class OrbitPartition(namedtuple("OrbitPartition", "blocks")):
     """`blocks`: lists of basis indices, each sorted; the blocks sorted by their minima."""
 

@@ -31,6 +31,7 @@ from test_deformation import _candidates, _reference_admissible_b
 from test_symmetry import _reference_isomorphisms
 
 BOUNDARY_4_SIMPLEX = frozenset(frozenset(f) for f in combinations(range(5), 4))
+MAX_VERTICES = 10
 
 
 def moves(facets):
@@ -67,9 +68,9 @@ def random_sphere(rng, max_vertices, steps):
     return facets
 
 
-def sample(rng, max_vertices):
-    """One sphere, with a vertex cap from 6 to max_vertices and 1 to 29 moves."""
-    return random_sphere(rng, rng.randrange(6, max_vertices + 1), rng.randrange(1, 30))
+def sample(rng):
+    """One sphere, with a vertex cap from 6 to MAX_VERTICES and 1 to 29 moves."""
+    return random_sphere(rng, rng.randrange(6, MAX_VERTICES + 1), rng.randrange(1, 30))
 
 
 def dehn_sommerville(facets):
@@ -121,13 +122,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--spheres", type=int, required=True)
-    parser.add_argument("--max-vertices", type=int, default=10)
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
     faults = 0
     sizes = {}
     for i in range(args.spheres):
-        facets = sample(rng, args.max_vertices)
+        facets = sample(rng)
         n = len(set().union(*facets))
         sizes[n] = sizes.get(n, 0) + 1
         for problem in problems(facets, rng):

@@ -4,11 +4,11 @@ from bistellar import BOUNDARY_4_SIMPLEX, flip, moves, problems, sample
 
 
 def test_random_bistellar_spheres_match_the_references():
-    """Seeded spheres on 6 to 10 vertices; the CI step runs a larger sample."""
+    """Seeded spheres on 6 to MAX_VERTICES vertices; the CI step runs a larger sample."""
     rng = random.Random(5)
     sizes = []
     for _ in range(8):
-        facets = sample(rng, 10)
+        facets = sample(rng)
         sizes.append(len(set().union(*facets)))
         assert problems(facets, rng) == [], sorted(map(sorted, facets))
     assert min(sizes) <= 7 and max(sizes) >= 9, sizes

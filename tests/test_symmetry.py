@@ -6,13 +6,7 @@ import pytest
 
 from srcy.deformation import T1BasisElement, first_order_family, t1_degree_zero_basis
 from srcy.simplicial import SimplicialComplex, join, ngon
-from srcy.symmetry import (
-    _image_key,
-    automorphism_group,
-    invariant_specialize,
-    orbit_index_of,
-    orbits_on_t1,
-)
+from srcy.symmetry import automorphism_group, invariant_specialize, orbit_index_of, orbits_on_t1
 from test_simplicial import _relabel
 
 # orders recorded for the five families with a published symmetry analysis;
@@ -273,6 +267,13 @@ def test_orbit_counts_and_sizes(complexes):
         automorphism_group(complexes["delta4"]), t1_degree_zero_basis(complexes["delta4"])
     )
     assert partq.sizes() == [5, 20, 20, 30, 30]
+
+
+def _image_key(perm, elem):
+    """The (support, a_vector, b) fields of the image of `elem` under `perm`."""
+    pairs = sorted((perm[v], e) for v, e in zip(elem.support, elem.a_vector))
+    return (tuple(v for v, _ in pairs), tuple(e for _, e in pairs),
+            frozenset(perm[v] for v in elem.b))
 
 
 def test_action_is_well_defined(complexes):
