@@ -8,29 +8,25 @@ distributing |b| among the vertices of `a` with positive weights.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter, namedtuple
+from itertools import combinations
 
 from .polynomial import BITS, PolyRing, _settled
 from .simplicial import (
-    SimplicialComplex,
     _is_sphere,
     _union,
     ball_rim,
     bits,
-    boundary,
     face_set,
     facet_masks,
     is_combinatorial_3sphere_candidate,
-    join,
     labels_of,
-    ngon,
     once_per_complex,
     submasks,
 )
 from .sr_ideal import minimal_nonfaces
 
-# -- the link table: reference spheres and link classification ----------------
+# -- the link table: link classification --------------------------------------
 
 # Admissible-b counts for the standard small links, before the degree-zero
 # multiplicity is applied.  n-gons with n >= 5 contribute nothing.
@@ -45,27 +41,6 @@ LINK_CONTRIBUTIONS = {
 }
 
 
-@functools.cache
-def suspension_of_ngon(n):
-    """Double pyramid over an n-gon; n = 4 is the octahedron."""
-    return join(SimplicialComplex([{n}, {n + 1}]), ngon(n))
-
-
-@functools.cache
-def boundary_simplex(k):
-    return boundary(frozenset(range(k + 1)))
-
-
-@functools.cache
-def cyclic_polytope_boundary(n):
-    """Boundary of the cyclic polytope C(n, 3), a stacked 2-sphere: a chain of
-    n-3 edges joined to two apexes, closed at each end by a triangle on them."""
-    if n < 5:
-        raise ValueError("cyclic polytope boundary needs n >= 5")
-    facets = [{i, i + 1, a} for i in range(n - 3) for a in (n - 2, n - 1)]
-    return SimplicialComplex(facets + [{0, n - 2, n - 1}, {n - 3, n - 2, n - 1}])
-
-
 class LinkType(namedtuple("LinkType", "tag n", defaults=(None,))):
     __slots__ = ()
 
@@ -77,27 +52,44 @@ OTHER = LinkType("other")
 
 
 def classify_link(link):
-    """Classify a complex of dimension <= 2 against the small standard types,
-    each candidate with matching vertex count by the exact isomorphism
-    search, so the answer is relabeling-invariant by construction."""
-    return _link_type(facet_masks(link), link.dim(), link.is_isomorphic)
+    """Classify a complex of dimension <= 2 against the small standard types
+    on its facet masks, by `_link_type`; the answer depends only on the
+    combinatorial type, so it is relabeling-invariant."""
+    return _link_type(facet_masks(link), link.dim())
 
 
-def _link_type(masks, d, is_isomorphic):
-    """`classify_link` on the link's facet masks and dimension: two points and
-    n-gons are read off the masks, and a 2-sphere is tested against each
-    reference by `is_isomorphic`, which the crosscheck builds the link for."""
+def _link_type(masks, d):
+    """`classify_link` on the link's facet masks and dimension.
+
+    Two points and n-gons are the 0- and 1-spheres.  A 2-sphere on nv
+    vertices has 2nv - 4 triangles, and a vertex's degree is the number
+    of triangles at it, since its link is a cycle.  There is one 2-sphere
+    on 4 vertices, the boundary of the tetrahedron, and one on 5, the
+    suspended triangle.  If two non-adjacent vertices have degree nv - 2,
+    each one's link is a cycle on all nv - 2 other vertices, and their
+    stars share no triangle, so they use up all 2nv - 4 triangles.  Each
+    edge of one cycle then lies in a triangle of the other star, so the
+    cycles agree and the sphere suspends the (nv - 2)-gon.  If two vertices
+    u and w have degree nv - 1, the disk outside u's star has all nv - 1
+    other vertices on its rim, u's link, so it triangulates a polygon
+    without interior vertices.  w lies on that rim and is joined to every
+    vertex, so all nv - 4 diagonals of the polygon start at w: the disk is
+    a fan from w, and the sphere is the boundary of the cyclic polytope
+    C(nv, 3).  Any other link is OTHER.
+    """
+    if not 0 <= d <= 2 or not _is_sphere(masks, d):
+        return OTHER
     nv = _union(masks).bit_count()
-    if d != 2:
-        return (LinkType("two_points") if d == 0 and nv == 2
-                else LinkType("ngon", nv) if d == 1 and _is_sphere(masks, 1) else OTHER)
-    for tag, n, reference in (("boundary_tetrahedron", None, nv == 4 and boundary_simplex(3)),
-                              ("susp_triangle", None, nv == 5 and suspension_of_ngon(3)),
-                              ("susp_quadrangle", None, nv == 6 and suspension_of_ngon(4)),
-                              ("susp_ngon", nv - 2, nv >= 7 and suspension_of_ngon(nv - 2)),
-                              ("cyclic_polytope", nv, nv >= 6 and cyclic_polytope_boundary(nv))):
-        if reference and is_isomorphic(reference):
-            return LinkType(tag, n)
+    if d < 2:
+        return LinkType("ngon", nv) if d else LinkType("two_points")
+    if nv < 6:
+        return LinkType("boundary_tetrahedron" if nv == 4 else "susp_triangle")
+    degree = Counter(v for m in masks for v in bits(m))
+    apexes = [v for v, n in degree.items() if n == nv - 2]
+    if any(not any(m & (u | w) == u | w for m in masks) for u, w in combinations(apexes, 2)):
+        return LinkType("susp_quadrangle") if nv == 6 else LinkType("susp_ngon", nv - 2)
+    if sum(n == nv - 1 for n in degree.values()) >= 2:
+        return LinkType("cyclic_polytope", nv)
     return OTHER
 
 
@@ -239,7 +231,7 @@ def t1_link_table_crosscheck(k):
     for face, link, dim in _face_links(k):
         if not 0 <= dim <= 2:
             continue
-        tag = _link_type(link, dim, lambda ref: k.link(face).is_isomorphic(ref))
+        tag = _link_type(link, dim)
         if tag == OTHER:
             raise ValueError("link of %s does not classify" % list(face))
         rows.append(CrosscheckRow(face, tag, LINK_CONTRIBUTIONS[tag.tag](tag.n), enumerated[face]))

@@ -2,10 +2,10 @@
 
 A complex is stored by its facets (inclusion-maximal faces); each object
 derived from it is computed once by `once_per_complex`, kept with the
-complex and shared by its callers, so it is immutable; `link` keeps each
-face's link there too.  Vertices keep their external integer labels, so
-facet lists round-trip byte-for-byte through the triangulation file
-format; the kernels work on vertex masks, bit i standing for vertices[i].
+complex and shared by its callers, so it is immutable.  Vertices keep
+their external integer labels, so facet lists round-trip byte-for-byte
+through the triangulation file format; the kernels work on vertex masks,
+bit i standing for vertices[i].
 """
 
 from __future__ import annotations
@@ -81,19 +81,6 @@ class SimplicialComplex:
         masks = facet_masks(self)
         return MappingProxyType({v: _union(m for m in masks if m >> i & 1).bit_count() - 1
                                  for i, v in enumerate(self.vertices)})
-
-    # -- constructions -------------------------------------------------------
-
-    def link(self, f):
-        """The link of the face f, kept in the memo from the first call; a non-face raises."""
-        f = frozenset(f)
-        if f not in self._derived:
-            facets = [g - f for g in self.facets if f <= g]
-            if not facets:
-                raise ValueError("%s is not a face of the complex" % sorted(f))
-            # no reduction: for distinct facets g, h holding f, g - f and h - f are never nested
-            self._derived[f] = SimplicialComplex.__new__(SimplicialComplex)._set_facets(facets)
-        return self._derived[f]
 
     def __eq__(self, other):
         return isinstance(other, SimplicialComplex) and self.facets == other.facets
@@ -192,19 +179,6 @@ def is_combinatorial_3sphere_candidate(k):
     return SphereReport(not failures, tuple(failures))
 
 
-def ridge_counts(c):
-    """How many facets hold each ridge (facet minus one vertex), in one pass."""
-    return Counter({frozenset(labels_of(c, r)): n for r, n in _ridge_masks(facet_masks(c)).items()})
-
-
-def is_sphere(c, d):
-    """Whether c triangulates the d-sphere, for d <= 2: the void complex for
-    d = -1, two points for d = 0, and for d = 1, 2 a connected complex, pure
-    of dimension d, whose ridges each lie in two facets, with Euler
-    characteristic 2 when d = 2."""
-    return _is_sphere(facet_masks(c), d)
-
-
 # -- vertex-bitmask kernels ----------------------------------------------------
 
 
@@ -248,6 +222,7 @@ def _union(masks):
 
 
 def _ridge_masks(masks):
+    """How many facets hold each ridge (facet minus one vertex), in one pass."""
     return Counter(m ^ v for m in masks for v in bits(m))
 
 
@@ -261,9 +236,11 @@ def _connected(masks):
 
 def _surface(masks, d):
     """(rim, Euler characteristic) of a connected complex, pure of dimension
-    d = 1 or 2, whose ridges lie in at most two facets; the rim lists those
-    in one.  None for any other complex.  The edges of a pure 2-complex are
-    its ridges, and the vertices of a pure 1-complex are."""
+    d = 1 or 2, whose ridges lie in at most two facets and, for d = 2, whose
+    vertex links are connected; the rim lists the ridges in one facet.  None
+    for any other complex.  The edges of a pure 2-complex are its ridges, and
+    the vertices of a pure 1-complex are.  The link test makes it a surface:
+    without it, two spheres glued at two points would pass as one sphere."""
     if {m.bit_count() for m in masks} != {d + 1}:
         return None
     if d > 2:
@@ -271,13 +248,18 @@ def _surface(masks, d):
     counts = _ridge_masks(masks)
     if max(counts.values()) > 2 or not _connected(masks):
         return None
+    if d == 2 and not all(_connected([m ^ v for m in masks if m & v]) for v in bits(_union(masks))):
+        return None
     chi = len(masks) - len(counts)
     chi = chi + _union(masks).bit_count() if d == 2 else -chi
     return [r for r, n in counts.items() if n == 1], chi
 
 
 def _is_sphere(masks, d):
-    """`is_sphere` on facet masks."""
+    """Whether the facet masks triangulate the d-sphere, for d <= 2: the void
+    complex for d = -1, two points for d = 0, and for d = 1, 2 a `_surface`
+    whose ridges each lie in two facets, with Euler characteristic 2 when
+    d = 2."""
     if d < 1:
         return set(masks) == {0} if d == -1 else sorted(map(int.bit_count, masks)) == [1, 1]
     return _surface(masks, d) == ([], 1 + (-1) ** d)

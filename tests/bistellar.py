@@ -9,12 +9,15 @@ replaced by da * B; when a is a facet, B is one new vertex.  Every move
 keeps a combinatorial 3-sphere, so the spheres come with their own oracle
 rather than srcy's sphere test.  The generator uses the standard library
 only.  `problems` checks one sphere: the sphere check, Dehn-Sommerville,
-the enumeration and the automorphism group against the test references,
-and the T^1 dimension, group order and orbit count after a relabeling.
-It leaves out the link-table crosscheck, which does not classify the
-larger vertex links.  This is not a pytest module: Tier-1 runs a few
-spheres through `problems`, and CI runs this script as its own step, with
-its seed and count fixed there.
+the enumeration, the automorphism group and each vertex link's type in
+the link table against the test references, and the T^1 dimension, group
+order and orbit count after a relabeling.  A vertex link has at most
+MAX_VERTICES - 1 vertices, and its type is checked against the isomorphism
+search on the matching reference sphere; the crosscheck itself stays out,
+as it raises on the vertex links that no type in the table describes.
+This is not a pytest module: Tier-1 runs a few spheres through `problems`,
+and CI runs this script as its own step, with its seed and count fixed
+there.
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ import random
 import sys
 from itertools import combinations
 
-from srcy.deformation import admissible_pairs, t1_degree_zero_basis
+from srcy.deformation import admissible_pairs, classify_link, t1_degree_zero_basis
 from srcy.simplicial import SimplicialComplex, is_combinatorial_3sphere_candidate
 from srcy.symmetry import automorphism_group, orbits_on_t1
-from test_deformation import _candidates, _reference_admissible_b
+from test_deformation import _candidates, _reference_admissible_b, _reference_link_type
+from test_simplicial import _link
 from test_symmetry import _reference_isomorphisms
 
 BOUNDARY_4_SIMPLEX = frozenset(frozenset(f) for f in combinations(range(5), 4))
@@ -84,7 +88,7 @@ def _reference_pairs(k):
     pairs = []
     for f in sorted(k.faces(), key=lambda f: (len(f), sorted(f))):
         if f:
-            link = k.link(f)
+            link = _link(k, f)
             pairs += [(tuple(sorted(f)), b) for b in _candidates(link)
                       if _reference_admissible_b(link, b)]
     return tuple(pairs)
@@ -111,6 +115,9 @@ def problems(facets, rng):
     one_line = lambda p: tuple(p[v] for v in k.vertices)  # noqa: E731
     if list(automorphism_group(k).elements) != sorted(_reference_isomorphisms(k, k), key=one_line):
         out.append("automorphisms differ from the reference search")
+    links = [_link(k, {v}) for v in k.vertices]
+    if [classify_link(link) for link in links] != list(map(_reference_link_type, links)):
+        out.append("vertex-link types differ from the isomorphism reference")
     labels = dict(zip(k.vertices, rng.sample(range(4 * len(k.vertices)), len(k.vertices))))
     relabeled = SimplicialComplex({frozenset(map(labels.get, f)) for f in facets})
     if _invariants(k) != _invariants(relabeled):

@@ -10,24 +10,38 @@ from hypothesis import strategies as st
 
 from srcy.deformation import (
     LINK_CONTRIBUTIONS,
+    OTHER,
+    LinkType,
     T1BasisElement,
     admissible_b,
     admissible_pairs,
-    boundary_simplex,
     classify_link,
     first_order_family,
     perturbation,
-    suspension_of_ngon,
     t1_degree_zero_basis,
     t1_link_table_crosscheck,
     variable_ring,
 )
 from srcy.polynomial import Poly
-from srcy.simplicial import SimplicialComplex, is_combinatorial_3sphere_candidate, join, ngon
+from srcy.simplicial import (
+    SimplicialComplex,
+    boundary,
+    is_combinatorial_3sphere_candidate,
+    join,
+    ngon,
+)
 from srcy.sr_ideal import minimal_nonfaces
 from srcy.symmetry import automorphism_group
-from test_simplicial import _euler, _relabel
-from test_symmetry import _cyclic_polytope_4_boundary
+from test_simplicial import (
+    _boundary_simplex,
+    _cyclic_polytope_boundary,
+    _euler,
+    _link,
+    _pinched_spheres,
+    _relabel,
+    _suspension_of_ngon,
+)
+from test_symmetry import _cyclic_polytope_4_boundary, _reference_isomorphisms
 
 T1_DIMS = {"delta4": 105, "p7_1": 92, "p7_2": 79, "p7_3": 79, "p7_4": 67, "p7_5": 56}
 
@@ -56,11 +70,11 @@ def test_admissible_b_counts_on_two_spheres():
             for b in combinations(link.vertices, r)
         )
 
-    assert count(boundary_simplex(3)) == 11
-    assert count(suspension_of_ngon(3)) == 5
-    assert count(suspension_of_ngon(4)) == 3
-    assert count(suspension_of_ngon(5)) == 1
-    assert count(suspension_of_ngon(6)) == 1
+    assert count(_boundary_simplex(3)) == 11
+    assert count(_suspension_of_ngon(3)) == 5
+    assert count(_suspension_of_ngon(4)) == 3
+    assert count(_suspension_of_ngon(5)) == 1
+    assert count(_suspension_of_ngon(6)) == 1
 
 
 @pytest.mark.parametrize("facets, b", [
@@ -95,7 +109,7 @@ def test_a_basis_element_checks_its_fields():
 
 def test_admissible_b_relabeling_invariant():
     rng = random.Random(3)
-    links = [boundary_simplex(3), suspension_of_ngon(4), ngon(5, [1, 2, 3, 4, 5])]
+    links = [_boundary_simplex(3), _suspension_of_ngon(4), ngon(5, [1, 2, 3, 4, 5])]
     from itertools import combinations
 
     for link in links:
@@ -226,10 +240,10 @@ def _reference_crosscheck(k):
     """(face, tag, expected, enumerated) by the direct subset loop per face link."""
     rows = []
     for f in sorted(k.faces(), key=lambda f: (len(f), tuple(sorted(f)))):
-        link = k.link(f)
+        link = _link(k, f)
         if not f or link.dim() > 2 or link.facets == frozenset({frozenset()}):
             continue
-        tag = classify_link(link)
+        tag = _reference_link_type(link)
         enumerated = sum(
             admissible_b(link, set(b))
             for r in range(2, len(link.vertices) + 1)
@@ -237,6 +251,64 @@ def _reference_crosscheck(k):
         )
         rows.append((tuple(sorted(f)), tag, LINK_CONTRIBUTIONS[tag.tag](tag.n), enumerated))
     return rows
+
+
+def _reference_spheres(nv):
+    """(tag, n, reference complex) for each link type on nv vertices."""
+    if nv == 2:
+        yield "two_points", None, SimplicialComplex([{0}, {1}])
+    if nv >= 3:
+        yield "ngon", nv, ngon(nv)
+    if nv == 4:
+        yield "boundary_tetrahedron", None, _boundary_simplex(3)
+    if nv == 5:
+        yield "susp_triangle", None, _suspension_of_ngon(3)
+    if nv == 6:
+        yield "susp_quadrangle", None, _suspension_of_ngon(4)
+    if nv >= 7:
+        yield "susp_ngon", nv - 2, _suspension_of_ngon(nv - 2)
+    if nv >= 6:
+        yield "cyclic_polytope", nv, _cyclic_polytope_boundary(nv)
+
+
+def _reference_link_type(link):
+    """The type of the reference on the link's vertex count that the test
+    search maps the link onto, else OTHER."""
+    for tag, n, reference in _reference_spheres(len(link.vertices)):
+        if next(_reference_isomorphisms(link, reference), None) is not None:
+            return LinkType(tag, n)
+    return OTHER
+
+
+def _non_spheres():
+    """Complexes of dimension <= 2 that are no link type, though their vertex
+    counts, degrees or ridge counts are those of one."""
+    return [
+        # five vertices, with the edge 12 in three triangles
+        SimplicialComplex([*_boundary_simplex(3).facets, {1, 2, 5}]),
+        _link(_torus_suspension(), {7}),  # seven vertices, each of degree 6
+        _pinched_spheres(),  # both apexes of degree 6, not adjacent
+        # two tetrahedron boundaries at a vertex: Euler characteristic 3
+        SimplicialComplex([*_boundary_simplex(3).facets, *boundary({0, 4, 5, 6}).facets]),
+        SimplicialComplex([{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}]),
+        SimplicialComplex([{1, 2}, {2, 3}]),
+        SimplicialComplex([{0}, {1}, {2}]),
+        SimplicialComplex([{0, 1, 2}, {2, 3}]),
+        SimplicialComplex([{0, 1, 2}]),
+        SimplicialComplex([]),
+    ]
+
+
+def test_classify_link_matches_the_isomorphism_reference(complexes):
+    """Every face link the crosscheck classifies, the reference spheres
+    themselves, and complexes that are none of them; the Tier-1 bistellar
+    spheres go through the same reference in `bistellar.problems`."""
+    links = [_link(k, f) for k in complexes.values() for f in k.faces() if 0 < len(f) < 4]
+    links += [ref for nv in range(2, 12) for _tag, _n, ref in _reference_spheres(nv)]
+    for link in links:
+        assert classify_link(link) == _reference_link_type(link) != OTHER, link
+    for link in _non_spheres():
+        assert classify_link(link) == _reference_link_type(link) == OTHER, link
 
 
 def test_crosscheck_matches_direct_subset_loop(complexes):
@@ -490,7 +562,7 @@ def test_admissible_b_matches_face_set_reference(complexes):
         for f in sorted(k.faces(), key=lambda f: (len(f), sorted(f))):
             if not f:
                 continue
-            link = k.link(f)
+            link = _link(k, f)
             for b in _candidates(link):
                 expected = _reference_admissible_b(link, b)
                 assert admissible_b(link, b) == expected, (f, b)
@@ -545,7 +617,7 @@ def _ball_variant(lprime_facets, b):
     ([(0, 1, 2), (0, 1, 3), (0, 1, 4)], False),  # three triangles on one edge
     ([(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)], False),  # a path beside a triangle: chi = 1
     # the 7-vertex torus less a triangle: the rim is a circle, but chi = -1
-    (sorted(_torus_suspension().link({7}).facets, key=sorted)[1:], False),
+    (sorted(_link(_torus_suspension(), {7}).facets, key=sorted)[1:], False),
 ])
 def test_face_branch_needs_a_ball(lprime, ball):
     b = frozenset({8, 9})
@@ -566,6 +638,6 @@ def test_face_branch_needs_one_point_when_b_is_a_facet():
 
 def test_admissible_b_raises_beyond_dimension_two():
     with pytest.raises(ValueError):
-        admissible_b(boundary_simplex(5), {0, 1})  # b a face, L' a 3-simplex
+        admissible_b(_boundary_simplex(5), {0, 1})  # b a face, L' a 3-simplex
     with pytest.raises(ValueError):
-        admissible_b(join(SimplicialComplex([{8}, {9}]), boundary_simplex(4)), {8, 9})
+        admissible_b(join(SimplicialComplex([{8}, {9}]), _boundary_simplex(4)), {8, 9})

@@ -69,6 +69,32 @@ def test_a_doubled_coefficient_is_rejected(complexes):
     assert t not in result.matched and len(result.matched) == len(params) - 1
 
 
+def _give_t2_the_coefficients_of_t1(f1, ring):
+    t2 = ring.var("t2")
+    return [p - t2 * p.coefficient_of("t2", 1) + t2 * p.coefficient_of("t1", 1) for p in f1]
+
+
+@pytest.mark.parametrize("mutate, first_problem", [
+    (lambda f1, ring: f1[:-1], "generator count mismatch"),
+    (lambda f1, ring: [*f1[:2], f1[2] + ring.parse("x1*x2"), *f1[3:]],
+     "pfaffian 3 does not reduce to a generator at t=0"),
+    (lambda f1, ring: [f1[0], -f1[1], *f1[2:]], "inconsistent signs among the base generators"),
+    (lambda f1, ring: [f1[0], f1[0], *f1[2:]],
+     "base generators are not a permutation of the ideal generators"),
+    (lambda f1, ring: [p - ring.var("t1") * p.coefficient_of("t1", 1) for p in f1],
+     "parameter t1 acts trivially on the generators"),
+    (_give_t2_the_coefficients_of_t1, "parameter t2 repeats basis element 21"),
+], ids=["count", "no_reduction", "signs", "not_a_permutation", "trivial", "repeated"])
+def test_each_failure_branch_of_the_lift_check(complexes, mutate, first_problem):
+    """One mutation of p7_2's lift per branch; t1 matches basis element 21."""
+    matrix, ring = fixtures.family_matrix("p7_2")
+    _geo, params = geometry_and_params(ring.names)
+    result = check_first_order_lift(
+        complexes["p7_2"], mutate(first_order_pfaffians(matrix, params), ring), params)
+    assert result.ok is False
+    assert result.problems[0] == first_problem
+
+
 def test_degree13_orbit_specialization_matches_matrix(complexes):
     k = complexes["p7_4"]
     fam = first_order_family(k)

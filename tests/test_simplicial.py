@@ -3,20 +3,18 @@ from itertools import combinations
 
 import pytest
 
-from srcy.deformation import (
-    OTHER,
-    boundary_simplex,
-    classify_link,
-    cyclic_polytope_boundary,
-    suspension_of_ngon,
-)
+from srcy.deformation import OTHER, _face_links, classify_link
 from srcy.simplicial import (
     SimplicialComplex,
+    _is_sphere,
+    _ridge_masks,
+    ball_rim,
     boundary,
+    facet_masks,
     is_combinatorial_3sphere_candidate,
     join,
+    labels_of,
     ngon,
-    ridge_counts,
 )
 from srcy.fileio import load_triangulation
 
@@ -28,6 +26,30 @@ def _euler(c):
 def _relabel(k, mapping):
     """The complex `k` with each vertex v renamed to mapping[v]."""
     return SimplicialComplex({frozenset(mapping[v] for v in f) for f in k.facets})
+
+
+def _link(k, f):
+    """The link of the face f of k: the complex on {g - f : f <= g}."""
+    return SimplicialComplex({g - f for g in k.facets if f <= g})
+
+
+# -- the reference spheres of the link table ------------------------------------
+
+
+def _suspension_of_ngon(n):
+    """Double pyramid over an n-gon; n = 4 is the octahedron."""
+    return join(SimplicialComplex([{n}, {n + 1}]), ngon(n))
+
+
+def _boundary_simplex(k):
+    return boundary(frozenset(range(k + 1)))
+
+
+def _cyclic_polytope_boundary(n):
+    """Boundary of the cyclic polytope C(n, 3), a stacked 2-sphere: a chain of
+    n-3 edges joined to two apexes, closed at each end by a triangle on them."""
+    facets = [{i, i + 1, a} for i in range(n - 3) for a in (n - 2, n - 1)]
+    return SimplicialComplex(facets + [{0, n - 2, n - 1}, {n - 3, n - 2, n - 1}])
 
 
 def test_load_rejects_bad_input():
@@ -56,53 +78,26 @@ def test_single_facet_is_full_simplex():
     assert k.dim() == 4
 
 
-def test_link_at_empty_face(complexes):
-    k = complexes["p7_1"]
-    assert k.link(frozenset()) == k
-
-
-def test_link_errors_on_nonface(complexes):
-    with pytest.raises(ValueError):
-        complexes["p7_3"].link({6, 7})
-
-
-def test_a_nonface_raises_again_on_a_second_call():
-    k = SimplicialComplex([(1, 2, 3), (3, 4)])
-    for _ in range(2):
-        with pytest.raises(ValueError, match="not a face"):
-            k.link({1, 4})
-    assert k.link({3}).facets == {frozenset({1, 2}), frozenset({4})}
-
-
-def test_each_face_has_one_link_per_complex(complexes):
+def test_faces_and_degrees_are_kept_with_the_complex(complexes):
     k = complexes["p7_4"]
     twin = SimplicialComplex(k.facets)
-    for f in k.faces():
-        assert k.link(f) is k.link(set(f))
-        assert twin.link(f) == k.link(f) and twin.link(f) is not k.link(f)
-    lk = k.link({1})
-    assert lk.faces() is k.link({1}).faces()
-    assert lk.vertex_degrees() is k.link({1}).vertex_degrees()
+    assert k.faces() is k.faces() and twin.faces() == k.faces() and twin.faces() is not k.faces()
+    assert k.vertex_degrees() is k.vertex_degrees()
     with pytest.raises(TypeError):
-        lk.vertex_degrees()[lk.vertices[0]] = 0
+        k.vertex_degrees()[k.vertices[0]] = 0
 
 
-def test_link_matches_the_reduced_facet_construction(complexes):
-    """Reference: the link as the complex on {g - f : f <= g}, through `__init__`."""
+def test_face_links_match_the_reduced_facet_construction(complexes):
+    """Each nonempty face's link masks, as the chain takes them, name the
+    facets of the complex on {g - f : f <= g}."""
     checked = 0
     for k in complexes.values():
-        for f in k.faces():
-            expected = SimplicialComplex({g - f for g in k.facets if f <= g})
-            lk = k.link(f)
-            assert lk == expected and lk.vertices == expected.vertices, sorted(f)
+        for face, link, dim in _face_links(k):
+            expected = _link(k, frozenset(face))
+            assert {frozenset(labels_of(k, m)) for m in link} == expected.facets, face
+            assert dim == expected.dim()
             checked += 1
-    assert checked == 354
-
-
-def test_link_vertex_set_is_restricted():
-    k = load_triangulation("1 2\n2 3\n")
-    lk = k.link({2})
-    assert set(lk.vertices) == {1, 3}
+    assert checked == 348
 
 
 def test_join_boundary_closure():
@@ -137,45 +132,49 @@ def test_f_vectors(complexes):
     for k in complexes.values():
         assert _euler(k) == 0
         for v in k.vertices:
-            assert _euler(k.link({v})) == 2
+            assert _euler(_link(k, {v})) == 2
 
 
 def test_classify_links_of_fixtures(complexes):
     k1 = complexes["p7_1"]
-    assert classify_link(k1.link({1})).tag == "cyclic_polytope"
-    assert classify_link(k1.link({1})).n == 6
-    assert classify_link(k1.link({4})).tag == "boundary_tetrahedron"
-    assert classify_link(k1.link({5})).tag == "susp_triangle"
-    assert classify_link(complexes["p7_3"].link({1})).tag == "susp_quadrangle"
+    assert classify_link(_link(k1, {1})).tag == "cyclic_polytope"
+    assert classify_link(_link(k1, {1})).n == 6
+    assert classify_link(_link(k1, {4})).tag == "boundary_tetrahedron"
+    assert classify_link(_link(k1, {5})).tag == "susp_triangle"
+    assert classify_link(_link(complexes["p7_3"], {1})).tag == "susp_quadrangle"
     assert classify_link(ngon(4, [1, 2, 3, 4])) .tag == "ngon"
 
 
 def test_classify_edge_links_are_ngons(complexes):
     for k in complexes.values():
         for e in k.faces_of_dim(1):
-            assert classify_link(k.link(e)).tag == "ngon"
+            assert classify_link(_link(k, e)).tag == "ngon"
 
 
 def test_classification_distinguishes_six_vertex_spheres():
-    assert classify_link(suspension_of_ngon(4)).tag == "susp_quadrangle"
-    assert classify_link(cyclic_polytope_boundary(6)).tag == "cyclic_polytope"
-    assert classify_link(boundary_simplex(3)).tag == "boundary_tetrahedron"
+    assert classify_link(_suspension_of_ngon(4)).tag == "susp_quadrangle"
+    assert classify_link(_cyclic_polytope_boundary(6)).tag == "cyclic_polytope"
+    assert classify_link(_boundary_simplex(3)).tag == "boundary_tetrahedron"
     assert classify_link(SimplicialComplex([{1, 2}, {2, 3}])) == OTHER
-    # the reference spheres are built once per argument, so other sizes stay apart
-    assert classify_link(suspension_of_ngon(3)).tag == "susp_triangle"
-    assert str(classify_link(suspension_of_ngon(5))) == "susp_ngon(5)"
-    assert str(classify_link(cyclic_polytope_boundary(7))) == "cyclic_polytope(7)"
-    assert classify_link(boundary_simplex(2)).tag == "ngon"
+    assert classify_link(_suspension_of_ngon(3)).tag == "susp_triangle"
+    assert str(classify_link(_suspension_of_ngon(5))) == "susp_ngon(5)"
+    assert str(classify_link(_cyclic_polytope_boundary(7))) == "cyclic_polytope(7)"
+    assert classify_link(_boundary_simplex(2)).tag == "ngon"
+
+
+def _ridge_counts(c):
+    """`_ridge_masks` on c's facet masks, each ridge as a frozenset of labels."""
+    return {frozenset(labels_of(c, r)): n for r, n in _ridge_masks(facet_masks(c)).items()}
 
 
 def test_ridge_counts():
     y_tree = SimplicialComplex([{0, 1}, {0, 2}, {0, 3}])
-    assert ridge_counts(y_tree) == {frozenset({0}): 3, frozenset({1}): 1,
-                                    frozenset({2}): 1, frozenset({3}): 1}
-    assert ridge_counts(boundary_simplex(3)) == {
+    assert _ridge_counts(y_tree) == {frozenset({0}): 3, frozenset({1}): 1,
+                                     frozenset({2}): 1, frozenset({3}): 1}
+    assert _ridge_counts(_boundary_simplex(3)) == {
         frozenset(e): 2 for e in combinations(range(4), 2)}
     # not pure: the edge 23 contributes its two vertices as ridges
-    assert ridge_counts(SimplicialComplex([{0, 1, 2}, {2, 3}])) == {
+    assert _ridge_counts(SimplicialComplex([{0, 1, 2}, {2, 3}])) == {
         frozenset({0, 1}): 1, frozenset({0, 2}): 1, frozenset({1, 2}): 1,
         frozenset({2}): 1, frozenset({3}): 1}
 
@@ -191,8 +190,8 @@ def test_classify_link_relabeling_invariant(complexes):
     samples = []
     for k in complexes.values():
         for v in list(k.vertices)[:3]:
-            samples.append(k.link({v}))
-        samples.append(k.link(next(iter(k.faces_of_dim(1)))))
+            samples.append(_link(k, {v}))
+        samples.append(_link(k, next(iter(k.faces_of_dim(1)))))
     for link in samples:
         tag = classify_link(link)
         for _ in range(4):
@@ -205,7 +204,7 @@ def test_classify_link_relabeling_invariant(complexes):
 def test_links_are_valid_complexes(complexes):
     k = complexes["p7_2"]
     for f in k.faces():
-        lk = k.link(f)
+        lk = _link(k, f)
         for face in lk.faces():
             assert any(face <= g for g in lk.facets)
 
@@ -219,11 +218,41 @@ def test_sphere_candidate_checks(complexes):
     assert report.failures
 
 
+def _pinched_spheres():
+    """Two triangles suspended from 8 and 9: two triangular bipyramids glued
+    at their apexes, whose links are two circles each."""
+    two_triangles = [{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}]
+    return join(SimplicialComplex([{8}, {9}]), SimplicialComplex(two_triangles))
+
+
+def test_spheres_glued_at_two_points_are_not_a_sphere():
+    """Connected, every edge in two triangles, Euler characteristic 2: only
+    the apexes' links tell it from a sphere, and from the suspended hexagon."""
+    pinched = _pinched_spheres()
+    assert _euler(pinched) == 2 and _euler(_suspension_of_ngon(6)) == 2
+    assert not _is_sphere(facet_masks(pinched), 2)
+    assert _is_sphere(facet_masks(_suspension_of_ngon(6)), 2)
+    # suspended again: the sphere check sees the pinch in four vertex links
+    report = is_combinatorial_3sphere_candidate(join(SimplicialComplex([{10}, {11}]), pinched))
+    assert report.failures == tuple("link of vertex %d is not a 2-sphere" % v
+                                    for v in (8, 9, 10, 11))
+
+
+def test_a_disk_and_a_sphere_glued_at_two_points_are_not_a_ball():
+    """A square and an octahedron on its opposite corners 0 and 2: the rim
+    is the square's, and the Euler characteristic 1 + 2 - 2 = 1."""
+    square = [{0, 1, 3}, {1, 2, 3}]
+    octahedron = [{a, v, 4 + (i + 1) % 4} for a in (0, 2) for i, v in enumerate(range(4, 8))]
+    masks = facet_masks(SimplicialComplex(square + octahedron))
+    assert ball_rim(masks, 2) is None
+    assert ball_rim(facet_masks(SimplicialComplex(square)), 2) is not None
+
+
 def test_isomorphism_finds_maps():
-    a = cyclic_polytope_boundary(7)
+    a = _cyclic_polytope_boundary(7)
     relabel = {v: 10 + v for v in a.vertices}
     assert a.is_isomorphic(_relabel(a, relabel))
-    assert not a.is_isomorphic(suspension_of_ngon(5))
+    assert not a.is_isomorphic(_suspension_of_ngon(5))
     # same f-vector (1, 8, 18, 12) and degrees (3,3,4,4,5,5,6,6), not isomorphic
     a = SimplicialComplex(map(_digits, "035 036 057 067 124 127 136 137 146 246 267 357".split()))
     b = SimplicialComplex(map(_digits, "012 016 027 056 057 126 234 236 247 346 456 457".split()))
@@ -243,7 +272,7 @@ def _digits(word):
 def test_boundary_and_solid_tetrahedron_are_not_isomorphic():
     """Same four vertices, every degree 3, and each face of the boundary is a
     face of the solid simplex; only the facet sizes tell them apart."""
-    hollow, solid = boundary_simplex(3), SimplicialComplex([frozenset(range(4))])
+    hollow, solid = _boundary_simplex(3), SimplicialComplex([frozenset(range(4))])
     assert hollow.vertices == solid.vertices
     assert hollow.vertex_degrees() == solid.vertex_degrees()
     assert hollow.faces() < solid.faces()

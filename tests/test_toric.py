@@ -561,3 +561,14 @@ def test_mirror_euler():
     assert mirror_euler(27, 0, 0, 13, 1, 0, 0, 0, 0) == 2
     with pytest.raises(ValueError):
         mirror_euler(-121, 4, 12, 13, 6, 25, 4, 13, 2)
+
+
+def test_a_non_integral_quotient_is_recorded_as_none(monkeypatch):
+    """chi = -119 makes the numerator -119 + 4 * 12 - 6 = -77, which 13 does
+    not divide: the report records no mirror Euler characteristic, and fails."""
+    import srcy.verify as verify
+    from srcy.report import FAIL
+
+    monkeypatch.setattr(verify, "CHI_SMOOTH_DEGREE13", -119)
+    checks = [c for c in verify.run_all(only=["toric"]).checks if c.id == "toric.mirror_euler"]
+    assert [(c.status, c.expected, c.computed) for c in checks] == [(FAIL, 120, None)]
