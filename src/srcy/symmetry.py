@@ -82,9 +82,11 @@ def _greedy_generators(perms):
             chosen.append(p)
             new = {tuple(map(p.__getitem__, h)) for h in reached} - reached
             reached = _closure(chosen, reached, new)
-    # drop members that became redundant once later ones were added
+    # drop members that became redundant once later ones were added; the
+    # last one never is, since the others generate a subgroup of the group
+    # that lacked it when it was taken
     pruned = list(chosen)
-    for p in chosen:
+    for p in chosen[:-1]:
         rest = [q for q in pruned if q != p]
         if rest and len(_closure(rest, {perms[0]}, {perms[0]})) == len(perms):
             pruned = rest

@@ -144,12 +144,14 @@ def chart_restriction(fan, charts, cone_id, ray_ids):
     return charts[cone_id].truncate_above(names, 1)
 
 
+def _ray_restrictions(fan, charts, ray_id):
+    """[(cone, chart restricted to y_rho = 0)] over the cones holding the ray, in cone order."""
+    return [(c, chart_restriction(fan, charts, c, [ray_id])) for c in fan.cones_containing(ray_id)]
+
+
 def divisor_meets_hypersurface(fan, charts, ray_id):
     """True iff the ray's divisor meets the strict transform: some restriction is non-constant."""
-    for c in fan.cones_containing(ray_id):
-        if not chart_restriction(fan, charts, c, [ray_id]).is_constant():
-            return True
-    return False
+    return any(not fbar.is_constant() for _c, fbar in _ray_restrictions(fan, charts, ray_id))
 
 
 # -- crepancy -------------------------------------------------------------------
@@ -231,26 +233,20 @@ class SurfaceFan(namedtuple("SurfaceFan", "rays complete factor_count")):
         return len(self.rays)
 
 
-def method1_component(fan, charts, ray_id):
+def method1_component(fan, ray_id, chart, exps):
     """Closure fan of the torus part of the divisor intersection.
 
-    Requires a chart where the restriction, with monomial content removed,
-    is a constant plus a single monomial.  The kernel of that monomial's
-    exponent functional embeds a rank-2 lattice into the star lattice
-    N/Z rho; the component's fan is the preimage of Star(rho).  The star
-    cones' dual bases come from the fan's cone inverses: in a cone holding
-    rho, the inverse rows of the other rays vanish on rho, so through any
-    lift of N/Z rho into N they are the star cone's facet functionals.  If
-    the exponent functional is imprimitive with content c, the torus part
-    has c conjugate components sharing this fan.
+    `chart` is a cone holding rho whose restriction, with monomial content
+    removed, is a constant plus the single monomial y^exps.  The kernel of
+    that monomial's exponent functional embeds a rank-2 lattice into the
+    star lattice N/Z rho; the component's fan is the preimage of Star(rho).
+    The star cones' dual bases come from the fan's cone inverses: in a cone
+    holding rho, the inverse rows of the other rays vanish on rho, so
+    through any lift of N/Z rho into N they are the star cone's facet
+    functionals.  If the exponent functional is imprimitive with content c,
+    the torus part has c conjugate components sharing this fan.
     """
     cones = fan.cones_containing(ray_id)
-    for chart in cones:
-        exps = _torus_binomial(chart_restriction(fan, charts, chart, [ray_id]))
-        if exps is not None:
-            break
-    else:
-        raise ValueError("no chart shows a binomial torus equation for ray %d" % ray_id)
     for c in cones:
         if c not in fan.inverses:
             raise ValueError("cone %d is not unimodular" % (c + 1))
@@ -277,14 +273,9 @@ def method1_component(fan, charts, ray_id):
     return surface
 
 
-def _torus_binomial(fbar):
-    """Exponent e when fbar, its monomial content stripped, is a + b y^e.
-
-    Returns None for every other restriction, the zero one included.
-    """
-    if fbar.is_zero():
-        return None
-    terms = [e for e, _co in fbar.strip_monomial_content().items()]
+def _torus_binomial(torus):
+    """Exponent e when the content-free restriction `torus` is a + b y^e, else None."""
+    terms = [e for e, _co in torus.items()]
     nonconst = [e for e in terms if any(e)]
     return nonconst[0] if len(terms) == 2 and len(nonconst) == 1 else None
 
@@ -520,16 +511,18 @@ def method4_normal_fan_check(fan, ray_id, polytope_points):
 # -- exceptional components and the intersection complex -------------------------
 
 
-class Component:
-    """An exceptional component; `match_component_table` sets its `label` and `chi`."""
+class Component(namedtuple("Component", "label kind ray_ids factor_index closure chi",
+                           defaults=(0, None, None))):
+    """An exceptional component, as derived from the chart data.
 
-    def __init__(self, label, kind, ray_ids, factor_index=0, closure=None):
-        self.label = label
-        self.kind = kind  # 'divisor', 'orbit_pair', 'torus_factor'
-        self.ray_ids = ray_ids
-        self.factor_index = factor_index
-        self.chi = None
-        self.closure = closure  # torus (method 1) or orbit (method 3) closure SurfaceFan
+    `kind` is 'divisor', 'orbit_pair' or 'torus_factor'; `closure` is the
+    torus (method 1) or orbit (method 3) closure SurfaceFan, or None where
+    none was derived.  A derived component has an empty `label` and no
+    `chi`; `match_component_table` returns copies with both set from the
+    table row.
+    """
+
+    __slots__ = ()
 
     @property
     def chi_provenance(self):
@@ -543,61 +536,56 @@ ComponentStructure = namedtuple(
 def derive_component_structure(fan, charts):
     """Split the exceptional locus into components from the chart data.
 
-    For each interior ray meeting the strict transform, monomial factors
-    of the restriction identify orbit-closure components on 2-cones, and
-    the content-free part identifies the torus-dominant part, which splits
-    into conjugate factors when its binomial exponent is imprimitive.
-    Each closure fan is computed once: method 1 on a ray with a binomial
-    chart (shared by conjugate factors; None where method 1 fails or no
-    chart is binomial), method 3 on an orbit pair.
+    One pass over the interior rays, each with its restrictions formed
+    once.  For a ray meeting the strict transform, monomial factors of the
+    restrictions identify orbit-closure components on 2-cones, and the
+    content-free parts show the torus-dominant part.  The charts where that
+    part is a binomial a + b y^e, in cone order, decide the rest: when every
+    torus chart is binomial, the common content of e is the number of
+    conjugate factors (certified disjoint), and the first binomial chart
+    is method 1's input.  Each closure fan is computed once: method 1 on a
+    ray with a binomial chart (shared by conjugate factors; None where
+    method 1 fails or no chart is binomial), method 3 on an orbit pair.
     """
-    meeting = [rid for rid in fan.interior_ray_ids()
-               if divisor_meets_hypersurface(fan, charts, rid)]
     components = []
-    seen_pairs = {}
+    meeting = []
+    seen_pairs = set()
     certified = True
-    for rid in meeting:
+    for rid in fan.interior_ray_ids():
+        restrictions = _ray_restrictions(fan, charts, rid)
+        if all(fbar.is_constant() for _c, fbar in restrictions):
+            continue
+        meeting.append(rid)
         partners = set()
-        factor_count = None
-        horizontal = False
-        binomial_everywhere = True
-        for c in fan.cones_containing(rid):
-            fbar = chart_restriction(fan, charts, c, [rid])
+        torus = []  # (cone, binomial exponent or None) where the torus part shows
+        for c, fbar in restrictions:
             cone = fan.cones[c]
-            for i, e in enumerate(fbar.content_exponents()):
-                if e > 0:
-                    partners.add(cone[i])
-            if fbar.strip_monomial_content().is_constant():
-                continue
-            horizontal = True
-            exps = _torus_binomial(fbar)
-            if exps is not None:
-                g = gcd(*exps)
-                if factor_count is None:
-                    factor_count = g
-                elif factor_count != g:
-                    raise ValueError("inconsistent factor content across charts")
-            else:
-                binomial_everywhere = False
-        if horizontal:
-            count = factor_count if (factor_count and binomial_everywhere) else 1
-            if (factor_count or 1) > 1 and not binomial_everywhere:
+            partners.update(cone[i] for i, e in enumerate(fbar.content_exponents()) if e > 0)
+            h = fbar.strip_monomial_content()
+            if not h.is_constant():
+                torus.append((c, _torus_binomial(h)))
+        binomials = [(c, exps) for c, exps in torus if exps is not None]
+        if len({gcd(*exps) for _c, exps in binomials}) > 1:
+            raise ValueError("inconsistent factor content across charts")
+        if torus:
+            factor_count = gcd(*binomials[0][1]) if binomials else 1
+            count = factor_count if len(binomials) == len(torus) else 1
+            if count != factor_count:
                 certified = False
             closure = None
-            if factor_count is not None:
+            if binomials:
                 try:
-                    closure = method1_component(fan, charts, rid)
+                    closure = method1_component(fan, rid, *binomials[0])
                 except ValueError:
                     pass
             kind = "torus_factor" if count > 1 else "divisor"
-            components += [Component("", kind, (rid,), k, closure=closure) for k in range(count)]
+            components += [Component("", kind, (rid,), k, closure) for k in range(count)]
         for p in sorted(partners):
-            key = frozenset((rid, p))
-            if key not in seen_pairs:
-                pair = tuple(sorted(key))
-                comp = Component("", "orbit_pair", pair, closure=orbit_closure_component(fan, *pair))
-                seen_pairs[key] = comp
-                components.append(comp)
+            pair = tuple(sorted((rid, p)))
+            if pair not in seen_pairs:
+                seen_pairs.add(pair)
+                closure = orbit_closure_component(fan, *pair)
+                components.append(Component("", "orbit_pair", pair, closure=closure))
     return ComponentStructure(components, meeting, certified)
 
 
@@ -609,10 +597,12 @@ def match_component_table(fan, structure, rows):
     (pairs of two interior rays before mixed pairs, which is enough to
     separate the fixtures' rows sharing a ray).  A candidate with a closure
     fan matches only a row whose chi is that fan's ray count, and one with
-    an incomplete orbit closure raises.
+    an incomplete orbit closure raises.  Returns the matched components in
+    row order, each a copy labelled with its row's label and chi;
+    `structure` is left as it is.
     """
     interior = set(fan.interior_ray_ids())
-    components = list(structure.components)
+    components = structure.components
     taken = set()
     out = []
     for label, ray, _tag, chi in rows:
@@ -635,12 +625,11 @@ def match_component_table(fan, structure, rows):
                     raise ValueError("orbit closure of %s is not complete" % (comp.ray_ids,))
                 if comp.closure.chi != chi:
                     continue
-            comp.label, comp.chi = label, chi
             break
         else:
             raise ValueError("no derived component matches table row %s" % label)
         taken.add(i)
-        out.append(comp)
+        out.append(comp._replace(label=label, chi=chi))
     if len(taken) != len(components):
         raise ValueError("component table does not cover the derived structure")
     return out
@@ -664,46 +653,30 @@ def components_intersect(fan, charts, comps):
             return False  # distinct conjugate factors never meet
         raise NotImplementedError("torus factors on distinct rays")
     needed = sorted({rid for c in comps for rid in c.ray_ids})
+    rho = factors[0].ray_ids[0] if factors else None
     for c in fan.cones_containing(*needed):
+        p = charts[c]
         if factors:
-            rho = factors[0].ray_ids[0]
-            fbar = chart_restriction(fan, charts, c, [rho])
-            h = fbar.strip_monomial_content()
-            rest = [rid for rid in needed if rid != rho]
-            if rest:
-                cone = fan.cones[c]
-                h = h.truncate_above([CHART_RING.names[cone.index(rid)] for rid in rest], 1)
-            if h.is_zero() or not h.is_constant():
-                return True
-        else:
-            p = chart_restriction(fan, charts, c, needed)
-            if p.is_zero() or not p.is_constant():
-                return True
+            p = chart_restriction(fan, charts, c, [rho]).strip_monomial_content()
+        cone = fan.cones[c]
+        p = p.truncate_above([CHART_RING.names[cone.index(rid)] for rid in needed if rid != rho], 1)
+        if p.is_zero() or not p.is_constant():
+            return True
     return False
 
 
 def intersection_complex(fan, charts, components):
-    """Nerve of the exceptional components, up to triple intersections."""
-    n = len(components)
-    faces = [frozenset([i + 1]) for i in range(n)]
-    edges = []
-    for i, j in combinations(range(n), 2):
-        if components_intersect(fan, charts, [components[i], components[j]]):
-            edges.append(frozenset([i + 1, j + 1]))
-    faces.extend(edges)
-    edge_set = set(edges)
-    for i, j, k in combinations(range(n), 3):
-        pairs = [
-            frozenset([i + 1, j + 1]),
-            frozenset([i + 1, k + 1]),
-            frozenset([j + 1, k + 1]),
-        ]
-        if any(p not in edge_set for p in pairs):
-            continue
-        if components_intersect(
-            fan, charts, [components[i], components[j], components[k]]
-        ):
-            faces.append(frozenset([i + 1, j + 1, k + 1]))
+    """Nerve of the exceptional components, up to triple intersections.
+
+    Components are numbered from 1 in list order.  A pair or triple is a
+    face when all of its smaller subsets are faces and its components meet.
+    """
+    faces = {frozenset([i]) for i in range(1, len(components) + 1)}
+    for size in (2, 3):
+        for ids in combinations(range(1, len(components) + 1), size):
+            if all(frozenset(sub) in faces for sub in combinations(ids, size - 1)) and \
+                    components_intersect(fan, charts, [components[i - 1] for i in ids]):
+                faces.add(frozenset(ids))
     return SimplicialComplex.from_faces(faces)
 
 

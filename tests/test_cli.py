@@ -17,6 +17,7 @@ from srcy.report import VerificationReport, emit
 from srcy.torusgroup import verify_character
 from srcy.verify import SECTIONS, run_all
 from test_simplicial import _link
+from test_symmetry import _reference_closure
 
 
 def _data(rel):
@@ -132,32 +133,17 @@ def test_t1_command(capsys, complexes):
             assert sum(e["a_vector"]) == len(b)
 
 
-def _closure(generators):
-    identity = tuple(range(len(generators[0])))
-    group, frontier = {identity}, [identity]
-    while frontier:
-        p = frontier.pop()
-        for g in generators:
-            q = tuple(g[i] for i in p)
-            if q not in group:
-                group.add(q)
-                frontier.append(q)
-    return group
-
-
 def test_aut_and_orbits(capsys, complexes):
     for name, k in complexes.items():
         path = _data("triangulations/%s.tri" % name)
         aut = _json(capsys, "aut", path)
         orbits = _json(capsys, "orbits", path)
         dim = _json(capsys, "t1", path)["dimension"]
-        index = {v: i for i, v in enumerate(k.vertices)}
-        gens = [tuple(index[w] for w in g) for g in aut["generators"]]
+        gens = [dict(zip(k.vertices, g)) for g in aut["generators"]]
         # the generators map facets to facets and generate a group of the printed order
-        for g in aut["generators"]:
-            image = dict(zip(k.vertices, g))
+        for image in gens:
             assert {frozenset(image[v] for v in f) for f in k.facets} == k.facets
-        assert len(_closure(gens)) == aut["order"] == orbits["order"]
+        assert len(_reference_closure(k.vertices, gens)) == aut["order"] == orbits["order"]
         # the orbits partition t1's basis, and each size divides the order
         blocks = orbits["blocks"]
         assert sorted(i for b in blocks for i in b) == list(range(dim))

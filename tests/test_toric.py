@@ -8,9 +8,12 @@ from srcy.toric import (
     ComponentStructure,
     Fan,
     SurfaceType,
+    _ray_restrictions,
+    _torus_binomial,
     all_charts,
     chart_restriction,
     classify_toric_surface,
+    components_intersect,
     crepancy_check,
     derive_component_structure,
     divisor_meets_hypersurface,
@@ -19,7 +22,6 @@ from srcy.toric import (
     intersection_complex,
     lattice_points_in_polytope,
     match_component_table,
-    method1_component,
     method4_normal_fan_check,
     mirror_euler,
     normal_fan,
@@ -101,8 +103,7 @@ def test_cone_matrices_are_inverted_once_per_fan(monkeypatch):
     assert verify_smooth_subdivision(fan).ok
     charts = all_charts(fan, invmono)
     crepancy_check(fan, fmono)
-    for ray in METHOD1_FANS:
-        method1_component(fan, charts, fan.ray_index(ray))
+    assert all(_method1_closures(fan, charts)[ray] for ray in METHOD1_FANS)
 
     def columns(rays):
         return [[r[i] for r in rays] for i in range(4)]
@@ -260,6 +261,12 @@ def test_restriction_example(fan_data):
     assert str(chart_restriction(fan, charts, 0, [rho])) == "y1^2*y4 + 1"
 
 
+def _method1_closures(fan, charts):
+    """Closure fan of each single-ray component of the derived structure, by its ray."""
+    return {fan.rays[c.ray_ids[0]]: c.closure
+            for c in derive_component_structure(fan, charts).components if len(c.ray_ids) == 1}
+
+
 def test_method1_components(fan_data):
     fan, _f, _inv, charts = fan_data
     expected = {
@@ -269,8 +276,9 @@ def test_method1_components(fan_data):
         (7, -2, -1, -3): (4, "F2", 1),
         (9, -3, -2, -4): (6, "Bl3P2", 2),
     }
+    closures = _method1_closures(fan, charts)
     for ray, (chi, tag, factors) in expected.items():
-        sf = method1_component(fan, charts, fan.ray_index(ray))
+        sf = closures[ray]
         assert sf.chi == chi
         assert str(classify_toric_surface(sf.rays)) == tag
         assert sf.factor_count == factors
@@ -299,8 +307,9 @@ def _gl2z_invariant(rays):
 def test_method1_rays_are_pinned(fan_data):
     """Each method-1 fan is the recorded one up to a change of lattice basis."""
     fan, _f, _inv, charts = fan_data
+    closures = _method1_closures(fan, charts)
     for ray, (rays, factors) in METHOD1_FANS.items():
-        sf = method1_component(fan, charts, fan.ray_index(ray))
+        sf = closures[ray]
         assert sf.complete, ray
         assert (_gl2z_invariant(sf.rays), sf.factor_count) == (
             _gl2z_invariant(rays), factors), ray
@@ -308,8 +317,9 @@ def test_method1_rays_are_pinned(fan_data):
 
 def test_method1_fans_complete_and_smooth(fan_data):
     fan, _f, _inv, charts = fan_data
+    closures = _method1_closures(fan, charts)
     for ray in [(6, -2, -1, -2), (3, -1, 0, -1), (11, -4, -2, -5), (7, -2, -1, -3)]:
-        sf = method1_component(fan, charts, fan.ray_index(ray))
+        sf = closures[ray]
         n = len(sf.rays)
         for i in range(n):
             a, b = sf.rays[i], sf.rays[(i + 1) % n]
@@ -318,9 +328,15 @@ def test_method1_fans_complete_and_smooth(fan_data):
 
 
 def test_method1_requires_binomial(fan_data):
+    """E7's ray has no binomial restriction, so its component gets no closure fan."""
     fan, _f, _inv, charts = fan_data
-    with pytest.raises(ValueError):
-        method1_component(fan, charts, fan.ray_index((15, -5, -3, -6)))
+    rid = fan.ray_index((15, -5, -3, -6))
+    restrictions = _ray_restrictions(fan, charts, rid)
+    assert len(restrictions) == 10
+    assert all(_torus_binomial(fbar.strip_monomial_content()) is None
+               for _c, fbar in restrictions)
+    structure = derive_component_structure(fan, charts)
+    assert [c.closure for c in structure.components if c.ray_ids == (rid,)] == [None]
 
 
 def test_orbit_closures(fan_data):
@@ -461,6 +477,26 @@ def test_a_non_binomial_chart_of_the_imprimitive_ray_is_not_certified(fan_data):
     y = CHART_RING.names[(fan.cones[c].index(rid) + 1) % len(CHART_RING.names)]
     structure = derive_component_structure(fan, {**charts, c: charts[c] + CHART_RING.parse(y)})
     assert structure.factor_disjointness_certified is False
+    # the ray then gives one divisor, its closure from a binomial chart, and no factors
+    mine = [comp for comp in structure.components if comp.ray_ids == (rid,)]
+    assert [comp.kind for comp in mine] == ["divisor"] and mine[0].closure is not None
+    assert not any(comp.kind == "torus_factor" for comp in structure.components)
+
+
+def test_each_ray_restriction_is_formed_once(fan_data, monkeypatch):
+    import srcy.toric as toric
+
+    fan, _f, _inv, charts = fan_data
+    rays, restricted = [], []
+    monkeypatch.setattr(toric, "_ray_restrictions", _recording_args(rays, toric._ray_restrictions))
+    monkeypatch.setattr(toric, "chart_restriction",
+                        _recording_args(restricted, toric.chart_restriction))
+    derive_component_structure(fan, charts)
+    assert [args[2] for args in rays] == fan.interior_ray_ids()
+    assert len(rays) == 14
+    formed = [(c, tuple(ids)) for _fan, _charts, c, ids in restricted]
+    assert len(formed) == len(set(formed)) == sum(
+        len(fan.cones_containing(r)) for r in fan.interior_ray_ids())
 
 
 def test_component_table_matching(fan_data):
@@ -479,6 +515,42 @@ def test_component_table_matching(fan_data):
     bad_rows = [(l, r, "Bl1F5", 5) if l == "E3" else (l, r, t, c) for l, r, t, c in rows]
     with pytest.raises(ValueError, match="no derived component matches table row E3"):
         match_component_table(fan, derive_component_structure(fan, charts), bad_rows)
+
+
+COMPONENT_RECORDS = [
+    ("E1", "divisor", ((6, -2, -1, -2),), 0, 3),
+    ("E2", "divisor", ((3, -1, 0, -1),), 0, 5),
+    ("E3", "divisor", ((11, -4, -2, -5),), 0, 4),
+    ("E4", "divisor", ((7, -2, -1, -3),), 0, 4),
+    ("E5", "torus_factor", ((9, -3, -2, -4),), 0, 6),
+    ("E6", "torus_factor", ((9, -3, -2, -4),), 1, 6),
+    ("E7", "divisor", ((15, -5, -3, -6),), 0, 7),
+    ("E8", "divisor", ((12, -4, -2, -5),), 0, 7),
+    ("E9", "divisor", ((14, -5, -3, -6),), 0, 4),
+    ("E10", "orbit_pair", ((1, 0, 0, 0), (9, -3, -2, -4)), 0, 6),
+    ("E11", "orbit_pair", ((0, 0, 1, 0), (9, -3, -2, -4)), 0, 5),
+    ("E12", "divisor", ((5, -1, -1, -2),), 0, 4),
+]
+
+
+def test_matching_returns_labelled_copies(fan_data):
+    fan, _f, _inv, charts = fan_data
+    structure = derive_component_structure(fan, charts)
+    comps = match_component_table(fan, structure, fixtures.component_table())
+    assert all(c.label == "" and c.chi is None for c in structure.components)
+    assert [(c.label, c.kind, tuple(fan.rays[r] for r in c.ray_ids), c.factor_index, c.chi)
+            for c in comps] == COMPONENT_RECORDS
+
+
+def test_components_intersect_edge_cases(fan_data):
+    fan, _f, _inv, charts = fan_data
+    structure = derive_component_structure(fan, charts)
+    comps = {c.label: c for c in match_component_table(fan, structure, fixtures.component_table())}
+    assert components_intersect(fan, charts, [comps["E5"], comps["E6"]]) is False
+    with pytest.raises(ValueError, match="repeated component"):
+        components_intersect(fan, charts, [comps["E1"], comps["E1"]])
+    with pytest.raises(NotImplementedError, match="torus factors on distinct rays"):
+        components_intersect(fan, charts, [comps["E5"], comps["E1"]._replace(kind="torus_factor")])
 
 
 def test_closure_fans_are_derived_once_per_run(monkeypatch):
@@ -511,10 +583,10 @@ def test_failed_method1_leaves_the_component_ingested(fan_data, monkeypatch):
     e1 = fan.ray_index((6, -2, -1, -2))
     original = toric.method1_component
 
-    def failing(fan, charts, ray_id):
+    def failing(fan, ray_id, chart, exps):
         if ray_id == e1:
             raise ValueError("no closure fan")
-        return original(fan, charts, ray_id)
+        return original(fan, ray_id, chart, exps)
 
     monkeypatch.setattr(toric, "method1_component", failing)
     structure = derive_component_structure(fan, charts)
@@ -553,6 +625,8 @@ def test_euler_exceptional_trivial_cases():
     assert euler_exceptional([7], lone) == 7
     disjoint = SimplicialComplex([{1}, {2}])
     assert euler_exceptional([3, 4], disjoint) == 7
+    with pytest.raises(ValueError, match="missing component Euler characteristic"):
+        euler_exceptional([3, None], disjoint)
 
 
 def test_mirror_euler():
