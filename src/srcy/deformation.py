@@ -29,7 +29,8 @@ from .sr_ideal import minimal_nonfaces
 # -- the link table: link classification --------------------------------------
 
 # Admissible-b counts for the standard small links, before the degree-zero
-# multiplicity is applied.  n-gons with n >= 5 contribute nothing.
+# multiplicity is applied.  n-gons with n >= 5 contribute nothing, and
+# neither does any other 2-sphere (see `_link_type`).
 LINK_CONTRIBUTIONS = {
     "two_points": lambda n: 1,
     "ngon": lambda n: {3: 4, 4: 2}.get(n, 0),
@@ -38,6 +39,7 @@ LINK_CONTRIBUTIONS = {
     "susp_quadrangle": lambda n: 3,
     "susp_ngon": lambda n: 1,
     "cyclic_polytope": lambda n: 1,
+    "other_sphere": lambda n: 0,
 }
 
 
@@ -52,14 +54,17 @@ OTHER = LinkType("other")
 
 
 def classify_link(link):
-    """Classify a complex of dimension <= 2 against the small standard types
-    on its facet masks, by `_link_type`; the answer depends only on the
-    combinatorial type, so it is relabeling-invariant."""
-    return _link_type(facet_masks(link), link.dim())
+    """Classify a complex against the link table: `OTHER` unless it is a
+    sphere of dimension 0, 1 or 2, and else `_link_type` on its facet masks;
+    the answer depends only on the combinatorial type, so it is
+    relabeling-invariant."""
+    masks, d = facet_masks(link), link.dim()
+    return _link_type(masks, d) if 0 <= d <= 2 and _is_sphere(masks, d) else OTHER
 
 
 def _link_type(masks, d):
-    """`classify_link` on the link's facet masks and dimension.
+    """The link-table type of a d-sphere, 0 <= d <= 2, given by its facet
+    masks; the caller certifies that it is one.
 
     Two points and n-gons are the 0- and 1-spheres.  A 2-sphere on nv
     vertices has 2nv - 4 triangles, and a vertex's degree is the number
@@ -75,10 +80,22 @@ def _link_type(masks, d):
     without interior vertices.  w lies on that rim and is joined to every
     vertex, so all nv - 4 diagonals of the polygon start at w: the disk is
     a fan from w, and the sphere is the boundary of the cyclic polytope
-    C(nv, 3).  Any other link is OTHER.
+    C(nv, 3).
+
+    Any other 2-sphere is `other_sphere(nv)`, and it has no admissible b, by
+    the join criterion of `admissible_b` (Altmann & Christophersen,
+    Manuscripta Math. 115, 2004).  If b is not a face, the link is
+    L' * boundary(b) with L' a (3 - |b|)-sphere: |b| = 2 makes it the
+    suspension of the cycle L' from the two vertices of b, which are not
+    adjacent and have degree nv - 2; |b| = 3 makes it the suspended
+    triangle, and |b| = 4 the boundary of the tetrahedron.  If b is a face,
+    the link is L' * boundary(b) union boundary(L') * b with L' a
+    (3 - |b|)-ball: |b| = 2 makes L' a path, so the two vertices of b are
+    adjacent and joined to every other vertex, both of degree nv - 1;
+    |b| = 3 makes L' a point and the link the boundary of the tetrahedron.
+    So a 2-sphere on six or more vertices with neither apex pattern admits
+    no b.
     """
-    if not 0 <= d <= 2 or not _is_sphere(masks, d):
-        return OTHER
     nv = _union(masks).bit_count()
     if d < 2:
         return LinkType("ngon", nv) if d else LinkType("two_points")
@@ -90,7 +107,7 @@ def _link_type(masks, d):
         return LinkType("susp_quadrangle") if nv == 6 else LinkType("susp_ngon", nv - 2)
     if sum(n == nv - 1 for n in degree.values()) >= 2:
         return LinkType("cyclic_polytope", nv)
-    return OTHER
+    return LinkType("other_sphere", nv)
 
 
 class T1BasisElement(namedtuple("T1BasisElement", "support a_vector b")):
@@ -181,9 +198,11 @@ def _compositions(total, parts):
 
 @once_per_complex
 def _face_links(k):
-    """(face, its link's facet masks, the link's dimension) for each nonempty
-    face of k, by size and then by the sorted face."""
-    faces = sorted((f.bit_count(), tuple(labels_of(k, f)), f) for f in face_set(k) if f)
+    """(face, its link's facet masks, the link's dimension) for each face of
+    k that is neither empty nor a facet, by size and then by the sorted
+    face; a facet's link is void and admits no b."""
+    faces = sorted((f.bit_count(), tuple(labels_of(k, f)), f)
+                   for f in face_set(k) - {0, *facet_masks(k)})
     links = [(face, [g ^ f for g in facet_masks(k) if g & f == f]) for _n, face, f in faces]
     return [(face, link, max(map(int.bit_count, link)) - 1) for face, link in links]
 
@@ -192,8 +211,16 @@ def _face_links(k):
 def admissible_pairs(k):
     """All (face a, subset b) with an admissible join decomposition.
 
-    Enumerated once per complex and kept with it, as an immutable tuple.
+    Enumerated once per complex and kept with it, as an immutable tuple.  A
+    complex that fails `is_combinatorial_3sphere_candidate` raises
+    ValueError; on one that passes, every face link that `_face_links`
+    gives is a sphere of dimension 0, 1 or 2: a triangle lies in two
+    facets, a vertex link is a 2-sphere, and an edge's link is a vertex
+    link in one of those, so a cycle.
     """
+    report = is_combinatorial_3sphere_candidate(k)
+    if not report.ok:
+        raise ValueError("complex fails 3-sphere checks: %s" % "; ".join(report.failures))
     pairs = []
     for face, link, dim in _face_links(k):
         found = [labels_of(k, b) for b in _candidates(link) if _admissible(link, dim, b)]
@@ -204,9 +231,6 @@ def admissible_pairs(k):
 @once_per_complex
 def t1_degree_zero_basis(k):
     """Canonically ordered basis of the degree-zero first-order deformations."""
-    report = is_combinatorial_3sphere_candidate(k)
-    if not report.ok:
-        raise ValueError("complex fails 3-sphere checks: %s" % "; ".join(report.failures))
     basis = [T1BasisElement(support, avec, b) for support, b in admissible_pairs(k)
              for avec in _compositions(len(b), len(support))]
     return tuple(sorted(basis, key=T1BasisElement.sort_key))
@@ -223,17 +247,14 @@ class CrosscheckRow(namedtuple("CrosscheckRow", "face link_type expected enumera
 def t1_link_table_crosscheck(k):
     """Compare enumerated admissible-b counts against the standard table.
 
-    Covers faces whose links have dimension <= 2; the counts here are
-    before degree-zero multiplicity.
+    One row per face of the 3-sphere k that is not a facet, on the sphere
+    certificate of `admissible_pairs`, which raises for any other complex;
+    the counts here are before degree-zero multiplicity.
     """
     enumerated = Counter(a for a, _b in admissible_pairs(k))
     rows = []
     for face, link, dim in _face_links(k):
-        if not 0 <= dim <= 2:
-            continue
         tag = _link_type(link, dim)
-        if tag == OTHER:
-            raise ValueError("link of %s does not classify" % list(face))
         rows.append(CrosscheckRow(face, tag, LINK_CONTRIBUTIONS[tag.tag](tag.n), enumerated[face]))
     return rows
 

@@ -114,9 +114,6 @@ class SimplicialComplex:
             for _ in extensions(filed, faces_o, targets, 0, 0, {0: 0}, chosen):
                 yield dict(zip(mine, chosen))
 
-    def is_isomorphic(self, other):
-        return next(self.isomorphisms(other), None) is not None
-
 
 # -- basic constructions -----------------------------------------------------
 
@@ -140,15 +137,6 @@ def join(*complexes):
             raise ValueError("join requires disjoint vertex sets")
         out = SimplicialComplex({f | g for f in out.facets for g in comp.facets})
     return out
-
-
-def ngon(n, labels=None):
-    if n < 3:
-        raise ValueError("an n-gon needs n >= 3")
-    labels = labels or list(range(n))
-    return SimplicialComplex(
-        [frozenset({labels[i], labels[(i + 1) % n]}) for i in range(n)]
-    )
 
 
 # -- sphere sanity report ------------------------------------------------------

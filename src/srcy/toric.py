@@ -223,7 +223,7 @@ class SurfaceFan(namedtuple("SurfaceFan", "rays complete factor_count")):
 
     @classmethod
     def from_rays(cls, rays, factor_count=1):
-        rays = sorted(rays, key=cmp_to_key(_counterclockwise))
+        rays = tuple(sorted(rays, key=cmp_to_key(_counterclockwise)))
         n = len(rays)
         complete = n >= 3 and all(_det2(rays[i - 1], rays[i]) == 1 for i in range(n))
         return cls(rays, complete, factor_count)
@@ -358,7 +358,7 @@ def classify_toric_surface(rays):
         if not blew:
             raise ValueError("no exceptional ray on a fan with %d rays" % n)
 
-    explore(tuple(surface.rays))
+    explore(surface.rays)
     k = surface.chi
     if ("P2", 0) in terminals:
         return SurfaceType("P2", blowups=k - 3)

@@ -10,14 +10,13 @@ keeps a combinatorial 3-sphere, so the spheres come with their own oracle
 rather than srcy's sphere test.  The generator uses the standard library
 only.  `problems` checks one sphere: the sphere check, Dehn-Sommerville,
 the enumeration, the automorphism group and each vertex link's type in
-the link table against the test references, and the T^1 dimension, group
-order and orbit count after a relabeling.  A vertex link has at most
-MAX_VERTICES - 1 vertices, and its type is checked against the isomorphism
-search on the matching reference sphere; the crosscheck itself stays out,
-as it raises on the vertex links that no type in the table describes.
-This is not a pytest module: Tier-1 runs a few spheres through `problems`,
-and CI runs this script as its own step, with its seed and count fixed
-there.
+the link table against the test references, every row of the link-table
+crosscheck, and the T^1 dimension, group order and orbit count after a
+relabeling.  A vertex link has at most MAX_VERTICES - 1 vertices, and its
+type is checked against the isomorphism search on the matching reference
+sphere, or the test's own 2-sphere check when none matches.  This is not
+a pytest module: Tier-1 runs a few spheres through `problems`, and CI
+runs this script as its own step, with its seed and count fixed there.
 """
 
 from __future__ import annotations
@@ -27,7 +26,12 @@ import random
 import sys
 from itertools import combinations
 
-from srcy.deformation import admissible_pairs, classify_link, t1_degree_zero_basis
+from srcy.deformation import (
+    admissible_pairs,
+    classify_link,
+    t1_degree_zero_basis,
+    t1_link_table_crosscheck,
+)
 from srcy.simplicial import SimplicialComplex, is_combinatorial_3sphere_candidate
 from srcy.symmetry import automorphism_group, orbits_on_t1
 from test_deformation import _candidates, _reference_admissible_b, _reference_link_type
@@ -118,6 +122,10 @@ def problems(facets, rng):
     links = [_link(k, {v}) for v in k.vertices]
     if [classify_link(link) for link in links] != list(map(_reference_link_type, links)):
         out.append("vertex-link types differ from the isomorphism reference")
+    try:
+        out += ["crosscheck row not ok: %s" % (r,) for r in t1_link_table_crosscheck(k) if not r.ok]
+    except ValueError as e:
+        out.append("crosscheck raises %r" % e)
     labels = dict(zip(k.vertices, rng.sample(range(4 * len(k.vertices)), len(k.vertices))))
     relabeled = SimplicialComplex({frozenset(map(labels.get, f)) for f in facets})
     if _invariants(k) != _invariants(relabeled):

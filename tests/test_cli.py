@@ -343,6 +343,22 @@ def test_fan_with_a_cut_cone_exits_2(capsys, tmp_path):
     _exits_2(capsys, ["toric", "euler", fan, fpoly, table], err)
 
 
+def test_fan_with_a_non_unimodular_cone_exits_2(capsys, tmp_path):
+    """Cone 1 with its apex, ray 16, replaced by a new ray 19 = 2 (ray 16) +
+    (ray 2): `verify` reports it, and the other toric commands refuse it."""
+    fan = _toric_copy(tmp_path, "subdivision.fan", "15 -5 -3 -6\n\nsigma",
+                      "15 -5 -3 -6\n26 -10 -5 -12\n\nsigma")
+    fan.write_text(fan.read_text().replace("cones\n16 2 5 11", "cones\n19 2 5 11", 1))
+    fpoly, table = _data("toric/hypersurface.fpoly"), _data("toric/components.tbl")
+    err = "%s: cone 1 has determinant -2, not unimodular\n" % fan
+    _exits_2(capsys, ["toric", "euler", fan, fpoly, table], err)
+    _exits_2(capsys, ["toric", "charts", fan, fpoly], err)
+    _exits_2(capsys, ["toric", "crepancy", fan, fpoly], err)
+    assert main(["toric", "verify", str(fan)]) == 1
+    verify = json.loads(capsys.readouterr().out)
+    assert verify["ok"] is False and "cone 1 has determinant -2, not unimodular" in verify["problems"]
+
+
 @pytest.mark.parametrize("argv", [["charts"], ["euler", _data("toric/hypersurface.fpoly")],
                                   ["crepancy"]])
 def test_toric_without_its_files_is_a_usage_error(capsys, argv):

@@ -28,7 +28,6 @@ from srcy.simplicial import (
     boundary,
     is_combinatorial_3sphere_candidate,
     join,
-    ngon,
 )
 from srcy.sr_ideal import minimal_nonfaces
 from srcy.symmetry import automorphism_group
@@ -40,6 +39,7 @@ from test_simplicial import (
     _pinched_spheres,
     _relabel,
     _suspension_of_ngon,
+    ngon,
 )
 from test_symmetry import _cyclic_polytope_4_boundary, _reference_isomorphisms
 
@@ -273,11 +273,13 @@ def _reference_spheres(nv):
 
 def _reference_link_type(link):
     """The type of the reference on the link's vertex count that the test
-    search maps the link onto, else OTHER."""
-    for tag, n, reference in _reference_spheres(len(link.vertices)):
+    search maps the link onto; else other_sphere for a 2-sphere, by the
+    frozenset test `_reference_is_sphere`, and OTHER for anything else."""
+    nv = len(link.vertices)
+    for tag, n, reference in _reference_spheres(nv):
         if next(_reference_isomorphisms(link, reference), None) is not None:
             return LinkType(tag, n)
-    return OTHER
+    return LinkType("other_sphere", nv) if _reference_is_sphere(link, 2) else OTHER
 
 
 def _non_spheres():
@@ -299,21 +301,42 @@ def _non_spheres():
     ]
 
 
+# sphere 31 of `bistellar.py --seed 1`: the links of 0 and 6 are 2-spheres
+# on 7 vertices with neither apex pattern, each with two adjacent vertices
+# of degree 5
+SPHERE_WITH_UNTYPED_LINKS = SimplicialComplex(map(frozenset, [
+    (0, 1, 2, 5), (0, 1, 2, 7), (0, 1, 4, 6), (0, 1, 4, 7), (0, 1, 5, 6), (0, 2, 3, 5),
+    (0, 2, 3, 6), (0, 2, 6, 7), (0, 3, 5, 6), (0, 4, 6, 7), (1, 2, 5, 6), (1, 2, 6, 7),
+    (1, 4, 6, 7), (2, 3, 5, 6)]))
+
+
 def test_classify_link_matches_the_isomorphism_reference(complexes):
     """Every face link the crosscheck classifies, the reference spheres
-    themselves, and complexes that are none of them; the Tier-1 bistellar
-    spheres go through the same reference in `bistellar.problems`."""
+    themselves, the vertex links of a sphere two of which match no reference,
+    and complexes that are no sphere; the Tier-1 bistellar spheres go
+    through the same reference in `bistellar.problems`."""
     links = [_link(k, f) for k in complexes.values() for f in k.faces() if 0 < len(f) < 4]
     links += [ref for nv in range(2, 12) for _tag, _n, ref in _reference_spheres(nv)]
+    links += [_link(SPHERE_WITH_UNTYPED_LINKS, {v}) for v in SPHERE_WITH_UNTYPED_LINKS.vertices]
     for link in links:
         assert classify_link(link) == _reference_link_type(link) != OTHER, link
     for link in _non_spheres():
         assert classify_link(link) == _reference_link_type(link) == OTHER, link
 
 
+def test_a_sphere_link_outside_the_typed_table_admits_no_b():
+    """By the join theorem (see `_link_type`) such a link contributes 0; the
+    crosscheck gives it a row, and every row is ok."""
+    rows = t1_link_table_crosscheck(SPHERE_WITH_UNTYPED_LINKS)
+    assert all(r.ok for r in rows)
+    assert [(r.face, str(r.link_type), r.expected, r.enumerated)
+            for r in rows if r.link_type.tag == "other_sphere"] == [
+        ((0,), "other_sphere(7)", 0, 0), ((6,), "other_sphere(7)", 0, 0)]
+
+
 def test_crosscheck_matches_direct_subset_loop(complexes):
     joined = join(ngon(3), ngon(4, [3, 4, 5, 6]))
-    for k in [*complexes.values(), joined]:
+    for k in [*complexes.values(), joined, SPHERE_WITH_UNTYPED_LINKS]:
         rows = [(r.face, r.link_type, r.expected, r.enumerated)
                 for r in t1_link_table_crosscheck(k)]
         assert rows == _reference_crosscheck(k)
@@ -332,7 +355,8 @@ def test_admissible_pairs_follow_a_relabeling(complexes):
 
 
 def test_one_enumeration_per_complex(complexes, monkeypatch):
-    """Each nonempty face's link is enumerated once, across every caller."""
+    """Each face's link is enumerated once, across every caller; the empty
+    face and the facets, whose links are void, not at all."""
     import srcy.deformation as deformation
 
     # a new complex, so no earlier test has filled its memo
@@ -349,7 +373,7 @@ def test_one_enumeration_per_complex(complexes, monkeypatch):
     first_order_family(k)
     bit = {v: 1 << i for i, v in enumerate(k.vertices)}
     masks = [sum(map(bit.get, g)) for g in k.facets]
-    faces = [sum(map(bit.get, f)) for f in k.faces() if f]
+    faces = [sum(map(bit.get, f)) for f in k.faces() if f and f not in k.facets]
     assert sorted(links) == sorted(sorted(g ^ f for g in masks if g & f == f) for f in faces)
 
 
@@ -431,7 +455,7 @@ def test_torus_suspension_is_rejected():
     failures = is_combinatorial_3sphere_candidate(k).failures
     assert "link of vertex 7 is not a 2-sphere" in failures
     assert "link of vertex 8 is not a 2-sphere" in failures
-    with pytest.raises(ValueError, match=r"link of \[7\] does not classify"):
+    with pytest.raises(ValueError, match="complex fails 3-sphere checks"):
         t1_link_table_crosscheck(k)
 
 
@@ -501,6 +525,7 @@ def _reference_is_sphere(c, d):
             _connected(c)
             and _euler(c) == 2
             and all(sum(1 for t in c.facets if e <= t) == 2 for e in c.faces_of_dim(1))
+            and all(_reference_is_sphere(_link(c, {v}), 1) for v in c.vertices)
         )
     raise ValueError("sphere test implemented for dimension <= 2 only")
 

@@ -41,6 +41,16 @@ def test_smith_normal_form_properties():
                     assert d[i][j] == 0
 
 
+def test_smith_form_folds_in_an_entry_the_pivot_does_not_divide():
+    """diag(2, 3) is diagonal already, but 2 does not divide 3: the step
+    adds row 2 to row 1, and the invariant factors become 1 and 6."""
+    a = [[2, 0], [0, 3]]
+    d, u, v = smith_normal_form(a)
+    assert d == [[1, 0], [0, 6]]
+    assert mat_int_mul(mat_int_mul(u, a), v) == d
+    assert abs(det(u)) == abs(det(v)) == 1
+
+
 def test_known_cokernel():
     # columns 5e_i - e_j differences of the degree-5 Fermat lattice
     a = [[4, -1, -1, -1], [-1, 4, -1, -1], [-1, -1, 4, -1], [-1, -1, -1, 4]]

@@ -14,7 +14,6 @@ from srcy.simplicial import (
     is_combinatorial_3sphere_candidate,
     join,
     labels_of,
-    ngon,
 )
 from srcy.fileio import load_triangulation
 
@@ -31,6 +30,21 @@ def _relabel(k, mapping):
 def _link(k, f):
     """The link of the face f of k: the complex on {g - f : f <= g}."""
     return SimplicialComplex({g - f for g in k.facets if f <= g})
+
+
+def ngon(n, labels=None):
+    """The n-gon on `labels`, by default 0, ..., n - 1, in cyclic order."""
+    if n < 3:
+        raise ValueError("an n-gon needs n >= 3")
+    labels = labels or list(range(n))
+    return SimplicialComplex(
+        [frozenset({labels[i], labels[(i + 1) % n]}) for i in range(n)]
+    )
+
+
+def is_isomorphic(k, other):
+    """Whether `SimplicialComplex.isomorphisms` finds a map from k onto other."""
+    return next(k.isomorphisms(other), None) is not None
 
 
 # -- the reference spheres of the link table ------------------------------------
@@ -88,16 +102,17 @@ def test_faces_and_degrees_are_kept_with_the_complex(complexes):
 
 
 def test_face_links_match_the_reduced_facet_construction(complexes):
-    """Each nonempty face's link masks, as the chain takes them, name the
-    facets of the complex on {g - f : f <= g}."""
+    """The link masks of each face but the empty one and the facets, as the
+    chain takes them, name the facets of the complex on {g - f : f <= g}."""
     checked = 0
     for k in complexes.values():
         for face, link, dim in _face_links(k):
             expected = _link(k, frozenset(face))
             assert {frozenset(labels_of(k, m)) for m in link} == expected.facets, face
-            assert dim == expected.dim()
+            assert dim == expected.dim() >= 0
             checked += 1
-    assert checked == 348
+    # 348 nonempty faces, less the 67 facets
+    assert checked == 281
 
 
 def test_join_boundary_closure():
@@ -251,18 +266,18 @@ def test_a_disk_and_a_sphere_glued_at_two_points_are_not_a_ball():
 def test_isomorphism_finds_maps():
     a = _cyclic_polytope_boundary(7)
     relabel = {v: 10 + v for v in a.vertices}
-    assert a.is_isomorphic(_relabel(a, relabel))
-    assert not a.is_isomorphic(_suspension_of_ngon(5))
+    assert is_isomorphic(a, _relabel(a, relabel))
+    assert not is_isomorphic(a, _suspension_of_ngon(5))
     # same f-vector (1, 8, 18, 12) and degrees (3,3,4,4,5,5,6,6), not isomorphic
     a = SimplicialComplex(map(_digits, "035 036 057 067 124 127 136 137 146 246 267 357".split()))
     b = SimplicialComplex(map(_digits, "012 016 027 056 057 126 234 236 247 346 456 457".split()))
     assert tuple(a.f_vector()) == tuple(b.f_vector()) == (1, 8, 18, 12)
     assert sorted(a.vertex_degrees().values()) == sorted(b.vertex_degrees().values())
-    assert not a.is_isomorphic(b) and not b.is_isomorphic(a)
+    assert not is_isomorphic(a, b) and not is_isomorphic(b, a)
     shift = {v: (3 * v + 1) % 8 for v in range(8)}
     for k in (a, b):
-        assert k.is_isomorphic(_relabel(k, shift))
-        assert _relabel(k, shift).is_isomorphic(k)
+        assert is_isomorphic(k, _relabel(k, shift))
+        assert is_isomorphic(_relabel(k, shift), k)
 
 
 def _digits(word):
@@ -276,4 +291,4 @@ def test_boundary_and_solid_tetrahedron_are_not_isomorphic():
     assert hollow.vertices == solid.vertices
     assert hollow.vertex_degrees() == solid.vertex_degrees()
     assert hollow.faces() < solid.faces()
-    assert not hollow.is_isomorphic(solid) and not solid.is_isomorphic(hollow)
+    assert not is_isomorphic(hollow, solid) and not is_isomorphic(solid, hollow)

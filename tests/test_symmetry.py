@@ -5,9 +5,9 @@ from math import factorial
 import pytest
 
 from srcy.deformation import T1BasisElement, first_order_family, t1_degree_zero_basis
-from srcy.simplicial import SimplicialComplex, join, ngon
+from srcy.simplicial import SimplicialComplex, join
 from srcy.symmetry import automorphism_group, invariant_specialize, orbit_index_of, orbits_on_t1
-from test_simplicial import _relabel
+from test_simplicial import _relabel, ngon
 
 # orders recorded for the five families with a published symmetry analysis;
 # the 11-facet sphere's group comes out of the enumeration itself

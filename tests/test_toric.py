@@ -7,6 +7,7 @@ from srcy.toric import (
     Component,
     ComponentStructure,
     Fan,
+    SurfaceFan,
     SurfaceType,
     _ray_restrictions,
     _torus_binomial,
@@ -467,6 +468,14 @@ def test_component_structure(fan_data):
     assert kinds.count("divisor") == 8
     assert kinds.count("torus_factor") == 2
     assert kinds.count("orbit_pair") == 2
+
+
+def test_derived_components_are_hashable(fan_data):
+    """A closure fan keeps its rays as a tuple, so every component hashes."""
+    fan, _f, _inv, charts = fan_data
+    components = derive_component_structure(fan, charts).components
+    assert any(isinstance(c.closure, SurfaceFan) for c in components)
+    assert len(set(components)) == len(components) == 12
 
 
 def test_a_non_binomial_chart_of_the_imprimitive_ray_is_not_certified(fan_data):
