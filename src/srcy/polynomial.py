@@ -20,14 +20,13 @@ caller reads the terms (`Poly.items`, `constant_value` and printing;
 `Poly.evaluate` builds one, over a common denominator).  Setting variables
 to zero is `truncate_above(names, 1)`, a filter on the keys.
 `_add_product` is the one term-pair loop, run only by `Poly.dot`, the sum
-of products behind the Pfaffian expansion and the M.f = 0 residual.
-`Poly.__mul__` is its one-pair case, and a sum is `dot` with the factor 1
-on each side (-1 for a subtracted term of a parsed expression).  `dot`
-runs the loop once per pair into one dict of numerators that is checked
-and reduced once.  Given a truncation (names, bound) it never forms a term
-pair whose degree in `names` reaches the bound.  The Pfaffians of first-order families use
-that truncation to drop the terms quadratic in the deformation parameters
-before they are built.
+of products behind the Pfaffian expansion and the M.f = 0 residual;
+`Poly.__mul__` is its one-pair case and a sum its case with the factor 1.
+`dot` runs the loop once per pair into one dict of numerators, checked and
+reduced once.  Given a truncation (names, bound) it never forms a pair whose
+degree in `names` reaches the bound, so the Pfaffians of first-order families
+drop the terms quadratic in the deformation parameters before they are built.
+The parser builds a Poly only for a term with parentheses.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from operator import or_
 # exponent: half the field, so the sum of two stored exponents still fits it
 BITS = 16
 LIMIT = 1 << 15
+_ABOVE = "a product exponent is above the limit %d" % (LIMIT - 1)
 
 # largest exponent the parser multiplies out; the bundled data uses up to 8
 MAX_EXPONENT = 1000
@@ -150,7 +150,14 @@ class PolyRing:
         return Poly(self, {sum(e << (index[n] * BITS) for n, e in powers.items()): 1}, 1)
 
     def parse(self, text):
-        return _parse(self, text)
+        toks = _tokens(text)
+        try:
+            poly = _parse_expr(self, toks)
+        except RecursionError:
+            raise ValueError("polynomial is nested too deeply") from None
+        if toks[-1] is not None:
+            raise ValueError("trailing input in polynomial: %r" % (toks[-1],))
+        return poly
 
 
 def _check_limit(top):
@@ -202,7 +209,7 @@ def _add_product(acc, a, b, scale, unpack, mask, bound):
 def _settled(ring, acc, den):
     """The Poly acc/den; a key whose exponent reached the limit in some field is a ValueError."""
     if reduce(or_, acc, 0) & ring.over:
-        raise ValueError("a product exponent is above the limit %d" % (LIMIT - 1))
+        raise ValueError(_ABOVE)
     return _reduced(ring, acc, den)
 
 
@@ -459,111 +466,104 @@ def _fmt_coeff(c):
 #   factor := '-' factor | atom ('^' nat)?
 #   atom   := rational | name | '(' expr ')'
 # A minus binds below '^' wherever it stands (x*-y^2 is -x*y^2), and a
-# rational p/q is one atom (5/3^2 is (5/3)^2).
+# rational p/q is one atom (5/3^2 is (5/3)^2).  A product of powers of names
+# and numbers is read as one (key, numerator, denominator) triple, not a Poly.
 
 # one token: an operator, a name, an int with an optional '/' and
 # denominator, or any other character that is not a space, which is an error
-_TOKEN = re.compile(r"([-+*^()])|(%s)|(\d+)(?:(/)(\d*))?|(\S)" % _NAME.pattern)
+_TOKEN = re.compile(r"[-+*^()]|%s|\d+(?:/\d*)?|\S" % _NAME.pattern)
 
 
-class _Tokens:
-    def __init__(self, text):
-        self.toks = []
-        for op, name, num, slash, den, other in _TOKEN.findall(text):
-            if op:
-                self.toks.append(op)
-            elif name and _opens_name(name):
-                self.toks.append(("name", name))
-            elif not num:  # any other character, or a numeral such as '½' opening a name
-                raise ValueError("unexpected character %r in polynomial" % (other or name[0]))
-            elif not slash:
-                self.toks.append(Fraction(int(num)))
-            elif not den:
-                raise ValueError("malformed rational near %r" % (num + "/"))
-            elif int(den) == 0:
-                raise ValueError("zero denominator in %r" % (num + "/" + den))
-            else:
-                self.toks.append(Fraction(int(num), int(den)))
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self):
-        t = self.peek()
-        self.pos += 1
-        return t
-
-
-def _parse(ring, text):
-    toks = _Tokens(text)
-    try:
-        poly = _parse_expr(ring, toks)
-    except RecursionError:
-        raise ValueError("polynomial is nested too deeply") from None
-    if toks.peek() is not None:
-        raise ValueError("trailing input in polynomial: %r" % (toks.peek(),))
-    return poly
+def _tokens(text):
+    """The tokens of `text` last first, above a None that ends them, so `pop` takes the next."""
+    toks = []
+    for tok in _TOKEN.findall(text):
+        if tok in "-+*^()":
+            toks.append(tok)
+        elif _opens_name(tok):
+            toks.append(("name", tok))
+        elif not tok[0].isdecimal():  # any other character, or a numeral such as '½' opening a name
+            raise ValueError("unexpected character %r in polynomial" % tok[0])
+        elif "/" not in tok:
+            toks.append(Fraction(int(tok)))
+        elif tok.endswith("/"):
+            raise ValueError("malformed rational near %r" % tok)
+        elif int(tok.partition("/")[2]) == 0:
+            raise ValueError("zero denominator in %r" % tok)
+        else:
+            toks.append(Fraction(*map(int, tok.split("/"))))
+    return [None] + toks[::-1]
 
 
 def _parse_expr(ring, toks):
-    """The terms of one expression, added in one `Poly.dot`; a single term is returned as is."""
-    if toks.peek() == "+":
-        toks.take()
-    first = _parse_term(ring, toks)
-    if toks.peek() not in ("+", "-"):
-        return first
-    signs = {"+": ring.one(), "-": -ring.one()}
-    terms = [(first, signs["+"])]
-    while toks.peek() in ("+", "-"):
-        sign = signs[toks.take()]
-        terms.append((_parse_term(ring, toks), sign))
-    return Poly.dot(ring, terms)
+    """The sum of the terms: monomials in one dict of numerators, other terms by `Poly.dot`."""
+    op = toks.pop() if toks[-1] == "+" else "+"
+    monos, polys = [], []
+    while op:
+        term = _parse_term(ring, toks, -1 if op == "-" else 1)
+        (monos if type(term) is tuple else polys).append(term)
+        op = toks.pop() if toks[-1] in ("+", "-") else None
+    den, nums = lcm(*[d for _, _, d in monos]), {}
+    for k, n, d in monos:
+        nums[k] = nums.get(k, 0) + n * (den // d)
+    total = _reduced(ring, {k: c for k, c in nums.items() if c}, den)
+    return Poly.dot(ring, [(p, ring.one()) for p in [total] + polys]) if polys else total
 
 
-def _parse_term(ring, toks):
-    result = _parse_factor(ring, toks)
-    while toks.peek() == "*":
-        toks.take()
-        result = result * _parse_factor(ring, toks)
-    return result
+def _monomial(ring, key, num, den):
+    return Poly(ring, {key: num} if num else {}, den)
+
+
+def _parse_term(ring, toks, num):
+    """`num` times the term: a (key, numerator, denominator) triple until a Poly factor."""
+    key, den, poly = 0, 1, None
+    while True:
+        f = _parse_factor(ring, toks)
+        if type(f) is tuple and poly is None:
+            key, num, den = key + f[0], num * f[1], den * f[2]
+            if key & ring.over and num:  # a zero term stays zero, as a zero Poly would
+                raise ValueError(_ABOVE)
+        else:
+            poly = (_monomial(ring, key, num, den) if poly is None else poly) * (
+                _monomial(ring, *f) if type(f) is tuple else f)
+        if toks[-1] != "*":
+            return (key, num, den) if poly is None else poly
+        toks.pop()
 
 
 def _parse_factor(ring, toks):
-    if toks.peek() == "-":
-        toks.take()
-        return -_parse_factor(ring, toks)
-    atom = _parse_atom(ring, toks)
-    if toks.peek() == "^":
-        toks.take()
-        p = toks.take()
-        if not isinstance(p, Fraction) or p.denominator != 1 or p < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        e = int(p)
-        if e > MAX_EXPONENT:
-            raise ValueError("exponent %d is above the limit %d" % (e, MAX_EXPONENT))
-        # a t-term base has at most C(e + t - 1, t - 1) monomials of degree e in its terms
-        t = len(atom.nums)
-        if t > 1 and (size := comb(e + t - 1, t - 1)) > MAX_POWER_TERMS:
-            raise ValueError("power %d of a polynomial with %d terms may have %d terms, "
-                             "above the limit %d" % (e, t, size, MAX_POWER_TERMS))
-        return atom ** e
-    return atom
-
-
-def _parse_atom(ring, toks):
-    t = toks.take()
-    if t == "(":
-        inner = _parse_expr(ring, toks)
-        if toks.take() != ")":
-            raise ValueError("missing closing parenthesis")
-        return inner
-    if isinstance(t, Fraction):
-        return ring.const(t)
-    if isinstance(t, tuple) and t[0] == "name":
+    t = toks.pop()
+    if type(t) is tuple:
         if t[1] not in ring.index:
             raise ValueError("unknown variable %r in polynomial" % t[1])
-        return ring.var(t[1])
-    if t is None:
+        atom = (1 << ring.index[t[1]] * BITS, 1, 1)
+    elif type(t) is Fraction:
+        atom = (0, t.numerator, t.denominator)
+    elif t == "-":
+        f = _parse_factor(ring, toks)
+        return (f[0], -f[1], f[2]) if type(f) is tuple else -f
+    elif t == "(":
+        atom = _parse_expr(ring, toks)
+        if toks.pop() != ")":
+            raise ValueError("missing closing parenthesis")
+    elif t is None:
         raise ValueError("unexpected end of polynomial")
-    raise ValueError("unexpected token %r in polynomial" % (t,))
+    else:
+        raise ValueError("unexpected token %r in polynomial" % (t,))
+    if toks[-1] != "^":
+        return atom
+    toks.pop()
+    p = toks.pop()
+    if type(p) is not Fraction or p.denominator != 1:
+        raise ValueError("exponent must be a nonnegative integer")
+    e = p.numerator
+    if e > MAX_EXPONENT:
+        raise ValueError("exponent %d is above the limit %d" % (e, MAX_EXPONENT))
+    if type(atom) is tuple:  # a name's exponent e <= MAX_EXPONENT fits its field
+        return atom[0] * e, atom[1] ** e, atom[2] ** e
+    # a t-term base has at most C(e + t - 1, t - 1) monomials of degree e in its terms
+    t = len(atom.nums)
+    if t > 1 and (size := comb(e + t - 1, t - 1)) > MAX_POWER_TERMS:
+        raise ValueError("power %d of a polynomial with %d terms may have %d terms, "
+                         "above the limit %d" % (e, t, size, MAX_POWER_TERMS))
+    return atom ** e

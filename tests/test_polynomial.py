@@ -2,12 +2,15 @@ import ast
 import operator
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from srcy.polynomial import Poly, PolyRing
+from srcy import fixtures
+from srcy.fileio import parse_matrix_file, parse_vector_file
+from srcy.polynomial import MAX_EXPONENT, MAX_POWER_TERMS, _NAME, Poly, PolyRing, _opens_name
 
 
 @pytest.fixture
@@ -146,6 +149,194 @@ def _reference_value(text, point):
 @example("5/3^2", {"x": Fraction(0), "y": Fraction(0), "t": Fraction(0)})
 def test_parse_agrees_with_python_precedence(text, point):
     assert PolyRing(["x", "y", "t"]).parse(text).evaluate(point) == _reference_value(text, point)
+
+
+# -- the parser against its Poly-arithmetic reference ---------------------------------
+
+
+_REFERENCE_TOKEN = re.compile(r"([-+*^()])|(%s)|(\d+)(?:(/)(\d*))?|(\S)" % _NAME.pattern)
+
+
+class _ReferenceTokens:
+    """The token stream of the reference parser below."""
+
+    def __init__(self, text):
+        self.toks = []
+        for op, name, num, slash, den, other in _REFERENCE_TOKEN.findall(text):
+            if op:
+                self.toks.append(op)
+            elif name and _opens_name(name):
+                self.toks.append(("name", name))
+            elif not num:
+                raise ValueError("unexpected character %r in polynomial" % (other or name[0]))
+            elif not slash:
+                self.toks.append(Fraction(int(num)))
+            elif not den:
+                raise ValueError("malformed rational near %r" % (num + "/"))
+            elif int(den) == 0:
+                raise ValueError("zero denominator in %r" % (num + "/" + den))
+            else:
+                self.toks.append(Fraction(int(num), int(den)))
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def take(self):
+        t = self.peek()
+        self.pos += 1
+        return t
+
+
+def _reference_parse(ring, text):
+    """The grammar read with Poly arithmetic alone: each name a `ring.var`, each
+    '*' a `Poly.__mul__`, each '^' a `Poly.__pow__`, and an expression's terms
+    added in one `Poly.dot` with the factor 1 or -1 per term."""
+    toks = _ReferenceTokens(text)
+    try:
+        poly = _reference_expr(ring, toks)
+    except RecursionError:
+        raise ValueError("polynomial is nested too deeply") from None
+    if toks.peek() is not None:
+        raise ValueError("trailing input in polynomial: %r" % (toks.peek(),))
+    return poly
+
+
+def _reference_expr(ring, toks):
+    if toks.peek() == "+":
+        toks.take()
+    first = _reference_term(ring, toks)
+    if toks.peek() not in ("+", "-"):
+        return first
+    signs = {"+": ring.one(), "-": -ring.one()}
+    terms = [(first, signs["+"])]
+    while toks.peek() in ("+", "-"):
+        sign = signs[toks.take()]
+        terms.append((_reference_term(ring, toks), sign))
+    return Poly.dot(ring, terms)
+
+
+def _reference_term(ring, toks):
+    result = _reference_factor(ring, toks)
+    while toks.peek() == "*":
+        toks.take()
+        result = result * _reference_factor(ring, toks)
+    return result
+
+
+def _reference_factor(ring, toks):
+    if toks.peek() == "-":
+        toks.take()
+        return -_reference_factor(ring, toks)
+    atom = _reference_atom(ring, toks)
+    if toks.peek() == "^":
+        toks.take()
+        p = toks.take()
+        if not isinstance(p, Fraction) or p.denominator != 1 or p < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        e = int(p)
+        if e > MAX_EXPONENT:
+            raise ValueError("exponent %d is above the limit %d" % (e, MAX_EXPONENT))
+        t = len(atom.nums)
+        if t > 1 and (size := comb(e + t - 1, t - 1)) > MAX_POWER_TERMS:
+            raise ValueError("power %d of a polynomial with %d terms may have %d terms, "
+                             "above the limit %d" % (e, t, size, MAX_POWER_TERMS))
+        return atom ** e
+    return atom
+
+
+def _reference_atom(ring, toks):
+    t = toks.take()
+    if t == "(":
+        inner = _reference_expr(ring, toks)
+        if toks.take() != ")":
+            raise ValueError("missing closing parenthesis")
+        return inner
+    if isinstance(t, Fraction):
+        return ring.const(t)
+    if isinstance(t, tuple) and t[0] == "name":
+        if t[1] not in ring.index:
+            raise ValueError("unknown variable %r in polynomial" % t[1])
+        return ring.var(t[1])
+    if t is None:
+        raise ValueError("unexpected end of polynomial")
+    raise ValueError("unexpected token %r in polynomial" % (t,))
+
+
+def _outcome(parse, ring, text):
+    """(den, nums) of the parsed text, or the message of the ValueError it raises."""
+    try:
+        poly = parse(ring, text)
+    except ValueError as exc:
+        return str(exc)
+    return poly.den, poly.nums
+
+
+def _parse_both(ring, text):
+    got = _outcome(lambda r, t: r.parse(t), ring, text)
+    assert got == _outcome(_reference_parse, ring, text), text
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(min_size=8, max_size=64).map(_grammar_text))
+def test_parse_matches_the_reference_on_the_grammar(text):
+    assert not isinstance(_parse_both(PolyRing(["x", "y", "t"]), text), str)
+
+
+# pieces that reach every message raised after tokenizing, the exponent limits among
+# them; and characters for the tokenizer, with a numeral, a superscript and an Arabic digit
+_PIECES = ["x", "y", "t", "z", "0", "2", "1/2", "4/2", "^", "^2", "^1001", "*", "+", "-", "(",
+           ")", " ", "x^1000*", "(x + y + t + 1)^38"]
+_CHARS = "xyt_ 0123/^*+-().\u00bd\u0663\u00b2"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map(" ".join)
+       | st.text(_CHARS, max_size=20))
+@example("x^1000*" * 33 + "y^1001")
+@example("0*" + "x^1000*" * 33 + "x")
+@example("(" + "x^1000*" * 20 + "x)*" + "x^1000*" * 13 + "y^1001")
+@example("x 2")
+@example("z + 3/0")
+@example("\u0663/\u0664*x^\u0662 + \u00bdx")
+@example("x*\u0663/\u0664^2 - 5/10*y")
+def test_parse_raises_what_the_reference_raises(text):
+    _parse_both(PolyRing(["x", "y", "t"]), text)
+
+
+def test_parse_matches_the_reference_on_every_bundled_entry():
+    checked = 0
+    for path in sorted((fixtures.fixture_dir() / "families").iterdir()):
+        matrix = path.suffix == ".mat"
+        text = path.read_text()
+        ring = (parse_matrix_file if matrix else parse_vector_file)(text)[1]
+        for line in text.splitlines():
+            if line.startswith("entry"):
+                assert not isinstance(_parse_both(ring, line.partition(":")[2]), str)
+                checked += 1
+    assert checked == 89
+
+
+def test_a_sum_of_monomials_parses_without_poly_dot(monkeypatch):
+    calls = []
+    dot = Poly.dot
+    monkeypatch.setattr(Poly, "dot", staticmethod(lambda *a, **k: calls.append(1) or dot(*a, **k)))
+    ring = PolyRing(["x", "y", "t"] + ["x%d" % i for i in range(1, 8)]
+                    + ["t%d" % i for i in range(1, 90)])
+    assert ring.nvars == 99
+    texts = ("3/2*x^2*y - t + 5", "-t1*x1^3 - x1*x2*x3", "x*(y + t) - x^2")
+    parsed = [ring.parse(text) for text in texts[:2]]
+    assert not calls
+    parsed.append(ring.parse(texts[2]))
+    assert calls
+    assert parsed == [_reference_parse(ring, text) for text in texts]
+
+
+def test_parse_caps_the_exponent_of_a_product_term(ring):
+    with pytest.raises(ValueError, match="^a product exponent is above the limit 32767$"):
+        ring.parse("*".join(["x^1000"] * 33))
+    assert ring.parse("x^1000*" * 32 + "x^767") == ring.monomial((32767, 0, 0))
 
 
 def test_arithmetic(ring):
